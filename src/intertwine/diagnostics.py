@@ -450,10 +450,7 @@ def _bound_value(bound_formula: str, grashofs: GrashofSet, matrix, nu: float, mu
     if bound_formula == "dr_mutual_pair":
         val = math.sqrt(96.0) * nu * grashofs.g_theta
         return val, f"sqrt(96)*nu*g_theta = {val:.6g}"
-    if bound_formula == "dr_decoupled":
-        val = 4.0 * grashofs.k_frak * nu
-        return val, f"4*k*nu = {val:.6g}"
-    if bound_formula == "dr_balanced":
+    if bound_formula in ("dr_decoupled", "dr_balanced"):
         val = 4.0 * grashofs.k_frak * nu
         return val, f"4*k*nu = {val:.6g}"
     if bound_formula == "dr_small_theta2":

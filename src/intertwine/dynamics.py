@@ -16,6 +16,7 @@ steps.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,7 @@ NUDGE_MUTUAL = "nudge_mutual"
 DR_SYMMETRIC = "dr_symmetric"
 DR_MUTUAL = "dr_mutual"
 GENERAL = "general"
+NONE = "none"
 
 NUDGING_CLASSES = (NUDGE_SYMMETRIC, NUDGE_MUTUAL)
 DR_CLASSES = (DR_SYMMETRIC, DR_MUTUAL)
@@ -127,6 +129,34 @@ class IntertwiningMatrix:
 
 
 @dataclass(frozen=True)
+class CouplingClass:
+    """One row of the coupling-class registry.
+
+    code is the class byte of a checkpoint; build is the IntertwiningMatrix
+    constructor; params are its argument names, which are also the config's
+    [coupling] keys for the class.
+    """
+
+    code: int
+    build: Callable[..., IntertwiningMatrix]
+    params: tuple[str, ...]
+
+
+COUPLING_CLASSES = {
+    NUDGE_SYMMETRIC: CouplingClass(0, IntertwiningMatrix.nudge_symmetric, ("mu1", "mu2")),
+    NUDGE_MUTUAL: CouplingClass(1, IntertwiningMatrix.nudge_mutual, ("mu1", "mu2")),
+    DR_SYMMETRIC: CouplingClass(2, IntertwiningMatrix.dr_symmetric, ("theta1", "theta2")),
+    DR_MUTUAL: CouplingClass(3, IntertwiningMatrix.dr_mutual, ("theta1", "theta2")),
+    GENERAL: CouplingClass(4, IntertwiningMatrix.general, ("m11", "m12", "m21", "m22")),
+    # the config alias for uncoupled copies builds a zero general matrix,
+    # so it shares the general code
+    NONE: CouplingClass(4, IntertwiningMatrix.zero, ()),
+}
+# reversed, so that a shared code maps to the first row that has it
+COUPLING_BY_CODE = {spec.code: spec for spec in reversed(COUPLING_CLASSES.values())}
+
+
+@dataclass(frozen=True)
 class IntertwinedState:
     """Snapshot of the coupled pair: (v1, v2) plus time and parameters.
 
@@ -163,15 +193,39 @@ def rhs_nse(u: SpectralField, f: SpectralField, nu: float) -> SpectralField:
     return f - nu * spectral.stokes_apply(u, 2) - spectral.bilinear_B(u, u)
 
 
-def _coupling_inputs(state: IntertwinedState, intertwining: str):
-    """F(v1), F(v2) for the requested intertwining function."""
-    if intertwining == "project":
-        return project_low(state.v1, state.K), project_low(state.v2, state.K)
-    if intertwining == "project_bilinear":
-        B1 = spectral.bilinear_B(state.v1, state.v1)
-        B2 = spectral.bilinear_B(state.v2, state.v2)
-        return project_low(B1, state.K), project_low(B2, state.K)
-    raise ValueError(f"unknown intertwining function {intertwining!r}")
+def _rhs_terms(state: IntertwinedState, v1, v2, t, bilinear: bool, diffuse: bool, couple: bool):
+    """The coupled right-hand sides at (v1, v2, t): the one kernel.
+
+    f_i = g_i [- nu A v_i] - B(v_i, v_i) [+ m_i1 F(v1) + m_i2 F(v2)], with
+    F = P_K B(., .) when bilinear and P_K otherwise.  Diffusion enters only
+    when diffuse (the stepper integrates it exactly); coupling only when
+    couple (the stepper may fold it into the propagator).
+    """
+    f1 = state.forcing.g1(t)
+    f2 = state.forcing.g2(t)
+    if diffuse:
+        f1 = f1 - state.nu * spectral.stokes_apply(v1, 2)
+        f2 = f2 - state.nu * spectral.stokes_apply(v2, 2)
+    B1 = B2 = None
+    if state.advect:
+        B1 = spectral.bilinear_B(v1, v1)
+        B2 = spectral.bilinear_B(v2, v2)
+        f1 = f1 - B1
+        f2 = f2 - B2
+    m = state.matrix.entries
+    if couple and np.any(m != 0.0):
+        if not bilinear:
+            c1, c2 = project_low(v1, state.K), project_low(v2, state.K)
+        else:
+            if B1 is None:
+                B1 = spectral.bilinear_B(v1, v1)
+                B2 = spectral.bilinear_B(v2, v2)
+            c1, c2 = project_low(B1, state.K), project_low(B2, state.K)
+        # sum each row's coupling first: commutativity of addition then keeps
+        # the two equations bitwise equal on the synchronized manifold
+        f1 = f1 + (m[0, 0] * c1 + m[0, 1] * c2)
+        f2 = f2 + (m[1, 0] * c1 + m[1, 1] * c2)
+    return f1, f2
 
 
 def rhs_general(state: IntertwinedState, intertwining: str):
@@ -181,22 +235,12 @@ def rhs_general(state: IntertwinedState, intertwining: str):
     + m_i1 F(v1) + m_i2 F(v2), where F is P_K ("project") or
     P_K B(., .) ("project_bilinear").
     """
-    g1 = state.forcing.g1(state.t)
-    g2 = state.forcing.g2(state.t)
-    nu = state.nu
-    f1 = g1 - nu * spectral.stokes_apply(state.v1, 2)
-    f2 = g2 - nu * spectral.stokes_apply(state.v2, 2)
-    if state.advect:
-        f1 = f1 - spectral.bilinear_B(state.v1, state.v1)
-        f2 = f2 - spectral.bilinear_B(state.v2, state.v2)
-    m = state.matrix.entries
-    if np.any(m != 0.0):
-        c1, c2 = _coupling_inputs(state, intertwining)
-        # sum each row's coupling first: commutativity of addition then keeps
-        # the two equations bitwise equal on the synchronized manifold
-        f1 = f1 + (m[0, 0] * c1 + m[0, 1] * c2)
-        f2 = f2 + (m[1, 0] * c1 + m[1, 1] * c2)
-    return f1, f2
+    if intertwining not in ("project", "project_bilinear"):
+        raise ValueError(f"unknown intertwining function {intertwining!r}")
+    return _rhs_terms(
+        state, state.v1, state.v2, state.t,
+        bilinear=intertwining == "project_bilinear", diffuse=True, couple=True,
+    )
 
 
 def rhs_nudging(state: IntertwinedState):
@@ -216,12 +260,6 @@ def rhs_direct_replacement(state: IntertwinedState):
             f"direct-replacement rhs needs a DR matrix, got {state.matrix.kind}"
         )
     return rhs_general(state, "project_bilinear")
-
-
-def intertwining_function_for(matrix: IntertwiningMatrix) -> str:
-    if matrix.is_direct_replacement:
-        return "project_bilinear"
-    return "project"
 
 
 def derived_views(state: IntertwinedState) -> dict:
@@ -339,42 +377,22 @@ def step(
     if fold_coupling and not state.matrix.is_nudging:
         raise WrongMatrixClass("coupling folding applies to nudging matrices only")
     grid = state.grid
-    intertwining = intertwining_function_for(state.matrix)
+    bilinear = state.matrix.is_direct_replacement
     decay, pair_block = _linear_propagator(state, dt, fold_coupling)
     low_mask = grid.low_mode_mask(state.K) if pair_block is not None else None
 
-    def explicit_rhs(v1, v2, t):
-        f1 = state.forcing.g1(t)
-        f2 = state.forcing.g2(t)
-        B1 = B2 = None
-        if state.advect:
-            B1 = spectral.bilinear_B(v1, v1)
-            B2 = spectral.bilinear_B(v2, v2)
-            f1 = f1 - B1
-            f2 = f2 - B2
-        m = state.matrix.entries
-        if not fold_coupling and np.any(m != 0.0):
-            if intertwining == "project":
-                c1 = project_low(v1, state.K)
-                c2 = project_low(v2, state.K)
-            else:
-                if B1 is None:
-                    B1 = spectral.bilinear_B(v1, v1)
-                    B2 = spectral.bilinear_B(v2, v2)
-                c1 = project_low(B1, state.K)
-                c2 = project_low(B2, state.K)
-            f1 = f1 + (m[0, 0] * c1 + m[0, 1] * c2)
-            f2 = f2 + (m[1, 0] * c1 + m[1, 1] * c2)
-        return f1, f2
-
     V = np.stack([state.v1.coeffs, state.v2.coeffs])
-    k1a, k1b = explicit_rhs(state.v1, state.v2, state.t)
+    k1a, k1b = _rhs_terms(
+        state, state.v1, state.v2, state.t, bilinear, diffuse=False, couple=not fold_coupling
+    )
     K1 = np.stack([k1a.coeffs, k1b.coeffs])
 
     pred = _apply_propagator(V + dt * K1, decay, pair_block, low_mask)
     p1 = SpectralField(grid, pred[0])
     p2 = SpectralField(grid, pred[1])
-    k2a, k2b = explicit_rhs(p1, p2, state.t + dt)
+    k2a, k2b = _rhs_terms(
+        state, p1, p2, state.t + dt, bilinear, diffuse=False, couple=not fold_coupling
+    )
     K2 = np.stack([k2a.coeffs, k2b.coeffs])
 
     new = _apply_propagator(V + 0.5 * dt * K1, decay, pair_block, low_mask) + 0.5 * dt * K2

@@ -16,8 +16,9 @@ import platform
 import struct
 import sys
 import tempfile
+import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,78 +52,84 @@ class IoError(OSError):
 # ---------------------------------------------------------------------------
 # configuration
 
-_SCHEMA = {
-    "grid": {"n", "dealias_radius"},
-    "physics": {"nu", "k"},
-    "coupling": {"class", "mu1", "mu2", "theta1", "theta2", "m11", "m12", "m21", "m22"},
-    "forcing": {
-        "kind",
-        "amplitude",
-        "wavenumber",
-        "omega",
-        "pair_delta_amplitude",
-        "pair_decay_rate",
-        "pair_delta_max_wavenumber",
-    },
-    "initial": {
-        "kind",
-        "energy",
-        "spectrum_slope",
-        "max_wavenumber",
-        "difference",
-        "difference_scale",
-        "modes",
-    },
-    "time": {"dt", "t_end", "sample_every"},
-    "output": {"dir", "seed", "decay_threshold", "constants_file", "scenario", "threads"},
-    "sweep": {"k", "mu", "theta1"},
-}
 
-_COUPLING_CLASSES = ("none", "nudge_symmetric", "nudge_mutual", "dr_symmetric", "dr_mutual", "general")
-_FORCING_KINDS = ("kolmogorov", "time_periodic", "decaying_pair")
-_DIFFERENCE_KINDS = ("none", "random", "high_modes")
+def _int(value: str) -> int:
+    """An exact integer: integer literals as written, else an integral float."""
+    try:
+        return int(value)
+    except ValueError:
+        number = float(value)
+        if not number.is_integer():
+            raise
+        return int(number)
+
+
+def _floats(value: str) -> tuple:
+    return tuple(float(part) for part in value.split(",") if part.strip())
+
+
+def _key(slot: str, parse=float, choices=None, **kwargs):
+    """A config field read from the INI key slot "section.key".
+
+    parse turns the raw text into the value; a value outside choices is
+    rejected; a field without a default is a required key.
+    """
+    return field(metadata={"ini": slot, "parse": parse, "choices": choices}, **kwargs)
+
+
+def _choice(slot: str, choices, default=MISSING):
+    return _key(slot, str.lower, tuple(choices), default=default)
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description, one value per physical knob."""
+    """Validated experiment description, one value per physical knob.
 
-    n: int
-    nu: float
-    K: float
-    coupling_class: str
-    dt: float
-    t_end: float
-    sample_every: float = 0.0
-    dealias_radius: float | None = None
-    mu1: float = 0.0
-    mu2: float = 0.0
-    theta1: float = 0.0
-    theta2: float = 0.0
-    general_entries: tuple = (0.0, 0.0, 0.0, 0.0)
-    forcing_kind: str = "kolmogorov"
-    amplitude: float = 0.0
-    wavenumber: int = 2
-    omega: float = 0.0
-    pair_delta_amplitude: float = 0.0
-    pair_decay_rate: float = 1.0
-    pair_delta_max_wavenumber: float = 2.0
-    initial_kind: str = "random"
-    initial_modes: str = ""
-    energy: float = 1.0
-    spectrum_slope: float = 2.0
-    max_wavenumber: float | None = None
-    difference: str = "random"
-    difference_scale: float = 1.0
-    out_dir: str = "runs"
-    seed: int = 0
-    decay_threshold: float = 1e-6
-    constants_file: str | None = None
-    scenario: str = "self_sync"
-    threads: int = 1
-    sweep_K: tuple = ()
-    sweep_mu: tuple = ()
-    sweep_theta1: tuple = ()
+    The fields are the config schema: each carries its INI key, parser and
+    allowed values in its metadata, and its default.
+    """
+
+    n: int = _key("grid.n", _int)
+    nu: float = _key("physics.nu")
+    K: float = _key("physics.K")
+    coupling_class: str = _choice("coupling.class", dyn.COUPLING_CLASSES)
+    dt: float = _key("time.dt")
+    t_end: float = _key("time.t_end")
+    sample_every: float = _key("time.sample_every", default=0.0)
+    dealias_radius: float | None = _key("grid.dealias_radius", default=None)
+    mu1: float = _key("coupling.mu1", default=0.0)
+    mu2: float = _key("coupling.mu2", default=0.0)
+    theta1: float = _key("coupling.theta1", default=0.0)
+    theta2: float = _key("coupling.theta2", default=0.0)
+    m11: float = _key("coupling.m11", default=0.0)
+    m12: float = _key("coupling.m12", default=0.0)
+    m21: float = _key("coupling.m21", default=0.0)
+    m22: float = _key("coupling.m22", default=0.0)
+    forcing_kind: str = _choice(
+        "forcing.kind", ("kolmogorov", "time_periodic", "decaying_pair"), "kolmogorov"
+    )
+    amplitude: float = _key("forcing.amplitude", default=0.0)
+    wavenumber: int = _key("forcing.wavenumber", _int, default=2)
+    omega: float = _key("forcing.omega", default=0.0)
+    pair_delta_amplitude: float = _key("forcing.pair_delta_amplitude", default=0.0)
+    pair_decay_rate: float = _key("forcing.pair_decay_rate", default=1.0)
+    pair_delta_max_wavenumber: float = _key("forcing.pair_delta_max_wavenumber", default=2.0)
+    initial_kind: str = _choice("initial.kind", ("random", "modes"), "random")
+    initial_modes: str = _key("initial.modes", str, default="")
+    energy: float = _key("initial.energy", default=1.0)
+    spectrum_slope: float = _key("initial.spectrum_slope", default=2.0)
+    max_wavenumber: float | None = _key("initial.max_wavenumber", default=None)
+    difference: str = _choice("initial.difference", ("none", "random", "high_modes"), "random")
+    difference_scale: float = _key("initial.difference_scale", default=1.0)
+    out_dir: str = _key("output.dir", str, default="runs")
+    seed: int = _key("output.seed", _int, default=0)
+    decay_threshold: float = _key("output.decay_threshold", default=1e-6)
+    constants_file: str | None = _key("output.constants_file", str, default=None)
+    scenario: str = _choice("output.scenario", SCENARIOS, "self_sync")
+    threads: int = _key("output.threads", _int, default=1)
+    sweep_K: tuple = _key("sweep.K", _floats, default=())
+    sweep_mu: tuple = _key("sweep.mu", _floats, default=())
+    sweep_theta1: tuple = _key("sweep.theta1", _floats, default=())
 
     def validate(self):
         grid_limit = (self.dealias_radius if self.dealias_radius else self.n / 3.0)
@@ -132,23 +139,16 @@ class ExperimentConfig:
             )
         if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ParseError("constraint violated: nu, dt, t_end must be positive")
-        if self.coupling_class.startswith("nudge"):
-            if self.mu1 < 0 or self.mu2 < 0:
-                raise ParseError("constraint violated: nudging gains must be >= 0")
-            if self.coupling_class == "nudge_symmetric" and self.mu1 < self.mu2:
-                raise ParseError("constraint violated: symmetric nudging needs mu1 >= mu2")
-        if self.coupling_class.startswith("dr"):
-            if abs(self.theta1 + self.theta2 - 1.0) > 1e-12:
-                raise ParseError(
-                    f"constraint violated: theta1 + theta2 = {self.theta1 + self.theta2:g}, must equal 1"
-                )
-            if self.coupling_class == "dr_mutual" and (self.theta1 < 0 or self.theta2 < 0):
-                raise ParseError("constraint violated: mutual replacement needs theta1, theta2 >= 0")
-        if self.scenario not in SCENARIOS:
-            raise ParseError(f"unknown scenario {self.scenario!r}")
-        if self.difference not in _DIFFERENCE_KINDS:
-            raise ParseError(f"unknown initial difference kind {self.difference!r}")
+        try:
+            build_matrix(self)
+        except ValueError as exc:
+            raise ParseError(f"constraint violated: {exc}") from exc
         return self
+
+
+# INI slot (lower case, as parsed) -> field
+_FIELDS = {f.metadata["ini"].lower(): f for f in fields(ExperimentConfig)}
+_SECTIONS = {slot.partition(".")[0] for slot in _FIELDS}
 
 
 def _parse_kv_lines(text: str):
@@ -160,7 +160,7 @@ def _parse_kv_lines(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SCHEMA:
+            if section not in _SECTIONS:
                 raise ParseError(f"line {num}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -170,115 +170,37 @@ def _parse_kv_lines(text: str):
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.split("#", 1)[0].strip()
-        if key not in _SCHEMA[section]:
+        if f"{section}.{key}" not in _FIELDS:
             raise ParseError(f"line {num}: unknown key {key!r} in section [{section}]")
         yield num, section, key, value
 
 
-def _to_float(num, key, value):
+def _parse_value(num, f, raw):
+    slot, parse, choices = f.metadata["ini"], f.metadata["parse"], f.metadata["choices"]
     try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"line {num}: {key} must be a number, got {value!r}") from None
-
-
-def _to_floats(num, key, value):
-    try:
-        return tuple(float(part) for part in value.split(",") if part.strip())
-    except ValueError:
-        raise ParseError(f"line {num}: {key} must be a comma-separated number list") from None
+        value = parse(raw)
+    except ValueError as exc:
+        raise ParseError(f"line {num}: bad value {raw!r} for {slot}: {exc}") from None
+    if choices is not None and value not in choices:
+        raise ParseError(
+            f"line {num}: unknown {slot.replace('.', ' ')} {raw!r} (one of: {', '.join(choices)})"
+        )
+    return value
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     values: dict = {}
-    for num, section, key, value in _parse_kv_lines(text):
-        slot = f"{section}.{key}"
-        if slot in values:
+    for num, section, key, raw in _parse_kv_lines(text):
+        f = _FIELDS[f"{section}.{key}"]
+        if f.name in values:
             raise ParseError(f"line {num}: duplicate key {key!r} in [{section}]")
-        values[slot] = (num, value)
-
-    def need(slot):
-        if slot not in values:
-            raise ParseError(f"missing required key {slot.replace('.', ': ', 1)}")
-        return values[slot]
-
-    def opt(slot, default=None):
-        return values.get(slot, (0, default))
-
-    num, raw = need("grid.n")
-    n = int(_to_float(num, "n", raw))
-    num, raw = need("physics.nu")
-    nu = _to_float(num, "nu", raw)
-    num, raw = need("physics.k")
-    K = _to_float(num, "K", raw)
-    num, raw = need("coupling.class")
-    klass = raw.lower()
-    if klass not in _COUPLING_CLASSES:
-        raise ParseError(f"line {num}: unknown coupling class {raw!r}")
-    num, raw = need("time.dt")
-    dt = _to_float(num, "dt", raw)
-    num, raw = need("time.t_end")
-    t_end = _to_float(num, "t_end", raw)
-
-    def fval(slot, default):
-        num, raw = opt(slot)
-        return default if raw is None else _to_float(num, slot, raw)
-
-    def sval(slot, default):
-        _, raw = opt(slot)
-        return default if raw is None else raw
-
-    def sweep_vals(slot):
-        if slot not in values:
-            return ()
-        num, raw = values[slot]
-        return _to_floats(num, slot, raw)
-
-    cfg = ExperimentConfig(
-        n=n,
-        nu=nu,
-        K=K,
-        coupling_class=klass,
-        dt=dt,
-        t_end=t_end,
-        sample_every=fval("time.sample_every", 0.0) or max(dt, t_end / 200.0),
-        dealias_radius=fval("grid.dealias_radius", None),
-        mu1=fval("coupling.mu1", 0.0),
-        mu2=fval("coupling.mu2", 0.0),
-        theta1=fval("coupling.theta1", 0.0),
-        theta2=fval("coupling.theta2", 0.0),
-        general_entries=(
-            fval("coupling.m11", 0.0),
-            fval("coupling.m12", 0.0),
-            fval("coupling.m21", 0.0),
-            fval("coupling.m22", 0.0),
-        ),
-        forcing_kind=sval("forcing.kind", "kolmogorov").lower(),
-        amplitude=fval("forcing.amplitude", 0.0),
-        wavenumber=int(fval("forcing.wavenumber", 2)),
-        omega=fval("forcing.omega", 0.0),
-        pair_delta_amplitude=fval("forcing.pair_delta_amplitude", 0.0),
-        pair_decay_rate=fval("forcing.pair_decay_rate", 1.0),
-        pair_delta_max_wavenumber=fval("forcing.pair_delta_max_wavenumber", 2.0),
-        initial_kind=sval("initial.kind", "random").lower(),
-        initial_modes=sval("initial.modes", ""),
-        energy=fval("initial.energy", 1.0),
-        spectrum_slope=fval("initial.spectrum_slope", 2.0),
-        max_wavenumber=fval("initial.max_wavenumber", None),
-        difference=sval("initial.difference", "random").lower(),
-        difference_scale=fval("initial.difference_scale", 1.0),
-        out_dir=sval("output.dir", "runs"),
-        seed=int(fval("output.seed", 0)),
-        decay_threshold=fval("output.decay_threshold", 1e-6),
-        constants_file=sval("output.constants_file", None),
-        scenario=sval("output.scenario", "self_sync").lower(),
-        threads=int(fval("output.threads", 1)),
-        sweep_K=sweep_vals("sweep.k"),
-        sweep_mu=sweep_vals("sweep.mu"),
-        sweep_theta1=sweep_vals("sweep.theta1"),
-    )
-    if cfg.forcing_kind not in _FORCING_KINDS:
-        raise ParseError(f"unknown forcing kind {cfg.forcing_kind!r}")
+        values[f.name] = _parse_value(num, f, raw)
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in values:
+            raise ParseError(f"missing required key {f.metadata['ini'].replace('.', ': ', 1)}")
+    cfg = ExperimentConfig(**values)
+    if not cfg.sample_every:
+        cfg.sample_every = max(cfg.dt, cfg.t_end / 200.0)
     return cfg.validate()
 
 
@@ -287,68 +209,22 @@ def parse_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = ["[grid]", f"n = {cfg.n}"]
-    if cfg.dealias_radius is not None:
-        lines.append(f"dealias_radius = {cfg.dealias_radius!r}")
-    lines += ["", "[physics]", f"nu = {cfg.nu!r}", f"K = {cfg.K!r}"]
-    lines += ["", "[coupling]", f"class = {cfg.coupling_class}"]
-    if cfg.coupling_class.startswith("nudge"):
-        lines += [f"mu1 = {cfg.mu1!r}", f"mu2 = {cfg.mu2!r}"]
-    elif cfg.coupling_class.startswith("dr"):
-        lines += [f"theta1 = {cfg.theta1!r}", f"theta2 = {cfg.theta2!r}"]
-    elif cfg.coupling_class == "general":
-        m11, m12, m21, m22 = cfg.general_entries
-        lines += [f"m11 = {m11!r}", f"m12 = {m12!r}", f"m21 = {m21!r}", f"m22 = {m22!r}"]
-    lines += [
-        "",
-        "[forcing]",
-        f"kind = {cfg.forcing_kind}",
-        f"amplitude = {cfg.amplitude!r}",
-        f"wavenumber = {cfg.wavenumber}",
-        f"omega = {cfg.omega!r}",
-        f"pair_delta_amplitude = {cfg.pair_delta_amplitude!r}",
-        f"pair_decay_rate = {cfg.pair_decay_rate!r}",
-        f"pair_delta_max_wavenumber = {cfg.pair_delta_max_wavenumber!r}",
-        "",
-        "[initial]",
-        f"kind = {cfg.initial_kind}",
-    ]
-    if cfg.initial_modes:
-        lines.append(f"modes = {cfg.initial_modes}")
-    lines += [
-        f"energy = {cfg.energy!r}",
-        f"spectrum_slope = {cfg.spectrum_slope!r}",
-    ]
-    if cfg.max_wavenumber is not None:
-        lines.append(f"max_wavenumber = {cfg.max_wavenumber!r}")
-    lines += [
-        f"difference = {cfg.difference}",
-        f"difference_scale = {cfg.difference_scale!r}",
-        "",
-        "[time]",
-        f"dt = {cfg.dt!r}",
-        f"t_end = {cfg.t_end!r}",
-        f"sample_every = {cfg.sample_every!r}",
-        "",
-        "[output]",
-        f"dir = {cfg.out_dir}",
-        f"seed = {cfg.seed}",
-        f"decay_threshold = {cfg.decay_threshold!r}",
-        f"scenario = {cfg.scenario}",
-        f"threads = {cfg.threads}",
-    ]
-    if cfg.constants_file:
-        lines.append(f"constants_file = {cfg.constants_file}")
-    if cfg.sweep_K or cfg.sweep_mu or cfg.sweep_theta1:
-        lines += ["", "[sweep]"]
-        if cfg.sweep_K:
-            lines.append("K = " + ", ".join(repr(v) for v in cfg.sweep_K))
-        if cfg.sweep_mu:
-            lines.append("mu = " + ", ".join(repr(v) for v in cfg.sweep_mu))
-        if cfg.sweep_theta1:
-            lines.append("theta1 = " + ", ".join(repr(v) for v in cfg.sweep_theta1))
-    return "\n".join(lines) + "\n"
+    """INI text for every field that holds a value (None, "" and () are unset)."""
+    sections: dict = {}
+    for f in fields(ExperimentConfig):
+        value = getattr(cfg, f.name)
+        if value is None or (isinstance(value, (str, tuple)) and not value):
+            continue
+        section, _, key = f.metadata["ini"].partition(".")
+        sections.setdefault(section, []).append(f"{key} = {_format_value(value)}")
+    return "\n\n".join(f"[{name}]\n" + "\n".join(lines) for name, lines in sections.items()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -360,17 +236,8 @@ def build_grid(cfg: ExperimentConfig) -> sp.Grid:
 
 
 def build_matrix(cfg: ExperimentConfig) -> dyn.IntertwiningMatrix:
-    if cfg.coupling_class == "none":
-        return dyn.IntertwiningMatrix.zero()
-    if cfg.coupling_class == "nudge_symmetric":
-        return dyn.IntertwiningMatrix.nudge_symmetric(cfg.mu1, cfg.mu2)
-    if cfg.coupling_class == "nudge_mutual":
-        return dyn.IntertwiningMatrix.nudge_mutual(cfg.mu1, cfg.mu2)
-    if cfg.coupling_class == "dr_symmetric":
-        return dyn.IntertwiningMatrix.dr_symmetric(cfg.theta1, cfg.theta2)
-    if cfg.coupling_class == "dr_mutual":
-        return dyn.IntertwiningMatrix.dr_mutual(cfg.theta1, cfg.theta2)
-    return dyn.IntertwiningMatrix.general(*cfg.general_entries)
+    spec = dyn.COUPLING_CLASSES[cfg.coupling_class]
+    return spec.build(*(getattr(cfg, name) for name in spec.params))
 
 
 def build_forcing(cfg: ExperimentConfig, grid: sp.Grid, rng: np.random.Generator) -> fr.ForcingPair:
@@ -449,11 +316,11 @@ def build_state(cfg: ExperimentConfig, scenario: str | None = None, seed: int | 
     state = dyn.IntertwinedState(
         grid=grid, t=0.0, nu=cfg.nu, K=cfg.K, matrix=matrix, v1=v1, v2=v2, forcing=forcing
     )
-    constants = (
-        ConstantsConfig.from_json(open(cfg.constants_file, encoding="utf-8").read())
-        if cfg.constants_file
-        else diag.default_constants()
-    )
+    if cfg.constants_file:
+        with open(cfg.constants_file, encoding="utf-8") as fh:
+            constants = ConstantsConfig.from_json(fh.read())
+    else:
+        constants = diag.default_constants()
     return state, rng, constants
 
 
@@ -461,15 +328,10 @@ def build_state(cfg: ExperimentConfig, scenario: str | None = None, seed: int | 
 # checkpoints
 
 _CKPT_MAGIC = b"ITWN"
-_CKPT_VERSION = 1
-_MATRIX_CODES = {
-    dyn.NUDGE_SYMMETRIC: 0,
-    dyn.NUDGE_MUTUAL: 1,
-    dyn.DR_SYMMETRIC: 2,
-    dyn.DR_MUTUAL: 3,
-    dyn.GENERAL: 4,
-}
-_MATRIX_FROM_CODE = {v: k for k, v in _MATRIX_CODES.items()}
+_CKPT_VERSION = 2
+# after the magic: v1 header (two matrix params, radius n/3 implied) and v2
+_CKPT_HEADS = {1: struct.Struct("<IddIdBddQ"), 2: struct.Struct("<IddIddBddddQ")}
+_CKPT_CRC = struct.Struct("<I")
 
 
 def _field_bytes(u: sp.SpectralField) -> bytes:
@@ -494,70 +356,61 @@ def _field_from_bytes(grid: sp.Grid, blob: bytes) -> sp.SpectralField:
 def checkpoint_save(state: dyn.IntertwinedState, path, seed: int = 0) -> None:
     """Binary checkpoint, little-endian, bit-exact round trip.
 
-    Layout: magic "ITWN", u32 version, f64 nu, f64 t, u32 n, f64 K,
-    u8 matrix class, two f64 matrix params, u64 seed, then the v1 and v2
-    coefficient blocks.  The forcing is not serialized; it is rebuilt from
-    the config on load.  General matrices carry only their first two entries,
-    so only the zero general matrix round-trips (named classes always do).
+    Layout (version 2): magic "ITWN", u32 version, f64 nu, f64 t, u32 n,
+    f64 dealias radius, f64 K, u8 matrix class code, four f64 matrix params
+    (zero-padded), u64 seed, the v1 and v2 coefficient blocks, and a u32
+    CRC32 of everything before it.  The forcing is not serialized; it is
+    rebuilt from the config on load.
     """
     m = state.matrix
-    if m.kind == dyn.GENERAL and np.any(m.entries != 0.0):
-        raise ConfigInvalid("checkpoint format holds two matrix params; general matrices unsupported")
-    params = (m.params + (0.0, 0.0))[:2]
-    header = _CKPT_MAGIC + struct.pack(
-        "<IddIdBddQ",
-        _CKPT_VERSION,
-        state.nu,
-        state.t,
-        state.grid.n,
-        state.K,
-        _MATRIX_CODES[m.kind],
-        params[0],
-        params[1],
-        seed,
+    params = (m.params + (0.0,) * 4)[:4]
+    header = _CKPT_MAGIC + _CKPT_HEADS[_CKPT_VERSION].pack(
+        _CKPT_VERSION, state.nu, state.t, state.grid.n, state.grid.dealias_radius, state.K,
+        dyn.COUPLING_CLASSES[m.kind].code, *params, seed,
     )
     payload = header + _field_bytes(state.v1) + _field_bytes(state.v2)
-    _atomic_write_bytes(path, payload)
+    _atomic_write_bytes(path, payload + _CKPT_CRC.pack(zlib.crc32(payload)))
 
 
 def checkpoint_load(path) -> tuple[dyn.IntertwinedState, int]:
-    """Load a checkpoint; the returned state carries a zero forcing pair."""
+    """Load a checkpoint (version 1 or 2); the state carries a zero forcing pair."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CKPT_MAGIC:
         raise IoError(f"{path}: not a checkpoint (bad magic)")
-    head = struct.Struct("<IddIdBddQ")
     try:
-        version, nu, t, n, K, code, p1, p2, seed = head.unpack_from(blob, 4)
+        (version,) = struct.unpack_from("<I", blob, 4)
+        if version not in _CKPT_HEADS:
+            raise IoError(f"{path}: unsupported checkpoint version {version}")
+        head = _CKPT_HEADS[version]
+        values = head.unpack_from(blob, 4)
     except struct.error as exc:
         raise IoError(f"{path}: truncated checkpoint header") from exc
-    if version != _CKPT_VERSION:
-        raise IoError(f"{path}: unsupported checkpoint version {version}")
-    grid = sp.Grid(int(n))
-    kind = _MATRIX_FROM_CODE.get(int(code))
-    if kind is None:
-        raise IoError(f"{path}: unknown matrix class code {code}")
-    if kind == dyn.NUDGE_SYMMETRIC:
-        matrix = dyn.IntertwiningMatrix.nudge_symmetric(p1, p2)
-    elif kind == dyn.NUDGE_MUTUAL:
-        matrix = dyn.IntertwiningMatrix.nudge_mutual(p1, p2)
-    elif kind == dyn.DR_SYMMETRIC:
-        matrix = dyn.IntertwiningMatrix.dr_symmetric(p1, p2)
-    elif kind == dyn.DR_MUTUAL:
-        matrix = dyn.IntertwiningMatrix.dr_mutual(p1, p2)
+    if version == 1:
+        _, nu, t, n, K, code, p1, p2, seed = values
+        radius, params, crc_size = None, (p1, p2, 0.0, 0.0), 0
     else:
-        matrix = dyn.IntertwiningMatrix.zero()
+        _, nu, t, n, radius, K, code, *params, seed = values
+        crc_size = _CKPT_CRC.size
     offset = 4 + head.size
-    block = grid.n * grid.n * 2 * 2 * 8
-    if len(blob) < offset + 2 * block:
+    block = n * n * 2 * 2 * 8
+    end = offset + 2 * block
+    if len(blob) < end + crc_size:
         raise IoError(f"{path}: truncated coefficient blocks")
+    if crc_size and _CKPT_CRC.unpack_from(blob, end)[0] != zlib.crc32(blob[:end]):
+        raise IoError(f"{path}: checksum mismatch")
+    spec = dyn.COUPLING_BY_CODE.get(code)
+    if spec is None:
+        raise IoError(f"{path}: unknown matrix class code {code}")
+    matrix = spec.build(*params[: len(spec.params)])
+    grid = sp.Grid(n, radius)
     v1 = _field_from_bytes(grid, blob[offset : offset + block])
-    v2 = _field_from_bytes(grid, blob[offset + block : offset + 2 * block])
+    v2 = _field_from_bytes(grid, blob[offset + block : end])
     zero_pair = fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid)))
     state = dyn.IntertwinedState(
         grid=grid, t=t, nu=nu, K=K, matrix=matrix, v1=v1, v2=v2, forcing=zero_pair
     )
-    return state, int(seed)
+    return state, seed
 
 
 def _atomic_write_bytes(path, payload: bytes) -> None:
@@ -647,12 +500,13 @@ def _condition_reports(state0, records, constants, nu) -> list[ConditionReport]:
         mu1, mu2 = matrix.params
         reports.append(diag.check_nudge_fdss_condition(state0.K, m_meas, constants))
         reports.append(diag.check_nudge_ss_condition(state0.K, mu1, mu2, m_meas, nu, constants))
-        if matrix.kind == dyn.NUDGE_MUTUAL and min(mu1, mu2) > 0:
+        # the mutual bound scales with mu_max / mu_min: both gains must be positive
+        positive = min(mu1, mu2) > 0
+        if matrix.kind == dyn.NUDGE_SYMMETRIC or positive:
             reports.append(
-                diag.check_uniform_bound(
-                    _pair_h1_series(records), "nudge_mutual", grashofs, matrix, nu
-                )
+                diag.check_uniform_bound(_pair_h1_series(records), matrix.kind, grashofs, matrix, nu)
             )
+        if matrix.kind == dyn.NUDGE_MUTUAL and positive:
             slack = diag.energy_inequality_slack(records, nu, mu1, mu2)
             reports.append(
                 ConditionReport.compare(
@@ -660,12 +514,6 @@ def _condition_reports(state0, records, constants, nu) -> list[ConditionReport]:
                     slack,
                     1e-6,
                     f"integrated weighted energy inequality slack = {slack:.3e} <= 1e-6",
-                )
-            )
-        elif matrix.kind == dyn.NUDGE_SYMMETRIC:
-            reports.append(
-                diag.check_uniform_bound(
-                    _pair_h1_series(records), "nudge_symmetric", grashofs, matrix, nu
                 )
             )
     else:
@@ -859,26 +707,23 @@ def _write_fdm_table(out_dir, ladder, rows):
 
 
 def _sweep_points(cfg: ExperimentConfig):
-    ks = cfg.sweep_K or (cfg.K,)
-    if cfg.coupling_class.startswith("nudge"):
-        seconds = [("mu", v) for v in (cfg.sweep_mu or (max(cfg.mu1, cfg.mu2),))]
-    elif cfg.coupling_class.startswith("dr"):
-        seconds = [("theta1", v) for v in (cfg.sweep_theta1 or (cfg.theta1,))]
+    """(K, mu) points for nudging classes, (K, theta1) for direct replacement."""
+    matrix = build_matrix(cfg)
+    if matrix.is_nudging:
+        name, values = "mu", cfg.sweep_mu or (max(cfg.mu1, cfg.mu2),)
+    elif matrix.is_direct_replacement:
+        name, values = "theta1", cfg.sweep_theta1 or (cfg.theta1,)
     else:
-        seconds = [("mu", 0.0)]
-    points = []
-    for K in ks:
-        for name, val in seconds:
-            points.append({"K": float(K), name: float(val)})
-    return points
+        name, values = "mu", (0.0,)
+    return [{"K": float(K), name: float(val)} for K in cfg.sweep_K or (cfg.K,) for val in values]
 
 
 def _point_config(cfg: ExperimentConfig, point: dict) -> ExperimentConfig:
     updates = {"K": point["K"]}
-    if "mu" in point and cfg.coupling_class.startswith("nudge"):
-        updates["mu1"] = point["mu"]
-        updates["mu2"] = point["mu"]
-    if "theta1" in point and cfg.coupling_class.startswith("dr"):
+    matrix = build_matrix(cfg)
+    if matrix.is_nudging:
+        updates["mu1"] = updates["mu2"] = point["mu"]
+    elif matrix.is_direct_replacement:
         updates["theta1"] = point["theta1"]
         updates["theta2"] = 1.0 - point["theta1"]
     return replace(cfg, **updates, sweep_K=(), sweep_mu=(), sweep_theta1=())

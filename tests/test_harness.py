@@ -103,6 +103,28 @@ class TestConfigParsing:
         text = MINIMAL.replace("mu1 = 2.0", "mu1 = 2.0  # feedback gain")
         assert hz.parse_config_text(text).mu1 == 2.0
 
+    def test_seed_parses_exactly(self):
+        # above 2**53 a float would drop the low bits
+        text = MINIMAL.replace("seed = 7", "seed = 4611686018427400249")
+        assert hz.parse_config_text(text).seed == 4611686018427400249
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(ParseError, match="line 2"):
+            hz.parse_config_text(MINIMAL.replace("n = 16", "n = 16.5"))
+
+    def test_unknown_initial_kind_rejected(self):
+        text = MINIMAL.replace("energy = 0.3", "kind = modez\nenergy = 0.3")
+        with pytest.raises(ParseError, match="unknown initial kind 'modez'"):
+            hz.parse_config_text(text)
+
+    def test_sweep_point_reruns_from_its_config(self, tmp_path):
+        text = MINIMAL.replace("t_end = 4.0", "t_end = 1.0") + "\n[sweep]\nK = 2.0, 3.0\n"
+        res = hz.run_scenario(hz.parse_config_text(text), kind="regime_sweep", out_dir=tmp_path)
+        for row in res.extras["table"]:
+            pdir = tmp_path / f"point_{row['index']:03d}"
+            alone = hz.run_scenario(hz.parse_config(pdir / "config.ini"), out_dir=pdir / "alone")
+            assert alone.final_ratio == pytest.approx(row["final_ratio"], rel=1e-12, abs=0)
+
 
 class TestCheckpoints:
     def test_bit_exact_roundtrip(self, tmp_path, rng):
@@ -140,18 +162,66 @@ class TestCheckpoints:
             with pytest.raises(hz.IoError):
                 hz.checkpoint_load(short)
 
-    def test_general_matrix_not_checkpointable(self, tmp_path, grid16, rng):
+    def test_general_matrix_roundtrip(self, tmp_path, grid16, rng):
         from intertwine import dynamics as dyn
         from intertwine import forcing as fr
 
         pair = fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid16)))
         state = dyn.IntertwinedState(
-            grid=grid16, t=0.0, nu=0.1, K=2.0,
-            matrix=dyn.IntertwiningMatrix.general(1.0, 0.0, 0.0, 1.0),
-            v1=sp.zero_field(grid16), v2=sp.zero_field(grid16), forcing=pair,
+            grid=grid16, t=0.5, nu=0.1, K=2.0,
+            matrix=dyn.IntertwiningMatrix.general(1.0, -0.25, 0.5, 1.0),
+            v1=sp.random_field(grid16, rng), v2=sp.random_field(grid16, rng), forcing=pair,
         )
-        with pytest.raises(ConfigInvalid):
-            hz.checkpoint_save(state, tmp_path / "x.ckpt")
+        hz.checkpoint_save(state, tmp_path / "x.ckpt")
+        loaded, _ = hz.checkpoint_load(tmp_path / "x.ckpt")
+        assert loaded.matrix.kind == "general"
+        assert loaded.matrix.params == (1.0, -0.25, 0.5, 1.0)
+        assert np.array_equal(loaded.matrix.entries, state.matrix.entries)
+        assert np.array_equal(loaded.v2.coeffs, state.v2.coeffs)
+
+    def test_dealias_radius_survives(self, tmp_path, rng):
+        from intertwine import dynamics as dyn
+        from intertwine import forcing as fr
+
+        grid = sp.Grid(16, 4.0)
+        pair = fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid)))
+        state = dyn.IntertwinedState(
+            grid=grid, t=0.0, nu=0.1, K=2.0, matrix=dyn.IntertwiningMatrix.nudge_mutual(1.0, 2.0),
+            v1=sp.random_field(grid, rng, kmax=4.0), v2=sp.random_field(grid, rng, kmax=4.0),
+            forcing=pair,
+        )
+        hz.checkpoint_save(state, tmp_path / "r.ckpt")
+        loaded, _ = hz.checkpoint_load(tmp_path / "r.ckpt")
+        assert loaded.grid.dealias_radius == 4.0
+        assert loaded.grid == grid
+
+    def test_checksum_mismatch_rejected(self, tmp_path):
+        cfg = hz.parse_config_text(MINIMAL)
+        state, _, _ = hz.build_state(cfg)
+        path = tmp_path / "flip.ckpt"
+        hz.checkpoint_save(state, path, seed=1)
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(hz.IoError, match="checksum"):
+            hz.checkpoint_load(path)
+
+    def test_reads_version_1(self, tmp_path):
+        import struct
+
+        cfg = hz.parse_config_text(MINIMAL)
+        state, _, _ = hz.build_state(cfg)
+        # the version-1 layout: no dealias radius, two matrix params, no checksum
+        head = b"ITWN" + struct.pack(
+            "<IddIdBddQ", 1, state.nu, state.t, state.grid.n, state.K, 1, 2.0, 2.0, 7
+        )
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(head + hz._field_bytes(state.v1) + hz._field_bytes(state.v2))
+        loaded, seed = hz.checkpoint_load(path)
+        assert seed == 7 and loaded.matrix.kind == "nudge_mutual"
+        assert loaded.matrix.params == (2.0, 2.0)
+        assert np.array_equal(loaded.v1.coeffs, state.v1.coeffs)
+        assert np.array_equal(loaded.v2.coeffs, state.v2.coeffs)
 
 
 class TestScenarios:
@@ -182,6 +252,18 @@ class TestScenarios:
         res = hz.run_scenario(cfg, out_dir=tmp_path)
         names = {rep.name for rep in res.reports}
         assert "bound_nudge_symmetric" in names
+
+    def test_general_class_run_writes_artifacts(self, tmp_path):
+        text = MINIMAL.replace(
+            "class = nudge_mutual\nmu1 = 2.0\nmu2 = 2.0",
+            "class = general\nm11 = -2.0\nm12 = 1.5\nm21 = 0.5\nm22 = -1.0",
+        )
+        cfg = hz.parse_config_text(text)
+        res = hz.run_scenario(cfg, out_dir=tmp_path)
+        assert not res.blowup
+        assert (tmp_path / "manifest.json").exists()
+        loaded, _ = hz.checkpoint_load(tmp_path / "final.ckpt")
+        assert loaded.matrix.params == (-2.0, 1.5, 0.5, -1.0)
 
     def test_reconstruction_nudge_decays(self, tmp_path):
         text = MINIMAL.replace("t_end = 4.0", "t_end = 10.0")
