@@ -10,14 +10,17 @@ is approximated by the sampled max on a caller-chosen tail window.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
 import numpy as np
 
 from . import spectral
+from .atomic import write_text
 from .dynamics import DR_CLASSES, NUDGE_MUTUAL, IntertwinedState, derived_views
 from .spectral import Grid, SpectralField, hm_norm, random_field
 
@@ -44,8 +47,6 @@ class GrashofSet:
     g1: float = math.nan
     g2: float = math.nan
     g: float = math.nan
-    g_tilde: float = math.nan
-    g_mu_tilde: float = math.nan
     g_theta: float = math.nan
     h_frak: float = math.nan
     k_frak: float = math.nan
@@ -188,8 +189,6 @@ def grashof_set_for_state(state: IntertwinedState, t0: float = 0.0, m_frak: floa
         d_frak=math.sqrt(1.0 + (z0**2 + w0**2) / nu**2),
         f_frak=math.sqrt(k_frak**2 + h_frak**2),
         r_frak=math.sqrt(16.0 * (r0**2 + k_frak**2)),
-        g_tilde=math.nan,
-        g_mu_tilde=math.nan,
     )
 
 
@@ -433,7 +432,7 @@ BOUND_FORMULAS = (
 )
 
 
-def _bound_value(bound_formula: str, grashofs: GrashofSet, matrix, nu: float, mu_tilde=None) -> tuple[float, str]:
+def _bound_value(bound_formula: str, grashofs: GrashofSet, matrix, nu: float) -> tuple[float, str]:
     if bound_formula == "nudge_mutual":
         mu1, mu2 = matrix.params
         lo, hi = min(mu1, mu2), max(mu1, mu2)
@@ -442,11 +441,8 @@ def _bound_value(bound_formula: str, grashofs: GrashofSet, matrix, nu: float, mu
         val = nu * (hi / lo) * grashofs.g
         return val, f"nu*(mu_max/mu_min)*g = {val:.6g}"
     if bound_formula == "nudge_symmetric":
-        candidates = [grashofs.g**2]
-        if mu_tilde is not None and not math.isnan(grashofs.g_mu_tilde):
-            candidates.append(grashofs.g_mu_tilde**2 + mu_tilde**2 * grashofs.g_tilde**2)
-        val = nu * math.sqrt(min(candidates))
-        return val, f"nu*min(g^2, g_mu~^2 + mu~^2 g~^2)^(1/2) = {val:.6g}"
+        val = nu * grashofs.g
+        return val, f"nu*g = {val:.6g}"
     if bound_formula == "dr_mutual_pair":
         val = math.sqrt(96.0) * nu * grashofs.g_theta
         return val, f"sqrt(96)*nu*g_theta = {val:.6g}"
@@ -472,7 +468,6 @@ def check_uniform_bound(
     matrix=None,
     nu: float = 1.0,
     tail_fraction: float = 0.5,
-    mu_tilde: float | None = None,
 ) -> ConditionReport:
     """Compare a trajectory's tail sup against a closed-form uniform bound.
 
@@ -488,7 +483,7 @@ def check_uniform_bound(
     n = len(series)
     start = int(n * (1.0 - tail_fraction))
     tail_sup = max(float(v) for _, v in series[start:])
-    bound, formula = _bound_value(bound_formula, grashofs, matrix, nu, mu_tilde)
+    bound, formula = _bound_value(bound_formula, grashofs, matrix, nu)
     return ConditionReport.compare(
         f"bound_{bound_formula}", tail_sup, bound, f"tail sup = {tail_sup:.6g} <= {formula}"
     )
@@ -761,11 +756,12 @@ def energy_inequality_slack(
 
 def write_timeseries_csv(path, records: list[TimeSeriesRecord]) -> None:
     """RFC-4180 CSV, header mandatory, floats at 17 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([_fmt(getattr(rec, col)) for col in CSV_COLUMNS])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        writer.writerow([_fmt(getattr(rec, col)) for col in CSV_COLUMNS])
+    write_text(path, buf.getvalue())
 
 
 def _fmt(x: float) -> str:
@@ -774,17 +770,13 @@ def _fmt(x: float) -> str:
 
 def write_condition_reports(dir_path, reports: list[ConditionReport], stem: str = "conditions") -> None:
     """Human-readable lines plus a machine-readable TSV, one record per report."""
-    import os
-
-    txt_path = os.path.join(dir_path, f"{stem}.txt")
-    tsv_path = os.path.join(dir_path, f"{stem}.tsv")
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        for rep in reports:
-            verdict = "satisfied" if rep.satisfied else "VIOLATED (out of guaranteed regime)"
-            fh.write(f"{rep.name}: {verdict}; {rep.formula}; margin = {rep.margin:.6g}\n")
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        fh.write("name\tlhs\trhs\tmargin\tsatisfied\n")
-        for rep in reports:
-            fh.write(
-                f"{rep.name}\t{_fmt(rep.lhs)}\t{_fmt(rep.rhs)}\t{_fmt(rep.margin)}\t{rep.satisfied}\n"
-            )
+    lines = []
+    rows = ["name\tlhs\trhs\tmargin\tsatisfied\n"]
+    for rep in reports:
+        verdict = "satisfied" if rep.satisfied else "VIOLATED (out of guaranteed regime)"
+        lines.append(f"{rep.name}: {verdict}; {rep.formula}; margin = {rep.margin:.6g}\n")
+        rows.append(
+            f"{rep.name}\t{_fmt(rep.lhs)}\t{_fmt(rep.rhs)}\t{_fmt(rep.margin)}\t{rep.satisfied}\n"
+        )
+    write_text(os.path.join(dir_path, f"{stem}.txt"), "".join(lines))
+    write_text(os.path.join(dir_path, f"{stem}.tsv"), "".join(rows))

@@ -11,7 +11,9 @@ The stepper removes the stiff diffusion exactly with an integrating factor
 and advances the remaining terms with Heun's method (second order); for
 strongly damped nudging runs the linear coupling can be folded into a
 per-mode 2x2 matrix exponential so large feedback gains do not force tiny
-steps.
+steps.  The stepper holds the pair as one packed half-spectrum stack (see
+`spectral`), so each right-hand side costs one batched inverse and one
+batched forward real FFT for both copies.
 """
 
 from __future__ import annotations
@@ -190,42 +192,74 @@ class IntertwinedState:
 
 def rhs_nse(u: SpectralField, f: SpectralField, nu: float) -> SpectralField:
     """Plain Navier-Stokes right-hand side f - nu A u - B(u, u)."""
-    return f - nu * spectral.stokes_apply(u, 2) - spectral.bilinear_B(u, u)
+    grid = u.grid
+    U = spectral.pack(u)
+    out = spectral.pack(f) - nu * (grid.half.k2 * U) - spectral.self_advection(grid, U)
+    return spectral.unpack(grid, out[0])
 
 
-def _rhs_terms(state: IntertwinedState, v1, v2, t, bilinear: bool, diffuse: bool, couple: bool):
-    """The coupled right-hand sides at (v1, v2, t): the one kernel.
+class _PackedPair:
+    """Constants of the coupled right-hand side on packed (2, 2, n, n//2+1)
+    stacks, built once per call: the low-mode mask P_K, whether F is
+    P_K B(., .) (bilinear) or P_K, and whether any coupling acts.
+
+    With dt set it also holds the propagator of the stepper: the decay
+    exp(-nu |k|^2 dt), and with fold the 2x2 exp(dt M) applied across the
+    copies on low modes, which moves the linear nudging coupling out of the
+    explicit stages.
+    """
+
+    def __init__(self, state: IntertwinedState, bilinear: bool, dt=None, fold=False):
+        grid = state.grid
+        self.state = state
+        self.bilinear = bilinear
+        self.low = grid.low_mode_mask(state.K)[:, : grid.n // 2 + 1]
+        self.coupled = not fold and bool(np.any(state.matrix.entries != 0.0))
+        if dt is not None:
+            self.dt = dt
+            self.decay = np.exp(-state.nu * grid.half.k2 * dt)
+            self.pair_block = expm(dt * state.matrix.entries) if fold else None
+
+    def propagate(self, V):
+        out = V * self.decay
+        if self.pair_block is not None:
+            low = out[:, :, self.low]
+            out[:, :, self.low] = np.tensordot(self.pair_block, low, axes=(1, 0))
+        return out
+
+    def step(self, V, t):
+        """One integrating-factor Heun step of the packed pair from time t."""
+        dt = self.dt
+        K1 = _rhs_terms(self, V, t, diffuse=False)
+        pred = self.propagate(V + dt * K1)
+        K2 = _rhs_terms(self, pred, t + dt, diffuse=False)
+        return self.propagate(V + 0.5 * dt * K1) + 0.5 * dt * K2
+
+
+def _rhs_terms(pair: _PackedPair, V, t, diffuse: bool):
+    """The coupled right-hand sides of the packed pair V at t: the one kernel.
 
     f_i = g_i [- nu A v_i] - B(v_i, v_i) [+ m_i1 F(v1) + m_i2 F(v2)], with
     F = P_K B(., .) when bilinear and P_K otherwise.  Diffusion enters only
-    when diffuse (the stepper integrates it exactly); coupling only when
-    couple (the stepper may fold it into the propagator).
+    when diffuse (the stepper integrates it exactly); coupling only when the
+    pair is coupled and the coupling is not folded into the propagator.
     """
-    f1 = state.forcing.g1(t)
-    f2 = state.forcing.g2(t)
+    state = pair.state
+    F = spectral.pack(state.forcing.g1(t), state.forcing.g2(t))
     if diffuse:
-        f1 = f1 - state.nu * spectral.stokes_apply(v1, 2)
-        f2 = f2 - state.nu * spectral.stokes_apply(v2, 2)
-    B1 = B2 = None
+        F = F - state.nu * (state.grid.half.k2 * V)
+    B = None
+    if state.advect or (pair.coupled and pair.bilinear):
+        B = spectral.self_advection(state.grid, V)
     if state.advect:
-        B1 = spectral.bilinear_B(v1, v1)
-        B2 = spectral.bilinear_B(v2, v2)
-        f1 = f1 - B1
-        f2 = f2 - B2
-    m = state.matrix.entries
-    if couple and np.any(m != 0.0):
-        if not bilinear:
-            c1, c2 = project_low(v1, state.K), project_low(v2, state.K)
-        else:
-            if B1 is None:
-                B1 = spectral.bilinear_B(v1, v1)
-                B2 = spectral.bilinear_B(v2, v2)
-            c1, c2 = project_low(B1, state.K), project_low(B2, state.K)
+        F = F - B
+    if pair.coupled:
+        m = state.matrix.entries
+        c1, c2 = (B if pair.bilinear else V) * pair.low
         # sum each row's coupling first: commutativity of addition then keeps
         # the two equations bitwise equal on the synchronized manifold
-        f1 = f1 + (m[0, 0] * c1 + m[0, 1] * c2)
-        f2 = f2 + (m[1, 0] * c1 + m[1, 1] * c2)
-    return f1, f2
+        F = F + np.stack([m[0, 0] * c1 + m[0, 1] * c2, m[1, 0] * c1 + m[1, 1] * c2])
+    return F
 
 
 def rhs_general(state: IntertwinedState, intertwining: str):
@@ -237,10 +271,9 @@ def rhs_general(state: IntertwinedState, intertwining: str):
     """
     if intertwining not in ("project", "project_bilinear"):
         raise ValueError(f"unknown intertwining function {intertwining!r}")
-    return _rhs_terms(
-        state, state.v1, state.v2, state.t,
-        bilinear=intertwining == "project_bilinear", diffuse=True, couple=True,
-    )
+    pair = _PackedPair(state, bilinear=intertwining == "project_bilinear")
+    F = _rhs_terms(pair, spectral.pack(state.v1, state.v2), state.t, diffuse=True)
+    return spectral.unpack(state.grid, F[0]), spectral.unpack(state.grid, F[1])
 
 
 def rhs_nudging(state: IntertwinedState):
@@ -337,26 +370,26 @@ def cfl_limit(state: IntertwinedState, c: float = 1.0) -> float:
     return c * min(diffusive, dx / umax)
 
 
-def _linear_propagator(state: IntertwinedState, dt: float, fold_coupling: bool):
-    """Per-mode decay factors, optionally with the nudging coupling folded in.
+def step_count(span: float, dt: float) -> int:
+    """The number of steps of size dt in span.
 
-    Returns (decay, pair_block) where decay = exp(-nu |k|^2 dt) and pair_block
-    is the 2x2 exp(dt M) applied across the two copies on low modes (or None).
+    Raises ValueError unless span / dt is a whole number to 1e-9 relative,
+    so that a run never ends short of its end time without saying so.
     """
-    decay = np.exp(-state.nu * state.grid.k2 * dt)
-    if not fold_coupling:
-        return decay, None
-    return decay, expm(dt * state.matrix.entries)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    steps = span / dt
+    whole = round(steps)
+    if abs(steps - whole) > 1e-9 * max(whole, 1):
+        raise ValueError(
+            f"the span {span:g} is not a whole number of steps of dt = {dt:g} ({steps:.6g})"
+        )
+    return int(whole)
 
 
-def _apply_propagator(V, decay, pair_block, low_mask):
-    """V has shape (2 copies, 2 components, n, n)."""
-    out = V * decay
-    if pair_block is not None:
-        low = out[:, :, low_mask]
-        mixed = np.tensordot(pair_block, low, axes=(1, 0))
-        out[:, :, low_mask] = mixed
-    return out
+def _unpacked(state: IntertwinedState, V, t: float) -> IntertwinedState:
+    grid = state.grid
+    return replace(state, t=t, v1=spectral.unpack(grid, V[0]), v2=spectral.unpack(grid, V[1]))
 
 
 def step(
@@ -376,32 +409,9 @@ def step(
         raise ValueError("dt must be positive")
     if fold_coupling and not state.matrix.is_nudging:
         raise WrongMatrixClass("coupling folding applies to nudging matrices only")
-    grid = state.grid
-    bilinear = state.matrix.is_direct_replacement
-    decay, pair_block = _linear_propagator(state, dt, fold_coupling)
-    low_mask = grid.low_mode_mask(state.K) if pair_block is not None else None
-
-    V = np.stack([state.v1.coeffs, state.v2.coeffs])
-    k1a, k1b = _rhs_terms(
-        state, state.v1, state.v2, state.t, bilinear, diffuse=False, couple=not fold_coupling
-    )
-    K1 = np.stack([k1a.coeffs, k1b.coeffs])
-
-    pred = _apply_propagator(V + dt * K1, decay, pair_block, low_mask)
-    p1 = SpectralField(grid, pred[0])
-    p2 = SpectralField(grid, pred[1])
-    k2a, k2b = _rhs_terms(
-        state, p1, p2, state.t + dt, bilinear, diffuse=False, couple=not fold_coupling
-    )
-    K2 = np.stack([k2a.coeffs, k2b.coeffs])
-
-    new = _apply_propagator(V + 0.5 * dt * K1, decay, pair_block, low_mask) + 0.5 * dt * K2
-    return replace(
-        state,
-        t=state.t + dt,
-        v1=SpectralField(grid, new[0]),
-        v2=SpectralField(grid, new[1]),
-    )
+    pair = _PackedPair(state, state.matrix.is_direct_replacement, dt, fold_coupling)
+    V = pair.step(spectral.pack(state.v1, state.v2), state.t)
+    return _unpacked(state, V, state.t + dt)
 
 
 def integrate(
@@ -416,16 +426,21 @@ def integrate(
 ) -> IntertwinedState:
     """Advance the state to t_end, sampling diagnostics along the way.
 
-    sink(state) is invoked at t = start, every sample_every thereafter, and at
-    t_end.  Aborts with BlowupDetected when any norm exceeds blowup_limit or
-    turns non-finite (diverging trajectories are an expected outcome for some
+    t_end - state.t must be a whole number of steps (ValueError otherwise);
+    step k lands at t = state.t + k dt.  sink(state) is invoked at t = start,
+    every sample_every (rounded to whole steps) thereafter, and at t_end.
+    Aborts with BlowupDetected when any norm exceeds blowup_limit or turns
+    non-finite (diverging trajectories are an expected outcome for some
     symmetric direct-replacement parameters).  cfl_factor=None disables the
     step-size guard.
+
+    The pair is advanced as one packed half-spectrum stack, which is unpacked
+    only for the sink and the final state.
     """
     if t_end < state.t:
         raise ValueError("t_end precedes the state's current time")
-    nsteps = int(round((t_end - state.t) / dt))
-    if nsteps <= 0:
+    nsteps = step_count(t_end - state.t, dt)
+    if nsteps == 0:
         return state
     if cfl_factor is not None and state.advect:
         limit = cfl_limit(state, cfl_factor)
@@ -436,13 +451,16 @@ def integrate(
             )
     fold = state.matrix.is_nudging and max(abs(p) for p in state.matrix.params) * dt > fold_threshold
     stride = max(1, int(round((sample_every or (t_end - state.t)) / dt)))
+    pair = _PackedPair(state, state.matrix.is_direct_replacement, dt, fold)
+    t0 = state.t
+    V = spectral.pack(state.v1, state.v2)
     if sink is not None:
         sink(state)
-    for istep in range(nsteps):
-        state = step(state, dt, fold_coupling=fold)
-        n1, n2 = state.v1.l2, state.v2.l2
-        if not (np.isfinite(n1) and np.isfinite(n2)) or max(n1, n2) > blowup_limit:
-            raise BlowupDetected(state.t)
-        if sink is not None and ((istep + 1) % stride == 0 or istep == nsteps - 1):
-            sink(state)
-    return state
+    for k in range(1, nsteps + 1):
+        V = pair.step(V, t0 + (k - 1) * dt)
+        norms = spectral.packed_l2(state.grid, V)
+        if not np.all(np.isfinite(norms)) or norms.max() > blowup_limit:
+            raise BlowupDetected(t0 + k * dt)
+        if sink is not None and (k % stride == 0 or k == nsteps):
+            sink(_unpacked(state, V, t0 + k * dt))
+    return _unpacked(state, V, t0 + nsteps * dt)

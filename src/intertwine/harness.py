@@ -15,7 +15,6 @@ import os
 import platform
 import struct
 import sys
-import tempfile
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -26,6 +25,7 @@ from . import diagnostics as diag
 from . import dynamics as dyn
 from . import forcing as fr
 from . import spectral as sp
+from .atomic import IoError, write_bytes, write_text
 from .diagnostics import ConditionReport, ConstantsConfig, TimeSeriesRecord
 
 SCENARIOS = (
@@ -42,10 +42,6 @@ class ParseError(ValueError):
 
 
 class ConfigInvalid(ValueError):
-    pass
-
-
-class IoError(OSError):
     pass
 
 
@@ -66,6 +62,27 @@ def _int(value: str) -> int:
 
 def _floats(value: str) -> tuple:
     return tuple(float(part) for part in value.split(",") if part.strip())
+
+
+def _parse_mode_list(text: str):
+    """Parse "kx,ky,re_x,im_x,re_y,im_y ; ..." into field_from_modes entries."""
+    entries = []
+    for chunk in text.split(";"):
+        if not chunk.strip():
+            continue
+        parts = chunk.split(",")
+        if len(parts) != 6:
+            raise ValueError("each initial mode needs six numbers: kx, ky, re_x, im_x, re_y, im_y")
+        kx, ky = _int(parts[0]), _int(parts[1])
+        rex, imx, rey, imy = (float(p) for p in parts[2:])
+        entries.append((kx, ky, (complex(rex, imx), complex(rey, imy))))
+    return entries
+
+
+def _modes(value: str) -> str:
+    """The initial.modes text, checked to parse as a mode list."""
+    _parse_mode_list(value)
+    return value
 
 
 def _key(slot: str, parse=float, choices=None, **kwargs):
@@ -115,7 +132,7 @@ class ExperimentConfig:
     pair_decay_rate: float = _key("forcing.pair_decay_rate", default=1.0)
     pair_delta_max_wavenumber: float = _key("forcing.pair_delta_max_wavenumber", default=2.0)
     initial_kind: str = _choice("initial.kind", ("random", "modes"), "random")
-    initial_modes: str = _key("initial.modes", str, default="")
+    initial_modes: str = _key("initial.modes", _modes, default="")
     energy: float = _key("initial.energy", default=1.0)
     spectrum_slope: float = _key("initial.spectrum_slope", default=2.0)
     max_wavenumber: float | None = _key("initial.max_wavenumber", default=None)
@@ -132,14 +149,27 @@ class ExperimentConfig:
     sweep_theta1: tuple = _key("sweep.theta1", _floats, default=())
 
     def validate(self):
-        grid_limit = (self.dealias_radius if self.dealias_radius else self.n / 3.0)
+        try:
+            grid_limit = sp.grid_dealias_radius(self.n, self.dealias_radius)
+        except ValueError as exc:
+            raise ParseError(f"constraint violated: {exc}") from exc
         if self.K > grid_limit + 1e-12:
             raise ParseError(
                 f"constraint violated: cutoff K = {self.K} exceeds the dealias radius {grid_limit:g}"
             )
         if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ParseError("constraint violated: nu, dt, t_end must be positive")
+        if self.initial_kind == "modes":
+            modes = _parse_mode_list(self.initial_modes)
+            if not modes:
+                raise ParseError("constraint violated: initial kind = modes needs a nonempty modes list")
+            outside = [(kx, ky) for kx, ky, _ in modes if math.hypot(kx, ky) > grid_limit + 1e-12]
+            if outside:
+                raise ParseError(
+                    f"constraint violated: initial modes {outside} lie outside the dealias radius {grid_limit:g}"
+                )
         try:
+            dyn.step_count(self.t_end, self.dt)
             build_matrix(self)
         except ValueError as exc:
             raise ParseError(f"constraint violated: {exc}") from exc
@@ -255,25 +285,6 @@ def build_forcing(cfg: ExperimentConfig, grid: sp.Grid, rng: np.random.Generator
     return fr.ForcingPair.synchronized(base)
 
 
-def _parse_mode_list(text: str):
-    """Parse "kx,ky,re_x,im_x,re_y,im_y ; ..." into field_from_modes entries."""
-    entries = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [float(p) for p in chunk.split(",")]
-        if len(parts) != 6:
-            raise ParseError(
-                "each initial mode needs six numbers: kx, ky, re_x, im_x, re_y, im_y"
-            )
-        kx, ky, rex, imx, rey, imy = parts
-        entries.append((int(kx), int(ky), (complex(rex, imx), complex(rey, imy))))
-    if not entries:
-        raise ParseError("initial kind = modes requires a nonempty modes list")
-    return entries
-
-
 def build_initial(cfg: ExperimentConfig, grid: sp.Grid, rng: np.random.Generator):
     """Initial pair (v1, v2) per config; the RNG stream order is fixed."""
     kmax = cfg.max_wavenumber if cfg.max_wavenumber is not None else grid.dealias_radius
@@ -369,7 +380,7 @@ def checkpoint_save(state: dyn.IntertwinedState, path, seed: int = 0) -> None:
         dyn.COUPLING_CLASSES[m.kind].code, *params, seed,
     )
     payload = header + _field_bytes(state.v1) + _field_bytes(state.v2)
-    _atomic_write_bytes(path, payload + _CKPT_CRC.pack(zlib.crc32(payload)))
+    write_bytes(path, payload + _CKPT_CRC.pack(zlib.crc32(payload)))
 
 
 def checkpoint_load(path) -> tuple[dyn.IntertwinedState, int]:
@@ -411,24 +422,6 @@ def checkpoint_load(path) -> tuple[dyn.IntertwinedState, int]:
         grid=grid, t=t, nu=nu, K=K, matrix=matrix, v1=v1, v2=v2, forcing=zero_pair
     )
     return state, seed
-
-
-def _atomic_write_bytes(path, payload: bytes) -> None:
-    path = os.fspath(path)
-    dir_ = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=dir_, prefix=".tmp_", suffix=".part")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except OSError as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise IoError(str(exc)) from exc
-
-
-def _atomic_write_text(path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +563,8 @@ def write_outputs(records, reports, dir_path) -> None:
 
 def _write_run_artifacts(cfg, out_dir, records, reports, final_state, constants, result):
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write_text(os.path.join(out_dir, "config.ini"), serialize_config(cfg))
-    _atomic_write_text(os.path.join(out_dir, "constants.json"), constants.to_json())
+    write_text(os.path.join(out_dir, "config.ini"), serialize_config(cfg))
+    write_text(os.path.join(out_dir, "constants.json"), constants.to_json())
     write_outputs(records, reports, out_dir)
     if final_state is not None:
         checkpoint_save(final_state, os.path.join(out_dir, "final.ckpt"), seed=cfg.seed)
@@ -587,7 +580,7 @@ def _write_run_artifacts(cfg, out_dir, records, reports, final_state, constants,
         "final_ratio": None if math.isnan(result.final_ratio) else result.final_ratio,
         "blowup": result.blowup,
     }
-    _atomic_write_text(
+    write_text(
         os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True)
     )
 
@@ -699,7 +692,7 @@ def _write_fdm_table(out_dir, ladder, rows):
     lines = ["t," + ",".join(f"l2_P{N:g}_w" for N in ladder)]
     for t, vals in rows:
         lines.append(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in vals]))
-    _atomic_write_text(os.path.join(out_dir, "fdm_table.csv"), "\r\n".join(lines) + "\r\n")
+    write_text(os.path.join(out_dir, "fdm_table.csv"), "\r\n".join(lines) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +770,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> ScenarioResult:
     result.extras["table"] = rows
     result.extras["monotonicity_flags"] = flags
     _write_sweep_table(out_dir, rows, flags)
-    _atomic_write_text(os.path.join(out_dir, "config.ini"), serialize_config(cfg))
+    write_text(os.path.join(out_dir, "config.ini"), serialize_config(cfg))
     return result
 
 
@@ -808,9 +801,9 @@ def _write_sweep_table(out_dir, rows, flags):
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join(_csv_cell(row.get(col)) for col in cols))
-    _atomic_write_text(os.path.join(out_dir, "sweep_table.csv"), "\r\n".join(lines) + "\r\n")
+    write_text(os.path.join(out_dir, "sweep_table.csv"), "\r\n".join(lines) + "\r\n")
     if flags:
-        _atomic_write_text(os.path.join(out_dir, "sweep_flags.txt"), "\n".join(flags) + "\n")
+        write_text(os.path.join(out_dir, "sweep_flags.txt"), "\n".join(flags) + "\n")
 
 
 def _csv_cell(value) -> str:

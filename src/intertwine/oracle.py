@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dynamics import BlowupDetected
 from .spectral import PLANCHEREL, Grid, SpectralField
 
 MAX_RADIUS = 4
@@ -18,10 +19,6 @@ MAX_RADIUS = 4
 
 class RadiusTooLarge(ValueError):
     """Dense mode sets are capped so the O(M^2) loops stay sub-second."""
-
-
-class BlowupDetected(RuntimeError):
-    pass
 
 
 class DenseModeSet:
@@ -303,7 +300,7 @@ def dense_trajectory(
             v2 = v2 + (dt_ref / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
         t = (istep + 1) * dt_ref
         if not np.all(np.isfinite(v1.coeffs)) or dense_l2(v1) > 1e8:
-            raise BlowupDetected(f"dense trajectory diverged at t={t:g}")
+            raise BlowupDetected(t, f"dense trajectory diverged at t={t:g}")
         if (istep + 1) % stride == 0:
             samples.append((t, v1.copy(), v2.copy() if pair else None))
     return samples, (v1, v2)

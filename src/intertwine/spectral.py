@@ -9,6 +9,14 @@ the Plancherel convention
 
 which matches the integral L2 norm when u(x) = sum_k u_hat_k exp(i k.x).
 The same constant is applied uniformly, including in the trilinear form.
+
+The time stepper works on the packed half-spectrum layout instead: real
+fields are Hermitian (u_hat_{-k} = conj(u_hat_k)), so the columns kx = 0 ..
+n/2 of the full array, in numpy's rfft2 layout, determine the rest.  A
+stack of c packed fields has shape (c, 2, n, n//2+1).  `Grid.half` carries
+the wavenumbers and masks of that layout, `pack`/`unpack` convert between
+the layouts, and `self_advection` evaluates B(v, v) on a packed stack with
+one batched irfft2 and one batched rfft2 in rotational form.
 """
 
 from __future__ import annotations
@@ -25,6 +33,23 @@ class AliasingViolation(ValueError):
     """A field carries energy outside its grid's dealias radius."""
 
 
+def grid_dealias_radius(n: int, dealias_radius: float | None = None) -> float:
+    """Check a grid's size and dealias radius; returns the radius (default n/3).
+
+    Raises ValueError unless n is an even integer >= 4 and the radius lies in
+    (0, n/3].
+    """
+    if n < 4 or n % 2 != 0:
+        raise ValueError(f"n must be an even integer >= 4, got {n}")
+    if dealias_radius is None:
+        dealias_radius = n / 3.0
+    if not 0.0 < dealias_radius <= n / 3.0 + 1e-12:
+        raise ValueError(
+            f"dealias_radius must lie in (0, n/3], got {dealias_radius} with n={n}"
+        )
+    return float(dealias_radius)
+
+
 class Grid:
     """Square spectral grid: n modes per axis plus a circular dealias mask.
 
@@ -34,16 +59,8 @@ class Grid:
     """
 
     def __init__(self, n: int, dealias_radius: float | None = None):
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"n must be an even integer >= 4, got {n}")
-        if dealias_radius is None:
-            dealias_radius = n / 3.0
-        if not 0.0 < dealias_radius <= n / 3.0 + 1e-12:
-            raise ValueError(
-                f"dealias_radius must lie in (0, n/3], got {dealias_radius} with n={n}"
-            )
         self.n = int(n)
-        self.dealias_radius = float(dealias_radius)
+        self.dealias_radius = grid_dealias_radius(n, dealias_radius)
 
         k1d = np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
         self.kx = np.broadcast_to(k1d[None, :], (self.n, self.n))
@@ -55,6 +72,7 @@ class Grid:
         # 1/|k|^2 with the mean mode left at 0 (negative Stokes powers act on k != 0)
         self.inv_k2 = np.zeros_like(self.k2)
         self.inv_k2[self.nonzero] = 1.0 / self.k2[self.nonzero]
+        self.half = HalfSpectrum(self)
 
     def __eq__(self, other):
         return (
@@ -74,6 +92,42 @@ class Grid:
         if K < 0:
             raise ValueError("cutoff K must be >= 0")
         return self.kmag <= K + 1e-12
+
+
+class HalfSpectrum:
+    """The packed (rfft2) layout of a grid: columns kx = 0 .. n/2.
+
+    kx, ky, k2, inv_k2 and the masks are the full grid's arrays sliced to
+    [:, :n//2+1]; the last column holds kx = +n/2 here (the full layout files
+    that column under -n/2).  weight counts each column's modes in the full
+    spectrum: 1 for the self-conjugate columns 0 and n/2, else 2.
+    """
+
+    def __init__(self, grid: "Grid"):
+        n, m = grid.n, grid.n // 2 + 1
+        self.kx = np.abs(grid.kx[:, :m]).astype(np.float64)
+        self.ky = grid.ky[:, :m].astype(np.float64)
+        self.k2 = grid.k2[:, :m]
+        self.inv_k2 = grid.inv_k2[:, :m]
+        self.dealias_mask = grid.dealias_mask[:, :m]
+        self.alias_mask = ~self.dealias_mask
+        self.ikx = 1j * self.kx
+        self.iky = 1j * self.ky
+        self.weight = np.full(m, 2.0)
+        self.weight[[0, -1]] = 1.0
+        # row of -ky for each ky, for the conjugate partners of unpack
+        self.neg_rows = (-np.arange(n)) % n
+        # the weight per float of a flattened packed field (re, im interleaved)
+        self.float_weight = np.tile(np.repeat(self.weight, 2), 2 * n)
+        # mask . Leray projector I - k k^T / |k|^2 as (xx, xy, yy) entries, zero
+        # at k = 0 and outside the dealias radius, repeated over (re, im)
+        keep = self.dealias_mask & grid.nonzero[:, :m]
+        proj = np.stack([
+            1.0 - self.kx**2 * self.inv_k2,
+            -self.kx * self.ky * self.inv_k2,
+            1.0 - self.ky**2 * self.inv_k2,
+        ]) * keep
+        self.masked_leray = np.repeat(proj, 2, axis=-1)
 
 
 class SpectralField:
@@ -313,6 +367,71 @@ def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     adv = u_phys[0] * dvdx + u_phys[1] * dvdy
     raw = np.fft.fft2(adv, norm="forward") * g.dealias_mask
     return leray_project(g, raw)
+
+
+def pack(*fields: SpectralField) -> np.ndarray:
+    """Stack the half spectra of fields: shape (len(fields), 2, n, n//2+1)."""
+    m = fields[0].grid.n // 2 + 1
+    return np.stack([u.coeffs[..., :m] for u in fields])
+
+
+def unpack(grid: Grid, half: np.ndarray) -> SpectralField:
+    """The field whose half spectrum is half (shape (2, n, n//2+1)).
+
+    The columns kx < 0 are the conjugates of the packed columns at -k.
+    """
+    m = grid.n // 2 + 1
+    full = np.empty((2, grid.n, grid.n), dtype=np.complex128)
+    full[..., :m] = half
+    full[..., m:] = np.conj(half[:, grid.half.neg_rows, m - 2 : 0 : -1])
+    return SpectralField(grid, full)
+
+
+def packed_l2(grid: Grid, V: np.ndarray) -> np.ndarray:
+    """The L2 norm of each packed field of the stack V, one per leading index."""
+    floats = V.reshape(V.shape[0], -1).view(np.float64)
+    return np.sqrt(PLANCHEREL * ((floats * floats) @ grid.half.float_weight))
+
+
+def _require_dealiased_packed(grid: Grid, V: np.ndarray) -> None:
+    """The alias guard of bilinear_B for each packed field of the stack V."""
+    mag = np.abs(V)
+    peak = mag.max(axis=(1, 2, 3))
+    alias = mag.max(axis=(1, 2, 3), where=grid.half.alias_mask, initial=0.0)
+    if np.any(alias > 1e-13 * (1.0 + peak)):
+        raise AliasingViolation(
+            "input field has energy outside the dealias radius; "
+            "the experiment cutoff must not exceed grid.dealias_radius"
+        )
+
+
+def self_advection(grid: Grid, V: np.ndarray) -> np.ndarray:
+    """B(v, v) for each packed field v of the stack V, shape (c, 2, n, n//2+1).
+
+    Rotational form: (v . grad) v = grad(|v|^2 / 2) + omega (-v_y, v_x) with
+    omega = d_x v_y - d_y v_x, and the Leray projection removes the gradient,
+    so B(v, v) = P(mask . rfft2(omega (-v_y, v_x))).  The three factors of
+    all copies come from one irfft2, the two products go back in one rfft2.
+    Equals bilinear_B(v, v) to roundoff for inputs inside the dealias radius;
+    raises AliasingViolation otherwise.
+    """
+    _require_dealiased_packed(grid, V)
+    half = grid.half
+    n = grid.n
+    spec = np.empty((V.shape[0], 3) + V.shape[2:], dtype=np.complex128)
+    spec[:, :2] = V
+    spec[:, 2] = half.ikx * V[:, 1] - half.iky * V[:, 0]
+    phys = np.fft.irfft2(spec, s=(n, n), norm="forward")
+    prod = phys[:, 2:] * phys[:, 1::-1]  # omega * (v_y, v_x)
+    prod[:, 0] *= -1.0
+    raw = np.fft.rfft2(prod, norm="forward").view(np.float64)
+    pxx, pxy, pyy = half.masked_leray
+    out = np.empty_like(raw)
+    np.multiply(pxx, raw[:, 0], out=out[:, 0])
+    out[:, 0] += pxy * raw[:, 1]
+    np.multiply(pxy, raw[:, 0], out=out[:, 1])
+    out[:, 1] += pyy * raw[:, 1]
+    return out.view(np.complex128)
 
 
 def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:

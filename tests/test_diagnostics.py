@@ -187,17 +187,13 @@ class TestUniformBounds:
             rep = check_uniform_bound(series, formula, gs, None, nu=0.5)
             assert rep.rhs == pytest.approx(expect), formula
 
-    def test_symmetric_min_formula_with_force_split(self):
-        # the symmetric bound may use either the raw force size or the
-        # split-force variant, whichever is smaller
-        gs = GrashofSet(g1=3.0, g2=4.0, g=5.0, g_mu_tilde=1.0, g_tilde=0.5)
+    def test_symmetric_formula_is_force_size(self):
+        # the symmetric nudging bound is nu times the force size g
         series = [(0.0, 0.1), (1.0, 0.1)]
-        rep = check_uniform_bound(series, "nudge_symmetric", gs, None, nu=0.2, mu_tilde=2.0)
-        expect = 0.2 * math.sqrt(min(25.0, 1.0 + 4.0 * 0.25))
-        assert rep.rhs == pytest.approx(expect)
-        # without the split the raw force term is the only candidate
-        rep = check_uniform_bound(series, "nudge_symmetric", GrashofSet(g=5.0), None, nu=0.2)
+        gs = GrashofSet(g1=3.0, g2=4.0, g=5.0)
+        rep = check_uniform_bound(series, "nudge_symmetric", gs, None, nu=0.2)
         assert rep.rhs == pytest.approx(1.0)
+        assert rep.satisfied
 
     def test_heat_low_mode_bound(self, grid16, rng):
         # driven low-mode heat block obeys sup |p|_V <= sqrt(2) nu h after burn-in

@@ -1,5 +1,7 @@
 """Coupled-pair right-hand sides, change-of-variable views, time stepping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -390,6 +392,54 @@ class TestStepping:
         out = integrate(state, 0.5, dt=0.01)
         sp.check_field(out.v1)
         sp.check_field(out.v2)
+
+    @pytest.mark.parametrize(
+        "matrix, dt, advect",
+        [
+            (IntertwiningMatrix.nudge_mutual(1.0, 0.5), 0.02, True),
+            (IntertwiningMatrix.nudge_symmetric(40.0, 40.0), 0.05, True),  # folded
+            (IntertwiningMatrix.dr_mutual(0.25, 0.75), 0.02, True),
+            (IntertwiningMatrix.dr_symmetric(0.75, 0.25), 0.02, False),
+        ],
+    )
+    def test_integrate_equals_step_loop(self, grid16, rng, matrix, dt, advect):
+        state = replace(make_state(grid16, rng, matrix), advect=advect)
+        fold = matrix.is_nudging and max(matrix.params) * dt > 1.0
+        out = integrate(state, 0.5, dt=dt, cfl_factor=None)
+        looped = state
+        for _ in range(round(0.5 / dt)):
+            looped = step(looped, dt, fold_coupling=fold)
+        assert out.v1.coeffs.tobytes() == looped.v1.coeffs.tobytes()
+        assert out.v2.coeffs.tobytes() == looped.v2.coeffs.tobytes()
+        assert out.t == pytest.approx(looped.t, rel=1e-14)
+
+    def test_integrate_catches_aliased_forcing(self, grid16, rng):
+        bad = np.zeros((2, 16, 16), dtype=complex)
+        bad[1, 0, 7] = bad[1, 0, -7] = 0.1  # |k| = 7 > 16/3
+        force = sp.leray_project(grid16, bad)
+        state = replace(
+            make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 1.0)),
+            forcing=fr.ForcingPair.synchronized(fr.SteadyForcing(force)),
+        )
+        with pytest.raises(sp.AliasingViolation):
+            integrate(state, 0.1, dt=0.01)
+
+    def test_sample_times_do_not_drift(self, grid16, rng):
+        # a stride of 12 steps (sample_every 0.25 is not a multiple of dt):
+        # step k lands at exactly k * dt, not at a running sum of dt
+        state = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 1.0))
+        times = []
+        out = integrate(state, 1.0, dt=0.02, sample_every=0.25, sink=lambda s: times.append(s.t))
+        assert times == [0.0, 12 * 0.02, 24 * 0.02, 36 * 0.02, 48 * 0.02, 50 * 0.02]
+        assert out.t == 1.0
+
+    def test_partial_final_step_rejected(self, grid16, rng):
+        # 1.0 / 0.3 steps would stop at t = 0.9 without reaching t_end
+        state = make_state(grid16, rng, IntertwiningMatrix.zero())
+        with pytest.raises(ValueError, match="whole number of steps"):
+            integrate(state, 1.0, dt=0.3, cfl_factor=None)
+        assert dyn.step_count(1.0, 0.25) == 4
+        assert dyn.step_count(30.0, 0.008) == 3750
 
     def test_time_dependent_force_at_stage_times(self, grid16):
         # linear check: v' = cos(omega t) f with diffusion disabled on the

@@ -117,6 +117,30 @@ class TestConfigParsing:
         with pytest.raises(ParseError, match="unknown initial kind 'modez'"):
             hz.parse_config_text(text)
 
+    def test_partial_final_step_rejected(self):
+        # 1.0 / 0.3 steps would end the run at t = 0.9
+        bad = MINIMAL.replace("dt = 0.02", "dt = 0.3").replace("t_end = 4.0", "t_end = 1.0")
+        with pytest.raises(ParseError, match="whole number of steps"):
+            hz.parse_config_text(bad)
+        # a sample stride that is not a multiple of dt is still accepted
+        ok = MINIMAL.replace("sample_every = 0.1", "sample_every = 0.25")
+        assert hz.parse_config_text(ok).sample_every == 0.25
+
+    def test_bad_modes_rejected_with_line_number(self):
+        text = MINIMAL.replace("energy = 0.3", "kind = modes\nmodes = 1,0,a,0,0,1")
+        with pytest.raises(ParseError, match="line 18: bad value '1,0,a,0,0,1'"):
+            hz.parse_config_text(text)
+        with pytest.raises(ParseError, match="six numbers"):
+            hz.parse_config_text(text.replace("1,0,a,0,0,1", "1,0,0.5,0"))
+        with pytest.raises(ParseError, match="nonempty modes list"):
+            hz.parse_config_text(text.replace("modes = 1,0,a,0,0,1", "modes = ;"))
+        # |k| = 7 > 16/3 would trip the alias guard, (9, 0) is off the grid
+        for mode in ("7,0,0,0,0.5,0", "9,0,0,0,0.5,0"):
+            with pytest.raises(ParseError, match="outside the dealias radius"):
+                hz.parse_config_text(text.replace("1,0,a,0,0,1", mode))
+        good = hz.parse_config_text(text.replace("1,0,a,0,0,1", "1,0,0,0,0,0.5 ; 0,2,0.25,0,0,0"))
+        assert hz._parse_mode_list(good.initial_modes)[1] == (0, 2, (0.25 + 0j, 0j))
+
     def test_sweep_point_reruns_from_its_config(self, tmp_path):
         text = MINIMAL.replace("t_end = 4.0", "t_end = 1.0") + "\n[sweep]\nK = 2.0, 3.0\n"
         res = hz.run_scenario(hz.parse_config_text(text), kind="regime_sweep", out_dir=tmp_path)
@@ -340,6 +364,31 @@ class TestScenarios:
         assert (tmp_path / "out" / "series.csv").exists()
         assert (tmp_path / "out" / "conditions.tsv").exists()
 
+    def test_failed_rewrite_keeps_previous_artifacts(self, tmp_path, grid16, rng):
+        from intertwine import diagnostics as diag
+        from intertwine import dynamics as dyn
+        from intertwine import forcing as fr
+
+        pair = fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid16)))
+        state = dyn.IntertwinedState(
+            grid=grid16, t=0.0, nu=0.3, K=2.0, matrix=dyn.IntertwiningMatrix.zero(),
+            v1=sp.random_field(grid16, rng, energy=0.1),
+            v2=sp.random_field(grid16, rng, energy=0.1), forcing=pair,
+        )
+        records = [diag.sample_record(state)]
+        reports = [diag.check_nudge_fdss_condition(4.0, 1.0, diag.default_constants())]
+        hz.write_outputs(records, reports, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        # a value that cannot be formatted fails the write partway through
+        broken_record = diag.sample_record(state)
+        broken_record.l2_q = "not a number"
+        broken_report = diag.ConditionReport("late", True, 0.0, "not a number", 0.0, "x")
+        with pytest.raises(ValueError):
+            diag.write_timeseries_csv(tmp_path / "series.csv", records + [broken_record])
+        with pytest.raises(ValueError):
+            diag.write_condition_reports(tmp_path, reports + [broken_report])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = hz.parse_config_text(MINIMAL)
         hz.run_scenario(cfg, out_dir=tmp_path / "a")
@@ -368,6 +417,19 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path, MINIMAL.replace("mu1", "bogus"))
         assert cli.main(["run", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("n = 15", "n must be an even integer >= 4"),
+            ("n = 2", "n must be an even integer >= 4"),
+            ("n = 16\ndealias_radius = 6.0", "dealias_radius must lie in"),
+        ],
+    )
+    def test_bad_grid_exit_code(self, tmp_path, capsys, grid, message):
+        cfg = self._write(tmp_path, MINIMAL.replace("n = 16", grid).replace("K = 3.0", "K = 0.5"))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_blowup_exit_code(self, tmp_path, capsys):
         text = MINIMAL.replace(

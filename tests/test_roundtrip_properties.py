@@ -24,6 +24,15 @@ PARSED_AS = {
 }
 
 
+def mode_lists(radius):
+    """initial.modes text whose modes lie inside the dealias radius."""
+    r = int(radius / 2**0.5)
+    mode = st.tuples(st.integers(-r, r), st.integers(-r, r), *[finite] * 4)
+    return st.lists(mode.map(lambda m: ",".join(repr(x) for x in m)), min_size=1, max_size=3).map(
+        "; ".join
+    )
+
+
 def _field_strategy(f):
     choices = f.metadata["choices"]
     if choices is not None:
@@ -35,12 +44,14 @@ def _field_strategy(f):
 def configs(draw):
     """Any value the field table allows, then the constraints validate checks."""
     values = {f.name: draw(_field_strategy(f)) for f in fields(hz.ExperimentConfig)}
-    values["n"] = draw(st.integers(4, 512))
+    values["n"] = 2 * draw(st.integers(2, 256))
     values["dealias_radius"] = draw(st.none() | st.floats(0.5, values["n"] / 3.0))
     limit = values["dealias_radius"] or values["n"] / 3.0
     values["K"] = draw(st.floats(0.0, limit))
-    for name in ("nu", "dt", "t_end", "sample_every"):
+    values["initial_modes"] = draw(mode_lists(limit))
+    for name in ("nu", "dt", "sample_every"):
         values[name] = draw(positive)
+    values["t_end"] = values["dt"] * draw(st.integers(1, 10**6))
     values["mu1"], values["mu2"] = sorted((draw(gain), draw(gain)), reverse=True)
     values["theta1"] = draw(unit)
     values["theta2"] = 1.0 - values["theta1"]

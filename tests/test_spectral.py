@@ -330,3 +330,51 @@ class TestEmpiricalRatios:
         ]
         for out in outputs:
             check_field(out)
+
+
+class TestPackedLayout:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_self_advection_equals_bilinear_B(self, rng, n):
+        grid = Grid(n)
+        fields = [random_field(grid, rng, slope=s) for s in (0.5, 1.0, 2.0)]
+        packed = sp.self_advection(grid, sp.pack(*fields))
+        for u, half in zip(fields, packed):
+            ref = bilinear_B(u, u).coeffs
+            out = sp.unpack(grid, half).coeffs
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_pack_unpack_round_trip_exact(self, grid16, rng):
+        fields = [
+            random_field(grid16, rng),
+            random_field(grid16, rng, slope=0.5, kmax=3.0),
+            sp.taylor_green(grid16, 0.7),
+            sp.field_from_modes(grid16, [(2, -3, (0.4 + 0.1j, 0.2 - 0.3j))]),
+        ]
+        packed = sp.pack(*fields)
+        assert packed.shape == (4, 2, 16, 9)
+        for u, half in zip(fields, packed):
+            back = sp.unpack(grid16, half)
+            assert np.array_equal(back.coeffs, u.coeffs)  # exact, up to the sign of zeros
+            assert np.array_equal(sp.pack(back)[0], half)
+
+    def test_half_spectrum_views(self, grid16):
+        half = grid16.half
+        assert half.kx.shape == (16, 9)
+        assert np.array_equal(half.kx[0], np.arange(9))  # kx = +n/2 in the last column
+        assert np.array_equal(half.k2, grid16.k2[:, :9])
+        assert np.array_equal(half.dealias_mask, ~half.alias_mask)
+
+    def test_packed_l2(self, grid16, rng):
+        fields = [random_field(grid16, rng, energy=e) for e in (0.3, 2.0)]
+        norms_ = sp.packed_l2(grid16, sp.pack(*fields))
+        assert norms_ == pytest.approx([u.l2 for u in fields], rel=1e-14)
+
+    def test_packed_alias_guard_per_copy(self, grid16, rng):
+        u = random_field(grid16, rng)
+        bad = u.coeffs.copy()
+        bad[:, 0, 7] = 1.0  # |k| = 7 > 16/3
+        bad[:, 0, -7] = 1.0
+        dirty = leray_project(grid16, bad)
+        sp.self_advection(grid16, sp.pack(u, u))
+        with pytest.raises(AliasingViolation):
+            sp.self_advection(grid16, sp.pack(u, dirty))
