@@ -22,7 +22,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import spectral
 from .forcing import ForcingPair
@@ -198,10 +197,38 @@ def rhs_nse(u: SpectralField, f: SpectralField, nu: float) -> SpectralField:
     return spectral.unpack(grid, out[0])
 
 
+def expm_2x2(a) -> np.ndarray:
+    """exp(a) of a real 2x2 matrix in closed form.
+
+    With a = (tr/2) I + b and d^2 = b00^2 + b01 b10 (b is trace-free, so
+    b^2 = d^2 I), exp(a) = e^(tr/2) (cosh(d) I + sinh(d)/d b); cos and sin
+    take over when d^2 < 0, and sinh(d)/d -> 1 at d = 0.  For d > 1 the
+    factors are formed as e^(tr/2 +- d), so that large gains, where cosh(d)
+    would overflow while e^(tr/2) underflows, stay finite.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    half_tr = 0.5 * (a[0, 0] + a[1, 1])
+    b = a - half_tr * np.eye(2)
+    d2 = b[0, 0] ** 2 + b[0, 1] * b[1, 0]
+    d = np.sqrt(abs(d2))
+    if d2 > 0 and d > 1.0:
+        up, down = np.exp(half_tr + d), np.exp(half_tr - d)
+        return 0.5 * ((up + down) * np.eye(2) + (up - down) / d * b)
+    if d2 > 0:
+        even, odd = np.cosh(d), np.sinh(d) / d
+    elif d2 < 0:
+        even, odd = np.cos(d), np.sin(d) / d
+    else:
+        even, odd = 1.0, 1.0
+    return np.exp(half_tr) * (even * np.eye(2) + odd * b)
+
+
 class _PackedPair:
     """Constants of the coupled right-hand side on packed (2, 2, n, n//2+1)
     stacks, built once per call: the low-mode mask P_K, whether F is
-    P_K B(., .) (bilinear) or P_K, and whether any coupling acts.
+    P_K B(., .) (bilinear) or P_K, and whether any coupling acts.  It also
+    keeps the last packed force pair, which is reused while the forcing
+    returns the same two fields (a steady force is packed once per call).
 
     With dt set it also holds the propagator of the stepper: the decay
     exp(-nu |k|^2 dt), and with fold the 2x2 exp(dt M) applied across the
@@ -215,10 +242,21 @@ class _PackedPair:
         self.bilinear = bilinear
         self.low = grid.low_mode_mask(state.K)[:, : grid.n // 2 + 1]
         self.coupled = not fold and bool(np.any(state.matrix.entries != 0.0))
+        self._forces = (None, None)
+        self._packed_forces = None
         if dt is not None:
             self.dt = dt
             self.decay = np.exp(-state.nu * grid.half.k2 * dt)
-            self.pair_block = expm(dt * state.matrix.entries) if fold else None
+            self.pair_block = expm_2x2(dt * state.matrix.entries) if fold else None
+
+    def forces(self, t):
+        """The packed force pair (g1(t), g2(t)); do not modify it in place."""
+        forcing = self.state.forcing
+        g = (forcing.g1(t), forcing.g2(t))
+        if g[0] is not self._forces[0] or g[1] is not self._forces[1]:
+            self._forces = g
+            self._packed_forces = spectral.pack(*g)
+        return self._packed_forces
 
     def propagate(self, V):
         out = V * self.decay
@@ -245,7 +283,7 @@ def _rhs_terms(pair: _PackedPair, V, t, diffuse: bool):
     pair is coupled and the coupling is not folded into the propagator.
     """
     state = pair.state
-    F = spectral.pack(state.forcing.g1(t), state.forcing.g2(t))
+    F = pair.forces(t)
     if diffuse:
         F = F - state.nu * (state.grid.half.k2 * V)
     B = None
@@ -362,12 +400,14 @@ def residual_half_DB(v1: SpectralField, v2: SpectralField) -> float:
 
 
 def cfl_limit(state: IntertwinedState, c: float = 1.0) -> float:
-    """Largest admissible step c * min(1/(nu k_max^2), dx / |u|_inf)."""
-    kmax2 = state.grid.dealias_radius**2
-    diffusive = 1.0 / (state.nu * kmax2)
+    """Largest admissible step c * dx / |u|_inf (the advective limit).
+
+    There is no diffusive limit: the integrating factor integrates the
+    viscous term exactly at any step size.
+    """
     dx = 2.0 * np.pi / state.grid.n
     umax = max(spectral.linf_norm(state.v1), spectral.linf_norm(state.v2), 1e-30)
-    return c * min(diffusive, dx / umax)
+    return c * dx / umax
 
 
 def step_count(span: float, dt: float) -> int:

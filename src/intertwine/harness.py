@@ -15,6 +15,7 @@ import os
 import platform
 import struct
 import sys
+import traceback
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -324,6 +325,16 @@ def build_state(cfg: ExperimentConfig, scenario: str | None = None, seed: int | 
     if scenario in ("reconstruction_nudge", "reconstruction_dr"):
         # the observer starts from the observed low modes of the truth
         v2 = sp.project_low(v1, cfg.K)
+        if sp.project_high(v1, cfg.K).l2 == 0.0:
+            if cfg.initial_kind == "modes":
+                cause = "the initial modes lie inside the cutoff"
+            else:
+                kmax = cfg.max_wavenumber if cfg.max_wavenumber is not None else grid.dealias_radius
+                cause = f"max_wavenumber = {kmax:g} <= K"
+            raise ConfigInvalid(
+                f"{scenario}: the observer starts equal to the truth, since {cause} "
+                f"(K = {cfg.K:g}); the error |v1 - v2| is 0 from t = 0"
+            )
     state = dyn.IntertwinedState(
         grid=grid, t=0.0, nu=cfg.nu, K=cfg.K, matrix=matrix, v1=v1, v2=v2, forcing=forcing
     )
@@ -728,8 +739,9 @@ def _run_sweep_point(args):
     pdir = os.path.join(out_dir, f"point_{index:03d}")
     try:
         res = run_scenario(pcfg, kind="self_sync", out_dir=pdir)
-    except (ParseError, ConfigInvalid, dyn.StepGuardViolation) as exc:
-        return {**point, "index": index, "error": str(exc)}
+    except Exception as exc:  # one failing point must not end the sweep
+        print(f"sweep point {index} failed:\n{traceback.format_exc()}", file=sys.stderr)
+        return {**point, "index": index, "error": f"{type(exc).__name__}: {exc}"}
     row = {
         **point,
         "index": index,
@@ -748,7 +760,8 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> ScenarioResult:
     """Grid sweep over K and mu or theta; each point fully isolated.
 
     Per-point RNG streams derive from (master seed, point index).  Blowups
-    are recorded per point, never fatal to the sweep.  The verdict table is
+    and failures (any exception, recorded as the point's error) are recorded
+    per point, never fatal to the sweep.  The verdict table is
     checked for non-monotone decay-versus-K patterns, which are flagged for
     human review rather than asserted away.
     """

@@ -16,7 +16,7 @@ n/2 of the full array, in numpy's rfft2 layout, determine the rest.  A
 stack of c packed fields has shape (c, 2, n, n//2+1).  `Grid.half` carries
 the wavenumbers and masks of that layout, `pack`/`unpack` convert between
 the layouts, and `self_advection` evaluates B(v, v) on a packed stack with
-one batched irfft2 and one batched rfft2 in rotational form.
+one batched irfft2 and one batched rfft2 in deviatoric stress form.
 """
 
 from __future__ import annotations
@@ -111,23 +111,24 @@ class HalfSpectrum:
         self.inv_k2 = grid.inv_k2[:, :m]
         self.dealias_mask = grid.dealias_mask[:, :m]
         self.alias_mask = ~self.dealias_mask
-        self.ikx = 1j * self.kx
-        self.iky = 1j * self.ky
         self.weight = np.full(m, 2.0)
         self.weight[[0, -1]] = 1.0
         # row of -ky for each ky, for the conjugate partners of unpack
         self.neg_rows = (-np.arange(n)) % n
         # the weight per float of a flattened packed field (re, im interleaved)
         self.float_weight = np.tile(np.repeat(self.weight, 2), 2 * n)
-        # mask . Leray projector I - k k^T / |k|^2 as (xx, xy, yy) entries, zero
-        # at k = 0 and outside the dealias radius, repeated over (re, im)
+        # mask . P . div of the stress [[a/2, b], [b, -a/2]] as multipliers of
+        # (a_hat, b_hat), indexed [component, a or b]: the divergence is
+        # i (kx a/2 + ky b, kx b - ky a/2), P = I - k k^T / |k|^2, and the
+        # entries are zero at k = 0 and outside the dealias radius
         keep = self.dealias_mask & grid.nonzero[:, :m]
-        proj = np.stack([
-            1.0 - self.kx**2 * self.inv_k2,
-            -self.kx * self.ky * self.inv_k2,
-            1.0 - self.ky**2 * self.inv_k2,
-        ]) * keep
-        self.masked_leray = np.repeat(proj, 2, axis=-1)
+        pxx = 1.0 - self.kx**2 * self.inv_k2
+        pxy = -self.kx * self.ky * self.inv_k2
+        pyy = 1.0 - self.ky**2 * self.inv_k2
+        self.masked_leray_div = 1j * keep * np.stack([
+            [0.5 * (pxx * self.kx - pxy * self.ky), pxx * self.ky + pxy * self.kx],
+            [0.5 * (pxy * self.kx - pyy * self.ky), pxy * self.ky + pyy * self.kx],
+        ])
 
 
 class SpectralField:
@@ -408,30 +409,26 @@ def _require_dealiased_packed(grid: Grid, V: np.ndarray) -> None:
 def self_advection(grid: Grid, V: np.ndarray) -> np.ndarray:
     """B(v, v) for each packed field v of the stack V, shape (c, 2, n, n//2+1).
 
-    Rotational form: (v . grad) v = grad(|v|^2 / 2) + omega (-v_y, v_x) with
-    omega = d_x v_y - d_y v_x, and the Leray projection removes the gradient,
-    so B(v, v) = P(mask . rfft2(omega (-v_y, v_x))).  The three factors of
-    all copies come from one irfft2, the two products go back in one rfft2.
-    Equals bilinear_B(v, v) to roundoff for inputs inside the dealias radius;
-    raises AliasingViolation otherwise.
+    Deviatoric stress form: for divergence-free v, (v . grad) v = div(v v^T),
+    and the isotropic part |v|^2 / 2 I of v v^T is a gradient that the Leray
+    projection removes, so B(v, v) = P(mask . div T) with the trace-free
+    T = [[a/2, b], [b, -a/2]], a = v_x^2 - v_y^2, b = v_x v_y.  The two
+    velocity components of all copies come from one irfft2, (a, b) go back
+    in one rfft2, and `Grid.half.masked_leray_div` maps (a_hat, b_hat) to
+    the result.  Equals bilinear_B(v, v) to roundoff for inputs inside the
+    dealias radius; raises AliasingViolation otherwise.
     """
     _require_dealiased_packed(grid, V)
-    half = grid.half
     n = grid.n
-    spec = np.empty((V.shape[0], 3) + V.shape[2:], dtype=np.complex128)
-    spec[:, :2] = V
-    spec[:, 2] = half.ikx * V[:, 1] - half.iky * V[:, 0]
-    phys = np.fft.irfft2(spec, s=(n, n), norm="forward")
-    prod = phys[:, 2:] * phys[:, 1::-1]  # omega * (v_y, v_x)
-    prod[:, 0] *= -1.0
-    raw = np.fft.rfft2(prod, norm="forward").view(np.float64)
-    pxx, pxy, pyy = half.masked_leray
-    out = np.empty_like(raw)
-    np.multiply(pxx, raw[:, 0], out=out[:, 0])
-    out[:, 0] += pxy * raw[:, 1]
-    np.multiply(pxy, raw[:, 0], out=out[:, 1])
-    out[:, 1] += pyy * raw[:, 1]
-    return out.view(np.complex128)
+    phys = np.fft.irfft2(V, s=(n, n), norm="forward")
+    vx, vy = phys[:, 0], phys[:, 1]
+    stress = np.empty_like(phys)
+    np.multiply(vx, vx, out=stress[:, 0])
+    stress[:, 0] -= vy * vy
+    np.multiply(vx, vy, out=stress[:, 1])
+    raw = np.fft.rfft2(stress, norm="forward")
+    div = grid.half.masked_leray_div
+    return div[:, 0] * raw[:, None, 0] + div[:, 1] * raw[:, None, 1]
 
 
 def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:

@@ -1,5 +1,8 @@
 """Coupled-pair right-hand sides, change-of-variable views, time stepping."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 
 from intertwine import dynamics as dyn
 from intertwine import forcing as fr
+from intertwine import harness as hz
 from intertwine import oracle as orc
 from intertwine import spectral as sp
 from intertwine.dynamics import (
@@ -25,6 +29,39 @@ from intertwine.dynamics import (
     rhs_nudging,
     step,
 )
+
+NUDGE_N128 = """\
+[grid]
+n = 128
+
+[physics]
+nu = 0.05
+K = 16.0
+
+[coupling]
+class = nudge_mutual
+mu1 = 2.0
+mu2 = 2.0
+
+[forcing]
+kind = kolmogorov
+amplitude = 0.04
+wavenumber = 2
+
+[initial]
+energy = 0.5
+spectrum_slope = 2.0
+max_wavenumber = 8.0
+difference = random
+difference_scale = 0.5
+
+[time]
+dt = 0.02
+t_end = 2.0
+
+[output]
+seed = 42
+"""
 
 
 def make_state(grid, rng, matrix, nu=0.2, K=2.0, amplitude=0.1, energy=0.6, same=False):
@@ -383,9 +420,20 @@ class TestStepping:
             integrate(state, 5.0, dt=0.01, cfl_factor=None)
 
     def test_step_guard(self, grid16, rng):
-        state = make_state(grid16, rng, IntertwiningMatrix.zero(), nu=1.0)
+        state = make_state(grid16, rng, IntertwiningMatrix.zero(), nu=1.0, energy=6.0)
+        assert dyn.cfl_limit(state) < 0.5  # the advective limit dx / |u|_inf
         with pytest.raises(StepGuardViolation):
             integrate(state, 1.0, dt=0.5)
+
+    def test_no_diffusive_step_limit(self):
+        # the acceptance nudging config at n = 128: a diffusive limit
+        # 1 / (nu k_max^2) = 0.011 used to reject dt = 0.02, although the
+        # integrating factor takes diffusion exactly and the run is stable
+        state, _, _ = hz.build_state(hz.parse_config_text(NUDGE_N128))
+        coarse = integrate(state, 2.0, dt=0.02)
+        fine = integrate(state, 2.0, dt=0.01)
+        for u, ref in ((coarse.v1, fine.v1), (coarse.v2, fine.v2)):
+            assert (u - ref).l2 <= 1e-5 * ref.l2
 
     def test_invariants_preserved(self, grid16, rng):
         state = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 0.5))
@@ -412,6 +460,40 @@ class TestStepping:
         assert out.v1.coeffs.tobytes() == looped.v1.coeffs.tobytes()
         assert out.v2.coeffs.tobytes() == looped.v2.coeffs.tobytes()
         assert out.t == pytest.approx(looped.t, rel=1e-14)
+
+    @pytest.mark.parametrize("kind", ["time_periodic", "decaying_delta"])
+    def test_integrate_equals_step_loop_time_dependent_forcing(self, grid16, rng, kind):
+        # forces that change with t are packed again at every stage
+        base = fr.kolmogorov_force(grid16, 0.3, 2)
+        if kind == "time_periodic":
+            pair = fr.ForcingPair.synchronized(fr.TimePeriodicForcing(base, omega=3.0))
+        else:
+            delta = sp.random_field(grid16, rng, energy=0.2, kmax=3.0)
+            pair = fr.ForcingPair.decaying_delta(fr.SteadyForcing(base), delta, rate=1.5)
+        state = replace(
+            make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 0.5)), forcing=pair
+        )
+        out = integrate(state, 0.5, dt=0.02, cfl_factor=None)
+        looped = state
+        for k in range(1, 26):
+            # integrate starts step k at exactly (k - 1) dt, not at a running sum
+            looped = replace(step(looped, 0.02), t=k * 0.02)
+        assert out.v1.coeffs.tobytes() == looped.v1.coeffs.tobytes()
+        assert out.v2.coeffs.tobytes() == looped.v2.coeffs.tobytes()
+
+    def test_steady_force_packed_once(self, grid16, rng, monkeypatch):
+        calls = []
+        pack = sp.pack
+        monkeypatch.setattr(sp, "pack", lambda *fields: calls.append(len(fields)) or pack(*fields))
+        state = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 0.5))
+        integrate(state, 0.2, dt=0.02)
+        assert len(calls) == 2  # the initial pair and the force pair
+        periodic = fr.ForcingPair.synchronized(
+            fr.TimePeriodicForcing(fr.kolmogorov_force(grid16, 0.3, 2), omega=3.0)
+        )
+        calls.clear()
+        integrate(replace(state, forcing=periodic), 0.2, dt=0.02)
+        assert len(calls) == 1 + 2 * 10  # once per stage
 
     def test_integrate_catches_aliased_forcing(self, grid16, rng):
         bad = np.zeros((2, 16, 16), dtype=complex)
@@ -454,3 +536,55 @@ class TestStepping:
         out = integrate(state, 1.0, dt=0.005, cfl_factor=None)
         expect = (np.sin(3.0 * 1.0) / 3.0) * f
         assert (out.v1 - expect).l2 <= 1e-4 * expect.l2
+
+
+class TestNumpyOnly:
+    """The stepper needs numpy alone; SciPy serves only as a test reference."""
+
+    @pytest.mark.parametrize("mu", [60.0, 100.0, 400.0])
+    @pytest.mark.parametrize("dt", [0.02, 0.05])
+    @pytest.mark.parametrize("ratio", [1.0, 0.5])
+    @pytest.mark.parametrize("build", [IntertwiningMatrix.nudge_mutual, IntertwiningMatrix.nudge_symmetric])
+    def test_expm_2x2_matches_scipy(self, build, mu, dt, ratio):
+        linalg = pytest.importorskip("scipy.linalg")
+        a = dt * build(mu, ratio * mu).entries
+        assert mu * dt > 1.0  # integrate folds at these step sizes
+        ref = linalg.expm(a)
+        assert np.abs(dyn.expm_2x2(a) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_expm_2x2_branches(self):
+        # d^2 < 0: a rotation; d = 0: a scalar and a nilpotent part
+        t = 0.7
+        rot = dyn.expm_2x2([[0.0, t], [-t, 0.0]])
+        assert np.allclose(rot, [[np.cos(t), np.sin(t)], [-np.sin(t), np.cos(t)]], rtol=0, atol=1e-16)
+        assert np.array_equal(dyn.expm_2x2([[-2.0, 0.0], [0.0, -2.0]]), np.exp(-2.0) * np.eye(2))
+        assert np.array_equal(dyn.expm_2x2([[0.0, 3.0], [0.0, 0.0]]), [[1.0, 3.0], [0.0, 1.0]])
+        # large gains stay finite: exp(dt M) of mutual nudging tends to the
+        # projector onto the synchronized manifold
+        big = dyn.expm_2x2(IntertwiningMatrix.nudge_mutual(1e4, 1e4).entries)
+        assert np.allclose(big, 0.5, rtol=1e-15, atol=0)
+
+    def test_runtime_path_imports_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import intertwine, intertwine.harness, intertwine.cli, intertwine.verify\n"
+            "from intertwine import dynamics as dyn, forcing as fr, spectral as sp\n"
+            "grid = sp.Grid(16)\n"
+            "rng = np.random.default_rng(0)\n"
+            "force = fr.SteadyForcing(fr.kolmogorov_force(grid, 0.1, 2))\n"
+            "state = dyn.IntertwinedState(\n"
+            "    grid=grid, t=0.0, nu=0.2, K=2.0,\n"
+            "    matrix=dyn.IntertwiningMatrix.nudge_mutual(60.0, 60.0),\n"
+            "    v1=sp.random_field(grid, rng), v2=sp.random_field(grid, rng),\n"
+            "    forcing=fr.ForcingPair.synchronized(force),\n"
+            ")\n"
+            "dyn.integrate(state, 0.2, dt=0.02)  # 60 * 0.02 > 1: folded\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(dyn.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

@@ -303,6 +303,14 @@ class TestScenarios:
         res = hz.run_scenario(cfg, kind="reconstruction_dr", out_dir=tmp_path)
         assert res.decayed
 
+    @pytest.mark.parametrize("kind", ["reconstruction_nudge", "reconstruction_dr"])
+    def test_reconstruction_from_zero_error_rejected(self, tmp_path, kind):
+        # initial data inside the cutoff: the observer P_K v1 equals v1
+        text = MINIMAL.replace("energy = 0.3", "energy = 0.3\nmax_wavenumber = 3.0")
+        cfg = hz.parse_config_text(text)
+        with pytest.raises(ConfigInvalid, match="observer starts equal to the truth"):
+            hz.run_scenario(cfg, kind=kind, out_dir=tmp_path)
+
     def test_fdss_scenario_table(self, tmp_path):
         text = MINIMAL.replace("class = nudge_mutual", "class = none").replace(
             "mu1 = 2.0\nmu2 = 2.0", ""
@@ -346,6 +354,28 @@ class TestScenarios:
             replace(cfg, threads=2), kind="regime_sweep", out_dir=tmp_path / "parallel"
         )
         assert serial.extras["table"] == parallel.extras["table"]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sweep_survives_a_failing_point(self, tmp_path, monkeypatch, threads):
+        run_scenario = hz.run_scenario
+
+        def flaky(cfg, kind=None, out_dir=None, seed=None):
+            if str(out_dir).endswith("point_001"):
+                raise RuntimeError("injected failure")
+            return run_scenario(cfg, kind=kind, out_dir=out_dir, seed=seed)
+
+        text = MINIMAL.replace("t_end = 4.0", "t_end = 1.0") + "\n[sweep]\nK = 1.0, 2.0, 3.0\n"
+        cfg = hz.parse_config_text(text)
+        serial = hz.run_scenario(cfg, kind="regime_sweep", out_dir=tmp_path / "clean")
+        monkeypatch.setattr(hz, "run_scenario", flaky)
+        from dataclasses import replace
+
+        res = run_scenario(replace(cfg, threads=threads), kind="regime_sweep", out_dir=tmp_path / "out")
+        rows = res.extras["table"]
+        assert rows[1] == {"K": 2.0, "mu": 2.0, "index": 1, "error": "RuntimeError: injected failure"}
+        clean = serial.extras["table"]
+        assert repr([rows[0], rows[2]]) == repr([clean[0], clean[2]])  # repr: nan == nan
+        assert "RuntimeError: injected failure" in (tmp_path / "out" / "sweep_table.csv").read_text()
 
     def test_write_outputs_surface(self, tmp_path, grid16, rng):
         from intertwine import diagnostics as diag
@@ -451,6 +481,12 @@ class TestCli:
         code = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         assert os.path.exists(tmp_path / "out" / "sweep_table.csv")
+
+    def test_twin_from_zero_error_exit_code(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, MINIMAL.replace("energy = 0.3", "energy = 0.3\nmax_wavenumber = 3.0"))
+        code = cli.main(["twin", "--config", cfg, "--kind", "dr", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "max_wavenumber = 3 <= K" in capsys.readouterr().err
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTWINE_THREADS", "3")

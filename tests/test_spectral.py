@@ -333,7 +333,7 @@ class TestEmpiricalRatios:
 
 
 class TestPackedLayout:
-    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("n", [16, 32, 48, 64, 128])
     def test_self_advection_equals_bilinear_B(self, rng, n):
         grid = Grid(n)
         fields = [random_field(grid, rng, slope=s) for s in (0.5, 1.0, 2.0)]
