@@ -14,7 +14,7 @@ import io
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -94,17 +94,7 @@ class ConstantsConfig:
                 raise ValueError(f"{name} must be positive")
 
     def to_json(self) -> str:
-        payload = {
-            "version": CONSTANTS_DATA_VERSION,
-            "C_L": self.C_L,
-            "C_A": self.C_A,
-            "C_S": self.C_S,
-            "C0": self.C0,
-            "C1": self.C1,
-            "C2": self.C2,
-            "C3": self.C3,
-            "meta": self.meta,
-        }
+        payload = {"version": CONSTANTS_DATA_VERSION, **asdict(self)}
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @classmethod
@@ -315,25 +305,6 @@ def m_frak_small_theta2(K: float, grashofs: GrashofSet, constants: ConstantsConf
     )
 
 
-def m_frak_near_balanced(K: float, state: IntertwinedState, grashofs: GrashofSet, constants: ConstantsConfig) -> float:
-    """Guaranteed uniform-ball size in the nearly-balanced regime."""
-    lnK = math.log(math.e + K)
-    views = derived_views(state)
-    z0 = views["z"].h1 / state.nu
-    w0 = views["w"].h1 / state.nu
-    return math.sqrt(
-        2.0
-        * math.e
-        * (
-            z0**2
-            + w0**2
-            + grashofs.k_frak**2
-            + grashofs.h_frak**2
-            + constants.C_S**2 * lnK * grashofs.p_frak**4
-        )
-    )
-
-
 def check_theta_regime(
     theta1: float,
     theta2: float,
@@ -419,17 +390,6 @@ def check_theta_regime(
 
 # ---------------------------------------------------------------------------
 # uniform-in-time bound checks
-
-BOUND_FORMULAS = (
-    "nudge_mutual",
-    "nudge_symmetric",
-    "dr_mutual_pair",
-    "dr_decoupled",
-    "dr_balanced",
-    "dr_small_theta2",
-    "dr_near_balanced",
-    "heat_low_mode",
-)
 
 
 def _bound_value(bound_formula: str, grashofs: GrashofSet, matrix, nu: float) -> tuple[float, str]:
@@ -588,7 +548,7 @@ def calibrate_constants(n: int = 32, samples: int = 200, seed: int = 0) -> Const
         ratio_L = max(ratio_L, l4**2 / (h1 * l2))
         ratio_A = max(ratio_A, linf**2 / (h2 * l2))
         # support radius of this candidate, floor 2 to keep ln positive
-        kmag = u.grid.kmag[np.abs(u.coeffs).max(axis=0) > 1e-13 * np.abs(u.coeffs).max()]
+        kmag = u.grid.kmag[np.abs(u.half).max(axis=0) > 1e-13 * np.abs(u.half).max()]
         nmax = max(2.0, float(kmag.max()) if kmag.size else 2.0)
         ratio_S = max(ratio_S, linf / (math.sqrt(math.log(nmax)) * h1))
 
@@ -608,24 +568,6 @@ def default_constants() -> ConstantsConfig:
 
 # ---------------------------------------------------------------------------
 # time series records and CSV output
-
-CSV_COLUMNS = [
-    "t",
-    "l2_v1",
-    "h1_v1",
-    "l2_v2",
-    "h1_v2",
-    "l2_w",
-    "h1_w",
-    "l2_p",
-    "l2_q",
-    "h1_vtheta",
-    "h1_wtheta",
-    "energy_residual",
-    "force_l2_g1",
-    "force_l2_g2",
-    "force_l2_h",
-]
 
 
 @dataclass
@@ -651,6 +593,10 @@ class TimeSeriesRecord:
     budget_dissipation: float = math.nan
     budget_pump: float = math.nan
     budget_penalty: float = math.nan
+
+
+# the CSV columns: every record field except the budget terms, in field order
+CSV_COLUMNS = [f.name for f in fields(TimeSeriesRecord) if not f.name.startswith("budget_")]
 
 
 def sample_record(state: IntertwinedState) -> TimeSeriesRecord:

@@ -17,6 +17,10 @@ TIME_PERIODIC = "time_periodic"
 DECAYING_PAIR_DELTA = "decaying_pair_delta"
 
 
+class NoClosedForm(ValueError):
+    """A forcing quantity has no closed form for this pair of forces."""
+
+
 class Forcing:
     """Base class: a bounded curve t -> g(t) in the divergence-free space."""
 
@@ -110,13 +114,16 @@ class ForcingPair:
         return self.g1(t) - self.g2(t)
 
     def sup_h_l2(self, t0: float = 0.0) -> float:
-        """sup over t >= t0 of |g1 - g2|; exact for the decaying-delta pair."""
+        """sup over t >= t0 of |g1 - g2| in closed form: 0 for a synchronized
+        pair, exp(-rate t0) |delta| for a decaying-delta pair; any other pair
+        raises NoClosedForm rather than report a sampled max as a sup."""
         if self.g2 is self.g1:
             return 0.0
         if isinstance(self.g2, DecayingDeltaForcing) and self.g2.base is self.g1:
             return float(np.exp(-self.g2.rate * t0)) * self.g2.delta.l2
-        ts = np.linspace(t0, t0 + 50.0, 501)
-        return max(self.h(float(t)).l2 for t in ts)
+        raise NoClosedForm(
+            f"no closed form for sup |g1 - g2| of a ({self.g1.kind}, {self.g2.kind}) pair"
+        )
 
 
 def kolmogorov_force(grid: Grid, amplitude: float, wavenumber: int = 2) -> SpectralField:

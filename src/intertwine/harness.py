@@ -357,22 +357,17 @@ _CKPT_CRC = struct.Struct("<I")
 
 
 def _field_bytes(u: sp.SpectralField) -> bytes:
-    # row-major over k; per mode: component 0 (re, im), component 1 (re, im)
-    stacked = np.moveaxis(u.coeffs, 0, 2)  # (ky, kx, comp)
-    interleaved = np.empty(stacked.shape + (2,), dtype="<f8")
-    interleaved[..., 0] = stacked.real
-    interleaved[..., 1] = stacked.imag
-    return interleaved.tobytes()
+    # the full spectrum, row-major over k (ky, kx); per mode: component 0
+    # (re, im), component 1 (re, im), as little-endian f8
+    return np.moveaxis(u.coeffs, 0, 2).astype("<c16").tobytes()
 
 
 def _field_from_bytes(grid: sp.Grid, blob: bytes) -> sp.SpectralField:
-    arr = np.frombuffer(blob, dtype="<f8").reshape(grid.n, grid.n, 2, 2)
-    # assign through the real/imag views: arithmetic like re + 1j*im would
-    # flip the sign bit of negative zeros and break the bit-exact round trip
-    cplx = np.empty((grid.n, grid.n, 2), dtype=np.complex128)
-    cplx.real = arr[..., 0]
-    cplx.imag = arr[..., 1]
-    return sp.SpectralField(grid, np.ascontiguousarray(np.moveaxis(cplx, 2, 0)))
+    # read as complex, without the arithmetic (re + 1j*im) that flips the sign
+    # of negative zeros; the columns kx >= 0 are the field
+    full = np.frombuffer(blob, dtype="<c16").reshape(grid.n, grid.n, 2)
+    half = np.moveaxis(full[:, : grid.n // 2 + 1], 2, 0)
+    return sp.SpectralField(grid, np.ascontiguousarray(half, dtype=np.complex128))
 
 
 def checkpoint_save(state: dyn.IntertwinedState, path, seed: int = 0) -> None:

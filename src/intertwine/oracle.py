@@ -69,19 +69,19 @@ def dense_from_spectral(u: SpectralField, radius: int, keep_radius=None) -> Dens
     """Extract the box |k_i| <= radius from a spectral field."""
     out = DenseModeSet(radius, keep_radius=keep_radius)
     n = u.grid.n
+    full = u.coeffs
     for ky in _k_axes(radius):
         for kx in _k_axes(radius):
-            out.coeffs[:, ky + radius, kx + radius] = u.coeffs[:, ky % n, kx % n]
+            out.coeffs[:, ky + radius, kx + radius] = full[:, ky % n, kx % n]
     return out
 
 
 def dense_to_spectral(d: DenseModeSet, grid: Grid) -> SpectralField:
-    coeffs = np.zeros((2, grid.n, grid.n), dtype=np.complex128)
+    """The field of the box's modes kx >= 0; the modes kx < 0 are their conjugates."""
+    half = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
     R = d.radius
-    for ky in _k_axes(R):
-        for kx in _k_axes(R):
-            coeffs[:, ky % grid.n, kx % grid.n] = d.coeffs[:, ky + R, kx + R]
-    return SpectralField(grid, coeffs)
+    half[:, _k_axes(R) % grid.n, : R + 1] = d.coeffs[:, :, R:]
+    return SpectralField(grid, half)
 
 
 def dense_inner(u: DenseModeSet, v: DenseModeSet) -> float:
@@ -120,7 +120,6 @@ def _triples(radius: int, keep_in: float, keep_out: float):
         return cached
     side = 2 * radius + 1
     ks = _k_axes(radius)
-    coords = [(kx, ky) for ky in ks for kx in ks]
     ia, ib, ik, bx, by = [], [], [], [], []
     for ay in ks:
         for ax in ks:
@@ -211,13 +210,13 @@ def heat_exact(p0: SpectralField, h: SpectralField | None, nu: float, t: float) 
     """
     g = p0.grid
     decay = np.exp(-nu * g.k2 * t)
-    coeffs = p0.coeffs * decay
+    half = p0.half * decay
     if h is not None:
-        steady = np.zeros_like(h.coeffs)
-        steady[:, g.nonzero] = h.coeffs[:, g.nonzero] / (nu * g.k2[g.nonzero])
-        coeffs = coeffs + (1.0 - decay) * steady
-    coeffs[:, 0, 0] = 0.0
-    return SpectralField(g, coeffs)
+        steady = np.zeros_like(h.half)
+        steady[:, g.nonzero] = h.half[:, g.nonzero] / (nu * g.k2[g.nonzero])
+        half = half + (1.0 - decay) * steady
+    half[:, 0, 0] = 0.0
+    return SpectralField(g, half)
 
 
 def _dense_pair_rhs(v1, v2, g1, g2, nu, K, matrix, intertwining):

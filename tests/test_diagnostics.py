@@ -56,6 +56,16 @@ class TestGrashofNumbers:
             )
         assert pair.sup_h_l2(2.0) < pair.sup_h_l2(0.0)
 
+    def test_sup_without_closed_form_raises(self, grid16):
+        # a steady force against a time-periodic one has no closed-form sup
+        # of |g1 - g2|; a max over samples is not reported in its place
+        force = fr.kolmogorov_force(grid16, 0.3, 2)
+        pair = fr.ForcingPair(
+            fr.SteadyForcing(force), fr.TimePeriodicForcing(force, omega=1.0)
+        )
+        with pytest.raises(fr.NoClosedForm):
+            pair.sup_h_l2(0.0)
+
     def test_set_invariants(self):
         with pytest.raises(ValueError):
             GrashofSet(g1=-1.0)

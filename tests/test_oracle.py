@@ -155,18 +155,18 @@ class TestHeatExact:
     def test_unforced_decay(self, grid16, rng):
         p0 = sp.project_low(sp.random_field(grid16, rng), 3.0)
         pt = orc.heat_exact(p0, None, nu=0.5, t=2.0)
-        expect = p0.coeffs * np.exp(-0.5 * grid16.k2 * 2.0)
-        assert np.abs(pt.coeffs - expect).max() == 0.0
+        expect = p0.half * np.exp(-0.5 * grid16.k2 * 2.0)
+        assert np.abs(pt.half - expect).max() == 0.0
 
     def test_long_time_steady_state(self, grid16, rng):
         p0 = sp.project_low(sp.random_field(grid16, rng), 3.0)
         h = sp.project_low(sp.random_field(grid16, rng), 3.0)
         nu = 0.7
         pt = orc.heat_exact(p0, h, nu=nu, t=500.0)
-        steady = np.zeros_like(h.coeffs)
+        steady = np.zeros_like(h.half)
         nz = grid16.nonzero
-        steady[:, nz] = h.coeffs[:, nz] / (nu * grid16.k2[nz])
-        assert np.abs(pt.coeffs - steady).max() <= 1e-12
+        steady[:, nz] = h.half[:, nz] / (nu * grid16.k2[nz])
+        assert np.abs(pt.half - steady).max() <= 1e-12
 
     def test_tail_bound_after_burn_in(self, grid16, rng):
         # sup_{t >= t0} |p|_V^2 <= 2 nu^2 (sup |h| / nu^2)^2 once t0 clears

@@ -41,47 +41,57 @@ class TestGrid:
         assert g.dealias_radius == pytest.approx(8.0)
 
     def test_low_mode_mask_k1(self, grid16):
-        # |k| <= 1 keeps exactly the four unit modes (mean mode carries no data)
+        # |k| <= 1 keeps exactly the four unit modes (mean mode carries no data);
+        # the half spectrum stores (1, 0), (0, 1), (0, -1) and k = 0, and
+        # (-1, 0) is the conjugate of (1, 0), counted by the column weight
         mask = grid16.low_mode_mask(1.0)
-        assert int(mask.sum()) == 5  # four unit modes plus k = 0
-        assert mask[0, 1] and mask[0, -1] and mask[1, 0] and mask[-1, 0]
+        assert int(mask.sum()) == 4
+        assert float((mask * grid16.weight).sum()) == 5.0  # four unit modes plus k = 0
+        assert mask[0, 0] and mask[0, 1] and mask[1, 0] and mask[-1, 0]
 
 
 class TestLerayProjection:
     def test_gradient_field_is_annihilated(self, grid16, rng):
         # gradients i k phi_k span the projector kernel
-        phi = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        phi = rng.standard_normal((16, 9)) + 1j * rng.standard_normal((16, 9))
         raw = np.stack([1j * grid16.kx * phi, 1j * grid16.ky * phi])
         out = leray_project(grid16, raw)
         assert np.abs(out.coeffs).max() < 1e-13 * np.abs(raw).max()
 
     def test_identity_on_divergence_free(self, grid16, rng):
         u = random_field(grid16, rng)
-        again = leray_project(grid16, u.coeffs)
-        assert np.array_equal(again.coeffs, u.coeffs) or np.abs(
-            again.coeffs - u.coeffs
+        again = leray_project(grid16, u.half)
+        assert np.array_equal(again.half, u.half) or np.abs(
+            again.half - u.half
         ).max() < 1e-15
 
     def test_single_mode_hand_check(self, grid16):
         # k = (1, 0), u_hat = (1, 1): the projector I - kk^T/|k|^2 keeps (0, 1)
-        raw = np.zeros((2, 16, 16), complex)
-        raw[:, 0, 1] = 1.0
-        raw[:, 0, -1] = 1.0
+        raw = np.zeros((2, 16, 9), complex)
+        raw[:, 0, 1] = 1.0  # its partner k = (-1, 0) is implied
         out = leray_project(grid16, raw)
-        assert out.coeffs[0, 0, 1] == pytest.approx(0.0)
-        assert out.coeffs[1, 0, 1] == pytest.approx(1.0)
+        assert out.half[0, 0, 1] == pytest.approx(0.0)
+        assert out.half[1, 0, 1] == pytest.approx(1.0)
+
+    @staticmethod
+    def hermitian_raw(grid, rng):
+        # random half spectrum; the self-conjugate columns kx = 0 and n/2
+        # made Hermitian so that it is the spectrum of a real field
+        shape = (2, grid.n, grid.n // 2 + 1)
+        raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cols = raw[..., [0, -1]]
+        raw[..., [0, -1]] = cols + np.conj(cols[:, grid.neg_rows])
+        return raw
 
     def test_idempotent_exactly(self, grid16, rng):
-        raw = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
-        raw = raw + np.conj(np.roll(raw[:, ::-1, ::-1], (1, 1), axis=(1, 2)))
+        raw = self.hermitian_raw(grid16, rng)
         once = leray_project(grid16, raw)
-        twice = leray_project(grid16, once.coeffs)
-        assert np.array_equal(once.coeffs, twice.coeffs)
+        twice = leray_project(grid16, once.half)
+        assert np.array_equal(once.half, twice.half)
 
     def test_output_satisfies_invariants(self, grid16, rng):
-        raw = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
-        raw = raw + np.conj(np.roll(raw[:, ::-1, ::-1], (1, 1), axis=(1, 2)))
-        raw[:, grid16.kx == -8] = 0.0
+        raw = self.hermitian_raw(grid16, rng)
+        raw[:, grid16.kx == 8] = 0.0
         raw[:, grid16.ky == -8] = 0.0
         check_field(leray_project(grid16, raw))
 
@@ -112,7 +122,7 @@ class TestModeProjections:
             grid16, [(1, 0, (0.0, 1.0)), (0, 1, (1.0, 0.0)), (2, 2, (1.0, -1.0))]
         )
         low = project_low(u, 1.0)
-        kept = np.argwhere(np.abs(low.coeffs).max(axis=0) > 0)
+        kept = np.argwhere(np.abs(low.half).max(axis=0) > 0)
         mags = [grid16.kmag[tuple(ij)] for ij in kept]
         assert all(m <= 1.0 for m in mags) and len(kept) > 0
 
@@ -184,10 +194,10 @@ class TestAdvectionTerm:
         # the unprojected quadratic term is nonzero, its projection vanishes
         tg = sp.taylor_green(grid16, 1.0)
         u_phys = sp.to_physical(tg)
-        dvdx = np.real(np.fft.ifft2(1j * grid16.kx * tg.coeffs, norm="forward"))
-        dvdy = np.real(np.fft.ifft2(1j * grid16.ky * tg.coeffs, norm="forward"))
+        dvdx = np.fft.irfft2(1j * grid16.kx * tg.half, s=(16, 16), norm="forward")
+        dvdy = np.fft.irfft2(1j * grid16.ky * tg.half, s=(16, 16), norm="forward")
         adv = u_phys[0] * dvdx + u_phys[1] * dvdy
-        raw = np.fft.fft2(adv, norm="forward") * grid16.dealias_mask
+        raw = np.fft.rfft2(adv, norm="forward") * grid16.dealias_mask
         assert np.abs(raw).max() > 0.01
         assert bilinear_B(tg, tg).l2 < 1e-14
 
@@ -240,15 +250,14 @@ class TestAdvectionTerm:
                     continue
                 vb = v.coeffs[:, by % n, bx % n]
                 raw[:, ky % n, kx % n] += 1j * (ua[0] * bx + ua[1] * by) * vb
-        direct = leray_project(grid, raw)
+        direct = leray_project(grid, raw[..., : n // 2 + 1])
         pseudo = bilinear_B(u, v)
         assert (pseudo - direct).l2 <= 1e-11 * max(direct.l2, 1e-30)
 
     def test_aliasing_violation_raised(self, grid16, rng):
         u = random_field(grid16, rng)
-        bad = u.coeffs.copy()
+        bad = u.half.copy()
         bad[:, 0, 7] = 1.0  # |k| = 7 > 16/3
-        bad[:, 0, -7] = 1.0
         dirty = leray_project(grid16, bad)
         with pytest.raises(AliasingViolation):
             bilinear_B(dirty, u)
@@ -338,12 +347,27 @@ class TestPackedLayout:
         grid = Grid(n)
         fields = [random_field(grid, rng, slope=s) for s in (0.5, 1.0, 2.0)]
         packed = sp.self_advection(grid, sp.pack(*fields))
-        for u, half in zip(fields, packed):
-            ref = bilinear_B(u, u).coeffs
-            out = sp.unpack(grid, half).coeffs
+        for u, out in zip(fields, packed):
+            ref = bilinear_B(u, u).half
             assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_pack_unpack_round_trip_exact(self, grid16, rng):
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_self_advection_roundoff_over_seeds_and_slopes(self, n):
+        # steep spectra at large n: a kernel that differentiates after the
+        # forward transform multiplies its roundoff by |k| up to n/3 and
+        # leaves this bound at n = 128
+        grid = Grid(n)
+        fields = [
+            random_field(grid, np.random.default_rng(seed), energy=1.0, slope=slope)
+            for seed in range(6)
+            for slope in (0.5, 1.0, 2.0, 3.0)
+        ]
+        packed = sp.self_advection(grid, sp.pack(*fields))
+        for u, out in zip(fields, packed):
+            ref = bilinear_B(u, u).half
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_pack_export_round_trip_exact(self, grid16, rng):
         fields = [
             random_field(grid16, rng),
             random_field(grid16, rng, slope=0.5, kmax=3.0),
@@ -353,16 +377,20 @@ class TestPackedLayout:
         packed = sp.pack(*fields)
         assert packed.shape == (4, 2, 16, 9)
         for u, half in zip(fields, packed):
-            back = sp.unpack(grid16, half)
-            assert np.array_equal(back.coeffs, u.coeffs)  # exact, up to the sign of zeros
-            assert np.array_equal(sp.pack(back)[0], half)
+            assert np.array_equal(half, u.half)
+            # the full export holds the half spectrum in its columns kx >= 0
+            back = SpectralField(grid16, u.coeffs[..., :9])
+            assert np.array_equal(back.half, u.half)
+            assert np.array_equal(back.coeffs, u.coeffs)
 
-    def test_half_spectrum_views(self, grid16):
-        half = grid16.half
-        assert half.kx.shape == (16, 9)
-        assert np.array_equal(half.kx[0], np.arange(9))  # kx = +n/2 in the last column
-        assert np.array_equal(half.k2, grid16.k2[:, :9])
-        assert np.array_equal(half.dealias_mask, ~half.alias_mask)
+    def test_grid_arrays_in_half_spectrum_layout(self, grid16):
+        assert grid16.kx.shape == (16, 9)
+        assert np.array_equal(grid16.kx[0], np.arange(9))  # kx = +n/2 in the last column
+        assert np.array_equal(grid16.ky[:, 0], np.fft.fftfreq(16, 1.0 / 16))
+        assert np.array_equal(grid16.k2, grid16.kx**2 + grid16.ky**2)
+        assert np.array_equal(grid16.dealias_mask, ~grid16.alias_mask)
+        # every mode of the full spectrum is counted once by the column weights
+        assert float(grid16.weight.sum()) * 16 == 16 * 16
 
     def test_packed_l2(self, grid16, rng):
         fields = [random_field(grid16, rng, energy=e) for e in (0.3, 2.0)]
@@ -371,10 +399,64 @@ class TestPackedLayout:
 
     def test_packed_alias_guard_per_copy(self, grid16, rng):
         u = random_field(grid16, rng)
-        bad = u.coeffs.copy()
+        bad = u.half.copy()
         bad[:, 0, 7] = 1.0  # |k| = 7 > 16/3
-        bad[:, 0, -7] = 1.0
         dirty = leray_project(grid16, bad)
         sp.self_advection(grid16, sp.pack(u, u))
         with pytest.raises(AliasingViolation):
             sp.self_advection(grid16, sp.pack(u, dirty))
+
+
+class TestOneLayout:
+    @pytest.mark.parametrize("n", [16, 48, 64])
+    def test_full_export_matches_fft2_and_plancherel(self, rng, n):
+        # coeffs is the full spectrum of the physical field, and its plain
+        # unweighted Plancherel sum is the field's norm
+        grid = Grid(n)
+        for slope in (0.5, 2.0):
+            u = random_field(grid, rng, energy=1.7, slope=slope)
+            full = u.coeffs
+            assert full.shape == (2, n, n)
+            ref = np.fft.fft2(sp.to_physical(u), norm="forward")
+            assert np.abs(full - ref).max() <= 1e-15 * np.abs(ref).max()
+            plain = np.sqrt(sp.PLANCHEREL * np.sum(full.real**2 + full.imag**2))
+            assert plain == pytest.approx(u.l2, rel=1e-14)
+
+    def test_export_is_rebuilt_and_read_only(self, grid16, rng):
+        u = random_field(grid16, rng)
+        first = u.coeffs
+        assert first is not u.coeffs
+        with pytest.raises(ValueError):
+            first[0, 0, 1] = 1.0
+
+    def test_no_full_complex_transform(self, grid16, rng, tmp_path, monkeypatch):
+        # stepping, sampling, products, norms and checkpoints all stay on the
+        # half spectrum: none of them may call a full complex 2D transform
+        from intertwine import diagnostics as diag
+        from intertwine import dynamics as dyn
+        from intertwine import forcing as fr
+        from intertwine import harness as hz
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full complex transform called")
+
+        monkeypatch.setattr(np.fft, "fft2", refuse)
+        monkeypatch.setattr(np.fft, "ifft2", refuse)
+        force = fr.SteadyForcing(fr.kolmogorov_force(grid16, 0.1, 2))
+        state = dyn.IntertwinedState(
+            grid=grid16, t=0.0, nu=0.2, K=2.0,
+            matrix=dyn.IntertwiningMatrix.nudge_mutual(1.0, 1.0),
+            v1=random_field(grid16, rng, energy=0.6), v2=random_field(grid16, rng, energy=0.6),
+            forcing=fr.ForcingPair.synchronized(force),
+        )
+        records = []
+        out = dyn.integrate(state, 0.2, dt=0.02, sample_every=0.1,
+                            sink=lambda s: records.append(diag.sample_record(s)))
+        assert len(records) == 3
+        bilinear_B(out.v1, out.v2)
+        sp.linf_norm(out.v1)
+        sp.l4_norm(out.v1)
+        path = tmp_path / "state.ckpt"
+        hz.checkpoint_save(out, path)
+        loaded, _ = hz.checkpoint_load(path)
+        assert np.array_equal(loaded.v1.half, out.v1.half)
