@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from dataclasses import replace
 
 from . import harness
@@ -111,9 +112,14 @@ def main(argv=None) -> int:
         from . import verify
 
         failures = 0
-        for res in verify.run_all(fast=args.fast):
-            print(res.line())
-            failures += 0 if res.passed else 1
+        for name, run in verify.suites(fast=args.fast):
+            start = time.perf_counter()
+            results = run()
+            elapsed = time.perf_counter() - start
+            for res in results:
+                print(res.line())
+                failures += 0 if res.passed else 1
+            print(f"[time] {name} suite: {elapsed:.2f} s")
         if failures:
             print(f"{failures} check(s) failed")
             return 1

@@ -5,6 +5,10 @@ explicit convolution sum over mode pairs, so it has no aliasing and no
 transform roundoff, and serves as an independent cross-check for the
 pseudospectral path.  The RK4 integrator at a fixed reference step is the
 trajectory gold standard for desk-scale runs.
+
+One array kernel does the work: `_Kernel` holds the per-box constants and
+acts on raw stacks of shape (copies, 2, side*side).  `DenseModeSet` is the
+boundary type only; the public functions and the RK4 loop wrap and unwrap it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ MAX_RADIUS = 4
 
 
 class RadiusTooLarge(ValueError):
-    """Dense mode sets are capped so the O(M^2) loops stay sub-second."""
+    """A dense box is capped at MAX_RADIUS, and must fit the grid it reads or writes."""
 
 
 class DenseModeSet:
@@ -65,22 +69,27 @@ def _k_axes(radius):
     return np.arange(-radius, radius + 1)
 
 
+def _box_rows(radius: int, n: int):
+    """Grid rows of ky = -radius..radius; distinct only when the box fits the grid."""
+    if 2 * radius >= n:
+        raise RadiusTooLarge(
+            f"a dense box of radius {radius} needs a grid with n > {2 * radius}, got n = {n}"
+        )
+    return _k_axes(radius) % n
+
+
 def dense_from_spectral(u: SpectralField, radius: int, keep_radius=None) -> DenseModeSet:
     """Extract the box |k_i| <= radius from a spectral field."""
-    out = DenseModeSet(radius, keep_radius=keep_radius)
-    n = u.grid.n
-    full = u.coeffs
-    for ky in _k_axes(radius):
-        for kx in _k_axes(radius):
-            out.coeffs[:, ky + radius, kx + radius] = full[:, ky % n, kx % n]
-    return out
+    rows = _box_rows(radius, u.grid.n)
+    return DenseModeSet(radius, np.ascontiguousarray(u.coeffs[:, rows[:, None], rows]), keep_radius)
 
 
 def dense_to_spectral(d: DenseModeSet, grid: Grid) -> SpectralField:
     """The field of the box's modes kx >= 0; the modes kx < 0 are their conjugates."""
+    rows = _box_rows(d.radius, grid.n)
     half = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
     R = d.radius
-    half[:, _k_axes(R) % grid.n, : R + 1] = d.coeffs[:, :, R:]
+    half[:, rows, : R + 1] = d.coeffs[:, :, R:]
     return SpectralField(grid, half)
 
 
@@ -90,19 +99,6 @@ def dense_inner(u: DenseModeSet, v: DenseModeSet) -> float:
 
 def dense_l2(u: DenseModeSet) -> float:
     return float(np.sqrt(dense_inner(u, u)))
-
-
-def dense_stokes(u: DenseModeSet, half_power: int) -> DenseModeSet:
-    R = u.radius
-    kx = _k_axes(R)[None, :]
-    ky = _k_axes(R)[:, None]
-    kmag = np.sqrt((kx**2 + ky**2).astype(float))
-    mult = np.zeros_like(kmag)
-    nz = kmag > 0
-    mult[nz] = kmag[nz] ** half_power
-    if half_power == 0:
-        mult[~nz] = 1.0
-    return DenseModeSet(R, u.coeffs * mult, u.keep_radius)
 
 
 _TRIPLE_CACHE: dict = {}
@@ -156,20 +152,131 @@ def _triples(radius: int, keep_in: float, keep_out: float):
     return arrays
 
 
+_KERNEL_CACHE: dict = {}
+
+
+def _kernel(radius: int, keep: float) -> "_Kernel":
+    key = (radius, round(keep, 12))
+    kern = _KERNEL_CACHE.get(key)
+    if kern is None:
+        kern = _KERNEL_CACHE[key] = _Kernel(radius, keep)
+    return kern
+
+
+class _Kernel:
+    """The array kernel of one box and Galerkin ball, built once on first use.
+
+    Stacks have shape (copies, 2, S) with S = side^2 and at most two copies;
+    mode index (ky+R)*side + (kx+R) as in `DenseModeSet.coeffs`.  The triad
+    indices are offset by (copy*2 + comp)*S, so one bincount over the
+    interleaved real and imaginary parts sums the convolution of every copy
+    and component.  Memory is O(triads).
+    """
+
+    def __init__(self, radius: int, keep: float):
+        self.radius = radius
+        self.keep = keep
+        self.side = side = 2 * radius + 1
+        self.size = S = side * side
+        ks = _k_axes(radius).astype(float)
+        kvec = np.stack([np.tile(ks, side), np.repeat(ks, side)])
+        self.k2 = kvec[0] ** 2 + kvec[1] ** 2
+        nz = self.k2 > 0
+        self.kmag = np.sqrt(self.k2)
+        inv_k2 = np.zeros(S)
+        inv_k2[nz] = 1.0 / self.k2[nz]
+        self.mean = radius * side + radius
+        # numpy casts a real operand of a complex product to complex, so the
+        # constants are stored complex: the same products without the casts
+        self.kvec = kvec.astype(np.complex128)
+        self.inv_k2 = inv_k2.astype(np.complex128)
+        self.lap = self.stokes_multiplier(2).astype(np.complex128)
+        ia, ib, ik, bx, by = _triples(radius, keep_in=keep, keep_out=keep)
+        self.ntriads = ia.size
+        offsets = (np.arange(4) * S).reshape(2, 2, 1)
+        self.ia = ia + offsets
+        self.ib = ib + offsets
+        # real and imaginary parts interleaved: one bincount over the float view
+        self.ik = ((2 * (ik + offsets))[..., None] + np.arange(2)).ravel()
+        # i b, so that i (u_a . b) = u_a,x (i b_x) + u_a,y (i b_y)
+        self.ibvec = 1j * np.stack([bx, by])
+
+    def stokes_multiplier(self, half_power: int):
+        mult = np.zeros(self.size)
+        nz = self.kmag > 0
+        mult[nz] = self.kmag[nz] ** half_power
+        if half_power == 0:
+            mult[~nz] = 1.0
+        return mult
+
+    def low_mask(self, K: float):
+        return (self.k2 <= K**2 + 1e-9).astype(np.complex128)
+
+    def leray(self, D):
+        """u - k (k . u) / |k|^2 per mode; the mean mode passes through."""
+        p = self.kvec * D
+        kdotu = p[:, :1] + p[:, 1:]
+        return D - self.kvec * kdotu * self.inv_k2
+
+    def bilinear(self, U, W):
+        """Leray-projected sum over a + b = k of i (u_a . b) w_b, per copy.
+
+        No triad writes k = 0, so the mean stays zero.
+        """
+        copies = U.shape[0]
+        p = U.reshape(-1)[self.ia[:copies]] * self.ibvec
+        contrib = (p[:, :1] + p[:, 1:]) * W.reshape(-1)[self.ib[:copies]]
+        sums = np.bincount(
+            self.ik[: copies * 4 * self.ntriads],
+            weights=contrib.view(np.float64).ravel(),
+            minlength=copies * 4 * self.size,
+        )
+        return self.leray(sums.view(np.complex128).reshape(copies, 2, self.size))
+
+    def rhs(self, V, G, nu_lap, coupling=None):
+        """f_i = g_i - nu A v_i - B(v_i, v_i) [+ m_i1 c_1 + m_i2 c_2] on a stack.
+
+        nu_lap is nu * lap.  coupling is (m1, m2, bilinear), m_j the j-th
+        column of the matrix times the low mask: c_j = B(v_j, v_j) when
+        bilinear, else v_j.  As in `dynamics._rhs_terms`, each row is summed
+        first.
+        """
+        B = self.bilinear(V, V)
+        F = G - nu_lap * V - B
+        if coupling is not None:
+            m1, m2, bilinear = coupling
+            X = B if bilinear else V
+            F = F + (m1 * X[0] + m2 * X[1])
+        return F
+
+    def stack(self, sets):
+        return np.array([d.coeffs.reshape(2, self.size) for d in sets])
+
+    def unstack(self, V):
+        shape = (2, self.side, self.side)
+        return [DenseModeSet(self.radius, v.reshape(shape).copy(), self.keep) for v in V]
+
+
+def _shared_kernel(*sets: DenseModeSet) -> _Kernel:
+    """The kernel of mode sets that share a box and a Galerkin ball."""
+    first = sets[0]
+    for d in sets[1:]:
+        if (d.radius, d.keep_radius) != (first.radius, first.keep_radius):
+            raise ValueError("mode sets must share radius and keep_radius")
+    return _kernel(first.radius, first.keep_radius)
+
+
+def dense_stokes(u: DenseModeSet, half_power: int) -> DenseModeSet:
+    kern = _kernel(u.radius, u.keep_radius)
+    mult = kern.stokes_multiplier(half_power).reshape(kern.side, kern.side)
+    return DenseModeSet(u.radius, u.coeffs * mult, u.keep_radius)
+
+
 def dense_leray(d: DenseModeSet) -> DenseModeSet:
-    R = d.radius
-    kx = _k_axes(R)[None, :].astype(float)
-    ky = _k_axes(R)[:, None].astype(float)
-    k2 = kx**2 + ky**2
-    inv = np.zeros_like(k2)
-    nz = k2 > 0
-    inv[nz] = 1.0 / k2[nz]
-    kdotu = kx * d.coeffs[0] + ky * d.coeffs[1]
-    out = np.empty_like(d.coeffs)
-    out[0] = d.coeffs[0] - kx * kdotu * inv
-    out[1] = d.coeffs[1] - ky * kdotu * inv
-    out[:, R, R] = 0.0
-    return DenseModeSet(R, out, d.keep_radius)
+    kern = _kernel(d.radius, d.keep_radius)
+    out = kern.leray(kern.stack([d]))
+    out[:, :, kern.mean] = 0.0
+    return kern.unstack(out)[0]
 
 
 def dense_bilinear_B(u: DenseModeSet, v: DenseModeSet) -> DenseModeSet:
@@ -182,20 +289,8 @@ def dense_bilinear_B(u: DenseModeSet, v: DenseModeSet) -> DenseModeSet:
         raise ValueError("mode sets must share a radius")
     # the Galerkin space is the Euclidean ball |k| <= keep_radius; reading and
     # writing the same ball keeps the trilinear identities exact under truncation
-    keep = min(u.keep_radius, v.keep_radius)
-    ia, ib, ik, bx, by = _triples(u.radius, keep_in=keep, keep_out=keep)
-    side = 2 * u.radius + 1
-    uf = u.coeffs.reshape(2, -1)
-    vf = v.coeffs.reshape(2, -1)
-    ua0, ua1 = uf[0, ia], uf[1, ia]
-    factor = 1j * (ua0 * bx + ua1 * by)
-    out = np.zeros((2, side * side), dtype=np.complex128)
-    for comp in range(2):
-        contrib = factor * vf[comp, ib]
-        out[comp].real = np.bincount(ik, weights=contrib.real, minlength=side * side)
-        out[comp].imag = np.bincount(ik, weights=contrib.imag, minlength=side * side)
-    result = DenseModeSet(u.radius, out.reshape(2, side, side), keep)
-    return dense_leray(result)
+    kern = _kernel(u.radius, min(u.keep_radius, v.keep_radius))
+    return kern.unstack(kern.bilinear(kern.stack([u]), kern.stack([v])))[0]
 
 
 def dense_trilinear_b(u, v, w) -> float:
@@ -219,33 +314,35 @@ def heat_exact(p0: SpectralField, h: SpectralField | None, nu: float, t: float) 
     return SpectralField(g, half)
 
 
+_INTERTWINING = {"project": False, "project_bilinear": True}
+
+
+def _coupling(kern: _Kernel, matrix, K: float, intertwining: str):
+    """The coupling argument of `_Kernel.rhs`, or None for an uncoupled pair."""
+    if matrix is None:
+        return None
+    if intertwining not in _INTERTWINING:
+        raise ValueError(f"unknown intertwining function {intertwining!r}")
+    # column j, shaped (2, 1, 1) to scale c_j in both rows, times the mask
+    m = matrix.entries.astype(np.complex128)[:, :, None, None] * kern.low_mask(K)
+    return m[:, 0], m[:, 1], _INTERTWINING[intertwining]
+
+
 def _dense_pair_rhs(v1, v2, g1, g2, nu, K, matrix, intertwining):
     """Right-hand sides for the coupled pair, dense path."""
-    lap1 = dense_stokes(v1, 2)
-    lap2 = dense_stokes(v2, 2)
-    B1 = dense_bilinear_B(v1, v1)
-    B2 = dense_bilinear_B(v2, v2)
-    f1 = g1 - nu * lap1 - B1
-    f2 = g2 - nu * lap2 - B2
-    if matrix is not None:
-        m = matrix.entries
-        if intertwining == "project":
-            c1, c2 = _dense_project_low(v1, K), _dense_project_low(v2, K)
-        elif intertwining == "project_bilinear":
-            c1, c2 = _dense_project_low(B1, K), _dense_project_low(B2, K)
-        else:
-            raise ValueError(f"unknown intertwining function {intertwining!r}")
-        f1 = f1 + (m[0, 0] * c1 + m[0, 1] * c2)
-        f2 = f2 + (m[1, 0] * c1 + m[1, 1] * c2)
-    return f1, f2
+    kern = _shared_kernel(v1, v2)
+    coupling = _coupling(kern, matrix, K, intertwining)
+    F = kern.rhs(kern.stack([v1, v2]), kern.stack([g1, g2]), nu * kern.lap, coupling)
+    return tuple(kern.unstack(F))
 
 
 def _dense_project_low(d: DenseModeSet, K: float) -> DenseModeSet:
-    R = d.radius
-    kx = _k_axes(R)[None, :]
-    ky = _k_axes(R)[:, None]
-    mask = (kx**2 + ky**2) <= K**2 + 1e-9
-    return DenseModeSet(R, d.coeffs * mask, d.keep_radius)
+    kern = _kernel(d.radius, d.keep_radius)
+    mask = kern.low_mask(K).reshape(kern.side, kern.side)
+    return DenseModeSet(d.radius, d.coeffs * mask, d.keep_radius)
+
+
+_SYSTEMS = {"nse": None, "nudging": "project", "direct_replacement": "project_bilinear"}
 
 
 def dense_trajectory(
@@ -270,38 +367,47 @@ def dense_trajectory(
     Convergence: halving dt_ref changes the endpoint at fourth order
     (Richardson ratio near 16), which the test suite verifies.
     """
-    if system not in ("nse", "nudging", "direct_replacement"):
+    if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    intertwining = {"nudging": "project", "direct_replacement": "project_bilinear"}.get(system)
     pair = system != "nse"
-    v1 = v1_0.copy()
-    v2 = v2_0.copy() if pair else None
+    starts = [v1_0, v2_0] if pair else [v1_0]
+    kern = _shared_kernel(*starts)
+    getters = [forcing.g1_dense, forcing.g2_dense] if pair else [forcing.g1_dense]
+    coupling = _coupling(kern, matrix, K, _SYSTEMS[system]) if pair else None
+    nu_lap = nu * kern.lap
+    held = [None, None]  # the forces last seen and their stack
 
-    def rhs(a, b, t):
-        g1 = forcing.g1_dense(t)
-        if pair:
-            g2 = forcing.g2_dense(t)
-            return _dense_pair_rhs(a, b, g1, g2, nu, K, matrix, intertwining)
-        lap = dense_stokes(a, 2)
-        return (g1 - nu * lap - dense_bilinear_B(a, a), None)
+    def rhs(V, t):
+        forces = [get(t) for get in getters]
+        if held[0] is None or any(f is not h for f, h in zip(forces, held[0])):
+            held[:] = forces, kern.stack(forces)
+        return kern.rhs(V, held[1], nu_lap, coupling)
+
+    def snapshot(t, V):
+        sets = kern.unstack(V)
+        return (t, sets[0], sets[1] if pair else None)
 
     nsteps = int(round(t_end / dt_ref))
     stride = max(1, int(round((sample_every or t_end) / dt_ref)))
-    samples = [(0.0, v1.copy(), v2.copy() if pair else None)]
+    half, sixth = 0.5 * dt_ref, dt_ref / 6.0
+    V = kern.stack(starts)
+    samples = [snapshot(0.0, V)]
     t = 0.0
     for istep in range(nsteps):
-        k1a, k1b = rhs(v1, v2, t)
-        k2a, k2b = rhs(v1 + 0.5 * dt_ref * k1a, v2 + 0.5 * dt_ref * k1b if pair else None, t + 0.5 * dt_ref)
-        k3a, k3b = rhs(v1 + 0.5 * dt_ref * k2a, v2 + 0.5 * dt_ref * k2b if pair else None, t + 0.5 * dt_ref)
-        k4a, k4b = rhs(v1 + dt_ref * k3a, v2 + dt_ref * k3b if pair else None, t + dt_ref)
-        v1 = v1 + (dt_ref / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        if pair:
-            v2 = v2 + (dt_ref / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        k1 = rhs(V, t)
+        k2 = rhs(V + half * k1, t + half)
+        k3 = rhs(V + half * k2, t + half)
+        k4 = rhs(V + dt_ref * k3, t + dt_ref)
+        V = V + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = (istep + 1) * dt_ref
-        if not np.all(np.isfinite(v1.coeffs)) or dense_l2(v1) > 1e8:
+        # every copy is guarded, since a coupling can blow up either one
+        # alone; a non-finite entry makes its copy's norm fail the test too
+        energy = np.square(V.view(np.float64)).reshape(len(V), -1).sum(axis=1)
+        if not np.sqrt(PLANCHEREL * energy.max()) <= 1e8:
             raise BlowupDetected(t, f"dense trajectory diverged at t={t:g}")
         if (istep + 1) % stride == 0:
-            samples.append((t, v1.copy(), v2.copy() if pair else None))
+            samples.append(snapshot(t, V))
+    _, v1, v2 = snapshot(t, V)
     return samples, (v1, v2)
 
 

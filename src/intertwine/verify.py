@@ -224,11 +224,16 @@ def heat_suite(seed: int = 0):
     return results
 
 
+def suites(fast: bool = False):
+    """(name, run) for every suite in order; fast mode trims batch sizes."""
+    return [
+        ("identity", lambda: identity_suite(count=10 if fast else 50)),
+        ("oracle", lambda: oracle_suite(cases=5 if fast else 20, dt_main=1e-3 if fast else 2e-4,
+                                        dt_ref=5e-4 if fast else 1e-4)),
+        ("heat", lambda: heat_suite()),
+    ]
+
+
 def run_all(fast: bool = False):
-    """Every suite; fast mode trims batch sizes for a quick smoke check."""
-    results = []
-    results += identity_suite(count=10 if fast else 50)
-    results += oracle_suite(cases=5 if fast else 20, dt_main=1e-3 if fast else 2e-4,
-                            dt_ref=5e-4 if fast else 1e-4)
-    results += heat_suite()
-    return results
+    """Every suite's results; fast mode trims batch sizes for a quick smoke check."""
+    return [res for _, run in suites(fast) for res in run()]

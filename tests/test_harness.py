@@ -444,6 +444,24 @@ class TestCli:
         assert code == 0
         assert "decayed" in capsys.readouterr().out
 
+    def test_verify_reports_time_per_suite(self, monkeypatch, capsys):
+        from intertwine import verify
+
+        def stub(name, passed=True):
+            return lambda **kwargs: [verify.CheckResult(f"{name} check", passed, 0.0, 1.0)]
+
+        monkeypatch.setattr(verify, "identity_suite", stub("identity"))
+        monkeypatch.setattr(verify, "oracle_suite", stub("oracle", passed=False))
+        monkeypatch.setattr(verify, "heat_suite", stub("heat"))
+        assert cli.main(["verify", "--fast"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        # each suite's wall time follows that suite's result lines
+        order = [line.split()[1] for line in lines if line.startswith(("[PASS]", "[FAIL]", "[time]"))]
+        assert order == ["identity", "identity", "oracle", "oracle", "heat", "heat"]
+        times = [line for line in lines if line.startswith("[time]")]
+        assert all(line.endswith(" s") and float(line.split()[-2]) >= 0.0 for line in times)
+        assert lines[-1] == "1 check(s) failed"
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path, MINIMAL.replace("mu1", "bogus"))
         assert cli.main(["run", "--config", cfg]) == 2

@@ -91,6 +91,18 @@ class TestDenseBilinear:
         back = orc.dense_to_spectral(orc.dense_from_spectral(u, 4), grid16)
         assert np.array_equal(back.coeffs, u.coeffs)
 
+    def test_box_must_fit_grid(self, grid8, rng):
+        # on n = 8 the rows ky = -4 and ky = +4 are one stored row, so a box of
+        # radius 4 would read one mode twice and write two modes to one slot
+        u = sp.random_field(grid8, rng, kmax=2.0)
+        with pytest.raises(orc.RadiusTooLarge, match="radius 4.*n = 8"):
+            orc.dense_from_spectral(u, 4)
+        with pytest.raises(orc.RadiusTooLarge, match="radius 4.*n = 8"):
+            orc.dense_to_spectral(orc.DenseModeSet(4), grid8)
+        # the largest box that fits reads every row once
+        back = orc.dense_to_spectral(orc.dense_from_spectral(u, 3), grid8)
+        assert np.array_equal(back.coeffs, u.coeffs)
+
 
 class TestDenseTrajectory:
     def _adapter(self, grid, amplitude=0.2):
@@ -149,6 +161,119 @@ class TestDenseTrajectory:
                 "nudging", d0, d0.copy(), adapter, nu=0.1, t_end=5.0,
                 dt_ref=1e-2, K=2.0, matrix=matrix,
             )
+
+
+    def test_blowup_guard_watches_second_copy(self, grid8):
+        # only the second copy is amplified (m22 = 50 on its low modes) while
+        # the first decays, so a guard on the first copy alone never fires
+        u = sp.field_from_modes(grid8, [(1, 0, (0.0, 1.0))])
+        d0 = orc.dense_from_spectral(u, 2, keep_radius=grid8.dealias_radius)
+        matrix = dyn.IntertwiningMatrix.general(0.0, 0.0, 0.0, 50.0)
+        zero_pair = fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid8)))
+        adapter = orc.DenseForcingAdapter(zero_pair, radius=2)
+        with pytest.raises(orc.BlowupDetected) as caught:
+            orc.dense_trajectory(
+                "nudging", d0, d0.copy(), adapter, nu=0.1, t_end=5.0,
+                dt_ref=1e-2, K=2.0, matrix=matrix,
+            )
+        # |v2| grows like exp(49.9 t) from about 4.4, so it crosses 1e8 near t = 0.34
+        assert caught.value.t < 0.5
+
+
+def _boundary_rk4_step(system, d1, d2, adapter, nu, dt, K, matrix):
+    """One RK4 step written with DenseModeSet arithmetic over the public functions."""
+
+    def rhs(a, b, t):
+        B1 = orc.dense_bilinear_B(a, a)
+        f1 = adapter.g1_dense(t) - nu * orc.dense_stokes(a, 2) - B1
+        if system == "nse":
+            return f1, None
+        B2 = orc.dense_bilinear_B(b, b)
+        f2 = adapter.g2_dense(t) - nu * orc.dense_stokes(b, 2) - B2
+        x1, x2 = (B1, B2) if system == "direct_replacement" else (a, b)
+        c1, c2 = orc._dense_project_low(x1, K), orc._dense_project_low(x2, K)
+        m = matrix.entries
+        return f1 + (m[0, 0] * c1 + m[0, 1] * c2), f2 + (m[1, 0] * c1 + m[1, 1] * c2)
+
+    def shift(a, b, h, k):
+        return a + h * k[0], (b + h * k[1] if b is not None else None)
+
+    k1 = rhs(d1, d2, 0.0)
+    k2 = rhs(*shift(d1, d2, 0.5 * dt, k1), 0.5 * dt)
+    k3 = rhs(*shift(d1, d2, 0.5 * dt, k2), 0.5 * dt)
+    k4 = rhs(*shift(d1, d2, dt, k3), dt)
+    ends = []
+    for i, v in enumerate((d1, d2)):
+        if v is None:
+            ends.append(None)
+            continue
+        ends.append(v + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
+    return ends
+
+
+class TestDenseKernel:
+    SYSTEMS = [
+        ("nse", None),
+        ("nudging", dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5)),
+        ("direct_replacement", dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75)),
+    ]
+
+    @pytest.fixture
+    def setup(self, grid8, rng):
+        keep = grid8.dealias_radius
+        pair = fr.ForcingPair.synchronized(
+            fr.SteadyForcing(fr.kolmogorov_force(grid8, 0.2, 2))
+        )
+        adapter = orc.DenseForcingAdapter(pair, radius=2, keep_radius=keep)
+        d1, d2 = (
+            orc.dense_from_spectral(sp.random_field(grid8, rng, energy=0.6, kmax=keep), 2, keep_radius=keep)
+            for _ in range(2)
+        )
+        return adapter, d1, d2
+
+    @pytest.mark.parametrize("system,matrix", SYSTEMS, ids=[s for s, _ in SYSTEMS])
+    def test_one_step_matches_boundary_functions(self, setup, system, matrix):
+        adapter, d1, d2 = setup
+        dt, nu, K = 1e-2, 0.3, 2.0
+        pair = system != "nse"
+        expect = _boundary_rk4_step(system, d1, d2 if pair else None, adapter, nu, dt, K, matrix)
+        _, final = orc.dense_trajectory(
+            system, d1, d2 if pair else None, adapter, nu, t_end=dt, dt_ref=dt, K=K, matrix=matrix
+        )
+        for got, want in zip(final, expect):
+            if want is None:
+                assert got is None
+                continue
+            assert orc.dense_l2(got - want) <= 1e-14 * orc.dense_l2(want)
+
+    def test_sample_times_are_whole_steps(self, setup):
+        adapter, d1, d2 = setup
+        dt = 1e-2
+        samples, _ = orc.dense_trajectory(
+            "nudging", d1, d2, adapter, nu=0.3, t_end=30 * dt, dt_ref=dt, K=2.0,
+            matrix=dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5), sample_every=3 * dt,
+        )
+        assert [s[0] for s in samples] == [k * dt for k in range(0, 31, 3)]
+
+    def test_oracle_calls_no_transform(self, setup, monkeypatch):
+        adapter, d1, d2 = setup
+        adapter.g1_dense(0.0), adapter.g2_dense(0.0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the dense oracle called a transform")
+
+        for name in dir(np.fft):
+            if not name.startswith("_") and callable(getattr(np.fft, name)):
+                monkeypatch.setattr(np.fft, name, forbidden)
+        with pytest.raises(AssertionError, match="called a transform"):
+            np.fft.rfft2(np.zeros((4, 4)))
+        for system, matrix in self.SYSTEMS:
+            pair = system != "nse"
+            orc.dense_trajectory(
+                system, d1, d2 if pair else None, adapter, nu=0.3, t_end=0.05,
+                dt_ref=1e-2, K=2.0, matrix=matrix,
+            )
+        orc.dense_bilinear_B(d1, d2)
 
 
 class TestHeatExact:
