@@ -14,6 +14,8 @@ import io
 import json
 import math
 import os
+from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
@@ -21,7 +23,16 @@ import numpy as np
 
 from . import spectral
 from .atomic import write_text
-from .dynamics import DR_CLASSES, NUDGE_MUTUAL, IntertwinedState, derived_views
+from .dynamics import (
+    DR_CLASSES,
+    DR_MUTUAL,
+    DR_SYMMETRIC,
+    NUDGE_MUTUAL,
+    NUDGE_SYMMETRIC,
+    IntertwinedState,
+    IntertwiningMatrix,
+    derived_views,
+)
 from .spectral import Grid, SpectralField, hm_norm, random_field
 
 CONSTANTS_DATA_VERSION = 1
@@ -184,13 +195,15 @@ def grashof_set_for_state(state: IntertwinedState, t0: float = 0.0, m_frak: floa
 
 def measured_m_frak(h1_v1_series, h1_v2_series, nu: float, tail_fraction: float = 0.5) -> float:
     """min over copies of the tail sup of |v_i| / nu (the uniform-ball size)."""
-    n = len(h1_v1_series)
-    if n == 0:
+    if len(h1_v1_series) == 0:
         raise EmptySeries("empty norm series")
-    start = int(n * (1.0 - tail_fraction))
-    sup1 = max(h1_v1_series[start:])
-    sup2 = max(h1_v2_series[start:])
-    return min(sup1, sup2) / nu
+    sups = [max(_tail(series, tail_fraction)) for series in (h1_v1_series, h1_v2_series)]
+    return min(sups) / nu
+
+
+def _tail(series, tail_fraction: float):
+    """The last tail_fraction of a sampled series: the window of every tail sup and fit."""
+    return series[int(len(series) * (1.0 - tail_fraction)):]
 
 
 # ---------------------------------------------------------------------------
@@ -259,42 +272,6 @@ def check_K_log_condition(
     )
 
 
-def condition_cutoff_dr_mutual(K: float, g_theta: float, constants: ConstantsConfig) -> ConditionReport:
-    """Cutoff size for the mutual direct-replacement refined bound."""
-    coeff = 64.0 * math.sqrt(6.0) * max(constants.C_S, math.sqrt(constants.C_A))
-    return check_K_log_condition(K, g_theta, coeff, name="cutoff_dr_mutual")
-
-
-def condition_cutoff_decoupled(K: float, k_frak: float, constants: ConstantsConfig) -> ConditionReport:
-    """Cutoff size for the decoupled (theta1 = 1) refined bound."""
-    coeff = 32.0 * constants.C_S**2
-    return check_K_log_condition(
-        K, k_frak, coeff, name="cutoff_dr_decoupled", k_power=2.0, log_power=1.0, g_power=2.0
-    )
-
-
-def condition_cutoff_small_theta2(K: float, k_frak: float, constants: ConstantsConfig) -> ConditionReport:
-    """Cutoff size for the nearly-decoupled (small theta2) refined bound."""
-    coeff = 20.0 * max(constants.C_A, constants.C_S) ** 2
-    return check_K_log_condition(
-        K, k_frak, coeff, name="cutoff_dr_small_theta2", k_power=2.0, log_power=1.0, g_power=2.0
-    )
-
-
-def condition_cutoff_near_balanced(
-    K: float, p_frak: float, h_frak: float, constants: ConstantsConfig
-) -> ConditionReport:
-    """Cutoff size for the nearly-balanced (theta1 ~ theta2) global bound."""
-    lhs = 1024.0 * constants.C_S**2 * math.log(math.e + K) * (p_frak**2 + h_frak**2)
-    rhs = K**2
-    return ConditionReport.compare(
-        "cutoff_dr_near_balanced",
-        lhs,
-        rhs,
-        f"1024*C_S^2*ln(e+K)*(p^2+h^2) = {lhs:.6g} <= K^2 = {rhs:.6g}",
-    )
-
-
 def m_frak_small_theta2(K: float, grashofs: GrashofSet, constants: ConstantsConfig) -> float:
     """Guaranteed uniform-ball size in the small-theta2 regime."""
     lnK = math.log(math.e + K)
@@ -325,100 +302,46 @@ def check_theta_regime(
     lnK = math.log(math.e + K)
     reports = []
 
+    def report(name, lhs, rhs, text):
+        reports.append(ConditionReport.compare(name, lhs, rhs, text))
+
     lhs = min(1.0 - theta1, abs(theta1 - theta2))
     rhs = constants.C2 / (lnK * (1.0 + m0_frak + g_frak) ** 4)
-    reports.append(
-        ConditionReport.compare(
-            "theta_composite",
-            lhs,
-            rhs,
-            f"min(1-theta1, |theta1-theta2|) = {lhs:.6g} <= C2/(ln(e+K)(1+m0+g)^4) = {rhs:.6g}",
-        )
-    )
+    report("theta_composite", lhs, rhs,
+           f"min(1-theta1, |theta1-theta2|) = {lhs:.6g} <= C2/(ln(e+K)(1+m0+g)^4) = {rhs:.6g}")
 
     if m_frak is not None and not math.isnan(m_frak):
         rhs = math.sqrt(2.0) / (8.0 * constants.C_S * math.sqrt(lnK) * m_frak)
         lhs = abs(theta1 - theta2)
-        reports.append(
-            ConditionReport.compare(
-                "theta_near_balanced",
-                lhs,
-                rhs,
-                f"|theta1-theta2| = {lhs:.6g} <= sqrt(2)/(8*C_S*ln(e+K)^(1/2)*m) = {rhs:.6g}",
-            )
-        )
+        report("theta_near_balanced", lhs, rhs,
+               f"|theta1-theta2| = {lhs:.6g} <= sqrt(2)/(8*C_S*ln(e+K)^(1/2)*m) = {rhs:.6g}")
 
     if grashofs is not None:
         m_small = m_frak_small_theta2(K, grashofs, constants)
         lhs = theta2**2 * constants.C_S**2 * lnK * m_small**4
         # 2*(|r0|/nu)^2 + k^2 recovered from r^2 = 16*((|r0|/nu)^2 + k^2)
         rhs = max(0.0, grashofs.r_frak**2 / 8.0 - grashofs.k_frak**2)
-        reports.append(
-            ConditionReport.compare(
-                "theta_small",
-                lhs,
-                rhs,
-                f"theta2^2*C_S^2*ln(e+K)*m^4 = {lhs:.6g} <= 2*(|r0|/nu)^2 + k^2 = {rhs:.6g}",
-            )
-        )
+        report("theta_small", lhs, rhs,
+               f"theta2^2*C_S^2*ln(e+K)*m^4 = {lhs:.6g} <= 2*(|r0|/nu)^2 + k^2 = {rhs:.6g}")
         floor = math.exp(1.0 / (8.0 * constants.C_S**2))
-        reports.append(
-            ConditionReport.compare(
-                "cutoff_small_theta2_floor",
-                floor,
-                K,
-                f"exp(1/(8 C_S^2)) = {floor:.6g} <= K = {K:.6g}",
-            )
-        )
+        report("cutoff_small_theta2_floor", floor, K,
+               f"exp(1/(8 C_S^2)) = {floor:.6g} <= K = {K:.6g}")
         balance = (
             constants.C_A * grashofs.r_frak / K
             + 16.0 * constants.C_S**2 * lnK * (grashofs.p_frak**2 + grashofs.r_frak**2) / K**2
         )
-        reports.append(
-            ConditionReport.compare(
-                "cutoff_small_theta2_balance",
-                balance,
-                2.0,
-                f"C_A*r/K + 16*C_S^2*ln(e+K)*(p^2+r^2)/K^2 = {balance:.6g} <= 2",
-            )
-        )
-        reports.append(
-            condition_cutoff_near_balanced(K, grashofs.p_frak, grashofs.h_frak, constants)
-        )
+        report("cutoff_small_theta2_balance", balance, 2.0,
+               f"C_A*r/K + 16*C_S^2*ln(e+K)*(p^2+r^2)/K^2 = {balance:.6g} <= 2")
+        # the cutoff of the nearly-balanced (theta1 ~ theta2) global bound
+        lhs = 1024.0 * constants.C_S**2 * lnK * (grashofs.p_frak**2 + grashofs.h_frak**2)
+        rhs = K**2
+        report("cutoff_dr_near_balanced", lhs, rhs,
+               f"1024*C_S^2*ln(e+K)*(p^2+h^2) = {lhs:.6g} <= K^2 = {rhs:.6g}")
     return reports
 
 
 # ---------------------------------------------------------------------------
 # uniform-in-time bound checks
-
-
-def _bound_value(bound_formula: str, grashofs: GrashofSet, matrix, nu: float) -> tuple[float, str]:
-    if bound_formula == "nudge_mutual":
-        mu1, mu2 = matrix.params
-        lo, hi = min(mu1, mu2), max(mu1, mu2)
-        if lo == 0.0:
-            return math.inf, "nu*(mu_max/mu_min)*g (unbounded: mu_min = 0)"
-        val = nu * (hi / lo) * grashofs.g
-        return val, f"nu*(mu_max/mu_min)*g = {val:.6g}"
-    if bound_formula == "nudge_symmetric":
-        val = nu * grashofs.g
-        return val, f"nu*g = {val:.6g}"
-    if bound_formula == "dr_mutual_pair":
-        val = math.sqrt(96.0) * nu * grashofs.g_theta
-        return val, f"sqrt(96)*nu*g_theta = {val:.6g}"
-    if bound_formula in ("dr_decoupled", "dr_balanced"):
-        val = 4.0 * grashofs.k_frak * nu
-        return val, f"4*k*nu = {val:.6g}"
-    if bound_formula == "dr_small_theta2":
-        val = 6.0 * grashofs.k_frak * nu
-        return val, f"6*k*nu = {val:.6g}"
-    if bound_formula == "dr_near_balanced":
-        val = 8.0 * grashofs.k_frak * nu
-        return val, f"8*nu*k = {val:.6g}"
-    if bound_formula == "heat_low_mode":
-        val = math.sqrt(2.0) * nu * grashofs.h_frak
-        return val, f"sqrt(2)*nu*h = {val:.6g}"
-    raise ValueError(f"unknown bound formula {bound_formula!r}")
 
 
 def check_uniform_bound(
@@ -431,22 +354,160 @@ def check_uniform_bound(
 ) -> ConditionReport:
     """Compare a trajectory's tail sup against a closed-form uniform bound.
 
-    series is a list of (t, value) pairs; the value convention matches the
-    bound: the pair norm sqrt(|v1|_V^2 + |v2|_V^2) for the nudging and
-    direct-replacement checks, sqrt(|v_th|_V^2 + |w_th|_V^2) for
-    "dr_mutual_pair", and |p|_V for "heat_low_mode".  Bounds are sufficient
-    theory, so a pass is the expected outcome; a violation flags either a
-    constants miscalibration or a bug.
+    bound_formula names a regime of REGIMES (ValueError otherwise), and series
+    is a list of (t, value) pairs of the quantity that regime bounds.  Bounds
+    are sufficient theory, so a pass is the expected outcome; a violation
+    flags either a constants miscalibration or a bug.
     """
     if not series:
         raise EmptySeries("empty trajectory series")
-    n = len(series)
-    start = int(n * (1.0 - tail_fraction))
-    tail_sup = max(float(v) for _, v in series[start:])
-    bound, formula = _bound_value(bound_formula, grashofs, matrix, nu)
+    tail_sup = max(float(v) for _, v in _tail(series, tail_fraction))
+    if bound_formula not in _REGIME_BY_NAME:
+        raise ValueError(f"unknown bound formula {bound_formula!r}")
+    bound, formula = _REGIME_BY_NAME[bound_formula].bound(grashofs, matrix, nu)
     return ConditionReport.compare(
         f"bound_{bound_formula}", tail_sup, bound, f"tail sup = {tail_sup:.6g} <= {formula}"
     )
+
+
+# ---------------------------------------------------------------------------
+# the regime table: per regime, its selector, conditions, cutoff and bound
+
+# what the conditions of a run read; m_frak is the measured ball size
+RunFacts = namedtuple("RunFacts", "state0 records constants nu m_frak grashofs")
+
+
+def _nudge_conditions(run: RunFacts) -> list[ConditionReport]:
+    mu1, mu2 = run.state0.matrix.params
+    return [
+        check_nudge_fdss_condition(run.state0.K, run.m_frak, run.constants),
+        check_nudge_ss_condition(run.state0.K, mu1, mu2, run.m_frak, run.nu, run.constants),
+    ]
+
+
+def _dr_conditions(run: RunFacts) -> list[ConditionReport]:
+    state0 = run.state0
+    theta1, theta2 = state0.matrix.params
+    m0 = max(state0.v1.h1, state0.v2.h1) / run.nu
+    return [check_dr_condition(state0.K, run.m_frak, run.constants)] + check_theta_regime(
+        theta1, theta2, state0.K, m0, run.grashofs.g, run.constants,
+        m_frak=run.m_frak, grashofs=run.grashofs,
+    )
+
+
+def _energy_inequality(run: RunFacts) -> ConditionReport:
+    mu1, mu2 = run.state0.matrix.params
+    slack = energy_inequality_slack(run.records, run.nu, mu1, mu2)
+    text = f"integrated weighted energy inequality slack = {slack:.3e} <= 1e-6"
+    return ConditionReport.compare("energy_inequality", slack, 1e-6, text)
+
+
+def _pair_h1_series(records, matrix):
+    """sqrt(|v1|_V^2 + |v2|_V^2)."""
+    return [(rec.t, math.sqrt(rec.h1_v1**2 + rec.h1_v2**2)) for rec in records]
+
+
+def _theta_pair_series(records, matrix):
+    """sqrt(|v_th|_V^2 + |w_th|_V^2)."""
+    # at theta1*theta2 = 0 the rescaled error vanishes identically, while the
+    # recorded h1_wtheta column holds the unscaled difference; drop it there
+    theta1, theta2 = matrix.params
+    use_w = theta1 * theta2 > 0
+    return [
+        (rec.t, math.sqrt(rec.h1_vtheta**2 + (rec.h1_wtheta**2 if use_w else 0.0)))
+        for rec in records
+        if not math.isnan(rec.h1_vtheta)
+    ]
+
+
+def _bound(text: str, value: float) -> tuple[float, str]:
+    return value, f"{text} = {value:.6g}"
+
+
+def _nudge_mutual_bound(grashofs: GrashofSet, matrix, nu: float) -> tuple[float, str]:
+    mu1, mu2 = matrix.params
+    lo, hi = min(mu1, mu2), max(mu1, mu2)
+    if lo == 0.0:
+        return math.inf, "nu*(mu_max/mu_min)*g (unbounded: mu_min = 0)"
+    return _bound("nu*(mu_max/mu_min)*g", nu * (hi / lo) * grashofs.g)
+
+
+def _dr_symmetric(test: Callable[[float, float], bool]):
+    return lambda m: m.kind == DR_SYMMETRIC and test(*m.params)
+
+
+@dataclass(frozen=True)
+class Regime:
+    """One row of REGIMES: selects picks its matrices (None: none), family
+    gives its coupling family's conditions, cutoff(K, grashofs, constants) its
+    own, bound(grashofs, matrix, nu) the bound's value and formula text, and
+    series(records, matrix) the bounded quantity (None: not recorded).
+    with_bound follows the bound and, like it, is left out when it is infinite.
+    """
+
+    name: str
+    selects: Callable[[IntertwiningMatrix], bool] | None
+    family: Callable[[RunFacts], list[ConditionReport]] | None
+    cutoff: Callable[[float, GrashofSet, ConstantsConfig], ConditionReport] | None
+    bound: Callable[[GrashofSet, IntertwiningMatrix | None, float], tuple[float, str]]
+    series: Callable[[list, IntertwiningMatrix], list] | None
+    with_bound: Callable[[RunFacts], ConditionReport] | None = None
+
+    def reports(self, state0, records, constants, nu) -> list[ConditionReport]:
+        """The reports of a run from state0 that sampled records, in table order."""
+        m_frak = measured_m_frak([r.h1_v1 for r in records], [r.h1_v2 for r in records], nu)
+        grashofs = grashof_set_for_state(state0, m_frak=m_frak)
+        run = RunFacts(state0, records, constants, nu, m_frak, grashofs)
+        reports = self.family(run)
+        if self.cutoff is not None:
+            reports.append(self.cutoff(state0.K, grashofs, constants))
+        series = self.series(records, state0.matrix)
+        bound = check_uniform_bound(series, self.name, grashofs, state0.matrix, nu)
+        if math.isfinite(bound.rhs):
+            reports.append(bound)
+            if self.with_bound is not None:
+                reports.append(self.with_bound(run))
+        return reports
+
+
+# the cutoff form K^2 >= C0 * ln(e+K) * k^2
+_SQUARED = dict(k_power=2.0, log_power=1.0, g_power=2.0)
+
+# ordered: a matrix belongs to the first regime that selects it.  The
+# direct-replacement family conditions include the near-balanced cutoff.
+REGIMES = (
+    Regime("nudge_symmetric", lambda m: m.kind == NUDGE_SYMMETRIC, _nudge_conditions, None,
+           lambda gs, m, nu: _bound("nu*g", nu * gs.g), _pair_h1_series),
+    Regime("nudge_mutual", lambda m: m.kind == NUDGE_MUTUAL, _nudge_conditions, None,
+           _nudge_mutual_bound, _pair_h1_series, _energy_inequality),
+    Regime("dr_mutual_pair", lambda m: m.kind == DR_MUTUAL, _dr_conditions,
+           lambda K, gs, c: check_K_log_condition(
+               K, gs.g_theta, 64.0 * math.sqrt(6.0) * max(c.C_S, math.sqrt(c.C_A)),
+               "cutoff_dr_mutual"),
+           lambda gs, m, nu: _bound("sqrt(96)*nu*g_theta", math.sqrt(96.0) * nu * gs.g_theta),
+           _theta_pair_series),
+    Regime("dr_decoupled", _dr_symmetric(lambda t1, t2: abs(t1 - 1.0) < 1e-12), _dr_conditions,
+           lambda K, gs, c: check_K_log_condition(
+               K, gs.k_frak, 32.0 * c.C_S**2, "cutoff_dr_decoupled", **_SQUARED),
+           lambda gs, m, nu: _bound("4*k*nu", 4.0 * gs.k_frak * nu), _pair_h1_series),
+    Regime("dr_balanced", _dr_symmetric(lambda t1, t2: abs(t1 - t2) < 1e-12), _dr_conditions,
+           None, lambda gs, m, nu: _bound("4*k*nu", 4.0 * gs.k_frak * nu), _pair_h1_series),
+    Regime("dr_small_theta2", _dr_symmetric(lambda t1, t2: t2 <= abs(t1 - t2)), _dr_conditions,
+           lambda K, gs, c: check_K_log_condition(
+               K, gs.k_frak, 20.0 * max(c.C_A, c.C_S) ** 2, "cutoff_dr_small_theta2", **_SQUARED),
+           lambda gs, m, nu: _bound("6*k*nu", 6.0 * gs.k_frak * nu), _pair_h1_series),
+    Regime("dr_near_balanced", _dr_symmetric(lambda t1, t2: True), _dr_conditions,
+           None, lambda gs, m, nu: _bound("8*nu*k", 8.0 * gs.k_frak * nu), _pair_h1_series),
+    # the driven low-mode heat block, compared with |p|_V, which is not recorded
+    Regime("heat_low_mode", None, None, None,
+           lambda gs, m, nu: _bound("sqrt(2)*nu*h", math.sqrt(2.0) * nu * gs.h_frak), None),
+)
+_REGIME_BY_NAME = {regime.name: regime for regime in REGIMES}
+
+
+def regime_for(matrix: IntertwiningMatrix) -> Regime | None:
+    """The first regime of REGIMES that selects matrix, or None."""
+    return next((r for r in REGIMES if r.selects is not None and r.selects(matrix)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +524,7 @@ def decay_detect(series, tail_fraction: float = 0.5, threshold: float = 1e-6) ->
     pts = [(float(t), float(x)) for t, x in series]
     if any(x < 0 for _, x in pts):
         raise ValueError("decay detection expects a nonnegative signal")
-    n = len(pts)
-    start = int(n * (1.0 - tail_fraction))
-    tail = pts[start:]
+    tail = _tail(pts, tail_fraction)
     if len(tail) < 10:
         raise InsufficientData(f"need at least 10 tail samples, got {len(tail)}")
     initial = pts[0][1]

@@ -360,11 +360,6 @@ def derived_views(state: IntertwinedState) -> dict:
     return views
 
 
-def require_theta_views(state: IntertwinedState):
-    if not state.matrix.is_direct_replacement:
-        raise WrongMatrixClass("theta views are defined for direct-replacement matrices only")
-
-
 def residual_twisted(state: IntertwinedState) -> float:
     """Check the closed equation satisfied by the twisted combination.
 
@@ -427,6 +422,17 @@ def step_count(span: float, dt: float) -> int:
     return int(whole)
 
 
+def sample_steps(span: float, dt: float, sample_every: float | None = None):
+    """A run's step count and sampling rule, as (nsteps, sampled).
+
+    nsteps is step_count(span, dt); sampled(k) holds at the last step and at
+    every sample_every (the whole span when None), rounded to whole steps.
+    """
+    nsteps = step_count(span, dt)
+    stride = max(1, int(round((sample_every or span) / dt)))
+    return nsteps, lambda k: k % stride == 0 or k == nsteps
+
+
 def _with_pair(state: IntertwinedState, V, t: float) -> IntertwinedState:
     """The state at t whose pair is the stack V (the fields share V's memory)."""
     return replace(state, t=t, v1=SpectralField(state.grid, V[0]), v2=SpectralField(state.grid, V[1]))
@@ -467,18 +473,18 @@ def integrate(
     """Advance the state to t_end, sampling diagnostics along the way.
 
     t_end - state.t must be a whole number of steps (ValueError otherwise);
-    step k lands at t = state.t + k dt.  sink(state) is invoked at t = start,
-    every sample_every (rounded to whole steps) thereafter, and at t_end.
-    Aborts with BlowupDetected when any norm exceeds blowup_limit or turns
-    non-finite (diverging trajectories are an expected outcome for some
-    symmetric direct-replacement parameters).  cfl_factor=None disables the
-    step-size guard.
+    step k lands at t = state.t + k dt.  sink(state) is invoked at t = start
+    and at each step that sample_steps samples.  Aborts with BlowupDetected
+    when any norm exceeds blowup_limit or turns non-finite (diverging
+    trajectories are an expected outcome for some symmetric
+    direct-replacement parameters).  cfl_factor=None disables the step-size
+    guard.
 
     The pair is advanced as one (2, 2, n, n//2+1) half-spectrum stack.
     """
     if t_end < state.t:
         raise ValueError("t_end precedes the state's current time")
-    nsteps = step_count(t_end - state.t, dt)
+    nsteps, sampled = sample_steps(t_end - state.t, dt, sample_every)
     if nsteps == 0:
         return state
     if cfl_factor is not None and state.advect:
@@ -489,7 +495,6 @@ def integrate(
                 "reduce dt or raise cfl_factor explicitly"
             )
     fold = state.matrix.is_nudging and max(abs(p) for p in state.matrix.params) * dt > fold_threshold
-    stride = max(1, int(round((sample_every or (t_end - state.t)) / dt)))
     pair = _PackedPair(state, state.matrix.is_direct_replacement, dt, fold)
     # allocate and drop a buffer the size of a step's temporaries: unmapping it
     # raises glibc malloc's trim threshold, so the heap the loop frees each step
@@ -504,6 +509,6 @@ def integrate(
         norms = spectral.packed_l2(state.grid, V)
         if not np.all(np.isfinite(norms)) or norms.max() > blowup_limit:
             raise BlowupDetected(t0 + k * dt)
-        if sink is not None and (k % stride == 0 or k == nsteps):
+        if sink is not None and sampled(k):
             sink(_with_pair(state, V, t0 + k * dt))
     return _with_pair(state, V, t0 + nsteps * dt)

@@ -456,93 +456,10 @@ def _collect_series(records: list[TimeSeriesRecord], column: str):
     return [(rec.t, getattr(rec, column)) for rec in records]
 
 
-def _pair_h1_series(records):
-    return [(rec.t, math.sqrt(rec.h1_v1**2 + rec.h1_v2**2)) for rec in records]
-
-
-def _theta_pair_series(records, matrix):
-    # at theta1*theta2 = 0 the rescaled error vanishes identically, while the
-    # recorded h1_wtheta column holds the unscaled difference; drop it there
-    theta1, theta2 = matrix.params
-    use_w = theta1 * theta2 > 0
-    return [
-        (rec.t, math.sqrt(rec.h1_vtheta**2 + (rec.h1_wtheta**2 if use_w else 0.0)))
-        for rec in records
-        if not math.isnan(rec.h1_vtheta)
-    ]
-
-
-def _dr_bound_formula(matrix: dyn.IntertwiningMatrix) -> str:
-    theta1, theta2 = matrix.params
-    if matrix.kind == dyn.DR_MUTUAL:
-        return "dr_mutual_pair"
-    if abs(theta1 - 1.0) < 1e-12:
-        return "dr_decoupled"
-    if abs(theta1 - theta2) < 1e-12:
-        return "dr_balanced"
-    if theta2 <= abs(theta1 - theta2):
-        return "dr_small_theta2"
-    return "dr_near_balanced"
-
-
 def _condition_reports(state0, records, constants, nu) -> list[ConditionReport]:
-    """Evaluate the sufficient conditions and the uniform bound for one run."""
-    matrix = state0.matrix
-    reports: list[ConditionReport] = []
-    if not (matrix.is_nudging or matrix.is_direct_replacement):
-        return reports
-    m_meas = diag.measured_m_frak(
-        [rec.h1_v1 for rec in records], [rec.h1_v2 for rec in records], nu
-    )
-    grashofs = diag.grashof_set_for_state(state0, m_frak=m_meas)
-    if matrix.is_nudging:
-        mu1, mu2 = matrix.params
-        reports.append(diag.check_nudge_fdss_condition(state0.K, m_meas, constants))
-        reports.append(diag.check_nudge_ss_condition(state0.K, mu1, mu2, m_meas, nu, constants))
-        # the mutual bound scales with mu_max / mu_min: both gains must be positive
-        positive = min(mu1, mu2) > 0
-        if matrix.kind == dyn.NUDGE_SYMMETRIC or positive:
-            reports.append(
-                diag.check_uniform_bound(_pair_h1_series(records), matrix.kind, grashofs, matrix, nu)
-            )
-        if matrix.kind == dyn.NUDGE_MUTUAL and positive:
-            slack = diag.energy_inequality_slack(records, nu, mu1, mu2)
-            reports.append(
-                ConditionReport.compare(
-                    "energy_inequality",
-                    slack,
-                    1e-6,
-                    f"integrated weighted energy inequality slack = {slack:.3e} <= 1e-6",
-                )
-            )
-    else:
-        theta1, theta2 = matrix.params
-        reports.append(diag.check_dr_condition(state0.K, m_meas, constants))
-        m0 = max(state0.v1.h1, state0.v2.h1) / nu
-        reports.extend(
-            diag.check_theta_regime(
-                theta1, theta2, state0.K, m0, grashofs.g, constants,
-                m_frak=m_meas, grashofs=grashofs,
-            )
-        )
-        formula = _dr_bound_formula(matrix)
-        if formula == "dr_mutual_pair":
-            reports.append(diag.condition_cutoff_dr_mutual(state0.K, grashofs.g_theta, constants))
-            series = _theta_pair_series(records, matrix)
-        else:
-            if formula == "dr_decoupled":
-                reports.append(diag.condition_cutoff_decoupled(state0.K, grashofs.k_frak, constants))
-            elif formula == "dr_small_theta2":
-                reports.append(diag.condition_cutoff_small_theta2(state0.K, grashofs.k_frak, constants))
-            elif formula == "dr_near_balanced":
-                reports.append(
-                    diag.condition_cutoff_near_balanced(
-                        state0.K, grashofs.p_frak, grashofs.h_frak, constants
-                    )
-                )
-            series = _pair_h1_series(records)
-        reports.append(diag.check_uniform_bound(series, formula, grashofs, matrix, nu))
-    return reports
+    """The reports of the run's regime; none for a class without one."""
+    regime = diag.regime_for(state0.matrix)
+    return regime.reports(state0, records, constants, nu) if regime else []
 
 
 def _integrate_with_records(cfg, state, extra_sink=None):

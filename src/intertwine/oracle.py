@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import BlowupDetected
+from .dynamics import BlowupDetected, sample_steps
 from .spectral import PLANCHEREL, Grid, SpectralField
 
 MAX_RADIUS = 4
@@ -272,13 +272,6 @@ def dense_stokes(u: DenseModeSet, half_power: int) -> DenseModeSet:
     return DenseModeSet(u.radius, u.coeffs * mult, u.keep_radius)
 
 
-def dense_leray(d: DenseModeSet) -> DenseModeSet:
-    kern = _kernel(d.radius, d.keep_radius)
-    out = kern.leray(kern.stack([d]))
-    out[:, :, kern.mean] = 0.0
-    return kern.unstack(out)[0]
-
-
 def dense_bilinear_B(u: DenseModeSet, v: DenseModeSet) -> DenseModeSet:
     """B(u, v) by explicit convolution: sum over a + b = k of i (u_a . b) v_b.
 
@@ -362,7 +355,8 @@ def dense_trajectory(
     system is one of "nse", "nudging", "direct_replacement".  For "nse" only
     v1 evolves (v2_0 may be None).  forcing provides g1(t), g2(t) as
     DenseModeSet-returning callables.  Returns (samples, final) where samples
-    is a list of (t, v1, v2) snapshots.
+    is a list of (t, v1, v2) snapshots at t = 0 and at the steps that
+    `dynamics.sample_steps` samples (t_end must be whole steps of dt_ref).
 
     Convergence: halving dt_ref changes the endpoint at fourth order
     (Richardson ratio near 16), which the test suite verifies.
@@ -387,8 +381,7 @@ def dense_trajectory(
         sets = kern.unstack(V)
         return (t, sets[0], sets[1] if pair else None)
 
-    nsteps = int(round(t_end / dt_ref))
-    stride = max(1, int(round((sample_every or t_end) / dt_ref)))
+    nsteps, sampled = sample_steps(t_end, dt_ref, sample_every)
     half, sixth = 0.5 * dt_ref, dt_ref / 6.0
     V = kern.stack(starts)
     samples = [snapshot(0.0, V)]
@@ -405,7 +398,7 @@ def dense_trajectory(
         energy = np.square(V.view(np.float64)).reshape(len(V), -1).sum(axis=1)
         if not np.sqrt(PLANCHEREL * energy.max()) <= 1e8:
             raise BlowupDetected(t, f"dense trajectory diverged at t={t:g}")
-        if (istep + 1) % stride == 0:
+        if sampled(istep + 1):
             samples.append(snapshot(t, V))
     _, v1, v2 = snapshot(t, V)
     return samples, (v1, v2)

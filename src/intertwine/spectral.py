@@ -37,6 +37,11 @@ PLANCHEREL = TWO_PI**2
 # the alias guard: energy outside the dealias radius above this fraction of
 # 1 + the field's largest coefficient is an AliasingViolation
 ALIAS_RTOL = 1e-13
+# the divergence guard: a field is divergence-free when its largest |k . u_k|
+# is at most this fraction of n times its largest coefficient magnitude
+DIV_RTOL = 1e-14
+# check_field's reality guard, relative to the largest coefficient magnitude
+REALITY_RTOL = 1e-12
 
 
 class AliasingViolation(ValueError):
@@ -237,24 +242,32 @@ def field_from_modes(grid: Grid, modes) -> SpectralField:
     return leray_project(grid, raw)
 
 
+def divergence_free(grid: Grid, half) -> bool:
+    """The divergence guard of leray_project and check_field (see DIV_RTOL)."""
+    return _divergence(grid, half) <= DIV_RTOL
+
+
+def _divergence(grid: Grid, half) -> float:
+    kdotu = float(np.abs(grid.kx * half[0] + grid.ky * half[1]).max())
+    return kdotu / (grid.n * float(np.abs(half).max())) if kdotu else 0.0
+
+
 def leray_project(grid: Grid, raw) -> SpectralField:
     """Project raw half-spectrum coefficients onto divergence-free, mean-free fields.
 
     Per mode k != 0 applies I - k k^T / |k|^2; the k = 0 coefficient is zeroed.
-    Inputs whose divergence already sits at the roundoff floor are passed
-    through untouched, which makes the projection exactly idempotent and the
-    identity (bit for bit) on its own range.
+    Inputs that are already divergence_free are passed through untouched,
+    which makes the projection exactly idempotent and the identity (bit for
+    bit) on its own range.
     """
     if isinstance(raw, SpectralField):
         raw = raw.half
     raw = np.asarray(raw, dtype=np.complex128)
-    kdotu = grid.kx * raw[0] + grid.ky * raw[1]
-    scale = float(np.abs(raw).max())
-    if float(np.abs(kdotu).max()) <= 1e-14 * (1.0 + scale) * grid.n:
+    if divergence_free(grid, raw):
         out = raw.copy()
         out[:, 0, 0] = 0.0
         return SpectralField(grid, out)
-    factor = kdotu * grid.inv_k2
+    factor = (grid.kx * raw[0] + grid.ky * raw[1]) * grid.inv_k2
     out = np.empty_like(raw)
     out[0] = raw[0] - grid.kx * factor
     out[1] = raw[1] - grid.ky * factor
@@ -429,13 +442,14 @@ def frechet_DB(u: SpectralField, v: SpectralField) -> SpectralField:
     return bilinear_B(u, v) + bilinear_B(v, u)
 
 
-def check_field(u: SpectralField, rtol: float = 1e-12):
+def check_field(u: SpectralField):
     """Validate reality, incompressibility and the mean-free constraint.
 
-    Raises ValueError with the violated invariant named; tolerance is
-    relative to the largest coefficient magnitude.  Reality constrains only
-    the self-conjugate columns kx = 0 and kx = n/2 of the half spectrum:
-    each must equal the conjugate of itself at -ky.
+    Raises ValueError with the violated invariant named.  Reality is checked
+    to REALITY_RTOL of the largest coefficient magnitude and constrains only
+    the self-conjugate columns kx = 0 and kx = n/2 of the half spectrum: each
+    must equal the conjugate of itself at -ky.  Incompressibility is
+    divergence_free.
     """
     g = u.grid
     h = u.half
@@ -446,11 +460,10 @@ def check_field(u: SpectralField, rtol: float = 1e-12):
         raise ValueError("mean mode k=(0,0) is not exactly zero")
     columns = h[:, :, [0, -1]]
     reality = float(np.abs(columns - np.conj(columns[:, g.neg_rows])).max())
-    if reality > rtol * scale:
+    if reality > REALITY_RTOL * scale:
         raise ValueError(f"reality symmetry violated by {reality / scale:.3e} relative")
-    div = float(np.abs(g.kx * h[0] + g.ky * h[1]).max())
-    if div > rtol * scale * g.n:
-        raise ValueError(f"incompressibility violated by {div / scale:.3e} relative")
+    if not divergence_free(g, h):
+        raise ValueError(f"incompressibility violated by {_divergence(g, h):.3e} relative")
 
 
 def random_field(

@@ -197,6 +197,10 @@ class TestUniformBounds:
             rep = check_uniform_bound(series, formula, gs, None, nu=0.5)
             assert rep.rhs == pytest.approx(expect), formula
 
+    def test_unknown_formula_raises(self):
+        with pytest.raises(ValueError, match="unknown bound formula"):
+            check_uniform_bound([(0.0, 0.1)], "dr_lopsided", GrashofSet(k_frak=1.0))
+
     def test_symmetric_formula_is_force_size(self):
         # the symmetric nudging bound is nu times the force size g
         series = [(0.0, 0.1), (1.0, 0.1)]
@@ -216,6 +220,69 @@ class TestUniformBounds:
             series.append((float(t), orc.heat_exact(p0, h, nu, float(t)).h1))
         rep = check_uniform_bound(series, "heat_low_mode", gs, None, nu=nu)
         assert rep.satisfied
+
+
+class TestRegimeTable:
+    def test_regime_for_matches_criterion_6_formulas(self):
+        # the label -> formula pairs that test_criterion_6_uniform_bounds
+        # hardcodes, as its independent reference
+        cases = [
+            (dyn.IntertwiningMatrix.dr_mutual(0.0, 1.0), "dr_mutual_pair"),
+            (dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75), "dr_mutual_pair"),
+            (dyn.IntertwiningMatrix.dr_mutual(0.5, 0.5), "dr_mutual_pair"),
+            (dyn.IntertwiningMatrix.dr_symmetric(1.0, 0.0), "dr_decoupled"),
+            (dyn.IntertwiningMatrix.dr_symmetric(0.5, 0.5), "dr_balanced"),
+        ]
+        for matrix, name in cases:
+            assert diag.regime_for(matrix).name == name, matrix
+
+    def test_regime_for_every_class(self):
+        cases = [
+            (dyn.IntertwiningMatrix.nudge_symmetric(2.0, 1.0), "nudge_symmetric"),
+            (dyn.IntertwiningMatrix.nudge_mutual(2.0, 0.0), "nudge_mutual"),
+            (dyn.IntertwiningMatrix.dr_symmetric(0.8, 0.2), "dr_small_theta2"),
+            (dyn.IntertwiningMatrix.dr_symmetric(0.6, 0.4), "dr_near_balanced"),
+            (dyn.IntertwiningMatrix.dr_symmetric(0.2, 0.8), "dr_near_balanced"),
+        ]
+        for matrix, name in cases:
+            assert diag.regime_for(matrix).name == name, matrix
+        assert diag.regime_for(dyn.IntertwiningMatrix.zero()) is None
+
+    def test_table_names_the_eight_regimes(self):
+        assert [r.name for r in diag.REGIMES] == [
+            "nudge_symmetric",
+            "nudge_mutual",
+            "dr_mutual_pair",
+            "dr_decoupled",
+            "dr_balanced",
+            "dr_small_theta2",
+            "dr_near_balanced",
+            "heat_low_mode",
+        ]
+        # the heat block has no coupling matrix to select it
+        assert diag.REGIMES[-1].selects is None
+
+    def test_cutoff_values(self):
+        # K = 4, force 1, unit constants: the log forms read off directly
+        gs = GrashofSet(k_frak=1.0, g_theta=1.0, p_frak=0.6, h_frak=0.8)
+        log = math.log(math.e + 4.0)
+        expect = {
+            "dr_mutual_pair": ("cutoff_dr_mutual", 64.0 * math.sqrt(6.0) * math.sqrt(log)),
+            "dr_decoupled": ("cutoff_dr_decoupled", 32.0 * log),
+            "dr_small_theta2": ("cutoff_dr_small_theta2", 20.0 * log),
+        }
+        with_cutoff = [regime for regime in diag.REGIMES if regime.cutoff is not None]
+        assert [regime.name for regime in with_cutoff] == list(expect)
+        for regime in with_cutoff:
+            rep = regime.cutoff(4.0, gs, UNIT)
+            name, lhs = expect[regime.name]
+            assert rep.name == name
+            assert rep.lhs == pytest.approx(lhs)
+        reps = check_theta_regime(0.6, 0.4, 4.0, 1.0, 1.0, UNIT, m_frak=1.0, grashofs=gs)
+        near = next(r for r in reps if r.name == "cutoff_dr_near_balanced")
+        assert near.lhs == pytest.approx(1024.0 * log * 1.0)
+        assert near.rhs == 16.0
+        assert near.formula.startswith("1024*C_S^2*ln(e+K)*(p^2+h^2) = ")
 
 
 class TestDecayDetection:

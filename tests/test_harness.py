@@ -277,6 +277,45 @@ class TestScenarios:
         names = {rep.name for rep in res.reports}
         assert "bound_nudge_symmetric" in names
 
+    DR_FAMILY = [
+        "dr_ss",
+        "theta_composite",
+        "theta_near_balanced",
+        "theta_small",
+        "cutoff_small_theta2_floor",
+        "cutoff_small_theta2_balance",
+        "cutoff_dr_near_balanced",
+    ]
+
+    @pytest.mark.parametrize(
+        "coupling, expect",
+        [
+            ("nudge_symmetric 2 1", ["nudge_fdss", "nudge_ss", "bound_nudge_symmetric"]),
+            ("nudge_mutual 2 2", ["nudge_fdss", "nudge_ss", "bound_nudge_mutual", "energy_inequality"]),
+            # mu_min = 0: the mutual bound is infinite, so neither it nor the
+            # energy inequality is reported
+            ("nudge_mutual 2 0", ["nudge_fdss", "nudge_ss"]),
+            ("dr_mutual 0.25 0.75", DR_FAMILY + ["cutoff_dr_mutual", "bound_dr_mutual_pair"]),
+            ("dr_mutual 0 1", DR_FAMILY + ["cutoff_dr_mutual", "bound_dr_mutual_pair"]),
+            ("dr_symmetric 1 0", DR_FAMILY + ["cutoff_dr_decoupled", "bound_dr_decoupled"]),
+            ("dr_symmetric 0.5 0.5", DR_FAMILY + ["bound_dr_balanced"]),
+            ("dr_symmetric 0.8 0.2", DR_FAMILY + ["cutoff_dr_small_theta2", "bound_dr_small_theta2"]),
+            # the near-balanced cutoff is a family condition, reported once
+            ("dr_symmetric 0.6 0.4", DR_FAMILY + ["bound_dr_near_balanced"]),
+        ],
+    )
+    def test_report_names_once_per_run(self, tmp_path, coupling, expect):
+        kind, a, b = coupling.split()
+        keys = ("theta1", "theta2") if kind.startswith("dr") else ("mu1", "mu2")
+        text = MINIMAL.replace(
+            "class = nudge_mutual\nmu1 = 2.0\nmu2 = 2.0",
+            f"class = {kind}\n{keys[0]} = {a}\n{keys[1]} = {b}",
+        ).replace("t_end = 4.0", "t_end = 1.0")
+        res = hz.run_scenario(hz.parse_config_text(text), out_dir=tmp_path)
+        assert [rep.name for rep in res.reports] == expect
+        written = (tmp_path / "conditions.tsv").read_text().splitlines()[1:]
+        assert [line.split("\t")[0] for line in written] == expect
+
     def test_general_class_run_writes_artifacts(self, tmp_path):
         text = MINIMAL.replace(
             "class = nudge_mutual\nmu1 = 2.0\nmu2 = 2.0",

@@ -255,6 +255,22 @@ class TestDenseKernel:
         )
         assert [s[0] for s in samples] == [k * dt for k in range(0, 31, 3)]
 
+    def test_final_time_is_sampled(self, setup):
+        # sample_every = 0.25 is 62.5 steps of 4e-3: the stride rounds to 62,
+        # and the last sample still lands at t_end = 1, as in dynamics.integrate
+        adapter, d1, d2 = setup
+        samples, _ = orc.dense_trajectory(
+            "nudging", d1, d2, adapter, nu=0.3, t_end=1.0, dt_ref=4e-3, K=2.0,
+            matrix=dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5), sample_every=0.25,
+        )
+        assert [s[0] for s in samples] == [k * 4e-3 for k in (0, 62, 124, 186, 248, 250)]
+        assert samples[-1][0] == 1.0
+
+    def test_partial_final_step_rejected(self, setup):
+        adapter, d1, _ = setup
+        with pytest.raises(ValueError, match="whole number of steps"):
+            orc.dense_trajectory("nse", d1, None, adapter, nu=0.3, t_end=0.055, dt_ref=1e-2)
+
     def test_oracle_calls_no_transform(self, setup, monkeypatch):
         adapter, d1, d2 = setup
         adapter.g1_dense(0.0), adapter.g2_dense(0.0)

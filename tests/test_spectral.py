@@ -89,6 +89,23 @@ class TestLerayProjection:
         twice = leray_project(grid16, once.half)
         assert np.array_equal(once.half, twice.half)
 
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e3])
+    @pytest.mark.parametrize("level", [1e-15, 1e-13, 1e-10])
+    def test_unchanged_output_passes_check_field(self, grid16, rng, scale, level):
+        # a divergent perturbation of relative size level on mode k = (1, 0):
+        # leray_project passes it through below DIV_RTOL and projects it
+        # above, and what it passes through, check_field accepts
+        u = scale * random_field(grid16, rng)
+        raw = u.half.copy()
+        raw[0, 0, 1] += level * grid16.n * np.abs(raw).max()
+        out = leray_project(grid16, raw)
+        unchanged = np.array_equal(out.half, raw)
+        assert unchanged == (level < sp.DIV_RTOL)
+        check_field(out)
+        if not unchanged:
+            with pytest.raises(ValueError, match="incompressibility"):
+                check_field(SpectralField(grid16, raw))
+
     def test_output_satisfies_invariants(self, grid16, rng):
         raw = self.hermitian_raw(grid16, rng)
         raw[:, grid16.kx == 8] = 0.0
