@@ -26,11 +26,8 @@ from .dynamics import (
     integrate,
     residual_half_DB,
     residual_twisted,
-    rhs_direct_replacement,
     rhs_general,
     rhs_nse,
-    rhs_nudging,
-    step,
 )
 from .diagnostics import (
     ConditionReport,

@@ -21,12 +21,12 @@ from .harness import ConfigInvalid, ParseError
 
 def _threads_default() -> int:
     env = os.environ.get("INTWINE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigInvalid(f"INTWINE_THREADS = {env!r} is not an integer") from None
 
 
 def _add_common(parser):
@@ -47,7 +47,7 @@ def _load(args) -> harness.ExperimentConfig:
         cfg = replace(cfg, threads=args.threads)
     elif cfg.threads == 1:
         cfg = replace(cfg, threads=_threads_default())
-    return cfg
+    return cfg.validate()
 
 
 def _report(result) -> None:

@@ -24,7 +24,6 @@ import numpy as np
 from . import spectral
 from .atomic import write_text
 from .dynamics import (
-    DR_CLASSES,
     DR_MUTUAL,
     DR_SYMMETRIC,
     NUDGE_MUTUAL,
@@ -85,24 +84,22 @@ class ConstantsConfig:
     """Working values for the interpolation-inequality constants.
 
     C_L (Ladyzhenskaya), C_A (Agmon) and C_S (borderline Sobolev) are measured
-    empirically by calibrate_constants; C0..C3 are otherwise-unnamed analysis
-    constants and default to 1 (user inputs; checks built on them are
-    sensitivity scans, not sharp thresholds).
+    empirically by calibrate_constants; C2 is an otherwise-unnamed analysis
+    constant and defaults to 1 (a user input; the check built on it is a
+    sensitivity scan, not a sharp threshold).
     """
 
     C_L: float
     C_A: float
     C_S: float
-    C0: float = 1.0
-    C1: float = 1.0
     C2: float = 1.0
-    C3: float = 1.0
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("C_L", "C_A", "C_S", "C0", "C1", "C2", "C3"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("C_L", "C_A", "C_S", "C2"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not value > 0:
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
 
     def to_json(self) -> str:
         payload = {"version": CONSTANTS_DATA_VERSION, **asdict(self)}
@@ -110,8 +107,12 @@ class ConstantsConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ConstantsConfig":
+        """Parse a constants file; the never-read keys C0, C1, C3 of older files are skipped."""
         payload = json.loads(text)
-        payload.pop("version", None)
+        if not isinstance(payload, dict):
+            raise ValueError("a constants file holds one JSON object")
+        for key in ("version", "C0", "C1", "C3"):
+            payload.pop(key, None)
         return cls(**payload)
 
 
@@ -172,7 +173,7 @@ def grashof_set_for_state(state: IntertwinedState, t0: float = 0.0, m_frak: floa
     z0 = views["z"].h1
     w0 = views["w"].h1
     g_theta = math.nan
-    if state.matrix.kind in DR_CLASSES:
+    if state.matrix.is_direct_replacement:
         th1, th2 = state.matrix.params
         if pair.g2 is pair.g1:
             g_theta = pair.g1.sup_l2() * abs(th1 + th2) / nu**2
@@ -664,7 +665,7 @@ def sample_record(state: IntertwinedState) -> TimeSeriesRecord:
     g1 = state.forcing.g1(state.t)
     g2 = state.forcing.g2(state.t)
     h = g1 - g2
-    is_dr = state.matrix.kind in DR_CLASSES
+    is_dr = state.matrix.is_direct_replacement
     rec = TimeSeriesRecord(
         t=state.t,
         l2_v1=state.v1.l2,

@@ -1,7 +1,7 @@
 """Coupled pairs of 2D Navier-Stokes copies and their time integration.
 
 Two coupling families are implemented through a 2x2 intertwining matrix M
-acting on an intertwining function F of each copy:
+acting on an intertwining function F of each copy; the class of M fixes F:
 
   * nudging:            F(v) = P_K v          (linear low-mode feedback)
   * direct replacement: F(v) = P_K B(v, v)    (low-mode nonlinearity swap)
@@ -36,6 +36,11 @@ NONE = "none"
 
 NUDGING_CLASSES = (NUDGE_SYMMETRIC, NUDGE_MUTUAL)
 DR_CLASSES = (DR_SYMMETRIC, DR_MUTUAL)
+
+# a nudging coupling is folded into the propagator once max gain * dt exceeds this
+FOLD_GAIN_DT = 1.0
+# a step whose largest copy norm exceeds this (or is not finite) is a blow-up
+BLOWUP_LIMIT = 1e8
 
 
 class WrongMatrixClass(ValueError):
@@ -226,9 +231,10 @@ def expm_2x2(a) -> np.ndarray:
 class _PackedPair:
     """Constants of the coupled right-hand side on packed (2, 2, n, n//2+1)
     stacks, built once per call: the low-mode mask P_K, whether F is
-    P_K B(., .) (bilinear) or P_K, and whether any coupling acts.  It also
-    keeps the last packed force pair, which is reused while the forcing
-    returns the same two fields (a steady force is packed once per call).
+    P_K B(., .) (bilinear, for a direct-replacement matrix) or P_K, and
+    whether any coupling acts.  It also keeps the last packed force pair,
+    which is reused while the forcing returns the same two fields (a steady
+    force is packed once per call).
 
     With dt set it also holds the propagator of the stepper: the decay
     exp(-nu |k|^2 dt), and with fold the 2x2 exp(dt M) applied across the
@@ -236,10 +242,10 @@ class _PackedPair:
     explicit stages.
     """
 
-    def __init__(self, state: IntertwinedState, bilinear: bool, dt=None, fold=False):
+    def __init__(self, state: IntertwinedState, dt=None, fold=False):
         grid = state.grid
         self.state = state
-        self.bilinear = bilinear
+        self.bilinear = state.matrix.is_direct_replacement
         self.low = grid.low_mode_mask(state.K)
         self.coupled = not fold and bool(np.any(state.matrix.entries != 0.0))
         self._forces = (None, None)
@@ -300,37 +306,16 @@ def _rhs_terms(pair: _PackedPair, V, t, diffuse: bool):
     return F
 
 
-def rhs_general(state: IntertwinedState, intertwining: str):
-    """Right-hand sides of the general intertwined system.
+def rhs_general(state: IntertwinedState):
+    """Right-hand sides of the intertwined system.
 
     Returns (f1, f2) with f_i = g_i - nu A v_i - B(v_i, v_i)
-    + m_i1 F(v1) + m_i2 F(v2), where F is P_K ("project") or
-    P_K B(., .) ("project_bilinear").
+    + m_i1 F(v1) + m_i2 F(v2).  The matrix fixes F: P_K B(., .) for a
+    direct-replacement matrix, P_K for every other.
     """
-    if intertwining not in ("project", "project_bilinear"):
-        raise ValueError(f"unknown intertwining function {intertwining!r}")
-    pair = _PackedPair(state, bilinear=intertwining == "project_bilinear")
+    pair = _PackedPair(state)
     F = _rhs_terms(pair, spectral.pack(state.v1, state.v2), state.t, diffuse=True)
     return SpectralField(state.grid, F[0]), SpectralField(state.grid, F[1])
-
-
-def rhs_nudging(state: IntertwinedState):
-    """Nudging system right-hand sides; requires a nudging-class matrix."""
-    if state.matrix.kind not in NUDGING_CLASSES:
-        raise WrongMatrixClass(f"nudging rhs needs a nudging matrix, got {state.matrix.kind}")
-    return rhs_general(state, "project")
-
-
-def rhs_direct_replacement(state: IntertwinedState):
-    """Direct-replacement right-hand sides; requires a DR-class matrix.
-
-    The second equation uses the class-defined row (m21, m22) of the matrix.
-    """
-    if state.matrix.kind not in DR_CLASSES:
-        raise WrongMatrixClass(
-            f"direct-replacement rhs needs a DR matrix, got {state.matrix.kind}"
-        )
-    return rhs_general(state, "project_bilinear")
 
 
 def derived_views(state: IntertwinedState) -> dict:
@@ -372,7 +357,7 @@ def residual_twisted(state: IntertwinedState) -> float:
     theta1, theta2 = state.matrix.params
     if theta1 == 0.0:
         raise WrongMatrixClass("theta1 must be nonzero for the rescaled error variable")
-    f1, f2 = rhs_direct_replacement(state)
+    f1, f2 = rhs_general(state)
     combo = theta2 * f1 + theta1 * f2
     views = derived_views(state)
     v_th = views["v_theta"]
@@ -438,28 +423,6 @@ def _with_pair(state: IntertwinedState, V, t: float) -> IntertwinedState:
     return replace(state, t=t, v1=SpectralField(state.grid, V[0]), v2=SpectralField(state.grid, V[1]))
 
 
-def step(
-    state: IntertwinedState,
-    dt: float,
-    fold_coupling: bool = False,
-) -> IntertwinedState:
-    """One step of the integrating-factor Heun scheme.
-
-    The viscous term is integrated exactly; forcing, advection and coupling
-    are advanced at second order with stage evaluations at t and t + dt.
-    With fold_coupling=True (nudging classes) the linear coupling moves from
-    the explicit stage into the exact low-mode propagator, so large feedback
-    gains mu * dt > 1 stay stable without shrinking dt.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if fold_coupling and not state.matrix.is_nudging:
-        raise WrongMatrixClass("coupling folding applies to nudging matrices only")
-    pair = _PackedPair(state, state.matrix.is_direct_replacement, dt, fold_coupling)
-    V = pair.step(spectral.pack(state.v1, state.v2), state.t)
-    return _with_pair(state, V, state.t + dt)
-
-
 def integrate(
     state: IntertwinedState,
     t_end: float,
@@ -467,20 +430,20 @@ def integrate(
     sample_every: float | None = None,
     sink=None,
     cfl_factor: float | None = 1.0,
-    fold_threshold: float = 1.0,
-    blowup_limit: float = 1e8,
 ) -> IntertwinedState:
     """Advance the state to t_end, sampling diagnostics along the way.
 
     t_end - state.t must be a whole number of steps (ValueError otherwise);
     step k lands at t = state.t + k dt.  sink(state) is invoked at t = start
     and at each step that sample_steps samples.  Aborts with BlowupDetected
-    when any norm exceeds blowup_limit or turns non-finite (diverging
+    when any norm exceeds BLOWUP_LIMIT or turns non-finite (diverging
     trajectories are an expected outcome for some symmetric
     direct-replacement parameters).  cfl_factor=None disables the step-size
     guard.
 
-    The pair is advanced as one (2, 2, n, n//2+1) half-spectrum stack.
+    The pair is advanced as one (2, 2, n, n//2+1) half-spectrum stack.  A
+    nudging coupling with max gain * dt > FOLD_GAIN_DT is folded into the
+    propagator.
     """
     if t_end < state.t:
         raise ValueError("t_end precedes the state's current time")
@@ -494,8 +457,8 @@ def integrate(
                 f"dt={dt:g} violates the step guard {limit:g}; "
                 "reduce dt or raise cfl_factor explicitly"
             )
-    fold = state.matrix.is_nudging and max(abs(p) for p in state.matrix.params) * dt > fold_threshold
-    pair = _PackedPair(state, state.matrix.is_direct_replacement, dt, fold)
+    fold = state.matrix.is_nudging and max(abs(p) for p in state.matrix.params) * dt > FOLD_GAIN_DT
+    pair = _PackedPair(state, dt, fold)
     # allocate and drop a buffer the size of a step's temporaries: unmapping it
     # raises glibc malloc's trim threshold, so the heap the loop frees each step
     # is reused, not returned and refaulted (n = 64 stepped 25-30% faster)
@@ -507,7 +470,7 @@ def integrate(
     for k in range(1, nsteps + 1):
         V = pair.step(V, t0 + (k - 1) * dt)
         norms = spectral.packed_l2(state.grid, V)
-        if not np.all(np.isfinite(norms)) or norms.max() > blowup_limit:
+        if not np.all(np.isfinite(norms)) or norms.max() > BLOWUP_LIMIT:
             raise BlowupDetected(t0 + k * dt)
         if sink is not None and sampled(k):
             sink(_with_pair(state, V, t0 + k * dt))

@@ -160,6 +160,10 @@ class ExperimentConfig:
             )
         if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ParseError("constraint violated: nu, dt, t_end must be positive")
+        if self.sample_every < 0:
+            raise ParseError(f"constraint violated: sample_every = {self.sample_every:g} is negative")
+        if self.threads < 1:
+            raise ParseError(f"constraint violated: threads = {self.threads} must be at least 1")
         if self.initial_kind == "modes":
             modes = _parse_mode_list(self.initial_modes)
             if not modes:
@@ -338,12 +342,21 @@ def build_state(cfg: ExperimentConfig, scenario: str | None = None, seed: int | 
     state = dyn.IntertwinedState(
         grid=grid, t=0.0, nu=cfg.nu, K=cfg.K, matrix=matrix, v1=v1, v2=v2, forcing=forcing
     )
-    if cfg.constants_file:
+    return state, rng, _load_constants(cfg)
+
+
+def _load_constants(cfg: ExperimentConfig) -> ConstantsConfig:
+    """The constants of cfg.constants_file, or the shipped ones when unset.
+
+    A file that cannot be read or parsed raises ConfigInvalid.
+    """
+    if not cfg.constants_file:
+        return diag.default_constants()
+    try:
         with open(cfg.constants_file, encoding="utf-8") as fh:
-            constants = ConstantsConfig.from_json(fh.read())
-    else:
-        constants = diag.default_constants()
-    return state, rng, constants
+            return ConstantsConfig.from_json(fh.read())
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigInvalid(f"constants file {cfg.constants_file!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -677,15 +690,15 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> ScenarioResult:
     checked for non-monotone decay-versus-K patterns, which are flagged for
     human review rather than asserted away.
     """
+    _load_constants(cfg)  # a bad constants file fails the sweep, not each point
     os.makedirs(out_dir, exist_ok=True)
     points = _sweep_points(cfg)
     jobs = []
     for index, point in enumerate(points):
         child = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1, dtype=np.uint64)[0])
         jobs.append((replace(cfg, seed=child % (2**63)), point, index, out_dir))
-    threads = max(1, cfg.threads)
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if cfg.threads > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))
     else:
         rows = [_run_sweep_point(job) for job in jobs]

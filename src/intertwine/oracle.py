@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import BlowupDetected, sample_steps
+from .dynamics import BLOWUP_LIMIT, BlowupDetected, sample_steps
 from .spectral import PLANCHEREL, Grid, SpectralField
 
 MAX_RADIUS = 4
@@ -101,19 +101,12 @@ def dense_l2(u: DenseModeSet) -> float:
     return float(np.sqrt(dense_inner(u, u)))
 
 
-_TRIPLE_CACHE: dict = {}
-
-
-def _triples(radius: int, keep_in: float, keep_out: float):
-    """Index triples (a, b, k=a+b) inside the box with Euclidean truncation.
+def _triples(radius: int, keep: float):
+    """Index triples (a, b, k=a+b) inside the box, each in the ball |.| <= keep.
 
     Returns flat indices ia, ib, ik into the (2R+1)^2 layout plus the integer
     components of b (the gradient factor acts on the second argument).
     """
-    key = (radius, round(keep_in, 12), round(keep_out, 12))
-    cached = _TRIPLE_CACHE.get(key)
-    if cached is not None:
-        return cached
     side = 2 * radius + 1
     ks = _k_axes(radius)
     ia, ib, ik, bx, by = [], [], [], [], []
@@ -121,35 +114,33 @@ def _triples(radius: int, keep_in: float, keep_out: float):
         for ax in ks:
             if ax == 0 and ay == 0:
                 continue
-            if ax * ax + ay * ay > keep_in**2 + 1e-9:
+            if ax * ax + ay * ay > keep**2 + 1e-9:
                 continue
             for vy in ks:
                 for vx in ks:
                     if vx == 0 and vy == 0:
                         continue
-                    if vx * vx + vy * vy > keep_in**2 + 1e-9:
+                    if vx * vx + vy * vy > keep**2 + 1e-9:
                         continue
                     kx, ky = ax + vx, ay + vy
                     if abs(kx) > radius or abs(ky) > radius:
                         continue
                     if kx == 0 and ky == 0:
                         continue
-                    if kx * kx + ky * ky > keep_out**2 + 1e-9:
+                    if kx * kx + ky * ky > keep**2 + 1e-9:
                         continue
                     ia.append((ay + radius) * side + (ax + radius))
                     ib.append((vy + radius) * side + (vx + radius))
                     ik.append((ky + radius) * side + (kx + radius))
                     bx.append(vx)
                     by.append(vy)
-    arrays = (
+    return (
         np.array(ia, dtype=np.intp),
         np.array(ib, dtype=np.intp),
         np.array(ik, dtype=np.intp),
         np.array(bx, dtype=np.float64),
         np.array(by, dtype=np.float64),
     )
-    _TRIPLE_CACHE[key] = arrays
-    return arrays
 
 
 _KERNEL_CACHE: dict = {}
@@ -191,7 +182,7 @@ class _Kernel:
         self.kvec = kvec.astype(np.complex128)
         self.inv_k2 = inv_k2.astype(np.complex128)
         self.lap = self.stokes_multiplier(2).astype(np.complex128)
-        ia, ib, ik, bx, by = _triples(radius, keep_in=keep, keep_out=keep)
+        ia, ib, ik, bx, by = _triples(radius, keep)
         self.ntriads = ia.size
         offsets = (np.arange(4) * S).reshape(2, 2, 1)
         self.ia = ia + offsets
@@ -307,24 +298,22 @@ def heat_exact(p0: SpectralField, h: SpectralField | None, nu: float, t: float) 
     return SpectralField(g, half)
 
 
-_INTERTWINING = {"project": False, "project_bilinear": True}
+def _coupling(kern: _Kernel, matrix, K: float):
+    """The coupling argument of `_Kernel.rhs`, or None for an uncoupled pair.
 
-
-def _coupling(kern: _Kernel, matrix, K: float, intertwining: str):
-    """The coupling argument of `_Kernel.rhs`, or None for an uncoupled pair."""
+    The matrix fixes F: P_K B(., .) for direct replacement, P_K otherwise.
+    """
     if matrix is None:
         return None
-    if intertwining not in _INTERTWINING:
-        raise ValueError(f"unknown intertwining function {intertwining!r}")
     # column j, shaped (2, 1, 1) to scale c_j in both rows, times the mask
     m = matrix.entries.astype(np.complex128)[:, :, None, None] * kern.low_mask(K)
-    return m[:, 0], m[:, 1], _INTERTWINING[intertwining]
+    return m[:, 0], m[:, 1], matrix.is_direct_replacement
 
 
-def _dense_pair_rhs(v1, v2, g1, g2, nu, K, matrix, intertwining):
+def _dense_pair_rhs(v1, v2, g1, g2, nu, K, matrix):
     """Right-hand sides for the coupled pair, dense path."""
     kern = _shared_kernel(v1, v2)
-    coupling = _coupling(kern, matrix, K, intertwining)
+    coupling = _coupling(kern, matrix, K)
     F = kern.rhs(kern.stack([v1, v2]), kern.stack([g1, g2]), nu * kern.lap, coupling)
     return tuple(kern.unstack(F))
 
@@ -335,11 +324,7 @@ def _dense_project_low(d: DenseModeSet, K: float) -> DenseModeSet:
     return DenseModeSet(d.radius, d.coeffs * mask, d.keep_radius)
 
 
-_SYSTEMS = {"nse": None, "nudging": "project", "direct_replacement": "project_bilinear"}
-
-
 def dense_trajectory(
-    system: str,
     v1_0: DenseModeSet,
     v2_0: DenseModeSet | None,
     forcing,
@@ -352,8 +337,9 @@ def dense_trajectory(
 ):
     """Classical RK4 reference trajectory on the dense mode set.
 
-    system is one of "nse", "nudging", "direct_replacement".  For "nse" only
-    v1 evolves (v2_0 may be None).  forcing provides g1(t), g2(t) as
+    With v2_0 None only v1 evolves, under the plain Navier-Stokes equations;
+    otherwise the pair evolves under matrix (uncoupled when None), which also
+    fixes the intertwining function.  forcing provides g1(t), g2(t) as
     DenseModeSet-returning callables.  Returns (samples, final) where samples
     is a list of (t, v1, v2) snapshots at t = 0 and at the steps that
     `dynamics.sample_steps` samples (t_end must be whole steps of dt_ref).
@@ -361,13 +347,13 @@ def dense_trajectory(
     Convergence: halving dt_ref changes the endpoint at fourth order
     (Richardson ratio near 16), which the test suite verifies.
     """
-    if system not in _SYSTEMS:
-        raise ValueError(f"unknown system {system!r}")
-    pair = system != "nse"
+    pair = v2_0 is not None
+    if matrix is not None and not pair:
+        raise ValueError("a coupling matrix needs a second copy v2_0")
     starts = [v1_0, v2_0] if pair else [v1_0]
     kern = _shared_kernel(*starts)
     getters = [forcing.g1_dense, forcing.g2_dense] if pair else [forcing.g1_dense]
-    coupling = _coupling(kern, matrix, K, _SYSTEMS[system]) if pair else None
+    coupling = _coupling(kern, matrix, K)
     nu_lap = nu * kern.lap
     held = [None, None]  # the forces last seen and their stack
 
@@ -396,7 +382,7 @@ def dense_trajectory(
         # every copy is guarded, since a coupling can blow up either one
         # alone; a non-finite entry makes its copy's norm fail the test too
         energy = np.square(V.view(np.float64)).reshape(len(V), -1).sum(axis=1)
-        if not np.sqrt(PLANCHEREL * energy.max()) <= 1e8:
+        if not np.sqrt(PLANCHEREL * energy.max()) <= BLOWUP_LIMIT:
             raise BlowupDetected(t, f"dense trajectory diverged at t={t:g}")
         if sampled(istep + 1):
             samples.append(snapshot(t, V))

@@ -406,6 +406,12 @@ class TestCalibration:
         with pytest.raises(ValueError):
             ConstantsConfig(C_L=0.0, C_A=1.0, C_S=1.0)
 
+    def test_dropped_keys_still_load(self):
+        # files written before C0, C1 and C3 were dropped carry them
+        shipped = default_constants()
+        text = shipped.to_json().replace('"C2"', '"C0": 1.0, "C1": 1.0, "C3": 1.0, "C2"')
+        assert ConstantsConfig.from_json(text) == shipped
+
 
 class TestTimeSeriesOutput:
     def _records(self, grid16, rng, n=5):

@@ -23,11 +23,8 @@ from intertwine.dynamics import (
     integrate,
     residual_half_DB,
     residual_twisted,
-    rhs_direct_replacement,
     rhs_general,
     rhs_nse,
-    rhs_nudging,
-    step,
 )
 
 NUDGE_N128 = """\
@@ -133,7 +130,7 @@ class TestRightHandSides:
 
     def test_zero_matrix_decouples(self, grid16, rng):
         state = make_state(grid16, rng, IntertwiningMatrix.zero())
-        f1, f2 = rhs_general(state, "project")
+        f1, f2 = rhs_general(state)
         e1 = rhs_nse(state.v1, state.forcing.g1(0.0), state.nu)
         e2 = rhs_nse(state.v2, state.forcing.g2(0.0), state.nu)
         assert np.array_equal(f1.coeffs, e1.coeffs)
@@ -141,31 +138,16 @@ class TestRightHandSides:
 
     def test_zero_gain_nudging_decouples(self, grid16, rng):
         state = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(0.0, 0.0))
-        f1, f2 = rhs_nudging(state)
+        f1, f2 = rhs_general(state)
         assert np.array_equal(f1.coeffs, rhs_nse(state.v1, state.forcing.g1(0.0), state.nu).coeffs)
         assert np.array_equal(f2.coeffs, rhs_nse(state.v2, state.forcing.g2(0.0), state.nu).coeffs)
-
-    def test_nudging_rhs_matches_dense_oracle(self, grid8, rng):
-        state = make_state(grid8, rng, IntertwiningMatrix.nudge_mutual(1.3, 0.4), nu=0.25)
-        f1, f2 = rhs_nudging(state)
-        keep = grid8.dealias_radius
-        d1 = orc.dense_from_spectral(state.v1, 2, keep_radius=keep)
-        d2 = orc.dense_from_spectral(state.v2, 2, keep_radius=keep)
-        adapter = orc.DenseForcingAdapter(state.forcing, radius=2, keep_radius=keep)
-        e1, e2 = orc._dense_pair_rhs(
-            d1, d2, adapter.g1_dense(0.0), adapter.g2_dense(0.0),
-            state.nu, state.K, state.matrix, "project",
-        )
-        gap1 = (f1 - orc.dense_to_spectral(e1, grid8)).l2
-        gap2 = (f2 - orc.dense_to_spectral(e2, grid8)).l2
-        assert max(gap1, gap2) <= 1e-11 * max(f1.l2, 1.0)
 
     def test_one_sided_nudging_endpoint(self, grid16, rng):
         # mu1 = 0 leaves the first copy untouched and nudges the second
         # toward low-mode observations of the first
         mu = 1.7
         state = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(0.0, mu))
-        f1, f2 = rhs_nudging(state)
+        f1, f2 = rhs_general(state)
         plain1 = rhs_nse(state.v1, state.forcing.g1(0.0), state.nu)
         assert np.array_equal(f1.coeffs, plain1.coeffs)
         plain2 = rhs_nse(state.v2, state.forcing.g2(0.0), state.nu)
@@ -176,7 +158,7 @@ class TestRightHandSides:
         # theta1 = 0: first copy is plain truth, second is the low-mode
         # replacement observer; compare against a separately coded observer
         state = make_state(grid8, rng, IntertwiningMatrix.dr_mutual(0.0, 1.0))
-        f1, f2 = rhs_direct_replacement(state)
+        f1, f2 = rhs_general(state)
         plain1 = rhs_nse(state.v1, state.forcing.g1(0.0), state.nu)
         assert np.array_equal(f1.coeffs, plain1.coeffs)
         g2 = state.forcing.g2(0.0)
@@ -191,35 +173,39 @@ class TestRightHandSides:
         )
         assert (f2 - observer).l2 <= 1e-13 * max(f2.l2, 1.0)
 
-    def test_specializations_bit_identical(self, grid16, rng):
-        sn = make_state(grid16, rng, IntertwiningMatrix.nudge_symmetric(2.0, 1.0))
-        a = rhs_nudging(sn)
-        b = rhs_general(sn, "project")
-        assert np.array_equal(a[0].coeffs, b[0].coeffs)
-        assert np.array_equal(a[1].coeffs, b[1].coeffs)
-        sd = make_state(grid16, rng, IntertwiningMatrix.dr_symmetric(0.6, 0.4))
-        c = rhs_direct_replacement(sd)
-        d = rhs_general(sd, "project_bilinear")
-        assert np.array_equal(c[0].coeffs, d[0].coeffs)
-        assert np.array_equal(c[1].coeffs, d[1].coeffs)
-
-    def test_wrong_class_rejected(self, grid16, rng):
-        sn = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 1.0))
-        with pytest.raises(WrongMatrixClass):
-            rhs_direct_replacement(sn)
-        sd = make_state(grid16, rng, IntertwiningMatrix.dr_mutual(0.5, 0.5))
-        with pytest.raises(WrongMatrixClass):
-            rhs_nudging(sd)
+    @pytest.mark.parametrize("kind", sorted(dyn.COUPLING_CLASSES))
+    def test_rhs_matches_dense_oracle_every_class(self, grid8, rng, kind):
+        # both paths read the intertwining function off the same matrix
+        params = {
+            dyn.NUDGE_SYMMETRIC: (2.0, 1.0),
+            dyn.NUDGE_MUTUAL: (1.3, 0.4),
+            dyn.DR_SYMMETRIC: (1.5, -0.5),
+            dyn.DR_MUTUAL: (0.25, 0.75),
+            dyn.GENERAL: (0.3, -0.2, 0.5, -1.1),
+            dyn.NONE: (),
+        }[kind]
+        state = make_state(grid8, rng, dyn.COUPLING_CLASSES[kind].build(*params), nu=0.25)
+        f1, f2 = rhs_general(state)
+        keep = grid8.dealias_radius
+        d1 = orc.dense_from_spectral(state.v1, 2, keep_radius=keep)
+        d2 = orc.dense_from_spectral(state.v2, 2, keep_radius=keep)
+        adapter = orc.DenseForcingAdapter(state.forcing, radius=2, keep_radius=keep)
+        e1, e2 = orc._dense_pair_rhs(
+            d1, d2, adapter.g1_dense(0.0), adapter.g2_dense(0.0), state.nu, state.K, state.matrix
+        )
+        gap1 = (f1 - orc.dense_to_spectral(e1, grid8)).l2
+        gap2 = (f2 - orc.dense_to_spectral(e2, grid8)).l2
+        assert max(gap1, gap2) <= 1e-11 * max(f1.l2, 1.0)
 
     def test_dr_synchronized_manifold_rhs(self, grid16, rng):
         state = make_state(grid16, rng, IntertwiningMatrix.dr_mutual(0.3, 0.7), same=True)
-        f1, f2 = rhs_direct_replacement(state)
+        f1, f2 = rhs_general(state)
         assert np.array_equal(f1.coeffs, f2.coeffs)
 
     def test_dr_low_mode_heat_structure(self, grid16, rng):
         # P_K of the rhs difference equals P_K(g1 - g2) - nu A P_K w
         state = make_state(grid16, rng, IntertwiningMatrix.dr_mutual(0.25, 0.75))
-        f1, f2 = rhs_direct_replacement(state)
+        f1, f2 = rhs_general(state)
         p = sp.project_low(state.v1 - state.v2, state.K)
         h_low = sp.project_low(state.forcing.h(0.0), state.K)
         expect = h_low - state.nu * sp.stokes_apply(p, 2)
@@ -269,12 +255,12 @@ class TestDerivedViews:
 class TestResiduals:
     def test_twisted_identity_random_state(self, grid16, rng):
         state = make_state(grid16, rng, IntertwiningMatrix.dr_mutual(0.3, 0.7))
-        f1, f2 = rhs_direct_replacement(state)
+        f1, f2 = rhs_general(state)
         assert residual_twisted(state) <= 1e-10 * (f1.l2 + f2.l2)
 
     def test_twisted_identity_synchronized(self, grid16, rng):
         state = make_state(grid16, rng, IntertwiningMatrix.dr_mutual(0.3, 0.7), same=True)
-        f1, f2 = rhs_direct_replacement(state)
+        f1, f2 = rhs_general(state)
         assert residual_twisted(state) <= 1e-10 * (f1.l2 + f2.l2)
 
     def test_twisted_identity_balanced_against_dense(self, grid8, rng):
@@ -288,7 +274,7 @@ class TestResiduals:
         adapter = orc.DenseForcingAdapter(state.forcing, radius=2, keep_radius=keep)
         f1, f2 = orc._dense_pair_rhs(
             d1, d2, adapter.g1_dense(0.0), adapter.g2_dense(0.0),
-            state.nu, state.K, state.matrix, "project_bilinear",
+            state.nu, state.K, state.matrix,
         )
         combo = 0.5 * f1 + 0.5 * f2
         v_th = 0.5 * d1 + 0.5 * d2
@@ -328,7 +314,7 @@ class TestStepping:
             grid=grid16, t=0.0, nu=0.6, K=2.0, matrix=IntertwiningMatrix.zero(),
             v1=mode, v2=mode.copy(), forcing=zero_pair, advect=False,
         )
-        out = step(state, 0.25)
+        out = integrate(state, 0.25, dt=0.25)
         expect = mode.coeffs * np.exp(-0.6 * 5.0 * 0.25)
         assert np.abs(out.v1.coeffs - expect).max() <= 1e-16
 
@@ -387,10 +373,12 @@ class TestStepping:
         # with moderate gains both paths integrate the same flow at O(dt^2)
         base = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(3.0, 2.0))
         fine = integrate(base, 0.5, dt=1e-3)
-        folded = base
-        for _ in range(int(0.5 / 0.01)):
-            folded = step(folded, 0.01, fold_coupling=True)
-        assert (fine.v1 - folded.v1).l2 <= 5e-3 * max(fine.v1.l2, 1e-30)
+        pair = dyn._PackedPair(base, dt=0.01, fold=True)
+        V = sp.pack(base.v1, base.v2)
+        for k in range(int(0.5 / 0.01)):
+            V = pair.step(V, k * 0.01)
+        folded = sp.SpectralField(grid16, V[0])
+        assert (fine.v1 - folded).l2 <= 5e-3 * max(fine.v1.l2, 1e-30)
 
     def test_heat_law_along_trajectory(self, grid16, rng):
         # d/dt P_K w + nu A P_K w - P_K h stays at the scheme's order
@@ -400,7 +388,7 @@ class TestStepping:
         snap = state
         for _ in range(3):
             ps.append(sp.project_low(snap.v1 - snap.v2, snap.K))
-            snap = step(snap, dt)
+            snap = integrate(snap, snap.t + dt, dt=dt, cfl_factor=None)
         dpdt = (1.0 / (2 * dt)) * (ps[2] - ps[0])
         mid = ps[1]
         resid = dpdt + state.nu * sp.stokes_apply(mid, 2)  # h = 0 here
@@ -450,12 +438,12 @@ class TestStepping:
         ],
     )
     def test_integrate_equals_step_loop(self, grid16, rng, matrix, dt, advect):
+        # one-step integrate calls sum t, so step k starts at a running sum
         state = replace(make_state(grid16, rng, matrix), advect=advect)
-        fold = matrix.is_nudging and max(matrix.params) * dt > 1.0
         out = integrate(state, 0.5, dt=dt, cfl_factor=None)
         looped = state
         for _ in range(round(0.5 / dt)):
-            looped = step(looped, dt, fold_coupling=fold)
+            looped = integrate(looped, looped.t + dt, dt=dt, cfl_factor=None)
         assert out.v1.coeffs.tobytes() == looped.v1.coeffs.tobytes()
         assert out.v2.coeffs.tobytes() == looped.v2.coeffs.tobytes()
         assert out.t == pytest.approx(looped.t, rel=1e-14)
@@ -476,7 +464,7 @@ class TestStepping:
         looped = state
         for k in range(1, 26):
             # integrate starts step k at exactly (k - 1) dt, not at a running sum
-            looped = replace(step(looped, 0.02), t=k * 0.02)
+            looped = replace(integrate(looped, k * 0.02, dt=0.02, cfl_factor=None), t=k * 0.02)
         assert out.v1.coeffs.tobytes() == looped.v1.coeffs.tobytes()
         assert out.v2.coeffs.tobytes() == looped.v2.coeffs.tobytes()
 

@@ -552,3 +552,42 @@ class TestCli:
         args = type("A", (), {"config": self._write(tmp_path, MINIMAL), "seed": None, "threads": None})
         loaded = cli._load(args)
         assert loaded.threads == 3
+
+    @pytest.mark.parametrize(
+        "edit, argv, env, message",
+        [
+            (("seed = 7", "seed = 7\nthreads = -3"), [], None, "threads = -3 must be at least 1"),
+            (("sample_every = 0.1", "sample_every = -1"), [], None, "sample_every = -1 is negative"),
+            (None, [], "abc", "INTWINE_THREADS = 'abc' is not an integer"),
+            (None, ["--threads", "0"], None, "threads = 0 must be at least 1"),
+        ],
+        ids=["config_threads", "sample_every", "env_threads", "flag_threads"],
+    )
+    def test_bad_value_exit_code(self, tmp_path, capsys, monkeypatch, edit, argv, env, message):
+        if env is not None:
+            monkeypatch.setenv("INTWINE_THREADS", env)
+        cfg = self._write(tmp_path, MINIMAL.replace(*edit) if edit else MINIMAL)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (None, "No such file"),
+            ('{"C_L": 1.0, "C_A": 1.0, "C_S": 1.0, "C9": 2.0}', "'C9'"),
+            ('{"C_L": -1.0, "C_A": 1.0, "C_S": 1.0}', "C_L must be a positive number"),
+            ('{"C_L": "1", "C_A": 1.0, "C_S": 1.0}', "C_L must be a positive number"),
+            ("[1.0]", "one JSON object"),
+        ],
+        ids=["missing", "unknown_key", "negative", "not_a_number", "not_an_object"],
+    )
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_bad_constants_file_exit_code(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "constants.json"
+        if content is not None:
+            path.write_text(content)
+        text = MINIMAL.replace("seed = 7", f"seed = 7\nconstants_file = {path}")
+        cfg = self._write(tmp_path, text)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "constants file" in err and message in err

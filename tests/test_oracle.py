@@ -117,7 +117,7 @@ class TestDenseTrajectory:
         zero_pair = fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid8)))
         adapter = orc.DenseForcingAdapter(zero_pair, radius=2)
         _, (final, _) = orc.dense_trajectory(
-            "nse", d0, None, adapter, nu=0.4, t_end=1.0, dt_ref=1e-3
+            d0, None, adapter, nu=0.4, t_end=1.0, dt_ref=1e-3
         )
         # linear problem: RK4 reproduces exp(-nu |k|^2 t) to high order
         expect = d0.coeffs * np.exp(-0.4 * 2.0 * 1.0)
@@ -130,7 +130,7 @@ class TestDenseTrajectory:
         finals = []
         for dt in (0.02, 0.01, 0.005):
             _, (final, _) = orc.dense_trajectory(
-                "nse", d0, None, adapter, nu=0.3, t_end=0.5, dt_ref=dt
+                d0, None, adapter, nu=0.3, t_end=0.5, dt_ref=dt
             )
             finals.append(final)
         gap_coarse = orc.dense_l2(finals[0] - finals[1])
@@ -144,7 +144,7 @@ class TestDenseTrajectory:
         _, adapter = self._adapter(grid8)
         matrix = dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75)
         _, (f1, f2) = orc.dense_trajectory(
-            "direct_replacement", d0, d0.copy(), adapter, nu=0.3, t_end=1.0,
+            d0, d0.copy(), adapter, nu=0.3, t_end=1.0,
             dt_ref=1e-3, K=2.0, matrix=matrix,
         )
         assert orc.dense_l2(f1 - f2) <= 1e-12 * orc.dense_l2(f1)
@@ -158,7 +158,7 @@ class TestDenseTrajectory:
         adapter = orc.DenseForcingAdapter(zero_pair, radius=2)
         with pytest.raises(orc.BlowupDetected):
             orc.dense_trajectory(
-                "nudging", d0, d0.copy(), adapter, nu=0.1, t_end=5.0,
+                d0, d0.copy(), adapter, nu=0.1, t_end=5.0,
                 dt_ref=1e-2, K=2.0, matrix=matrix,
             )
 
@@ -173,24 +173,24 @@ class TestDenseTrajectory:
         adapter = orc.DenseForcingAdapter(zero_pair, radius=2)
         with pytest.raises(orc.BlowupDetected) as caught:
             orc.dense_trajectory(
-                "nudging", d0, d0.copy(), adapter, nu=0.1, t_end=5.0,
+                d0, d0.copy(), adapter, nu=0.1, t_end=5.0,
                 dt_ref=1e-2, K=2.0, matrix=matrix,
             )
         # |v2| grows like exp(49.9 t) from about 4.4, so it crosses 1e8 near t = 0.34
         assert caught.value.t < 0.5
 
 
-def _boundary_rk4_step(system, d1, d2, adapter, nu, dt, K, matrix):
+def _boundary_rk4_step(d1, d2, adapter, nu, dt, K, matrix):
     """One RK4 step written with DenseModeSet arithmetic over the public functions."""
 
     def rhs(a, b, t):
         B1 = orc.dense_bilinear_B(a, a)
         f1 = adapter.g1_dense(t) - nu * orc.dense_stokes(a, 2) - B1
-        if system == "nse":
+        if matrix is None:
             return f1, None
         B2 = orc.dense_bilinear_B(b, b)
         f2 = adapter.g2_dense(t) - nu * orc.dense_stokes(b, 2) - B2
-        x1, x2 = (B1, B2) if system == "direct_replacement" else (a, b)
+        x1, x2 = (B1, B2) if matrix.is_direct_replacement else (a, b)
         c1, c2 = orc._dense_project_low(x1, K), orc._dense_project_low(x2, K)
         m = matrix.entries
         return f1 + (m[0, 0] * c1 + m[0, 1] * c2), f2 + (m[1, 0] * c1 + m[1, 1] * c2)
@@ -231,14 +231,14 @@ class TestDenseKernel:
         )
         return adapter, d1, d2
 
-    @pytest.mark.parametrize("system,matrix", SYSTEMS, ids=[s for s, _ in SYSTEMS])
-    def test_one_step_matches_boundary_functions(self, setup, system, matrix):
+    @pytest.mark.parametrize("matrix", [m for _, m in SYSTEMS], ids=[s for s, _ in SYSTEMS])
+    def test_one_step_matches_boundary_functions(self, setup, matrix):
         adapter, d1, d2 = setup
         dt, nu, K = 1e-2, 0.3, 2.0
-        pair = system != "nse"
-        expect = _boundary_rk4_step(system, d1, d2 if pair else None, adapter, nu, dt, K, matrix)
+        second = d2 if matrix is not None else None
+        expect = _boundary_rk4_step(d1, second, adapter, nu, dt, K, matrix)
         _, final = orc.dense_trajectory(
-            system, d1, d2 if pair else None, adapter, nu, t_end=dt, dt_ref=dt, K=K, matrix=matrix
+            d1, second, adapter, nu, t_end=dt, dt_ref=dt, K=K, matrix=matrix
         )
         for got, want in zip(final, expect):
             if want is None:
@@ -250,7 +250,7 @@ class TestDenseKernel:
         adapter, d1, d2 = setup
         dt = 1e-2
         samples, _ = orc.dense_trajectory(
-            "nudging", d1, d2, adapter, nu=0.3, t_end=30 * dt, dt_ref=dt, K=2.0,
+            d1, d2, adapter, nu=0.3, t_end=30 * dt, dt_ref=dt, K=2.0,
             matrix=dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5), sample_every=3 * dt,
         )
         assert [s[0] for s in samples] == [k * dt for k in range(0, 31, 3)]
@@ -260,16 +260,22 @@ class TestDenseKernel:
         # and the last sample still lands at t_end = 1, as in dynamics.integrate
         adapter, d1, d2 = setup
         samples, _ = orc.dense_trajectory(
-            "nudging", d1, d2, adapter, nu=0.3, t_end=1.0, dt_ref=4e-3, K=2.0,
+            d1, d2, adapter, nu=0.3, t_end=1.0, dt_ref=4e-3, K=2.0,
             matrix=dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5), sample_every=0.25,
         )
         assert [s[0] for s in samples] == [k * 4e-3 for k in (0, 62, 124, 186, 248, 250)]
         assert samples[-1][0] == 1.0
 
+    def test_matrix_needs_second_copy(self, setup):
+        adapter, d1, _ = setup
+        matrix = dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75)
+        with pytest.raises(ValueError, match="second copy"):
+            orc.dense_trajectory(d1, None, adapter, nu=0.3, t_end=1e-2, dt_ref=1e-2, K=2.0, matrix=matrix)
+
     def test_partial_final_step_rejected(self, setup):
         adapter, d1, _ = setup
         with pytest.raises(ValueError, match="whole number of steps"):
-            orc.dense_trajectory("nse", d1, None, adapter, nu=0.3, t_end=0.055, dt_ref=1e-2)
+            orc.dense_trajectory(d1, None, adapter, nu=0.3, t_end=0.055, dt_ref=1e-2)
 
     def test_oracle_calls_no_transform(self, setup, monkeypatch):
         adapter, d1, d2 = setup
@@ -283,10 +289,9 @@ class TestDenseKernel:
                 monkeypatch.setattr(np.fft, name, forbidden)
         with pytest.raises(AssertionError, match="called a transform"):
             np.fft.rfft2(np.zeros((4, 4)))
-        for system, matrix in self.SYSTEMS:
-            pair = system != "nse"
+        for _, matrix in self.SYSTEMS:
             orc.dense_trajectory(
-                system, d1, d2 if pair else None, adapter, nu=0.3, t_end=0.05,
+                d1, d2 if matrix is not None else None, adapter, nu=0.3, t_end=0.05,
                 dt_ref=1e-2, K=2.0, matrix=matrix,
             )
         orc.dense_bilinear_B(d1, d2)

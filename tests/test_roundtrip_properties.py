@@ -55,6 +55,7 @@ def configs(draw):
     values["mu1"], values["mu2"] = sorted((draw(gain), draw(gain)), reverse=True)
     values["theta1"] = draw(unit)
     values["theta2"] = 1.0 - values["theta1"]
+    values["threads"] = draw(st.integers(1, 2**64 - 1))
     values["max_wavenumber"] = draw(st.none() | positive)
     values["constants_file"] = draw(st.none() | word)
     return hz.ExperimentConfig(**values).validate()
