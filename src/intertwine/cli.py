@@ -40,12 +40,16 @@ def _add_common(parser):
 
 
 def _load(args) -> harness.ExperimentConfig:
-    cfg = harness.parse_config(args.config)
+    """The config with the flags applied; the worker count comes from
+    --threads, else the config's threads key, else INTWINE_THREADS."""
+    with open(args.config, encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = harness.parse_config_text(text)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if getattr(args, "threads", None) is not None:
         cfg = replace(cfg, threads=args.threads)
-    elif cfg.threads == 1:
+    elif "output.threads" not in harness.config_slots(text):
         cfg = replace(cfg, threads=_threads_default())
     return cfg.validate()
 

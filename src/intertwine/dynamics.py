@@ -11,9 +11,10 @@ The stepper removes the stiff diffusion exactly with an integrating factor
 and advances the remaining terms with Heun's method (second order); for
 strongly damped nudging runs the linear coupling can be folded into a
 per-mode 2x2 matrix exponential so large feedback gains do not force tiny
-steps.  The stepper holds the pair as one (2, 2, n, n//2+1) stack of half
-spectra (see `spectral`), so each right-hand side costs one batched inverse
-and one batched forward real FFT for both copies.
+steps.  A `Workspace` holds the pair as one stack on the dealias box (see
+`spectral.BoxAdvection`) with every buffer the steps need, so each
+right-hand side costs one batched pruned inverse and forward transform for
+both copies and a step allocates nothing.
 """
 
 from __future__ import annotations
@@ -194,14 +195,6 @@ class IntertwinedState:
             raise ValueError("v1, v2 must live on the state's grid")
 
 
-def rhs_nse(u: SpectralField, f: SpectralField, nu: float) -> SpectralField:
-    """Plain Navier-Stokes right-hand side f - nu A u - B(u, u)."""
-    grid = u.grid
-    U = spectral.pack(u)
-    out = spectral.pack(f) - nu * (grid.k2 * U) - spectral.self_advection(grid, U)
-    return SpectralField(grid, out[0])
-
-
 def expm_2x2(a) -> np.ndarray:
     """exp(a) of a real 2x2 matrix in closed form.
 
@@ -228,82 +221,174 @@ def expm_2x2(a) -> np.ndarray:
     return np.exp(half_tr) * (even * np.eye(2) + odd * b)
 
 
-class _PackedPair:
-    """Constants of the coupled right-hand side on packed (2, 2, n, n//2+1)
-    stacks, built once per call: the low-mode mask P_K, whether F is
-    P_K B(., .) (bilinear, for a direct-replacement matrix) or P_K, and
-    whether any coupling acts.  It also keeps the last packed force pair,
-    which is reused while the forcing returns the same two fields (a steady
-    force is packed once per call).
+class Workspace:
+    """Every array of the coupled right-hand side and of its stepper, built
+    once per call and reused: the one kernel of `integrate`, `rhs_general`
+    and `rhs_nse`.
 
-    With dt set it also holds the propagator of the stepper: the decay
-    exp(-nu |k|^2 dt), and with fold the 2x2 exp(dt M) applied across the
-    copies on low modes, which moves the linear nudging coupling out of the
-    explicit stages.
+    The copies live as one (c, 2, 2r+1, r+1) stack on the dealias box (see
+    `spectral.BoxAdvection`, which supplies B(v, v)).  The initial fields
+    and each newly packed force stack pass the alias guard
+    (`spectral.ALIAS_RTOL`), and nothing inside a step checks it again:
+    every right-hand-side term is masked to the dealias ball, so content
+    outside it only decays.  After the check only the box is kept, so
+    content below ALIAS_RTOL outside the box is dropped when it is packed.
+
+    forces holds one callable t -> SpectralField per copy; the packed force
+    stack is reused while they return the same fields (a steady force is
+    packed once).  The matrix fixes the intertwining function F: P_K B(., .)
+    for a direct-replacement matrix, P_K for every other; a zero matrix, or
+    one folded into the propagator, adds no coupling term.  With dt set the
+    workspace steps: the propagator is the decay exp(-nu |k|^2 dt), and with
+    fold the 2x2 exp(dt M) across the copies on low modes, which moves the
+    linear nudging coupling out of the explicit stages.
+
+    Each entry's arithmetic (F = g - B, the row sums m_i1 c1 + m_i2 c2, the
+    Heun combination, one 2x2 matrix product for the folded propagator)
+    does not depend on the layout, so results on the box are bitwise those
+    of the half-spectrum stack.  A step allocates nothing.  The transform
+    buffers are allocated at the first right-hand side, after the first
+    force stack is packed, so that the packing's temporaries and those
+    buffers are never live together.
     """
 
-    def __init__(self, state: IntertwinedState, dt=None, fold=False):
-        grid = state.grid
-        self.state = state
-        self.bilinear = state.matrix.is_direct_replacement
-        self.low = grid.low_mode_mask(state.K)
-        self.coupled = not fold and bool(np.any(state.matrix.entries != 0.0))
-        self._forces = (None, None)
-        self._packed_forces = None
-        if dt is not None:
-            self.dt = dt
-            self.decay = np.exp(-state.nu * grid.k2 * dt)
-            self.pair_block = expm_2x2(dt * state.matrix.entries) if fold else None
+    def __init__(self, grid: Grid, nu: float, fields, forces, matrix: IntertwiningMatrix,
+                 K: float = 0.0, advect: bool = True, dt=None, fold: bool = False):
+        self.grid = grid
+        self.nu = nu
+        self.advect = advect
+        self.forcing = tuple(forces)
+        self.bilinear = matrix.is_direct_replacement
+        self.coupled = not fold and bool(np.any(matrix.entries != 0.0))
+        self.entries = matrix.entries
+        self.V = self._pack(fields)
+        self.shape = self.V.shape
+        self.G, self.K1, self.X, self.B = (np.empty(self.shape, dtype=np.complex128) for _ in range(4))
+        self._forces = (None,) * len(self.forcing)
+        self.kernel = None
+        # masks and decays enter the ufuncs at the stack's own shape (see
+        # BoxAdvection), and as complex numbers, which is what numpy casts
+        # them to against a complex operand
+        self.low = self._stack(grid.low_mode_mask(K)) if self.coupled else None
+        self.decay = self._stack(np.exp(-nu * grid.k2 * dt)) if dt is not None else None
+        self.dt = dt
+        self.pair_block = None
+        if fold:
+            self.pair_block = expm_2x2(dt * matrix.entries).astype(np.complex128)
+            self.low_modes = np.flatnonzero(spectral.to_box(grid, grid.low_mode_mask(K)))
+            self.low_values = np.empty((2, 2, len(self.low_modes)), dtype=np.complex128)
+            self.low_mixed = np.empty((2, 2 * len(self.low_modes)), dtype=np.complex128)
+        cols, rows = self.shape[-1], self.shape[-2]
+        self.norm_weight = np.tile(np.repeat(grid.weight[:cols], 2), 2 * rows)
+        self.norms = np.empty(len(self.V))
 
-    def forces(self, t):
-        """The packed force pair (g1(t), g2(t)); do not modify it in place."""
-        forcing = self.state.forcing
-        g = (forcing.g1(t), forcing.g2(t))
-        if g[0] is not self._forces[0] or g[1] is not self._forces[1]:
+    @classmethod
+    def of(cls, state: IntertwinedState, dt=None, fold: bool = False) -> "Workspace":
+        """The workspace of a state's pair, its forces and its matrix."""
+        return cls(state.grid, state.nu, (state.v1, state.v2), (state.forcing.g1, state.forcing.g2),
+                   state.matrix, state.K, state.advect, dt, fold)
+
+    def _stack(self, a) -> np.ndarray:
+        box = np.broadcast_to(spectral.to_box(self.grid, a), self.shape)
+        return np.ascontiguousarray(box, dtype=np.complex128)
+
+    def _pack(self, fields, out=None) -> np.ndarray:
+        V = spectral.pack(*fields)
+        spectral._require_dealiased(self.grid, V)
+        return spectral.to_box(self.grid, V, out)
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the arrays the workspace holds, its kernel's included
+        once it has stepped."""
+        owners = (self, self.kernel) if self.kernel else (self,)
+        return sum(a.nbytes for o in owners for a in vars(o).values() if isinstance(a, np.ndarray))
+
+    def forces(self, t) -> np.ndarray:
+        """The packed force stack at t; do not modify it in place."""
+        g = tuple(f(t) for f in self.forcing)
+        if any(a is not b for a, b in zip(g, self._forces)):
             self._forces = g
-            self._packed_forces = spectral.pack(*g)
-        return self._packed_forces
+            self._pack(g, self.G)
+        return self.G
 
-    def propagate(self, V):
-        out = V * self.decay
-        if self.pair_block is not None:
-            low = out[:, :, self.low]
-            out[:, :, self.low] = np.tensordot(self.pair_block, low, axes=(1, 0))
+    def rhs(self, V, t, out, diffuse=False) -> np.ndarray:
+        """Write the right-hand sides of the box stack V at t into out, which
+        may be V; returns out.
+
+        f_i = g_i [- nu A v_i] - B(v_i, v_i) [+ m_i1 F(v1) + m_i2 F(v2)].
+        Diffusion enters only when diffuse (the stepper integrates it
+        exactly).
+        """
+        F = self.forces(t)
+        if self.kernel is None:
+            self.kernel = spectral.BoxAdvection(self.grid, len(V))
+        B, (c, s) = self.B, self.kernel.work
+        # every read of V comes before out is written
+        if self.advect or (self.coupled and self.bilinear):
+            self.kernel.advect(V, B)
+        if self.coupled:
+            np.multiply(B if self.bilinear else V, self.low, out=c)
+        if diffuse:
+            F = np.subtract(F, self.nu * (spectral.to_box(self.grid, self.grid.k2) * V), out=out)
+        if self.advect:
+            F = np.subtract(F, B, out=out)
+        if F is not out:
+            np.copyto(out, F)
+        if self.coupled:
+            # sum each row's coupling first: commutativity of addition then
+            # keeps the two equations bitwise equal on the synchronized manifold
+            m, scratch = self.entries, B[0]
+            for i in range(2):
+                np.multiply(m[i, 0], c[0], out=s[i])
+                np.multiply(m[i, 1], c[1], out=scratch)
+                np.add(s[i], scratch, out=s[i])
+            np.add(out, s, out=out)
         return out
 
-    def step(self, V, t):
-        """One integrating-factor Heun step of the packed pair from time t."""
-        dt = self.dt
-        K1 = _rhs_terms(self, V, t, diffuse=False)
-        pred = self.propagate(V + dt * K1)
-        K2 = _rhs_terms(self, pred, t + dt, diffuse=False)
-        return self.propagate(V + 0.5 * dt * K1) + 0.5 * dt * K2
+    def propagate(self, V) -> None:
+        """Apply the propagator to the box stack V in place."""
+        np.multiply(V, self.decay, out=V)
+        if self.pair_block is not None:
+            flat = V.reshape(2, 2, -1)
+            np.take(flat, self.low_modes, axis=-1, out=self.low_values, mode="clip")
+            # the np.dot that np.tensordot(pair_block, values, axes=(1, 0)) runs
+            np.dot(self.pair_block, self.low_values.reshape(2, -1), out=self.low_mixed)
+            flat[..., self.low_modes] = self.low_mixed.reshape(2, 2, -1)
+
+    def step(self, t) -> None:
+        """One integrating-factor Heun step of V from time t, in place."""
+        dt, V, K1, X = self.dt, self.V, self.K1, self.X
+        self.rhs(V, t, K1)
+        np.multiply(dt, K1, out=X)
+        np.add(V, X, out=X)
+        self.propagate(X)
+        K2 = self.rhs(X, t + dt, X)
+        np.multiply(0.5 * dt, K2, out=K2)
+        np.multiply(0.5 * dt, K1, out=K1)
+        np.add(V, K1, out=V)
+        self.propagate(V)
+        np.add(V, K2, out=V)
+
+    def largest_norm(self) -> float:
+        """The largest L2 norm of the copies after a step; NaN when one is
+        not finite."""
+        floats = self.V.reshape(len(self.V), -1).view(np.float64)
+        squares = self.kernel.work[0].reshape(len(self.V), -1).view(np.float64)
+        np.multiply(floats, floats, out=squares)
+        np.dot(squares, self.norm_weight, out=self.norms)
+        return float(np.sqrt(spectral.PLANCHEREL * self.norms.max()))
+
+    def right_hand_sides(self, t) -> np.ndarray:
+        """The full right-hand sides of the packed fields at t, diffusion
+        included, as a fresh half-spectrum stack."""
+        return spectral.from_box(self.grid, self.rhs(self.V, t, self.K1, diffuse=True))
 
 
-def _rhs_terms(pair: _PackedPair, V, t, diffuse: bool):
-    """The coupled right-hand sides of the packed pair V at t: the one kernel.
-
-    f_i = g_i [- nu A v_i] - B(v_i, v_i) [+ m_i1 F(v1) + m_i2 F(v2)], with
-    F = P_K B(., .) when bilinear and P_K otherwise.  Diffusion enters only
-    when diffuse (the stepper integrates it exactly); coupling only when the
-    pair is coupled and the coupling is not folded into the propagator.
-    """
-    state = pair.state
-    F = pair.forces(t)
-    if diffuse:
-        F = F - state.nu * (state.grid.k2 * V)
-    B = None
-    if state.advect or (pair.coupled and pair.bilinear):
-        B = spectral.self_advection(state.grid, V)
-    if state.advect:
-        F = F - B
-    if pair.coupled:
-        m = state.matrix.entries
-        c1, c2 = (B if pair.bilinear else V) * pair.low
-        # sum each row's coupling first: commutativity of addition then keeps
-        # the two equations bitwise equal on the synchronized manifold
-        F = F + np.stack([m[0, 0] * c1 + m[0, 1] * c2, m[1, 0] * c1 + m[1, 1] * c2])
-    return F
+def rhs_nse(u: SpectralField, f: SpectralField, nu: float) -> SpectralField:
+    """Plain Navier-Stokes right-hand side f - nu A u - B(u, u)."""
+    ws = Workspace(u.grid, nu, (u,), (lambda t: f,), IntertwiningMatrix.zero())
+    return SpectralField(u.grid, ws.right_hand_sides(0.0)[0])
 
 
 def rhs_general(state: IntertwinedState):
@@ -313,8 +398,7 @@ def rhs_general(state: IntertwinedState):
     + m_i1 F(v1) + m_i2 F(v2).  The matrix fixes F: P_K B(., .) for a
     direct-replacement matrix, P_K for every other.
     """
-    pair = _PackedPair(state)
-    F = _rhs_terms(pair, spectral.pack(state.v1, state.v2), state.t, diffuse=True)
+    F = Workspace.of(state).right_hand_sides(state.t)
     return SpectralField(state.grid, F[0]), SpectralField(state.grid, F[1])
 
 
@@ -419,8 +503,9 @@ def sample_steps(span: float, dt: float, sample_every: float | None = None):
 
 
 def _with_pair(state: IntertwinedState, V, t: float) -> IntertwinedState:
-    """The state at t whose pair is the stack V (the fields share V's memory)."""
-    return replace(state, t=t, v1=SpectralField(state.grid, V[0]), v2=SpectralField(state.grid, V[1]))
+    """The state at t whose pair is the box stack V, in fresh arrays."""
+    v1, v2 = spectral.from_box(state.grid, V)
+    return replace(state, t=t, v1=SpectralField(state.grid, v1), v2=SpectralField(state.grid, v2))
 
 
 def integrate(
@@ -435,15 +520,15 @@ def integrate(
 
     t_end - state.t must be a whole number of steps (ValueError otherwise);
     step k lands at t = state.t + k dt.  sink(state) is invoked at t = start
-    and at each step that sample_steps samples.  Aborts with BlowupDetected
-    when any norm exceeds BLOWUP_LIMIT or turns non-finite (diverging
-    trajectories are an expected outcome for some symmetric
-    direct-replacement parameters).  cfl_factor=None disables the step-size
-    guard.
+    and at each step that sample_steps samples; each state it gets holds its
+    own arrays.  Aborts with BlowupDetected when any norm exceeds
+    BLOWUP_LIMIT or turns non-finite (diverging trajectories are an expected
+    outcome for some symmetric direct-replacement parameters).
+    cfl_factor=None disables the step-size guard.  Raises AliasingViolation
+    when the pair or a force carries energy outside the dealias radius.
 
-    The pair is advanced as one (2, 2, n, n//2+1) half-spectrum stack.  A
-    nudging coupling with max gain * dt > FOLD_GAIN_DT is folded into the
-    propagator.
+    The pair is advanced in place on one `Workspace`.  A nudging coupling
+    with max gain * dt > FOLD_GAIN_DT is folded into the propagator.
     """
     if t_end < state.t:
         raise ValueError("t_end precedes the state's current time")
@@ -458,20 +543,17 @@ def integrate(
                 "reduce dt or raise cfl_factor explicitly"
             )
     fold = state.matrix.is_nudging and max(abs(p) for p in state.matrix.params) * dt > FOLD_GAIN_DT
-    pair = _PackedPair(state, dt, fold)
-    # allocate and drop a buffer the size of a step's temporaries: unmapping it
-    # raises glibc malloc's trim threshold, so the heap the loop frees each step
-    # is reused, not returned and refaulted (n = 64 stepped 25-30% faster)
-    np.empty(16 * state.v1.half.nbytes, dtype=np.uint8)
+    ws = Workspace.of(state, dt, fold)
     t0 = state.t
-    V = spectral.pack(state.v1, state.v2)
     if sink is not None:
         sink(state)
     for k in range(1, nsteps + 1):
-        V = pair.step(V, t0 + (k - 1) * dt)
-        norms = spectral.packed_l2(state.grid, V)
-        if not np.all(np.isfinite(norms)) or norms.max() > BLOWUP_LIMIT:
+        ws.step(t0 + (k - 1) * dt)
+        # a NaN norm fails the comparison too
+        if not ws.largest_norm() <= BLOWUP_LIMIT:
             raise BlowupDetected(t0 + k * dt)
         if sink is not None and sampled(k):
-            sink(_with_pair(state, V, t0 + k * dt))
+            sink(_with_pair(state, ws.V, t0 + k * dt))
+    V = ws.V
+    del ws  # frees the buffers before the returned fields are built
     return _with_pair(state, V, t0 + nsteps * dt)

@@ -239,6 +239,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
     return cfg.validate()
 
 
+def config_slots(text: str) -> set:
+    """The INI slots ("section.key") that the config text sets."""
+    return {f"{section}.{key}" for _, section, key, _ in _parse_kv_lines(text)}
+
+
 def parse_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
@@ -698,7 +703,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> ScenarioResult:
         child = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1, dtype=np.uint64)[0])
         jobs.append((replace(cfg, seed=child % (2**63)), point, index, out_dir))
     if cfg.threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))
     else:
         rows = [_run_sweep_point(job) for job in jobs]

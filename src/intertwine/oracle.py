@@ -229,7 +229,7 @@ class _Kernel:
 
         nu_lap is nu * lap.  coupling is (m1, m2, bilinear), m_j the j-th
         column of the matrix times the low mask: c_j = B(v_j, v_j) when
-        bilinear, else v_j.  As in `dynamics._rhs_terms`, each row is summed
+        bilinear, else v_j.  As in `dynamics.Workspace.rhs`, each row is summed
         first.
         """
         B = self.bilinear(V, V)

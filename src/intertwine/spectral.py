@@ -22,8 +22,10 @@ access from the half spectrum.
 
 Products are pseudospectral: irfft2 to the physical grid, multiply, rfft2
 back, two-thirds mask, Leray projection.  `bilinear_B(u, v)` uses the
-convective form; `self_advection` evaluates B(v, v) for a whole stack in
-rotational form, with one batched irfft2 and one batched rfft2.
+convective form.  `BoxAdvection` evaluates B(v, v) for a whole stack in
+rotational form on the dealias box (`Grid.box_rows`, `Grid.box_cols`: the
+modes a dealiased field can carry), with pruned transforms into buffers it
+owns; `self_advection` runs it on half-spectrum stacks.
 """
 
 from __future__ import annotations
@@ -99,8 +101,6 @@ class Grid:
         self.weight[[0, -1]] = 1.0
         # the row of -ky for each ky: the conjugate partners within a column
         self.neg_rows = (-np.arange(n)) % n
-        # the weight per float of a flattened field (re, im interleaved)
-        self.float_weight = np.tile(np.repeat(self.weight, 2), 2 * n)
         # mask . Leray projector I - k k^T / |k|^2, zero at k = 0 and outside the
         # dealias radius, applied to the rotational term (-omega v_y, omega v_x):
         # it maps the transforms of (omega v_x, omega v_y) to B(v, v) through
@@ -110,6 +110,12 @@ class Grid:
         pxy = -self.kx * self.ky * self.inv_k2 * keep
         pyy = (1.0 - self.ky**2 * self.inv_k2) * keep
         self.masked_leray_rot = np.repeat(np.stack([[pxy, -pxx], [pyy, -pxy]]), 2, axis=-1)
+        # the dealias box: with r the largest |k| component in the dealias
+        # ball, the rows ky = 0 .. r, -r .. -1 and the columns kx = 0 .. r,
+        # which hold every mode a dealiased field can carry
+        r = int(self.kx[self.dealias_mask].max())
+        self.box_rows = np.r_[0 : r + 1, n - r : n]
+        self.box_cols = r + 1
 
     def __eq__(self, other):
         return (
@@ -327,10 +333,19 @@ def norms(u: SpectralField, max_m: int = 2) -> NormTriple:
     return NormTriple(l2=hm[0], h1=hm[1] if max_m >= 1 else hm_norm(u, 1), hm=hm)
 
 
-def packed_l2(grid: Grid, V: np.ndarray) -> np.ndarray:
-    """The L2 norm of each field of the stack V, one per leading index."""
-    floats = V.reshape(V.shape[0], -1).view(np.float64)
-    return np.sqrt(PLANCHEREL * ((floats * floats) @ grid.float_weight))
+def to_box(grid: Grid, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The dealias box of the stack V (..., 2, n, n//2+1), shape
+    (..., 2, 2r+1, r+1) (see `Grid.box_rows`): a fresh C-contiguous copy, or
+    written into out."""
+    # mode="clip" (the rows are in range) keeps take from buffering into out
+    return np.take(V[..., : grid.box_cols], grid.box_rows, axis=-2, out=out, mode="clip")
+
+
+def from_box(grid: Grid, Vb: np.ndarray) -> np.ndarray:
+    """A fresh half-spectrum stack holding the box stack Vb, zero elsewhere."""
+    V = np.zeros(Vb.shape[:-2] + (grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    V[..., grid.box_rows, : grid.box_cols] = Vb
+    return V
 
 
 def _physical(grid: Grid, V: np.ndarray, pad: int) -> np.ndarray:
@@ -409,27 +424,94 @@ def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
     return leray_project(g, raw)
 
 
-def self_advection(grid: Grid, V: np.ndarray) -> np.ndarray:
-    """B(v, v) for each field v of the stack V, shape (c, 2, n, n//2+1).
+class BoxAdvection:
+    """B(v, v) for a stack of c fields held on the dealias box, with every
+    transform buffer allocated once: the kernel of `self_advection` and of
+    the stepper.
 
     Rotational form: (v . grad) v = grad(|v|^2 / 2) + omega (-v_y, v_x) with
     omega = d_x v_y - d_y v_x, and the Leray projection removes the gradient,
     so B(v, v) = P(mask . rfft2(omega (-v_y, v_x))).  The vorticity is formed
-    spectrally, so no derivative acts after a transform.  (v_x, v_y, omega)
-    of all copies come from one batched irfft2, omega (v_x, v_y) goes back in
-    one batched rfft2, and `Grid.masked_leray_rot` applies the sign and order
-    of the rotational term with the projection.  Equals bilinear_B(v, v) to
-    roundoff for inputs inside the dealias radius; raises AliasingViolation
-    otherwise.
+    spectrally, so no derivative acts after a transform, and
+    `Grid.masked_leray_rot` applies the sign and order of the rotational term
+    with the projection.
+
+    The transforms of all copies are batched and pruned to the box.  The
+    inverse runs its column pass on the r+1 box columns only, from a padded
+    buffer whose rows outside the box stay zero, into a buffer whose other
+    columns stay zero, then the row pass fills the physical grid.  The
+    forward runs the row pass, then the column pass on the box columns only.
+    Each pass is the pass irfft2 or rfft2 runs on the same data, so the
+    result on the box is bitwise that of the unpruned transforms.
+    `np.fft.irfft2(..., out=)` is not used: it leaves its buffer unwritten.
+
+    Every ufunc here takes operands of one shape: numpy buffers a broadcast
+    operand into a fresh array when the others are contiguous, which is an
+    allocation per call.  work is two box stacks of scratch; advect
+    overwrites them, and callers may use them between calls.
+    """
+
+    def __init__(self, grid: Grid, copies: int):
+        n, cols, rows = grid.n, grid.box_cols, grid.box_rows
+        r = cols - 1
+        self.grid = grid
+        self.shape = (copies, 2, len(rows), cols)
+        self.work = np.empty((2,) + self.shape, dtype=np.complex128)
+        self.ikx = to_box(grid, grid.ikx)
+        self.iky = to_box(grid, grid.iky)
+        self.rot = np.take(grid.masked_leray_rot[..., : 2 * cols], rows, axis=-2)
+        # (box rows, grid rows) of the two row blocks ky = 0 .. r and -r .. -1
+        self.blocks = ((slice(0, r + 1), slice(0, r + 1)), (slice(r + 1, None), slice(n - r, n)))
+        # the transform buffers put the component axis first: (v_x, v_y, omega),
+        # then the copies
+        self.spec = np.zeros((3, copies, n, cols), dtype=np.complex128)
+        self.mid = np.zeros((3, copies, n, n // 2 + 1), dtype=np.complex128)
+        self.phys = np.empty((3, copies, n, n))
+        self.fwd = np.empty((2, copies, n, n // 2 + 1), dtype=np.complex128)
+
+    def advect(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write B(v, v) of each copy of the box stack V into out, a
+        C-contiguous box stack that is not V; allocates nothing."""
+        n, cols = self.grid.n, self.shape[-1]
+        spec, mid, phys = self.spec, self.mid, self.phys
+        curl, raw = self.work
+        for j in range(len(V)):
+            np.multiply(self.ikx, V[j, 1], out=curl[j, 0])
+            np.multiply(self.iky, V[j, 0], out=curl[j, 1])
+        for box, rows in self.blocks:
+            spec[:2, :, rows] = V[:, :, box].swapaxes(0, 1)
+            np.subtract(curl[:, 0, box], curl[:, 1, box], out=spec[2, :, rows])  # omega
+        np.fft.ifft(spec, axis=-2, norm="forward", out=mid[..., :cols])
+        np.fft.irfft(mid, n=n, axis=-1, norm="forward", out=phys)
+        for i in range(2):
+            np.multiply(phys[i], phys[2], out=phys[i])  # omega (v_x, v_y)
+        np.fft.rfft(phys[:2], axis=-1, norm="forward", out=self.fwd)
+        # the column pass lands in mid, free until the next inverse, whose
+        # padding columns it leaves zero
+        kept = mid[:2, :, :, :cols]
+        np.fft.fft(self.fwd[..., :cols], axis=-2, norm="forward", out=kept)
+        for box, rows in self.blocks:
+            raw[:, :, box] = kept[:, :, rows].swapaxes(0, 1)
+        rot, raw, prod, res = self.rot, raw.view(np.float64), curl.view(np.float64), out.view(np.float64)
+        for j in range(len(V)):
+            for i in range(2):
+                np.multiply(rot[i, 0], raw[j, 0], out=prod[j, i])
+                np.multiply(rot[i, 1], raw[j, 1], out=res[j, i])
+        np.add(prod, res, out=res)
+        return out
+
+
+def self_advection(grid: Grid, V: np.ndarray) -> np.ndarray:
+    """B(v, v) for each field v of the stack V, shape (c, 2, n, n//2+1).
+
+    Runs `BoxAdvection` on the dealias box of V and returns a fresh array,
+    zero outside the box.  Equals bilinear_B(v, v) to roundoff for inputs
+    inside the dealias radius; raises AliasingViolation otherwise.
     """
     _require_dealiased(grid, V)
-    n = grid.n
-    curl = grid.ikx * V[:, 1] - grid.iky * V[:, 0]
-    phys = np.fft.irfft2(np.concatenate((V, curl[:, None]), axis=1), s=(n, n), norm="forward")
-    phys[:, :2] *= phys[:, 2:]  # omega (v_x, v_y)
-    raw = np.fft.rfft2(phys[:, :2], norm="forward").view(np.float64)
-    rot = grid.masked_leray_rot
-    return (rot[:, 0] * raw[:, None, 0] + rot[:, 1] * raw[:, None, 1]).view(np.complex128)
+    kernel = BoxAdvection(grid, len(V))
+    out = np.empty(kernel.shape, dtype=np.complex128)
+    return from_box(grid, kernel.advect(to_box(grid, V), out))
 
 
 def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:

@@ -373,11 +373,10 @@ class TestStepping:
         # with moderate gains both paths integrate the same flow at O(dt^2)
         base = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(3.0, 2.0))
         fine = integrate(base, 0.5, dt=1e-3)
-        pair = dyn._PackedPair(base, dt=0.01, fold=True)
-        V = sp.pack(base.v1, base.v2)
+        ws = dyn.Workspace.of(base, dt=0.01, fold=True)
         for k in range(int(0.5 / 0.01)):
-            V = pair.step(V, k * 0.01)
-        folded = sp.SpectralField(grid16, V[0])
+            ws.step(k * 0.01)
+        folded = sp.SpectralField(grid16, sp.from_box(grid16, ws.V)[0])
         assert (fine.v1 - folded).l2 <= 5e-3 * max(fine.v1.l2, 1e-30)
 
     def test_heat_law_along_trajectory(self, grid16, rng):
@@ -393,6 +392,17 @@ class TestStepping:
         mid = ps[1]
         resid = dpdt + state.nu * sp.stokes_apply(mid, 2)  # h = 0 here
         assert resid.l2 <= 10.0 * dt**2 * max(mid.h1, 1.0)
+
+    def test_largest_norm_on_the_box(self, grid16, rng):
+        # the blow-up guard's norm, computed on the box stack
+        state = replace(
+            make_state(grid16, rng, IntertwiningMatrix.zero()),
+            v2=sp.random_field(grid16, rng, energy=2.0),
+        )
+        ws = dyn.Workspace.of(state, dt=0.01)
+        ws.step(0.0)
+        v1, v2 = (sp.SpectralField(grid16, h) for h in sp.from_box(grid16, ws.V))
+        assert ws.largest_norm() == pytest.approx(max(v1.l2, v2.l2), rel=1e-14)
 
     def test_blowup_detected(self, grid16):
         # strong anti-damping through a general coupling matrix
@@ -492,6 +502,74 @@ class TestStepping:
         )
         with pytest.raises(sp.AliasingViolation):
             integrate(state, 0.1, dt=0.01)
+
+    def test_integrate_catches_force_aliased_after_t0(self, grid16, rng):
+        # cos(omega t) a + sin(omega t) b with b aliased: clean at t = 0, so
+        # the guard must run on every newly packed force stack, not once
+        bad = np.zeros((2, 16, 9), dtype=complex)
+        bad[1, 0, 7] = 0.1  # |k| = 7 > 16/3
+        forcing = fr.TimePeriodicForcing(
+            fr.kolmogorov_force(grid16, 0.3, 2), omega=3.0, sin_field=sp.leray_project(grid16, bad)
+        )
+        sp._require_dealiased(grid16, sp.pack(forcing(0.0)))
+        state = replace(
+            make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 1.0)),
+            forcing=fr.ForcingPair.synchronized(forcing),
+        )
+        with pytest.raises(sp.AliasingViolation):
+            integrate(state, 0.1, dt=0.01)
+
+    def test_sub_tolerance_content_outside_box_dropped_at_pack(self, grid16, rng):
+        # content below ALIAS_RTOL passes the guard; outside the box it is
+        # dropped, so the run is bitwise the run of the clean pair
+        clean = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 0.5))
+        raw = clean.v1.half.copy()
+        raw[1, 0, 7] = 1e-15  # kx = 7 lies outside the box (kx <= 5)
+        dirty_v1 = sp.SpectralField(grid16, raw)
+        assert 0.0 < sp.alias_energy(grid16, raw[None])[0] <= sp.ALIAS_RTOL
+        dirty = replace(clean, v1=dirty_v1)
+        out = integrate(dirty, 0.1, dt=0.01)
+        ref = integrate(clean, 0.1, dt=0.01)
+        assert out.v1.half[1, 0, 7] == 0.0
+        assert out.v1.half.tobytes() == ref.v1.half.tobytes()
+        assert out.v2.half.tobytes() == ref.v2.half.tobytes()
+
+    def test_sink_states_own_their_values(self, grid16, rng):
+        # the pair is stepped in place; each sampled state must keep the
+        # values it had when it was sampled
+        state = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 0.5))
+        kept, copies = [], []
+
+        def sink(s):
+            kept.append(s)
+            copies.append((s.v1.half.copy(), s.v2.half.copy()))
+
+        out = integrate(state, 0.2, dt=0.01, sample_every=0.05, sink=sink)
+        assert len(kept) == 5
+        for s, (h1, h2) in zip(kept, copies):
+            assert s.v1.half.tobytes() == h1.tobytes()
+            assert s.v2.half.tobytes() == h2.tobytes()
+        assert kept[-1].v1.half.tobytes() == out.v1.half.tobytes()
+        assert not np.shares_memory(kept[-1].v1.half, out.v1.half)
+
+    def test_step_loop_allocates_nothing(self):
+        # a sink-less run at n = 64 peaks at the workspace's own arrays plus
+        # small change, where an allocating step makes about 1 MB of
+        # temporaries.  The step-size guard's refined transform runs once,
+        # before the loop, and peaks higher, so it is switched off here
+        import tracemalloc
+
+        state, _, _ = hz.build_state(hz.parse_config_text(NUDGE_N128.replace("n = 128", "n = 64")))
+        ws = dyn.Workspace.of(state, dt=0.02)
+        ws.step(0.0)
+        integrate(state, 0.04, dt=0.02, cfl_factor=None)  # numpy's first-call caches
+        tracemalloc.start()
+        try:
+            integrate(state, 2.0, dt=0.02, cfl_factor=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ws.nbytes + 64 * 1024
 
     def test_sample_times_do_not_drift(self, grid16, rng):
         # a stride of 12 steps (sample_every 0.25 is not a multiple of dt):

@@ -394,6 +394,25 @@ class TestScenarios:
         )
         assert serial.extras["table"] == parallel.extras["table"]
 
+    def test_sweep_workers_capped_at_points(self, tmp_path, monkeypatch):
+        # a pool starts its workers up front, so threads beyond the point
+        # count would fork idle processes
+        sizes = []
+
+        class Pool(hz.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(hz, "ProcessPoolExecutor", Pool)
+        text = MINIMAL.replace("t_end = 4.0", "t_end = 1.0") + "\n[sweep]\nK = 1.0, 3.0\n"
+        from dataclasses import replace
+
+        cfg = replace(hz.parse_config_text(text), threads=3)
+        res = hz.run_scenario(cfg, kind="regime_sweep", out_dir=tmp_path / "out")
+        assert len(res.extras["table"]) == 2
+        assert sizes == [2]
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_sweep_survives_a_failing_point(self, tmp_path, monkeypatch, threads):
         run_scenario = hz.run_scenario
@@ -552,6 +571,16 @@ class TestCli:
         args = type("A", (), {"config": self._write(tmp_path, MINIMAL), "seed": None, "threads": None})
         loaded = cli._load(args)
         assert loaded.threads == 3
+
+    def test_explicit_threads_key_beats_env(self, tmp_path, monkeypatch):
+        # INTWINE_THREADS is the fallback when neither --threads nor the
+        # config's threads key is given; threads = 1 written out is a choice
+        monkeypatch.setenv("INTWINE_THREADS", "3")
+        text = MINIMAL.replace("seed = 7", "seed = 7\nthreads = 1")
+        args = type("A", (), {"config": self._write(tmp_path, text), "seed": None, "threads": None})
+        assert cli._load(args).threads == 1
+        args.threads = 2
+        assert cli._load(args).threads == 2
 
     @pytest.mark.parametrize(
         "edit, argv, env, message",

@@ -409,11 +409,6 @@ class TestPackedLayout:
         # every mode of the full spectrum is counted once by the column weights
         assert float(grid16.weight.sum()) * 16 == 16 * 16
 
-    def test_packed_l2(self, grid16, rng):
-        fields = [random_field(grid16, rng, energy=e) for e in (0.3, 2.0)]
-        norms_ = sp.packed_l2(grid16, sp.pack(*fields))
-        assert norms_ == pytest.approx([u.l2 for u in fields], rel=1e-14)
-
     def test_packed_alias_guard_per_copy(self, grid16, rng):
         u = random_field(grid16, rng)
         bad = u.half.copy()
@@ -422,6 +417,54 @@ class TestPackedLayout:
         sp.self_advection(grid16, sp.pack(u, u))
         with pytest.raises(AliasingViolation):
             sp.self_advection(grid16, sp.pack(u, dirty))
+
+
+def _reference_self_advection(grid, V):
+    """B(v, v) of the stack V by unpruned irfft2/rfft2 on the full half
+    spectrum: the formula the box kernel replaced, kept here as its
+    reference."""
+    n = grid.n
+    curl = grid.ikx * V[:, 1] - grid.iky * V[:, 0]
+    phys = np.fft.irfft2(np.concatenate((V, curl[:, None]), axis=1), s=(n, n), norm="forward")
+    phys[:, :2] *= phys[:, 2:]
+    raw = np.fft.rfft2(phys[:, :2], norm="forward").view(np.float64)
+    rot = grid.masked_leray_rot
+    return (rot[:, 0] * raw[:, None, 0] + rot[:, 1] * raw[:, None, 1]).view(np.complex128)
+
+
+class TestBoxKernel:
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "grid",
+        [Grid(n) for n in (8, 16, 32, 48, 64, 128)] + [Grid(32, 8.0)],
+        ids=lambda g: f"n{g.n}_r{g.dealias_radius:g}",
+    )
+    def test_bitwise_equal_to_unpruned_transforms(self, rng, grid, copies):
+        fields = [random_field(grid, rng, slope=s) for s in (0.5, 1.0, 2.0)[:copies]]
+        V = sp.pack(*fields)
+        ref = _reference_self_advection(grid, V)
+        kernel = sp.BoxAdvection(grid, copies)
+        out = np.empty(kernel.shape, dtype=complex)
+        for _ in range(2):  # the buffers are reused
+            kernel.advect(sp.to_box(grid, V), out)
+            assert out.tobytes() == sp.to_box(grid, ref).tobytes()
+        full = sp.self_advection(grid, V)
+        assert np.array_equal(full, ref)  # zero outside the box, as the reference there
+
+    def test_box_holds_the_dealias_ball(self):
+        for grid in (Grid(8), Grid(64), Grid(32, 8.0), Grid(30, 7.5)):
+            r = int(np.floor(grid.dealias_radius))
+            assert grid.box_cols == r + 1
+            assert list(grid.box_rows) == list(range(r + 1)) + list(range(grid.n - r, grid.n))
+            outside = np.ones(grid.k2.shape, dtype=bool)
+            outside[np.ix_(grid.box_rows, np.arange(grid.box_cols))] = False
+            assert not np.any(grid.dealias_mask & outside)
+
+    def test_box_round_trip(self, grid16, rng):
+        V = sp.pack(random_field(grid16, rng), random_field(grid16, rng))
+        back = sp.from_box(grid16, sp.to_box(grid16, V))
+        assert np.array_equal(back, V)  # equal up to the sign of zeros
+        assert not np.shares_memory(back, V)
 
 
 class TestOneLayout:
