@@ -24,6 +24,7 @@ from .dynamics import (
     WrongMatrixClass,
     derived_views,
     integrate,
+    integrate_many,
     residual_half_DB,
     residual_twisted,
     rhs_general,

@@ -11,10 +11,11 @@ The stepper removes the stiff diffusion exactly with an integrating factor
 and advances the remaining terms with Heun's method (second order); for
 strongly damped nudging runs the linear coupling can be folded into a
 per-mode 2x2 matrix exponential so large feedback gains do not force tiny
-steps.  A `Workspace` holds the pair as one stack on the dealias box (see
-`spectral.BoxAdvection`) with every buffer the steps need, so each
-right-hand side costs one batched pruned inverse and forward transform for
-both copies and a step allocates nothing.
+steps.  A `Workspace` holds the pair, or an ensemble of pairs that share
+grid, time, viscosity and step (`integrate_many`), as one stack on the
+dealias box (see `spectral.BoxAdvection`) with every buffer the steps need,
+so each right-hand side costs one batched pruned inverse and forward
+transform for all copies and a step allocates nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .forcing import ForcingPair
+from .forcing import ForcingPair, SteadyForcing
 from .spectral import Grid, SpectralField, project_high, project_low
 
 NUDGE_SYMMETRIC = "nudge_symmetric"
@@ -221,95 +222,174 @@ def expm_2x2(a) -> np.ndarray:
     return np.exp(half_tr) * (even * np.eye(2) + odd * b)
 
 
+def folds(matrix: IntertwiningMatrix, dt: float) -> bool:
+    """Whether the stepper folds matrix into the propagator at step dt: a
+    nudging coupling with max gain * dt > FOLD_GAIN_DT."""
+    return matrix.is_nudging and max(abs(p) for p in matrix.params) * dt > FOLD_GAIN_DT
+
+
+def _shared(states, name: str):
+    """The value of attribute name that every state has; ValueError otherwise."""
+    first = getattr(states[0], name)
+    if any(getattr(s, name) != first for s in states[1:]):
+        raise ValueError(f"the members of an ensemble must share {name}")
+    return first
+
+
+def _nbytes(x) -> int:
+    if isinstance(x, np.ndarray):
+        return x.nbytes
+    return sum(map(_nbytes, x)) if isinstance(x, (list, tuple)) else 0
+
+
 class Workspace:
     """Every array of the coupled right-hand side and of its stepper, built
-    once per call and reused: the one kernel of `integrate`, `rhs_general`
-    and `rhs_nse`.
+    once per call and reused: the one kernel of `integrate`,
+    `integrate_many`, `rhs_general` and `rhs_nse`.
 
-    The copies live as one (c, 2, 2r+1, r+1) stack on the dealias box (see
-    `spectral.BoxAdvection`, which supplies B(v, v)).  The initial fields
-    and each newly packed force stack pass the alias guard
-    (`spectral.ALIAS_RTOL`), and nothing inside a step checks it again:
-    every right-hand-side term is masked to the dealias ball, so content
-    outside it only decays.  After the check only the box is kept, so
-    content below ALIAS_RTOL outside the box is dropped when it is packed.
+    It holds c copies as one (c, 2, 2r+1, r+1) stack on the dealias box, and
+    `spectral.BoxAdvection` supplies B(v, v) for all of them at once.
+    fields and forces hold each copy's field and force, and pairs holds
+    (matrix, K, fold) for each pair of copies 2p, 2p + 1.  `Workspace.of`
+    builds the ensemble of P states as P such pairs, its members: they
+    share grid, t, nu, advect and dt, and each keeps its own matrix, cutoff
+    K, forces and fold flag.  Stepping runs on members; `rhs_nse` uses a
+    lone copy.
 
-    forces holds one callable t -> SpectralField per copy; the packed force
-    stack is reused while they return the same fields (a steady force is
-    packed once).  The matrix fixes the intertwining function F: P_K B(., .)
-    for a direct-replacement matrix, P_K for every other; a zero matrix, or
-    one folded into the propagator, adds no coupling term.  With dt set the
-    workspace steps: the propagator is the decay exp(-nu |k|^2 dt), and with
-    fold the 2x2 exp(dt M) across the copies on low modes, which moves the
-    linear nudging coupling out of the explicit stages.
+    Each copy's force is a `forcing.Forcing`, a tuple of fields and their
+    weights.  The distinct fields of all copies are packed once and pass the
+    alias guard (`spectral.ALIAS_RTOL`) with the initial fields, and nothing
+    inside a step checks it again: every right-hand-side term is masked to
+    the dealias ball, so content outside it only decays.  After the check
+    only the box is kept, so content below ALIAS_RTOL outside the box is
+    dropped when it is packed.  A copy's force is formed on the box as
+    `Forcing.__call__` forms it, and again only when its weights change: a
+    steady force is formed once.
 
-    Each entry's arithmetic (F = g - B, the row sums m_i1 c1 + m_i2 c2, the
-    Heun combination, one 2x2 matrix product for the folded propagator)
-    does not depend on the layout, so results on the box are bitwise those
-    of the half-spectrum stack.  A step allocates nothing.  The transform
-    buffers are allocated at the first right-hand side, after the first
-    force stack is packed, so that the packing's temporaries and those
-    buffers are never live together.
+    A pair's matrix fixes its intertwining function F: P_K B(., .) for a
+    direct-replacement matrix, P_K for every other; a zero matrix, or one
+    folded into the propagator, adds no coupling term.  With dt set the
+    workspace steps: the propagator is the decay exp(-nu |k|^2 dt), and for
+    a folded pair also the 2x2 exp(dt M) across its copies on low modes,
+    which moves the linear nudging coupling out of the explicit stages.
+
+    Each entry's arithmetic (the force's fold, F = g - B, the row sums
+    m_i1 c1 + m_i2 c2, the Heun combination, one 2x2 matrix product for a
+    folded propagator) depends neither on the layout nor on the other
+    members.  So results on the box are bitwise those of the half-spectrum
+    stack, and each member is bitwise its lone run.  A step allocates
+    nothing.  The transform buffers are allocated at the first right-hand
+    side, after the fields are packed, so that the packing's temporaries and
+    those buffers are never live together; without dt (a one-shot right-hand
+    side) the shared kernel of `BoxAdvection.cached` serves instead.
     """
 
-    def __init__(self, grid: Grid, nu: float, fields, forces, matrix: IntertwiningMatrix,
-                 K: float = 0.0, advect: bool = True, dt=None, fold: bool = False):
-        self.grid = grid
-        self.nu = nu
-        self.advect = advect
-        self.forcing = tuple(forces)
-        self.bilinear = matrix.is_direct_replacement
-        self.coupled = not fold and bool(np.any(matrix.entries != 0.0))
-        self.entries = matrix.entries
+    def __init__(self, grid: Grid, nu: float, fields, forces, t: float = 0.0,
+                 advect: bool = True, dt=None, pairs=()):
+        self.grid, self.nu, self.advect, self.dt = grid, nu, advect, dt
         self.V = self._pack(fields)
         self.shape = self.V.shape
         self.G, self.K1, self.X, self.B = (np.empty(self.shape, dtype=np.complex128) for _ in range(4))
-        self._forces = (None,) * len(self.forcing)
+        self._init_forces(forces, t)
         self.kernel = None
         # masks and decays enter the ufuncs at the stack's own shape (see
         # BoxAdvection), and as complex numbers, which is what numpy casts
         # them to against a complex operand
-        self.low = self._stack(grid.low_mode_mask(K)) if self.coupled else None
-        self.decay = self._stack(np.exp(-nu * grid.k2 * dt)) if dt is not None else None
-        self.dt = dt
-        self.pair_block = None
-        if fold:
-            self.pair_block = expm_2x2(dt * matrix.entries).astype(np.complex128)
-            self.low_modes = np.flatnonzero(spectral.to_box(grid, grid.low_mode_mask(K)))
-            self.low_values = np.empty((2, 2, len(self.low_modes)), dtype=np.complex128)
-            self.low_mixed = np.empty((2, 2 * len(self.low_modes)), dtype=np.complex128)
-        cols, rows = self.shape[-1], self.shape[-2]
-        self.norm_weight = np.tile(np.repeat(grid.weight[:cols], 2), 2 * rows)
-        self.norms = np.empty(len(self.V))
+        if dt is not None:
+            self.decay = self._stack(np.exp(-nu * grid.k2 * dt))
+            cols, rows = self.shape[-1], self.shape[-2]
+            self.norm_weight = np.tile(np.repeat(grid.weight[:cols], 2), 2 * rows)
+            self.norms = np.empty(len(self.V))
+        # (first copy, entries, bilinear) of each pair with a coupling term
+        self.coupling = [
+            (2 * p, matrix.entries, matrix.is_direct_replacement)
+            for p, (matrix, _, fold) in enumerate(pairs) if not fold and np.any(matrix.entries != 0.0)
+        ]
+        self.bilinear = any(bilinear for _, _, bilinear in self.coupling)
+        self.low = None
+        if self.coupling:
+            self.low = np.empty(self.shape, dtype=np.complex128)
+            for p, (_, K, _) in enumerate(pairs):
+                self.low[2 * p : 2 * p + 2] = spectral.to_box(grid, grid.low_mode_mask(K))
+        # (first copy, exp(dt M), low modes and their two buffers) of each folded pair
+        self.folded = []
+        for p, (matrix, K, fold) in enumerate(pairs):
+            if fold:
+                modes = np.flatnonzero(spectral.to_box(grid, grid.low_mode_mask(K)))
+                self.folded.append((
+                    2 * p, expm_2x2(dt * matrix.entries).astype(np.complex128), modes,
+                    np.empty((2, 2, len(modes)), dtype=np.complex128),
+                    np.empty((2, 2 * len(modes)), dtype=np.complex128),
+                ))
 
     @classmethod
-    def of(cls, state: IntertwinedState, dt=None, fold: bool = False) -> "Workspace":
-        """The workspace of a state's pair, its forces and its matrix."""
-        return cls(state.grid, state.nu, (state.v1, state.v2), (state.forcing.g1, state.forcing.g2),
-                   state.matrix, state.K, state.advect, dt, fold)
+    def of(cls, states, dt=None, fold=None) -> "Workspace":
+        """The workspace of one state's pair, or of an ensemble of states,
+        which must share grid, t, nu and advect; fold None folds each
+        member by `folds`."""
+        states = (states,) if isinstance(states, IntertwinedState) else tuple(states)
+        grid, t, nu, advect = (_shared(states, name) for name in ("grid", "t", "nu", "advect"))
+        pairs = [
+            (s.matrix, s.K, dt is not None and (folds(s.matrix, dt) if fold is None else fold))
+            for s in states
+        ]
+        return cls(grid, nu, [v for s in states for v in (s.v1, s.v2)],
+                   [g for s in states for g in (s.forcing.g1, s.forcing.g2)], t, advect, dt, pairs)
 
     def _stack(self, a) -> np.ndarray:
         box = np.broadcast_to(spectral.to_box(self.grid, a), self.shape)
         return np.ascontiguousarray(box, dtype=np.complex128)
 
-    def _pack(self, fields, out=None) -> np.ndarray:
+    def _pack(self, fields) -> np.ndarray:
         V = spectral.pack(*fields)
         spectral._require_dealiased(self.grid, V)
-        return spectral.to_box(self.grid, V, out)
+        return spectral.to_box(self.grid, V)
+
+    def _init_forces(self, forcing, t) -> None:
+        fields, index = [], {}
+        for g in forcing:
+            for u in g.fields:
+                if id(u) not in index:
+                    index[id(u)] = len(fields)
+                    fields.append(u)
+        self.force_fields = self._pack(fields)
+        self._force_terms = [(g, [index[id(u)] for u in g.fields]) for g in forcing]
+        self._weights = [None] * len(forcing)
+        for j in range(len(forcing)):
+            self._form(j, t)
+        self._varying = [j for j, g in enumerate(forcing) if not g.steady]
+
+    def _form(self, j, t) -> None:
+        """Form copy j's force at t into G[j], unless its weights are those
+        of the force already there."""
+        forcing, terms = self._force_terms[j]
+        weights = forcing.weights(t)
+        if weights == self._weights[j]:
+            return
+        self._weights[j] = weights
+        # B is free until the right-hand side advects
+        g, term = self.G[j], self.B[0]
+        for i, (k, w) in enumerate(zip(terms, weights)):
+            field = self.force_fields[k]
+            if w != 1.0:
+                field = np.multiply(field, w, out=g if i == 0 else term)
+            if i == 0:
+                if field is not g:
+                    np.copyto(g, field)
+            else:
+                np.add(g, field, out=g)
 
     @property
     def nbytes(self) -> int:
         """The bytes of the arrays the workspace holds, its kernel's included
         once it has stepped."""
         owners = (self, self.kernel) if self.kernel else (self,)
-        return sum(a.nbytes for o in owners for a in vars(o).values() if isinstance(a, np.ndarray))
+        return sum(_nbytes(a) for o in owners for a in vars(o).values())
 
     def forces(self, t) -> np.ndarray:
-        """The packed force stack at t; do not modify it in place."""
-        g = tuple(f(t) for f in self.forcing)
-        if any(a is not b for a, b in zip(g, self._forces)):
-            self._forces = g
-            self._pack(g, self.G)
+        """The force stack at t; do not modify it in place."""
+        for j in self._varying:
+            self._form(j, t)
         return self.G
 
     def rhs(self, V, t, out, diffuse=False) -> np.ndarray:
@@ -322,39 +402,42 @@ class Workspace:
         """
         F = self.forces(t)
         if self.kernel is None:
-            self.kernel = spectral.BoxAdvection(self.grid, len(V))
+            make = spectral.BoxAdvection if self.dt is not None else spectral.BoxAdvection.cached
+            self.kernel = make(self.grid, len(V))
         B, (c, s) = self.B, self.kernel.work
         # every read of V comes before out is written
-        if self.advect or (self.coupled and self.bilinear):
+        if self.advect or self.bilinear:
             self.kernel.advect(V, B)
-        if self.coupled:
-            np.multiply(B if self.bilinear else V, self.low, out=c)
+        for p, _, bilinear in self.coupling:
+            pair = slice(p, p + 2)
+            np.multiply((B if bilinear else V)[pair], self.low[pair], out=c[pair])
         if diffuse:
             F = np.subtract(F, self.nu * (spectral.to_box(self.grid, self.grid.k2) * V), out=out)
         if self.advect:
             F = np.subtract(F, B, out=out)
         if F is not out:
             np.copyto(out, F)
-        if self.coupled:
+        for p, m, _ in self.coupling:
             # sum each row's coupling first: commutativity of addition then
             # keeps the two equations bitwise equal on the synchronized manifold
-            m, scratch = self.entries, B[0]
+            scratch = B[p]
             for i in range(2):
-                np.multiply(m[i, 0], c[0], out=s[i])
-                np.multiply(m[i, 1], c[1], out=scratch)
-                np.add(s[i], scratch, out=s[i])
-            np.add(out, s, out=out)
+                np.multiply(m[i, 0], c[p], out=s[p + i])
+                np.multiply(m[i, 1], c[p + 1], out=scratch)
+                np.add(s[p + i], scratch, out=s[p + i])
+            pair = slice(p, p + 2)
+            np.add(out[pair], s[pair], out=out[pair])
         return out
 
     def propagate(self, V) -> None:
         """Apply the propagator to the box stack V in place."""
         np.multiply(V, self.decay, out=V)
-        if self.pair_block is not None:
-            flat = V.reshape(2, 2, -1)
-            np.take(flat, self.low_modes, axis=-1, out=self.low_values, mode="clip")
-            # the np.dot that np.tensordot(pair_block, values, axes=(1, 0)) runs
-            np.dot(self.pair_block, self.low_values.reshape(2, -1), out=self.low_mixed)
-            flat[..., self.low_modes] = self.low_mixed.reshape(2, 2, -1)
+        for p, block, modes, values, mixed in self.folded:
+            flat = V[p : p + 2].reshape(2, 2, -1)
+            np.take(flat, modes, axis=-1, out=values, mode="clip")
+            # the np.dot that np.tensordot(block, values, axes=(1, 0)) runs
+            np.dot(block, values.reshape(2, -1), out=mixed)
+            flat[..., modes] = mixed.reshape(2, 2, -1)
 
     def step(self, t) -> None:
         """One integrating-factor Heun step of V from time t, in place."""
@@ -370,14 +453,32 @@ class Workspace:
         self.propagate(V)
         np.add(V, K2, out=V)
 
-    def largest_norm(self) -> float:
-        """The largest L2 norm of the copies after a step; NaN when one is
-        not finite."""
+    def _square_norms(self) -> np.ndarray:
         floats = self.V.reshape(len(self.V), -1).view(np.float64)
         squares = self.kernel.work[0].reshape(len(self.V), -1).view(np.float64)
         np.multiply(floats, floats, out=squares)
-        np.dot(squares, self.norm_weight, out=self.norms)
-        return float(np.sqrt(spectral.PLANCHEREL * self.norms.max()))
+        return np.dot(squares, self.norm_weight, out=self.norms)
+
+    def largest_norms(self) -> np.ndarray:
+        """Per member, the larger L2 norm of its two copies after a step; NaN
+        when one is not finite."""
+        return np.sqrt(spectral.PLANCHEREL * self._square_norms().reshape(-1, 2).max(axis=1))
+
+    def blown_up(self) -> list:
+        """The members whose norm after a step exceeds BLOWUP_LIMIT or is
+        not finite; one reduction when there are none."""
+        # a NaN norm fails the comparison too
+        if np.sqrt(spectral.PLANCHEREL * self._square_norms().max()) <= BLOWUP_LIMIT:
+            return []
+        return [p for p, norm in enumerate(self.largest_norms()) if not norm <= BLOWUP_LIMIT]
+
+    def freeze(self, p) -> None:
+        """Stop member p: its copies and their forces are zeroed, so the
+        copies stay zero and leave the other members as they were."""
+        pair = slice(2 * p, 2 * p + 2)
+        self.V[pair] = 0.0
+        self.G[pair] = 0.0
+        self._varying = [j for j in self._varying if j // 2 != p]
 
     def right_hand_sides(self, t) -> np.ndarray:
         """The full right-hand sides of the packed fields at t, diffusion
@@ -387,7 +488,7 @@ class Workspace:
 
 def rhs_nse(u: SpectralField, f: SpectralField, nu: float) -> SpectralField:
     """Plain Navier-Stokes right-hand side f - nu A u - B(u, u)."""
-    ws = Workspace(u.grid, nu, (u,), (lambda t: f,), IntertwiningMatrix.zero())
+    ws = Workspace(u.grid, nu, (u,), (SteadyForcing(f),))
     return SpectralField(u.grid, ws.right_hand_sides(0.0)[0])
 
 
@@ -508,6 +609,34 @@ def _with_pair(state: IntertwinedState, V, t: float) -> IntertwinedState:
     return replace(state, t=t, v1=SpectralField(state.grid, v1), v2=SpectralField(state.grid, v2))
 
 
+def _check_step(state: IntertwinedState, dt: float, cfl_factor) -> None:
+    if cfl_factor is not None and state.advect:
+        limit = cfl_limit(state, cfl_factor)
+        if dt > limit:
+            raise StepGuardViolation(
+                f"dt={dt:g} violates the step guard {limit:g}; "
+                "reduce dt or raise cfl_factor explicitly"
+            )
+
+
+def _advance(ws: Workspace, t0: float, nsteps: int, on_step=None) -> dict:
+    """The one stepping loop: nsteps steps of ws from t0, step k landing at
+    t0 + k dt, with on_step(k) after each.  A member that blows up is frozen
+    there; returns {member: its BlowupDetected}, and stops once every member
+    has blown up."""
+    dt, blowups = ws.dt, {}
+    for k in range(1, nsteps + 1):
+        ws.step(t0 + (k - 1) * dt)
+        for p in ws.blown_up():
+            ws.freeze(p)
+            blowups[p] = BlowupDetected(t0 + k * dt)
+        if len(blowups) == len(ws.V) // 2:
+            break
+        if on_step is not None:
+            on_step(k)
+    return blowups
+
+
 def integrate(
     state: IntertwinedState,
     t_end: float,
@@ -525,35 +654,60 @@ def integrate(
     BLOWUP_LIMIT or turns non-finite (diverging trajectories are an expected
     outcome for some symmetric direct-replacement parameters).
     cfl_factor=None disables the step-size guard.  Raises AliasingViolation
-    when the pair or a force carries energy outside the dealias radius.
+    when the pair or a force field carries energy outside the dealias radius.
 
-    The pair is advanced in place on one `Workspace`.  A nudging coupling
-    with max gain * dt > FOLD_GAIN_DT is folded into the propagator.
+    The pair is advanced in place on one `Workspace`, as the lone member of
+    the loop `integrate_many` runs.  A nudging coupling with max gain * dt >
+    FOLD_GAIN_DT is folded into the propagator.
     """
     if t_end < state.t:
         raise ValueError("t_end precedes the state's current time")
     nsteps, sampled = sample_steps(t_end - state.t, dt, sample_every)
     if nsteps == 0:
         return state
-    if cfl_factor is not None and state.advect:
-        limit = cfl_limit(state, cfl_factor)
-        if dt > limit:
-            raise StepGuardViolation(
-                f"dt={dt:g} violates the step guard {limit:g}; "
-                "reduce dt or raise cfl_factor explicitly"
-            )
-    fold = state.matrix.is_nudging and max(abs(p) for p in state.matrix.params) * dt > FOLD_GAIN_DT
-    ws = Workspace.of(state, dt, fold)
+    _check_step(state, dt, cfl_factor)
+    ws = Workspace.of(state, dt)
     t0 = state.t
+    on_step = None
     if sink is not None:
         sink(state)
-    for k in range(1, nsteps + 1):
-        ws.step(t0 + (k - 1) * dt)
-        # a NaN norm fails the comparison too
-        if not ws.largest_norm() <= BLOWUP_LIMIT:
-            raise BlowupDetected(t0 + k * dt)
-        if sink is not None and sampled(k):
-            sink(_with_pair(state, ws.V, t0 + k * dt))
+
+        def on_step(k):
+            if sampled(k):
+                sink(_with_pair(state, ws.V, t0 + k * dt))
+
+    blowups = _advance(ws, t0, nsteps, on_step)
+    if blowups:
+        raise blowups[0]
     V = ws.V
     del ws  # frees the buffers before the returned fields are built
     return _with_pair(state, V, t0 + nsteps * dt)
+
+
+def integrate_many(states, t_end: float, dt, cfl_factor: float | None = 1.0) -> list:
+    """Advance an ensemble of states to t_end as one stack on one `Workspace`.
+
+    The states must share grid, t, nu and advect, and dt is one step for
+    all, or one per state that must all be equal (ValueError otherwise).
+    Returns, per state, its state at t_end, bitwise the state `integrate`
+    returns for it alone, or the BlowupDetected of a member that blew up:
+    that member is frozen and the others go on.  The step-size guard checks
+    every member (cfl_factor=None disables it).
+    """
+    states = list(states)
+    if np.ndim(dt):
+        if len(dt) != len(states) or any(d != dt[0] for d in dt):
+            raise ValueError("the members of an ensemble must share dt")
+        dt = dt[0]
+    t0, *_ = (_shared(states, name) for name in ("t", "grid", "nu", "advect"))
+    if t_end < t0:
+        raise ValueError("t_end precedes the states' current time")
+    nsteps = step_count(t_end - t0, dt)
+    if nsteps == 0:
+        return states
+    for state in states:
+        _check_step(state, dt, cfl_factor)
+    ws = Workspace.of(states, dt)
+    blowups = _advance(ws, t0, nsteps)
+    t = t0 + nsteps * dt
+    return [blowups.get(p) or _with_pair(s, ws.V[2 * p : 2 * p + 2], t) for p, s in enumerate(states)]

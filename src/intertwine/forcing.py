@@ -22,12 +22,29 @@ class NoClosedForm(ValueError):
 
 
 class Forcing:
-    """Base class: a bounded curve t -> g(t) in the divergence-free space."""
+    """Base class: a bounded curve t -> g(t) in the divergence-free space,
+    written as a fixed tuple of fields and a weight per field:
+    g(t) = sum_i weights(t)[i] fields[i].
+
+    A stepper packs the fields once and forms g(t) from the weights.  steady
+    says the weights never change, so that g is formed once.
+    """
 
     kind = STEADY
+    steady = False
+    fields: tuple = ()
+
+    def weights(self, t: float) -> tuple:
+        raise NotImplementedError
 
     def __call__(self, t: float) -> SpectralField:
-        raise NotImplementedError
+        """The left fold of weights times fields; a weight of exactly 1 is
+        not multiplied, so a steady force returns its field itself."""
+        total = None
+        for field, w in zip(self.fields, self.weights(t)):
+            term = field if w == 1.0 else field * w
+            total = term if total is None else total + term
+        return total
 
     def sup_l2(self) -> float:
         """sup over t >= 0 of |g(t)|, exact where a closed form exists."""
@@ -36,12 +53,14 @@ class Forcing:
 
 class SteadyForcing(Forcing):
     kind = STEADY
+    steady = True
 
     def __init__(self, field: SpectralField):
         self.field = field
+        self.fields = (field,)
 
-    def __call__(self, t: float) -> SpectralField:
-        return self.field
+    def weights(self, t: float) -> tuple:
+        return (1.0,)
 
     def sup_l2(self) -> float:
         return self.field.l2
@@ -56,9 +75,10 @@ class TimePeriodicForcing(Forcing):
         self.cos_field = cos_field
         self.sin_field = sin_field if sin_field is not None else zero_field(cos_field.grid)
         self.omega = float(omega)
+        self.fields = (self.cos_field, self.sin_field)
 
-    def __call__(self, t: float) -> SpectralField:
-        return np.cos(self.omega * t) * self.cos_field + np.sin(self.omega * t) * self.sin_field
+    def weights(self, t: float) -> tuple:
+        return (np.cos(self.omega * t), np.sin(self.omega * t))
 
     def sup_l2(self) -> float:
         # |g(t)|^2 is a quadratic form in (cos, sin); the sup is the largest
@@ -84,9 +104,11 @@ class DecayingDeltaForcing(Forcing):
         self.base = base
         self.delta = delta
         self.rate = float(rate)
+        # the base's own field objects, so that a stepper packs them once
+        self.fields = base.fields + (delta,)
 
-    def __call__(self, t: float) -> SpectralField:
-        return self.base(t) + np.exp(-self.rate * t) * self.delta
+    def weights(self, t: float) -> tuple:
+        return self.base.weights(t) + (np.exp(-self.rate * t),)
 
     def sup_l2(self) -> float:
         # triangle-inequality envelope; exact for steady base when the

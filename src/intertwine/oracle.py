@@ -157,11 +157,12 @@ def _kernel(radius: int, keep: float) -> "_Kernel":
 class _Kernel:
     """The array kernel of one box and Galerkin ball, built once on first use.
 
-    Stacks have shape (copies, 2, S) with S = side^2 and at most two copies;
-    mode index (ky+R)*side + (kx+R) as in `DenseModeSet.coeffs`.  The triad
-    indices are offset by (copy*2 + comp)*S, so one bincount over the
-    interleaved real and imaginary parts sums the convolution of every copy
-    and component.  Memory is O(triads).
+    Stacks have shape (copies, 2, S) with S = side^2, for any number of
+    copies; mode index (ky+R)*side + (kx+R) as in `DenseModeSet.coeffs`.
+    The triad indices are offset by (copy*2 + comp)*S, so one bincount over
+    the interleaved real and imaginary parts sums the convolution of every
+    copy and component.  The offset tables grow to the most copies seen;
+    memory is O(triads * copies).
     """
 
     def __init__(self, radius: int, keep: float):
@@ -182,15 +183,21 @@ class _Kernel:
         self.kvec = kvec.astype(np.complex128)
         self.inv_k2 = inv_k2.astype(np.complex128)
         self.lap = self.stokes_multiplier(2).astype(np.complex128)
-        ia, ib, ik, bx, by = _triples(radius, keep)
-        self.ntriads = ia.size
-        offsets = (np.arange(4) * S).reshape(2, 2, 1)
+        self.triads = _triples(radius, keep)
+        self.ntriads = self.triads[0].size
+        self._offset_tables(2)
+        # i b, so that i (u_a . b) = u_a,x (i b_x) + u_a,y (i b_y)
+        self.ibvec = 1j * np.stack(self.triads[3:])
+
+    def _offset_tables(self, copies: int) -> None:
+        """The triad indices offset for `copies` copies."""
+        ia, ib, ik = self.triads[:3]
+        offsets = (np.arange(2 * copies) * self.size).reshape(copies, 2, 1)
         self.ia = ia + offsets
         self.ib = ib + offsets
         # real and imaginary parts interleaved: one bincount over the float view
         self.ik = ((2 * (ik + offsets))[..., None] + np.arange(2)).ravel()
-        # i b, so that i (u_a . b) = u_a,x (i b_x) + u_a,y (i b_y)
-        self.ibvec = 1j * np.stack([bx, by])
+        self.capacity = copies
 
     def stokes_multiplier(self, half_power: int):
         mult = np.zeros(self.size)
@@ -215,6 +222,8 @@ class _Kernel:
         No triad writes k = 0, so the mean stays zero.
         """
         copies = U.shape[0]
+        if copies > self.capacity:
+            self._offset_tables(copies)
         p = U.reshape(-1)[self.ia[:copies]] * self.ibvec
         contrib = (p[:, :1] + p[:, 1:]) * W.reshape(-1)[self.ib[:copies]]
         sums = np.bincount(
@@ -224,20 +233,21 @@ class _Kernel:
         )
         return self.leray(sums.view(np.complex128).reshape(copies, 2, self.size))
 
-    def rhs(self, V, G, nu_lap, coupling=None):
+    def rhs(self, V, G, nu_lap, coupling=()):
         """f_i = g_i - nu A v_i - B(v_i, v_i) [+ m_i1 c_1 + m_i2 c_2] on a stack.
 
-        nu_lap is nu * lap.  coupling is (m1, m2, bilinear), m_j the j-th
-        column of the matrix times the low mask: c_j = B(v_j, v_j) when
-        bilinear, else v_j.  As in `dynamics.Workspace.rhs`, each row is summed
-        first.
+        nu_lap is nu * lap.  coupling holds (first, m1, m2, bilinear) for
+        each coupled pair, the copies first and first + 1; m_j is the j-th
+        column of its matrix times its low mask, c_j = B(v_j, v_j) when
+        bilinear, else v_j.  As in `dynamics.Workspace.rhs`, each row is
+        summed first.
         """
         B = self.bilinear(V, V)
         F = G - nu_lap * V - B
-        if coupling is not None:
-            m1, m2, bilinear = coupling
+        for first, m1, m2, bilinear in coupling:
             X = B if bilinear else V
-            F = F + (m1 * X[0] + m2 * X[1])
+            pair = slice(first, first + 2)
+            F[pair] = F[pair] + (m1 * X[first] + m2 * X[first + 1])
         return F
 
     def stack(self, sets):
@@ -298,16 +308,17 @@ def heat_exact(p0: SpectralField, h: SpectralField | None, nu: float, t: float) 
     return SpectralField(g, half)
 
 
-def _coupling(kern: _Kernel, matrix, K: float):
-    """The coupling argument of `_Kernel.rhs`, or None for an uncoupled pair.
+def _coupling(kern: _Kernel, matrix, K: float, first: int = 0) -> list:
+    """The coupling entries of `_Kernel.rhs` for a pair at copies first and
+    first + 1: none for an uncoupled pair.
 
     The matrix fixes F: P_K B(., .) for direct replacement, P_K otherwise.
     """
     if matrix is None:
-        return None
+        return []
     # column j, shaped (2, 1, 1) to scale c_j in both rows, times the mask
     m = matrix.entries.astype(np.complex128)[:, :, None, None] * kern.low_mask(K)
-    return m[:, 0], m[:, 1], matrix.is_direct_replacement
+    return [(first, m[:, 0], m[:, 1], matrix.is_direct_replacement)]
 
 
 def _dense_pair_rhs(v1, v2, g1, g2, nu, K, matrix):
@@ -347,14 +358,44 @@ def dense_trajectory(
     Convergence: halving dt_ref changes the endpoint at fourth order
     (Richardson ratio near 16), which the test suite verifies.
     """
-    pair = v2_0 is not None
-    if matrix is not None and not pair:
-        raise ValueError("a coupling matrix needs a second copy v2_0")
-    starts = [v1_0, v2_0] if pair else [v1_0]
-    kern = _shared_kernel(*starts)
-    getters = [forcing.g1_dense, forcing.g2_dense] if pair else [forcing.g1_dense]
-    coupling = _coupling(kern, matrix, K)
+    (out,) = dense_trajectories([(v1_0, v2_0, forcing, K, matrix)], nu, t_end, dt_ref, sample_every)
+    if isinstance(out, BlowupDetected):
+        raise out
+    return out
+
+
+def dense_trajectories(systems, nu: float, t_end: float, dt_ref: float = 1e-4,
+                       sample_every: float | None = None) -> list:
+    """`dense_trajectory` for several systems as one RK4 loop on one stack.
+
+    systems holds (v1_0, v2_0, forcing, K, matrix) per member, as the
+    arguments of `dense_trajectory`; the members share nu, the box and the
+    Galerkin ball.  Returns per member its (samples, final), bitwise those
+    of its lone run, or the BlowupDetected of a member that diverged: that
+    member is dropped from the stack, and the others go on.
+    """
+    for v1_0, v2_0, _, _, matrix in systems:
+        if matrix is not None and v2_0 is None:
+            raise ValueError("a coupling matrix needs a second copy v2_0")
+    starts = [[d for d in system[:2] if d is not None] for system in systems]
+    kern = _shared_kernel(*(d for sets in starts for d in sets))
     nu_lap = nu * kern.lap
+    active = list(range(len(systems)))
+
+    def layout():
+        """The rows of each active member in the stack, the stack's force
+        getters and its coupling."""
+        spans, getters, coupling, first = [], [], [], 0
+        for p in active:
+            _, _, forcing, K, matrix = systems[p]
+            copies = len(starts[p])
+            spans.append(slice(first, first + copies))
+            getters += [forcing.g1_dense, forcing.g2_dense][:copies]
+            coupling += _coupling(kern, matrix, K, first)
+            first += copies
+        return spans, getters, coupling
+
+    spans, getters, coupling = layout()
     held = [None, None]  # the forces last seen and their stack
 
     def rhs(V, t):
@@ -363,14 +404,15 @@ def dense_trajectory(
             held[:] = forces, kern.stack(forces)
         return kern.rhs(V, held[1], nu_lap, coupling)
 
-    def snapshot(t, V):
-        sets = kern.unstack(V)
-        return (t, sets[0], sets[1] if pair else None)
+    def snapshot(t, V, span):
+        sets = kern.unstack(V[span])
+        return (t, sets[0], sets[1] if len(sets) == 2 else None)
 
     nsteps, sampled = sample_steps(t_end, dt_ref, sample_every)
     half, sixth = 0.5 * dt_ref, dt_ref / 6.0
-    V = kern.stack(starts)
-    samples = [snapshot(0.0, V)]
+    V = kern.stack([d for sets in starts for d in sets])
+    samples = [[snapshot(0.0, V, span)] for span in spans]
+    results: list = [None] * len(systems)
     t = 0.0
     for istep in range(nsteps):
         k1 = rhs(V, t)
@@ -383,11 +425,26 @@ def dense_trajectory(
         # alone; a non-finite entry makes its copy's norm fail the test too
         energy = np.square(V.view(np.float64)).reshape(len(V), -1).sum(axis=1)
         if not np.sqrt(PLANCHEREL * energy.max()) <= BLOWUP_LIMIT:
-            raise BlowupDetected(t, f"dense trajectory diverged at t={t:g}")
+            norms = np.sqrt(PLANCHEREL * energy)
+            kept = []
+            for p, span in zip(active, spans):
+                if norms[span].max() <= BLOWUP_LIMIT:
+                    kept.append(V[span])
+                else:
+                    results[p] = BlowupDetected(t, f"dense trajectory diverged at t={t:g}")
+            active = [p for p in active if results[p] is None]
+            if not active:
+                break
+            V = np.concatenate(kept)
+            spans, getters, coupling = layout()
+            held[0] = None
         if sampled(istep + 1):
-            samples.append(snapshot(t, V))
-    _, v1, v2 = snapshot(t, V)
-    return samples, (v1, v2)
+            for p, span in zip(active, spans):
+                samples[p].append(snapshot(t, V, span))
+    for p, span in zip(active, spans):
+        _, v1, v2 = snapshot(t, V, span)
+        results[p] = (samples[p], (v1, v2))
+    return results
 
 
 class DenseForcingAdapter:

@@ -31,6 +31,7 @@ owns; `self_advection` runs it on half-spectrum stacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,6 +117,7 @@ class Grid:
         r = int(self.kx[self.dealias_mask].max())
         self.box_rows = np.r_[0 : r + 1, n - r : n]
         self.box_cols = r + 1
+        self._hm_weights = {}
 
     def __eq__(self, other):
         return (
@@ -129,6 +131,14 @@ class Grid:
 
     def __repr__(self):
         return f"Grid(n={self.n}, dealias_radius={self.dealias_radius:g})"
+
+    def hm_weight(self, m: int) -> np.ndarray:
+        """|k|^(2m) times the column weights, the weights of hm_norm; built
+        on first use and kept."""
+        w = self._hm_weights.get(m)
+        if w is None:
+            w = self._hm_weights[m] = self.k2**m * self.weight if m > 0 else self.weight
+        return w
 
     def low_mode_mask(self, K: float) -> np.ndarray:
         """Boolean mask of modes with |k| <= K (inclusive Euclidean ball)."""
@@ -322,10 +332,8 @@ def inner(u: SpectralField, v: SpectralField) -> float:
 
 def hm_norm(u: SpectralField, m: int) -> float:
     """Sobolev norm |A^(m/2) u| = sqrt((2 pi)^2 sum |k|^(2m) |u_hat|^2)."""
-    g = u.grid
-    weights = g.k2**m * g.weight if m > 0 else g.weight
     h = u.half
-    return float(np.sqrt(PLANCHEREL * np.sum(weights * (h.real**2 + h.imag**2))))
+    return float(np.sqrt(PLANCHEREL * np.sum(u.grid.hm_weight(m) * (h.real**2 + h.imag**2))))
 
 
 def norms(u: SpectralField, max_m: int = 2) -> NormTriple:
@@ -368,9 +376,19 @@ def to_physical(u: SpectralField, pad: int = 1) -> np.ndarray:
 
 def linf_norm(*fields: SpectralField, pad: int = 2) -> float:
     """Sup of the pointwise vector magnitude, sampled on a refined grid; of
-    several fields on one grid, the largest, from one batched transform."""
-    phys = _physical(fields[0].grid, np.stack([u.half for u in fields]), pad)
-    return float(np.sqrt(phys[:, 0] ** 2 + phys[:, 1] ** 2).max())
+    several fields, the largest.
+
+    One field is transformed at a time, so the peak memory is that of one
+    refined field.  sqrt is monotone, so the sqrt of the largest squared
+    magnitude is the largest magnitude, bit for bit.
+    """
+    largest = 0.0
+    for u in fields:
+        phys = _physical(u.grid, u.half, pad)
+        np.square(phys, out=phys)
+        np.add(phys[0], phys[1], out=phys[0])
+        largest = np.maximum(largest, phys[0].max())  # a NaN propagates
+    return float(np.sqrt(largest))
 
 
 def l4_norm(u: SpectralField) -> float:
@@ -447,8 +465,10 @@ class BoxAdvection:
 
     Every ufunc here takes operands of one shape: numpy buffers a broadcast
     operand into a fresh array when the others are contiguous, which is an
-    allocation per call.  work is two box stacks of scratch; advect
-    overwrites them, and callers may use them between calls.
+    allocation per call.  So the wavenumbers and the four blocks of the
+    projector are stored once per copy, and each product runs once over
+    all copies.  work is two box stacks of scratch; advect overwrites them,
+    and callers may use them between calls.
     """
 
     def __init__(self, grid: Grid, copies: int):
@@ -457,11 +477,16 @@ class BoxAdvection:
         self.grid = grid
         self.shape = (copies, 2, len(rows), cols)
         self.work = np.empty((2,) + self.shape, dtype=np.complex128)
-        self.ikx = to_box(grid, grid.ikx)
-        self.iky = to_box(grid, grid.iky)
-        self.rot = np.take(grid.masked_leray_rot[..., : 2 * cols], rows, axis=-2)
         # (box rows, grid rows) of the two row blocks ky = 0 .. r and -r .. -1
         self.blocks = ((slice(0, r + 1), slice(0, r + 1)), (slice(r + 1, None), slice(n - r, n)))
+        # the constants, once per copy, copied block by block from the grid's
+        # arrays with no temporary
+        self.ikx, self.iky = (np.empty((copies, len(rows), cols), dtype=np.complex128) for _ in range(2))
+        self.rot = np.empty((2, 2, copies, len(rows), 2 * cols))
+        for box, grid_rows in self.blocks:
+            self.ikx[:, box] = grid.ikx[grid_rows, :cols]
+            self.iky[:, box] = grid.iky[grid_rows, :cols]
+            self.rot[:, :, :, box] = grid.masked_leray_rot[:, :, None, grid_rows, : 2 * cols]
         # the transform buffers put the component axis first: (v_x, v_y, omega),
         # then the copies
         self.spec = np.zeros((3, copies, n, cols), dtype=np.complex128)
@@ -469,15 +494,22 @@ class BoxAdvection:
         self.phys = np.empty((3, copies, n, n))
         self.fwd = np.empty((2, copies, n, n // 2 + 1), dtype=np.complex128)
 
+    @staticmethod
+    @lru_cache(maxsize=8)
+    def cached(grid: Grid, copies: int) -> "BoxAdvection":
+        """One kernel per (grid, copies), shared by the one-shot callers of
+        the process: its buffers hold nothing between calls, and no two
+        threads may use it at once."""
+        return BoxAdvection(grid, copies)
+
     def advect(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write B(v, v) of each copy of the box stack V into out, a
         C-contiguous box stack that is not V; allocates nothing."""
         n, cols = self.grid.n, self.shape[-1]
         spec, mid, phys = self.spec, self.mid, self.phys
         curl, raw = self.work
-        for j in range(len(V)):
-            np.multiply(self.ikx, V[j, 1], out=curl[j, 0])
-            np.multiply(self.iky, V[j, 0], out=curl[j, 1])
+        np.multiply(self.ikx, V[:, 1], out=curl[:, 0])
+        np.multiply(self.iky, V[:, 0], out=curl[:, 1])
         for box, rows in self.blocks:
             spec[:2, :, rows] = V[:, :, box].swapaxes(0, 1)
             np.subtract(curl[:, 0, box], curl[:, 1, box], out=spec[2, :, rows])  # omega
@@ -493,10 +525,9 @@ class BoxAdvection:
         for box, rows in self.blocks:
             raw[:, :, box] = kept[:, :, rows].swapaxes(0, 1)
         rot, raw, prod, res = self.rot, raw.view(np.float64), curl.view(np.float64), out.view(np.float64)
-        for j in range(len(V)):
-            for i in range(2):
-                np.multiply(rot[i, 0], raw[j, 0], out=prod[j, i])
-                np.multiply(rot[i, 1], raw[j, 1], out=res[j, i])
+        for i in range(2):
+            np.multiply(rot[i, 0], raw[:, 0], out=prod[:, i])
+            np.multiply(rot[i, 1], raw[:, 1], out=res[:, i])
         np.add(prod, res, out=res)
         return out
 
@@ -504,12 +535,13 @@ class BoxAdvection:
 def self_advection(grid: Grid, V: np.ndarray) -> np.ndarray:
     """B(v, v) for each field v of the stack V, shape (c, 2, n, n//2+1).
 
-    Runs `BoxAdvection` on the dealias box of V and returns a fresh array,
-    zero outside the box.  Equals bilinear_B(v, v) to roundoff for inputs
-    inside the dealias radius; raises AliasingViolation otherwise.
+    Runs the shared `BoxAdvection` of (grid, c) on the dealias box of V and
+    returns a fresh array, zero outside the box.  Equals bilinear_B(v, v) to
+    roundoff for inputs inside the dealias radius; raises AliasingViolation
+    otherwise.
     """
     _require_dealiased(grid, V)
-    kernel = BoxAdvection(grid, len(V))
+    kernel = BoxAdvection.cached(grid, len(V))
     out = np.empty(kernel.shape, dtype=np.complex128)
     return from_box(grid, kernel.advect(to_box(grid, V), out))
 

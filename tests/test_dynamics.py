@@ -402,7 +402,7 @@ class TestStepping:
         ws = dyn.Workspace.of(state, dt=0.01)
         ws.step(0.0)
         v1, v2 = (sp.SpectralField(grid16, h) for h in sp.from_box(grid16, ws.V))
-        assert ws.largest_norm() == pytest.approx(max(v1.l2, v2.l2), rel=1e-14)
+        assert ws.largest_norms() == pytest.approx([max(v1.l2, v2.l2)], rel=1e-14)
 
     def test_blowup_detected(self, grid16):
         # strong anti-damping through a general coupling matrix
@@ -490,7 +490,9 @@ class TestStepping:
         )
         calls.clear()
         integrate(replace(state, forcing=periodic), 0.2, dt=0.02)
-        assert len(calls) == 1 + 2 * 10  # once per stage
+        # the initial pair and the force fields (cos, sin): the force is
+        # formed from its weights at each stage, not packed again
+        assert len(calls) == 2
 
     def test_integrate_catches_aliased_forcing(self, grid16, rng):
         bad = np.zeros((2, 16, 9), dtype=complex)
@@ -504,8 +506,8 @@ class TestStepping:
             integrate(state, 0.1, dt=0.01)
 
     def test_integrate_catches_force_aliased_after_t0(self, grid16, rng):
-        # cos(omega t) a + sin(omega t) b with b aliased: clean at t = 0, so
-        # the guard must run on every newly packed force stack, not once
+        # cos(omega t) a + sin(omega t) b with b aliased: g(0) is clean, so
+        # the guard must run on each of the force's fields, not on g(t0)
         bad = np.zeros((2, 16, 9), dtype=complex)
         bad[1, 0, 7] = 0.1  # |k| = 7 > 16/3
         forcing = fr.TimePeriodicForcing(
@@ -555,17 +557,18 @@ class TestStepping:
     def test_step_loop_allocates_nothing(self):
         # a sink-less run at n = 64 peaks at the workspace's own arrays plus
         # small change, where an allocating step makes about 1 MB of
-        # temporaries.  The step-size guard's refined transform runs once,
-        # before the loop, and peaks higher, so it is switched off here
+        # temporaries.  The step-size guard runs once, before the loop, and
+        # transforms one refined field at a time, which peaks below the
+        # workspace, so the default path is measured
         import tracemalloc
 
         state, _, _ = hz.build_state(hz.parse_config_text(NUDGE_N128.replace("n = 128", "n = 64")))
         ws = dyn.Workspace.of(state, dt=0.02)
         ws.step(0.0)
-        integrate(state, 0.04, dt=0.02, cfl_factor=None)  # numpy's first-call caches
+        integrate(state, 0.04, dt=0.02)  # numpy's first-call caches
         tracemalloc.start()
         try:
-            integrate(state, 2.0, dt=0.02, cfl_factor=None)
+            integrate(state, 2.0, dt=0.02)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -601,6 +604,110 @@ class TestStepping:
         out = integrate(state, 1.0, dt=0.005, cfl_factor=None)
         expect = (np.sin(3.0 * 1.0) / 3.0) * f
         assert (out.v1 - expect).l2 <= 1e-4 * expect.l2
+
+
+def ensemble(grid, rng, nu=0.2):
+    """Members that share grid, t and nu and differ in everything else: a
+    zero matrix, unfolded and folded mutual nudging (mu dt > 1 at dt = 0.02),
+    mutual direct replacement, and a decaying-pair force."""
+    base = fr.SteadyForcing(fr.kolmogorov_force(grid, 0.3, 2))
+    delta = sp.random_field(grid, rng, energy=0.2, kmax=3.0)
+    members = [
+        (IntertwiningMatrix.zero(), 2.0, fr.ForcingPair.synchronized(base)),
+        (IntertwiningMatrix.nudge_mutual(1.0, 0.5), 2.0, fr.ForcingPair.synchronized(base)),
+        (IntertwiningMatrix.nudge_mutual(60.0, 60.0), 2.5, fr.ForcingPair.synchronized(base)),
+        (IntertwiningMatrix.dr_mutual(0.25, 0.75), 2.5, fr.ForcingPair.synchronized(base)),
+        (IntertwiningMatrix.dr_mutual(0.5, 0.5), 2.0, fr.ForcingPair.decaying_delta(base, delta, 1.5)),
+    ]
+    return [
+        IntertwinedState(
+            grid=grid, t=0.0, nu=nu, K=K, matrix=matrix, forcing=pair,
+            v1=sp.random_field(grid, rng, energy=0.6), v2=sp.random_field(grid, rng, energy=0.6),
+        )
+        for matrix, K, pair in members
+    ]
+
+
+def assert_same_pair(a, b):
+    assert a.t == b.t
+    assert a.v1.half.tobytes() == b.v1.half.tobytes()
+    assert a.v2.half.tobytes() == b.v2.half.tobytes()
+
+
+class TestEnsemble:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_members_bitwise_equal_to_lone_runs(self, rng, n):
+        states = ensemble(sp.Grid(n), rng)
+        assert dyn.folds(states[2].matrix, 0.02) and not dyn.folds(states[1].matrix, 0.02)
+        finals = dyn.integrate_many(states, 0.5, dt=0.02, cfl_factor=None)
+        for state, final in zip(states, finals):
+            assert_same_pair(final, integrate(state, 0.5, dt=0.02, cfl_factor=None))
+
+    def test_blown_up_member_frozen_and_reported(self, grid16, rng):
+        # strong anti-damping through a general coupling matrix, as in
+        # test_blowup_detected, among members that stay bounded
+        states = ensemble(grid16, rng, nu=0.1)
+        u = sp.field_from_modes(grid16, [(1, 0, (0.0, 1.0))])
+        wild = replace(states[0], matrix=IntertwiningMatrix.general(60.0, 0.0, 0.0, 60.0), v1=u, v2=u.copy())
+        with pytest.raises(BlowupDetected) as lone:
+            integrate(wild, 1.0, dt=0.01, cfl_factor=None)
+        finals = dyn.integrate_many(states[:2] + [wild] + states[2:], 1.0, dt=0.01, cfl_factor=None)
+        assert isinstance(finals[2], BlowupDetected)
+        assert finals[2].t == lone.value.t < 1.0
+        for state, final in zip(states, finals[:2] + finals[3:]):
+            assert_same_pair(final, integrate(state, 1.0, dt=0.01, cfl_factor=None))
+
+    def test_step_guard_checks_every_member(self, grid16, rng):
+        calm = make_state(grid16, rng, IntertwiningMatrix.zero(), nu=1.0)
+        fast = make_state(grid16, rng, IntertwiningMatrix.zero(), nu=1.0, energy=6.0)
+        with pytest.raises(StepGuardViolation):
+            dyn.integrate_many([calm, fast], 1.0, dt=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("grid", sp.Grid(32)), ("t", 0.1), ("nu", 0.3), ("advect", False),
+    ])
+    def test_members_must_share(self, grid16, rng, field, value):
+        states = ensemble(grid16, rng)[:2]
+        if field == "grid":
+            other = replace(states[1], grid=value, v1=sp.random_field(value, rng),
+                            v2=sp.random_field(value, rng),
+                            forcing=fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(value))))
+        else:
+            other = replace(states[1], **{field: value})
+        with pytest.raises(ValueError, match=f"share {field}"):
+            dyn.integrate_many([states[0], other], 0.5, dt=0.02)
+        with pytest.raises(ValueError, match=f"share {field}"):
+            dyn.Workspace.of([states[0], other], dt=0.02)
+
+    def test_members_must_share_dt(self, grid16, rng):
+        states = ensemble(grid16, rng)[:2]
+        with pytest.raises(ValueError, match="share dt"):
+            dyn.integrate_many(states, 0.5, dt=[0.01, 0.02])
+        finals = dyn.integrate_many(states, 0.1, dt=[0.02, 0.02], cfl_factor=None)
+        assert_same_pair(finals[1], integrate(states[1], 0.1, dt=0.02, cfl_factor=None))
+
+    def test_no_steps_returns_the_states(self, grid16, rng):
+        states = ensemble(grid16, rng)
+        assert dyn.integrate_many(states, 0.0, dt=0.02) == states
+
+    def test_one_shot_callers_share_a_kernel(self, grid16, rng):
+        # rhs_general, rhs_nse and self_advection run on one cached kernel
+        # per (grid, copies); it holds nothing between calls, so the results
+        # are bitwise those of a fresh kernel, whatever ran on it before
+        state = make_state(grid16, rng, IntertwiningMatrix.dr_mutual(0.25, 0.75))
+        fresh = dyn.Workspace.of(state)
+        fresh.kernel = sp.BoxAdvection(grid16, 2)
+        expect = fresh.right_hand_sides(state.t)
+        rhs_general(make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 0.5)))
+        f1, f2 = rhs_general(state)
+        assert f1.half.tobytes() == expect[0].tobytes() and f2.half.tobytes() == expect[1].tobytes()
+        assert dyn.Workspace.of(state).kernel is None  # built at the first right-hand side
+        V = sp.pack(state.v1, state.v2)
+        kernel = sp.BoxAdvection(grid16, 2)
+        out = np.empty(kernel.shape, dtype=complex)
+        expect = sp.from_box(grid16, kernel.advect(sp.to_box(grid16, V), out))
+        assert sp.self_advection(grid16, V).tobytes() == expect.tobytes()
+        assert sp.BoxAdvection.cached(grid16, 2) is sp.BoxAdvection.cached(sp.Grid(16), 2)
 
 
 class TestNumpyOnly:

@@ -277,6 +277,46 @@ class TestDenseKernel:
         with pytest.raises(ValueError, match="whole number of steps"):
             orc.dense_trajectory(d1, None, adapter, nu=0.3, t_end=0.055, dt_ref=1e-2)
 
+    def test_members_bitwise_equal_to_lone_runs(self, setup, grid8):
+        # the three systems, one with its own decaying-pair force and
+        # cutoff, advance as one stack of five copies
+        adapter, d1, d2 = setup
+        keep = grid8.dealias_radius
+        delta = sp.random_field(grid8, np.random.default_rng(5), energy=0.1, kmax=2.0)
+        pair = fr.ForcingPair.decaying_delta(fr.SteadyForcing(fr.kolmogorov_force(grid8, 0.2, 2)), delta, 1.5)
+        decaying = orc.DenseForcingAdapter(pair, radius=2, keep_radius=keep)
+        systems = [(d1, None if m is None else d2, adapter, 2.0, m) for _, m in self.SYSTEMS]
+        systems.append((d2, d1, decaying, 1.5, dyn.IntertwiningMatrix.nudge_mutual(2.0, 1.0)))
+        runs = orc.dense_trajectories(systems, 0.3, 0.2, dt_ref=1e-2, sample_every=0.05)
+        for (v1_0, v2_0, forcing, K, matrix), (samples, final) in zip(systems, runs):
+            lone_samples, lone_final = orc.dense_trajectory(
+                v1_0, v2_0, forcing, 0.3, 0.2, dt_ref=1e-2, K=K, matrix=matrix, sample_every=0.05
+            )
+            got = samples + [(None, *final)]
+            want = lone_samples + [(None, *lone_final)]
+            assert len(got) == len(want) == 6
+            for (t, a, b), (t_lone, a_lone, b_lone) in zip(got, want):
+                assert t == t_lone
+                assert a.coeffs.tobytes() == a_lone.coeffs.tobytes()
+                assert (b is None) == (v2_0 is None) == (b_lone is None)
+                if b is not None:
+                    assert b.coeffs.tobytes() == b_lone.coeffs.tobytes()
+
+    def test_blown_up_member_dropped(self, setup, grid8):
+        # the anti-damped pair of test_blowup_guard_watches_second_copy
+        # diverges near t = 0.34; the others go on, bitwise as alone
+        adapter, d1, d2 = setup
+        u = sp.field_from_modes(grid8, [(1, 0, (0.0, 1.0))])
+        d0 = orc.dense_from_spectral(u, 2, keep_radius=grid8.dealias_radius)
+        wild = (d0, d0.copy(), adapter, 2.0, dyn.IntertwiningMatrix.general(0.0, 0.0, 0.0, 50.0))
+        calm = [(d1, None if m is None else d2, adapter, 2.0, m) for _, m in self.SYSTEMS]
+        runs = orc.dense_trajectories([calm[0], wild, *calm[1:]], 0.3, 0.5, dt_ref=1e-2)
+        assert isinstance(runs[1], orc.BlowupDetected) and runs[1].t < 0.5
+        for (v1_0, v2_0, forcing, K, matrix), (_, final) in zip(calm, runs[:1] + runs[2:]):
+            _, lone = orc.dense_trajectory(v1_0, v2_0, forcing, 0.3, 0.5, dt_ref=1e-2, K=K, matrix=matrix)
+            for got, want in zip(final, lone):
+                assert (got is None and want is None) or got.coeffs.tobytes() == want.coeffs.tobytes()
+
     def test_oracle_calls_no_transform(self, setup, monkeypatch):
         adapter, d1, d2 = setup
         adapter.g1_dense(0.0), adapter.g2_dense(0.0)

@@ -189,6 +189,30 @@ class TestNorms:
             u = random_field(grid16, rng, energy=rng.uniform(0.1, 10.0))
             assert u.l2 <= u.h1 * (1 + 1e-12)
 
+    def test_sobolev_weights_cached_values_unchanged(self, grid16, rng):
+        # hm_norm reads |k|^(2m) times the column weights from the grid,
+        # built once per m; the values are those of the formula inline
+        u = random_field(grid16, rng, slope=1.0)
+        h = u.half
+        for m in range(4):
+            weights = grid16.k2**m * grid16.weight if m > 0 else grid16.weight
+            inline = float(np.sqrt(sp.PLANCHEREL * np.sum(weights * (h.real**2 + h.imag**2))))
+            assert hm_norm(u, m) == inline
+            assert grid16.hm_weight(m) is grid16.hm_weight(m)
+        assert Grid(16).hm_weight(2) is not grid16.hm_weight(2)  # one cache per grid
+
+    def test_linf_norm_one_field_at_a_time(self, rng):
+        # the largest magnitude over fields, transformed one at a time, is
+        # bitwise the largest over the batched refined transform
+        grid = Grid(32)
+        fields = [random_field(grid, rng, slope=s) for s in (0.5, 1.0, 2.0)]
+        phys = sp._physical(grid, sp.pack(*fields), 2)
+        batched = float(np.sqrt(phys[:, 0] ** 2 + phys[:, 1] ** 2).max())
+        assert sp.linf_norm(*fields) == batched
+        assert sp.linf_norm(*fields) == max(sp.linf_norm(u) for u in fields)
+        nan = SpectralField(grid, fields[0].half * np.nan)
+        assert np.isnan(sp.linf_norm(fields[1], nan))
+
     @pytest.mark.parametrize("N", [1.0, 2.0, 4.0, 8.0])
     def test_bernstein_both_directions(self, rng, N):
         grid = Grid(32)
