@@ -61,6 +61,21 @@ class BlowupDetected(RuntimeError):
         super().__init__(message or f"solution norm diverged at t={t:g}")
 
 
+def diverged(square_norms, members) -> list:
+    """The blow-up rule of the stepper and the dense oracle: the members
+    whose largest copy norm exceeds BLOWUP_LIMIT or is not finite.
+
+    square_norms holds each copy's squared L2 norm over PLANCHEREL, and
+    members each member's slice of the copies.  One reduction when no
+    member has diverged.
+    """
+    # a NaN norm fails the comparison too
+    if np.sqrt(spectral.PLANCHEREL * square_norms.max()) <= BLOWUP_LIMIT:
+        return []
+    norms = np.sqrt(spectral.PLANCHEREL * square_norms)
+    return [p for p, copies in enumerate(members) if not norms[copies].max() <= BLOWUP_LIMIT]
+
+
 class IntertwiningMatrix:
     """Tagged 2x2 coupling matrix with its class constraints enforced.
 
@@ -300,6 +315,7 @@ class Workspace:
             cols, rows = self.shape[-1], self.shape[-2]
             self.norm_weight = np.tile(np.repeat(grid.weight[:cols], 2), 2 * rows)
             self.norms = np.empty(len(self.V))
+            self.members = [slice(c, c + 2) for c in range(0, len(self.V), 2)]
         # (first copy, entries, bilinear) of each pair with a coupling term
         self.coupling = [
             (2 * p, matrix.entries, matrix.is_direct_replacement)
@@ -465,17 +481,13 @@ class Workspace:
         return np.sqrt(spectral.PLANCHEREL * self._square_norms().reshape(-1, 2).max(axis=1))
 
     def blown_up(self) -> list:
-        """The members whose norm after a step exceeds BLOWUP_LIMIT or is
-        not finite; one reduction when there are none."""
-        # a NaN norm fails the comparison too
-        if np.sqrt(spectral.PLANCHEREL * self._square_norms().max()) <= BLOWUP_LIMIT:
-            return []
-        return [p for p, norm in enumerate(self.largest_norms()) if not norm <= BLOWUP_LIMIT]
+        """The members that have `diverged` after a step."""
+        return diverged(self._square_norms(), self.members)
 
     def freeze(self, p) -> None:
         """Stop member p: its copies and their forces are zeroed, so the
         copies stay zero and leave the other members as they were."""
-        pair = slice(2 * p, 2 * p + 2)
+        pair = self.members[p]
         self.V[pair] = 0.0
         self.G[pair] = 0.0
         self._varying = [j for j in self._varying if j // 2 != p]
@@ -578,11 +590,13 @@ def cfl_limit(state: IntertwinedState, c: float = 1.0) -> float:
 def step_count(span: float, dt: float) -> int:
     """The number of steps of size dt in span.
 
-    Raises ValueError unless span / dt is a whole number to 1e-9 relative,
-    so that a run never ends short of its end time without saying so.
+    Raises ValueError unless dt is finite and positive and span / dt is a
+    whole number to 1e-9 relative, so that a run never ends short of its
+    end time without saying so.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    # in positive form, so that NaN fails it too
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt = {dt:g} must be finite and positive")
     steps = span / dt
     whole = round(steps)
     if abs(steps - whole) > 1e-9 * max(whole, 1):
@@ -609,32 +623,49 @@ def _with_pair(state: IntertwinedState, V, t: float) -> IntertwinedState:
     return replace(state, t=t, v1=SpectralField(state.grid, v1), v2=SpectralField(state.grid, v2))
 
 
-def _check_step(state: IntertwinedState, dt: float, cfl_factor) -> None:
-    if cfl_factor is not None and state.advect:
-        limit = cfl_limit(state, cfl_factor)
+def _run(states, t_end: float, dt: float, sample_every=None, sink=None, cfl_factor=1.0) -> list:
+    """The one run of `integrate` and `integrate_many`: the states advanced
+    to t_end as the members of one `Workspace`, step k landing at t0 + k dt.
+
+    sink(state) gets each live member's state at t0 and at each step that
+    sample_steps samples.  A member that blows up is frozen there, and the
+    run stops once every member has.  Returns per state its state at t_end
+    or its BlowupDetected.  The workspace is freed before the returned
+    states are built, so a run peaks at the workspace's own arrays.
+    """
+    t0 = states[0].t
+    if t_end < t0:
+        raise ValueError("t_end precedes the states' current time")
+    nsteps, sampled = sample_steps(t_end - t0, dt, sample_every)
+    if nsteps == 0:
+        return list(states)
+    for state in states:
+        limit = cfl_limit(state, cfl_factor) if cfl_factor is not None and state.advect else np.inf
         if dt > limit:
             raise StepGuardViolation(
                 f"dt={dt:g} violates the step guard {limit:g}; "
                 "reduce dt or raise cfl_factor explicitly"
             )
-
-
-def _advance(ws: Workspace, t0: float, nsteps: int, on_step=None) -> dict:
-    """The one stepping loop: nsteps steps of ws from t0, step k landing at
-    t0 + k dt, with on_step(k) after each.  A member that blows up is frozen
-    there; returns {member: its BlowupDetected}, and stops once every member
-    has blown up."""
-    dt, blowups = ws.dt, {}
+    ws = Workspace.of(states, dt)
+    members, blowups = ws.members, {}
+    if sink is not None:
+        for state in states:
+            sink(state)
     for k in range(1, nsteps + 1):
         ws.step(t0 + (k - 1) * dt)
         for p in ws.blown_up():
             ws.freeze(p)
             blowups[p] = BlowupDetected(t0 + k * dt)
-        if len(blowups) == len(ws.V) // 2:
+        if len(blowups) == len(states):
             break
-        if on_step is not None:
-            on_step(k)
-    return blowups
+        if sink is not None and sampled(k):
+            for p, state in enumerate(states):
+                if p not in blowups:
+                    sink(_with_pair(state, ws.V[members[p]], t0 + k * dt))
+    V = ws.V
+    del ws
+    t = t0 + nsteps * dt
+    return [blowups.get(p) or _with_pair(s, V[members[p]], t) for p, s in enumerate(states)]
 
 
 def integrate(
@@ -656,58 +687,23 @@ def integrate(
     cfl_factor=None disables the step-size guard.  Raises AliasingViolation
     when the pair or a force field carries energy outside the dealias radius.
 
-    The pair is advanced in place on one `Workspace`, as the lone member of
-    the loop `integrate_many` runs.  A nudging coupling with max gain * dt >
+    The pair is advanced in place on one `Workspace`, as the one member of
+    the run `integrate_many` makes.  A nudging coupling with max gain * dt >
     FOLD_GAIN_DT is folded into the propagator.
     """
-    if t_end < state.t:
-        raise ValueError("t_end precedes the state's current time")
-    nsteps, sampled = sample_steps(t_end - state.t, dt, sample_every)
-    if nsteps == 0:
-        return state
-    _check_step(state, dt, cfl_factor)
-    ws = Workspace.of(state, dt)
-    t0 = state.t
-    on_step = None
-    if sink is not None:
-        sink(state)
-
-        def on_step(k):
-            if sampled(k):
-                sink(_with_pair(state, ws.V, t0 + k * dt))
-
-    blowups = _advance(ws, t0, nsteps, on_step)
-    if blowups:
-        raise blowups[0]
-    V = ws.V
-    del ws  # frees the buffers before the returned fields are built
-    return _with_pair(state, V, t0 + nsteps * dt)
+    (out,) = _run((state,), t_end, dt, sample_every, sink, cfl_factor)
+    if isinstance(out, BlowupDetected):
+        raise out
+    return out
 
 
-def integrate_many(states, t_end: float, dt, cfl_factor: float | None = 1.0) -> list:
+def integrate_many(states, t_end: float, dt: float, cfl_factor: float | None = 1.0) -> list:
     """Advance an ensemble of states to t_end as one stack on one `Workspace`.
 
-    The states must share grid, t, nu and advect, and dt is one step for
-    all, or one per state that must all be equal (ValueError otherwise).
-    Returns, per state, its state at t_end, bitwise the state `integrate`
-    returns for it alone, or the BlowupDetected of a member that blew up:
-    that member is frozen and the others go on.  The step-size guard checks
-    every member (cfl_factor=None disables it).
+    The states must share grid, t, nu and advect (ValueError otherwise), and
+    dt is one step for all.  Returns, per state, its state at t_end, bitwise
+    the state `integrate` returns for it alone, or the BlowupDetected of a
+    member that blew up: that member is frozen and the others go on.  The
+    step-size guard checks every member (cfl_factor=None disables it).
     """
-    states = list(states)
-    if np.ndim(dt):
-        if len(dt) != len(states) or any(d != dt[0] for d in dt):
-            raise ValueError("the members of an ensemble must share dt")
-        dt = dt[0]
-    t0, *_ = (_shared(states, name) for name in ("t", "grid", "nu", "advect"))
-    if t_end < t0:
-        raise ValueError("t_end precedes the states' current time")
-    nsteps = step_count(t_end - t0, dt)
-    if nsteps == 0:
-        return states
-    for state in states:
-        _check_step(state, dt, cfl_factor)
-    ws = Workspace.of(states, dt)
-    blowups = _advance(ws, t0, nsteps)
-    t = t0 + nsteps * dt
-    return [blowups.get(p) or _with_pair(s, ws.V[2 * p : 2 * p + 2], t) for p, s in enumerate(states)]
+    return _run(list(states), t_end, dt, cfl_factor=cfl_factor)

@@ -154,14 +154,18 @@ class ExperimentConfig:
             grid_limit = sp.grid_dealias_radius(self.n, self.dealias_radius)
         except ValueError as exc:
             raise ParseError(f"constraint violated: {exc}") from exc
-        if self.K > grid_limit + 1e-12:
-            raise ParseError(
-                f"constraint violated: cutoff K = {self.K} exceeds the dealias radius {grid_limit:g}"
-            )
-        if self.nu <= 0 or self.dt <= 0 or self.t_end <= 0:
-            raise ParseError("constraint violated: nu, dt, t_end must be positive")
-        if self.sample_every < 0:
-            raise ParseError(f"constraint violated: sample_every = {self.sample_every:g} is negative")
+        # each domain in positive form, so that NaN fails it too
+        for name, inside, fault in (
+            ("nu", self.nu > 0, "is not positive"),
+            ("dt", self.dt > 0, "is not positive"),
+            ("t_end", self.t_end > 0, "is not positive"),
+            ("K", 0 <= self.K <= grid_limit + 1e-12, f"lies outside [0, {grid_limit:g}], the dealias radius"),
+            ("sample_every", self.sample_every >= 0, "is negative"),
+        ):
+            value = getattr(self, name)
+            if not (inside and math.isfinite(value)):
+                fault = fault if math.isfinite(value) else "is not finite"
+                raise ParseError(f"constraint violated: {name} = {value:g} {fault}")
         if self.threads < 1:
             raise ParseError(f"constraint violated: threads = {self.threads} must be at least 1")
         if self.initial_kind == "modes":
@@ -295,9 +299,9 @@ def build_forcing(cfg: ExperimentConfig, grid: sp.Grid, rng: np.random.Generator
     return fr.ForcingPair.synchronized(base)
 
 
-def build_initial(cfg: ExperimentConfig, grid: sp.Grid, rng: np.random.Generator):
-    """Initial pair (v1, v2) per config; the RNG stream order is fixed."""
-    kmax = cfg.max_wavenumber if cfg.max_wavenumber is not None else grid.dealias_radius
+def build_initial(cfg: ExperimentConfig, grid: sp.Grid, rng: np.random.Generator, kmax: float):
+    """Initial pair (v1, v2) per config, random fields reaching |k| = kmax;
+    the RNG stream order is fixed."""
     if cfg.initial_kind == "modes":
         v1 = sp.field_from_modes(grid, _parse_mode_list(cfg.initial_modes))
     else:
@@ -330,7 +334,8 @@ def build_state(cfg: ExperimentConfig, scenario: str | None = None, seed: int | 
     elif scenario == "reconstruction_dr":
         matrix = dyn.IntertwiningMatrix.dr_mutual(0.0, 1.0)
     forcing = build_forcing(cfg, grid, rng)
-    v1, v2 = build_initial(cfg, grid, rng)
+    kmax = cfg.max_wavenumber if cfg.max_wavenumber is not None else grid.dealias_radius
+    v1, v2 = build_initial(cfg, grid, rng, kmax)
     if scenario in ("reconstruction_nudge", "reconstruction_dr"):
         # the observer starts from the observed low modes of the truth
         v2 = sp.project_low(v1, cfg.K)
@@ -338,7 +343,6 @@ def build_state(cfg: ExperimentConfig, scenario: str | None = None, seed: int | 
             if cfg.initial_kind == "modes":
                 cause = "the initial modes lie inside the cutoff"
             else:
-                kmax = cfg.max_wavenumber if cfg.max_wavenumber is not None else grid.dealias_radius
                 cause = f"max_wavenumber = {kmax:g} <= K"
             raise ConfigInvalid(
                 f"{scenario}: the observer starts equal to the truth, since {cause} "
@@ -640,32 +644,30 @@ def _write_fdm_table(out_dir, ladder, rows):
 # parameter sweeps
 
 
-def _sweep_points(cfg: ExperimentConfig):
-    """(K, mu) points for nudging classes, (K, theta1) for direct replacement."""
+def _sweep_points(cfg: ExperimentConfig) -> list:
+    """(point, config) per sweep point: (K, mu) points for the nudging
+    classes, (K, theta1) for direct replacement, K alone at mu = 0 for the
+    others."""
     matrix = build_matrix(cfg)
     if matrix.is_nudging:
         name, values = "mu", cfg.sweep_mu or (max(cfg.mu1, cfg.mu2),)
+        updates = lambda v: {"mu1": v, "mu2": v}
     elif matrix.is_direct_replacement:
         name, values = "theta1", cfg.sweep_theta1 or (cfg.theta1,)
+        updates = lambda v: {"theta1": v, "theta2": 1.0 - v}
     else:
         name, values = "mu", (0.0,)
-    return [{"K": float(K), name: float(val)} for K in cfg.sweep_K or (cfg.K,) for val in values]
-
-
-def _point_config(cfg: ExperimentConfig, point: dict) -> ExperimentConfig:
-    updates = {"K": point["K"]}
-    matrix = build_matrix(cfg)
-    if matrix.is_nudging:
-        updates["mu1"] = updates["mu2"] = point["mu"]
-    elif matrix.is_direct_replacement:
-        updates["theta1"] = point["theta1"]
-        updates["theta2"] = 1.0 - point["theta1"]
-    return replace(cfg, **updates, sweep_K=(), sweep_mu=(), sweep_theta1=())
+        updates = lambda v: {}
+    base = replace(cfg, sweep_K=(), sweep_mu=(), sweep_theta1=())
+    return [
+        ({"K": float(K), name: float(v)}, replace(base, K=float(K), **updates(float(v))))
+        for K in cfg.sweep_K or (cfg.K,)
+        for v in values
+    ]
 
 
 def _run_sweep_point(args):
-    cfg, point, index, out_dir = args
-    pcfg = _point_config(cfg, point)
+    pcfg, point, index, out_dir = args
     pdir = os.path.join(out_dir, f"point_{index:03d}")
     try:
         res = run_scenario(pcfg, kind="self_sync", out_dir=pdir)
@@ -697,11 +699,10 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> ScenarioResult:
     """
     _load_constants(cfg)  # a bad constants file fails the sweep, not each point
     os.makedirs(out_dir, exist_ok=True)
-    points = _sweep_points(cfg)
     jobs = []
-    for index, point in enumerate(points):
+    for index, (point, pcfg) in enumerate(_sweep_points(cfg)):
         child = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1, dtype=np.uint64)[0])
-        jobs.append((replace(cfg, seed=child % (2**63)), point, index, out_dir))
+        jobs.append((replace(pcfg, seed=child % (2**63)), point, index, out_dir))
     if cfg.threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import BLOWUP_LIMIT, BlowupDetected, sample_steps
+from .dynamics import BlowupDetected, diverged, sample_steps
 from .spectral import PLANCHEREL, Grid, SpectralField
 
 MAX_RADIUS = 4
@@ -371,32 +371,24 @@ def dense_trajectories(systems, nu: float, t_end: float, dt_ref: float = 1e-4,
     systems holds (v1_0, v2_0, forcing, K, matrix) per member, as the
     arguments of `dense_trajectory`; the members share nu, the box and the
     Galerkin ball.  Returns per member its (samples, final), bitwise those
-    of its lone run, or the BlowupDetected of a member that diverged: that
-    member is dropped from the stack, and the others go on.
+    of its lone run, or the BlowupDetected of a member that `diverged`: that
+    member is frozen in place, as the stepper freezes one, and the others go
+    on.
     """
-    for v1_0, v2_0, _, _, matrix in systems:
+    kern = _shared_kernel(*(d for system in systems for d in system[:2] if d is not None))
+    nu_lap = nu * kern.lap
+    # the stack's copies, the rows of each member, their force getters and the coupling
+    starts, spans, getters, coupling = [], [], [], []
+    for v1_0, v2_0, forcing, K, matrix in systems:
         if matrix is not None and v2_0 is None:
             raise ValueError("a coupling matrix needs a second copy v2_0")
-    starts = [[d for d in system[:2] if d is not None] for system in systems]
-    kern = _shared_kernel(*(d for sets in starts for d in sets))
-    nu_lap = nu * kern.lap
-    active = list(range(len(systems)))
-
-    def layout():
-        """The rows of each active member in the stack, the stack's force
-        getters and its coupling."""
-        spans, getters, coupling, first = [], [], [], 0
-        for p in active:
-            _, _, forcing, K, matrix = systems[p]
-            copies = len(starts[p])
-            spans.append(slice(first, first + copies))
-            getters += [forcing.g1_dense, forcing.g2_dense][:copies]
-            coupling += _coupling(kern, matrix, K, first)
-            first += copies
-        return spans, getters, coupling
-
-    spans, getters, coupling = layout()
+        first = len(starts)
+        starts += [d for d in (v1_0, v2_0) if d is not None]
+        spans.append(slice(first, len(starts)))
+        getters += [forcing.g1_dense, forcing.g2_dense][: len(starts) - first]
+        coupling += _coupling(kern, matrix, K, first)
     held = [None, None]  # the forces last seen and their stack
+    zero = DenseModeSet(kern.radius, keep_radius=kern.keep)
 
     def rhs(V, t):
         forces = [get(t) for get in getters]
@@ -410,7 +402,7 @@ def dense_trajectories(systems, nu: float, t_end: float, dt_ref: float = 1e-4,
 
     nsteps, sampled = sample_steps(t_end, dt_ref, sample_every)
     half, sixth = 0.5 * dt_ref, dt_ref / 6.0
-    V = kern.stack([d for sets in starts for d in sets])
+    V = kern.stack(starts)
     samples = [[snapshot(0.0, V, span)] for span in spans]
     results: list = [None] * len(systems)
     t = 0.0
@@ -421,30 +413,20 @@ def dense_trajectories(systems, nu: float, t_end: float, dt_ref: float = 1e-4,
         k4 = rhs(V + dt_ref * k3, t + dt_ref)
         V = V + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = (istep + 1) * dt_ref
-        # every copy is guarded, since a coupling can blow up either one
-        # alone; a non-finite entry makes its copy's norm fail the test too
+        # every copy is guarded, since a coupling can blow up either one alone
         energy = np.square(V.view(np.float64)).reshape(len(V), -1).sum(axis=1)
-        if not np.sqrt(PLANCHEREL * energy.max()) <= BLOWUP_LIMIT:
-            norms = np.sqrt(PLANCHEREL * energy)
-            kept = []
-            for p, span in zip(active, spans):
-                if norms[span].max() <= BLOWUP_LIMIT:
-                    kept.append(V[span])
-                else:
-                    results[p] = BlowupDetected(t, f"dense trajectory diverged at t={t:g}")
-            active = [p for p in active if results[p] is None]
-            if not active:
-                break
-            V = np.concatenate(kept)
-            spans, getters, coupling = layout()
-            held[0] = None
+        for p in diverged(energy, spans):
+            # zero rows under a zero force stay zero and leave the other rows as they were
+            V[spans[p]] = 0.0
+            getters[spans[p]] = [lambda t: zero] * (spans[p].stop - spans[p].start)
+            results[p] = BlowupDetected(t, f"dense trajectory diverged at t={t:g}")
+        if None not in results:
+            break
         if sampled(istep + 1):
-            for p, span in zip(active, spans):
-                samples[p].append(snapshot(t, V, span))
-    for p, span in zip(active, spans):
-        _, v1, v2 = snapshot(t, V, span)
-        results[p] = (samples[p], (v1, v2))
-    return results
+            for p, span in enumerate(spans):
+                if results[p] is None:
+                    samples[p].append(snapshot(t, V, span))
+    return [out or (kept, snapshot(t, V, span)[1:]) for out, kept, span in zip(results, samples, spans)]
 
 
 class DenseForcingAdapter:

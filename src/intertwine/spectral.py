@@ -467,8 +467,11 @@ class BoxAdvection:
     operand into a fresh array when the others are contiguous, which is an
     allocation per call.  So the wavenumbers and the four blocks of the
     projector are stored once per copy, and each product runs once over
-    all copies.  work is two box stacks of scratch; advect overwrites them,
-    and callers may use them between calls.
+    all copies.  A product that reads or writes one component of every copy
+    runs per pair of copies instead: over three or more copies numpy 2.4
+    buffers such strided operands into fresh arrays of up to 128 KiB each.
+    work is two box stacks of scratch; advect overwrites them, and callers
+    may use them between calls.
     """
 
     def __init__(self, grid: Grid, copies: int):
@@ -493,6 +496,7 @@ class BoxAdvection:
         self.mid = np.zeros((3, copies, n, n // 2 + 1), dtype=np.complex128)
         self.phys = np.empty((3, copies, n, n))
         self.fwd = np.empty((2, copies, n, n // 2 + 1), dtype=np.complex128)
+        self.pairs = [slice(j, j + 2) for j in range(0, copies, 2)]
 
     @staticmethod
     @lru_cache(maxsize=8)
@@ -508,11 +512,13 @@ class BoxAdvection:
         n, cols = self.grid.n, self.shape[-1]
         spec, mid, phys = self.spec, self.mid, self.phys
         curl, raw = self.work
-        np.multiply(self.ikx, V[:, 1], out=curl[:, 0])
-        np.multiply(self.iky, V[:, 0], out=curl[:, 1])
+        for c in self.pairs:
+            np.multiply(self.ikx[c], V[c, 1], out=curl[c, 0])
+            np.multiply(self.iky[c], V[c, 0], out=curl[c, 1])
         for box, rows in self.blocks:
             spec[:2, :, rows] = V[:, :, box].swapaxes(0, 1)
-            np.subtract(curl[:, 0, box], curl[:, 1, box], out=spec[2, :, rows])  # omega
+            for c in self.pairs:
+                np.subtract(curl[c, 0, box], curl[c, 1, box], out=spec[2, c, rows])  # omega
         np.fft.ifft(spec, axis=-2, norm="forward", out=mid[..., :cols])
         np.fft.irfft(mid, n=n, axis=-1, norm="forward", out=phys)
         for i in range(2):
@@ -525,9 +531,10 @@ class BoxAdvection:
         for box, rows in self.blocks:
             raw[:, :, box] = kept[:, :, rows].swapaxes(0, 1)
         rot, raw, prod, res = self.rot, raw.view(np.float64), curl.view(np.float64), out.view(np.float64)
-        for i in range(2):
-            np.multiply(rot[i, 0], raw[:, 0], out=prod[:, i])
-            np.multiply(rot[i, 1], raw[:, 1], out=res[:, i])
+        for c in self.pairs:
+            for i in range(2):
+                np.multiply(rot[i, 0, c], raw[c, 0], out=prod[c, i])
+                np.multiply(rot[i, 1, c], raw[c, 1], out=res[c, i])
         np.add(prod, res, out=res)
         return out
 

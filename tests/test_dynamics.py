@@ -554,21 +554,30 @@ class TestStepping:
         assert kept[-1].v1.half.tobytes() == out.v1.half.tobytes()
         assert not np.shares_memory(kept[-1].v1.half, out.v1.half)
 
-    def test_step_loop_allocates_nothing(self):
+    @pytest.mark.parametrize("members", [1, 2], ids=["integrate", "integrate_many"])
+    def test_step_loop_allocates_nothing(self, members):
         # a sink-less run at n = 64 peaks at the workspace's own arrays plus
         # small change, where an allocating step makes about 1 MB of
-        # temporaries.  The step-size guard runs once, before the loop, and
+        # temporaries, and the returned states are built once the workspace
+        # is freed.  The step-size guard runs once, before the loop, and
         # transforms one refined field at a time, which peaks below the
         # workspace, so the default path is measured
         import tracemalloc
 
         state, _, _ = hz.build_state(hz.parse_config_text(NUDGE_N128.replace("n = 128", "n = 64")))
-        ws = dyn.Workspace.of(state, dt=0.02)
+        states = [state, replace(state, K=8.0)][:members]
+
+        def run(t_end):
+            if members == 1:
+                return integrate(state, t_end, dt=0.02)
+            return dyn.integrate_many(states, t_end, dt=0.02)
+
+        ws = dyn.Workspace.of(states, dt=0.02)
         ws.step(0.0)
-        integrate(state, 0.04, dt=0.02)  # numpy's first-call caches
+        run(0.04)  # numpy's first-call caches
         tracemalloc.start()
         try:
-            integrate(state, 2.0, dt=0.02)
+            run(2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -590,6 +599,13 @@ class TestStepping:
             integrate(state, 1.0, dt=0.3, cfl_factor=None)
         assert dyn.step_count(1.0, 0.25) == 4
         assert dyn.step_count(30.0, 0.008) == 3750
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+    def test_dt_must_be_finite_and_positive(self, grid16, rng, dt):
+        # dt = inf once gave 0 steps, and integrate returned its state unstepped
+        state = make_state(grid16, rng, IntertwiningMatrix.zero())
+        with pytest.raises(ValueError, match="finite and positive"):
+            integrate(state, 1.0, dt=dt, cfl_factor=None)
 
     def test_time_dependent_force_at_stage_times(self, grid16):
         # linear check: v' = cos(omega t) f with diffusion disabled on the
@@ -678,13 +694,6 @@ class TestEnsemble:
             dyn.integrate_many([states[0], other], 0.5, dt=0.02)
         with pytest.raises(ValueError, match=f"share {field}"):
             dyn.Workspace.of([states[0], other], dt=0.02)
-
-    def test_members_must_share_dt(self, grid16, rng):
-        states = ensemble(grid16, rng)[:2]
-        with pytest.raises(ValueError, match="share dt"):
-            dyn.integrate_many(states, 0.5, dt=[0.01, 0.02])
-        finals = dyn.integrate_many(states, 0.1, dt=[0.02, 0.02], cfl_factor=None)
-        assert_same_pair(finals[1], integrate(states[1], 0.1, dt=0.02, cfl_factor=None))
 
     def test_no_steps_returns_the_states(self, grid16, rng):
         states = ensemble(grid16, rng)

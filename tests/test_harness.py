@@ -1,6 +1,7 @@
 """Config parsing, checkpoints, scenario runs, sweeps, and the CLI."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -598,6 +599,19 @@ class TestCli:
         cfg = self._write(tmp_path, MINIMAL.replace(*edit) if edit else MINIMAL)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out"), *argv]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("key", ["nu", "dt", "t_end", "K", "sample_every"])
+    def test_bad_time_or_physics_value_exits_2(self, tmp_path, capsys, monkeypatch, key, value):
+        # a NaN passes every check written as "x <= 0 fails"; each must be
+        # refused before the run starts, naming its key
+        monkeypatch.chdir(tmp_path)
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", MINIMAL, count=1, flags=re.M)
+        assert f"{key} = {value}\n" in text
+        cfg = self._write(tmp_path, text)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert f"{key} = {value}" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("series.csv"))
 
     @pytest.mark.parametrize(
         "content, message",

@@ -302,7 +302,7 @@ class TestDenseKernel:
                 if b is not None:
                     assert b.coeffs.tobytes() == b_lone.coeffs.tobytes()
 
-    def test_blown_up_member_dropped(self, setup, grid8):
+    def test_blown_up_member_frozen(self, setup, grid8):
         # the anti-damped pair of test_blowup_guard_watches_second_copy
         # diverges near t = 0.34; the others go on, bitwise as alone
         adapter, d1, d2 = setup
