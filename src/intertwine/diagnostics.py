@@ -444,6 +444,7 @@ class Regime:
     own, bound(grashofs, matrix, nu) the bound's value and formula text, and
     series(records, matrix) the bounded quantity (None: not recorded).
     with_bound follows the bound and, like it, is left out when it is infinite.
+    sync names the family's self-synchronization report (None: none).
     """
 
     name: str
@@ -453,6 +454,7 @@ class Regime:
     bound: Callable[[GrashofSet, IntertwiningMatrix | None, float], tuple[float, str]]
     series: Callable[[list, IntertwiningMatrix], list] | None
     with_bound: Callable[[RunFacts], ConditionReport] | None = None
+    sync: str | None = None
 
     def reports(self, state0, records, constants, nu) -> list[ConditionReport]:
         """The reports of a run from state0 that sampled records, in table order."""
@@ -478,27 +480,27 @@ _SQUARED = dict(k_power=2.0, log_power=1.0, g_power=2.0)
 # direct-replacement family conditions include the near-balanced cutoff.
 REGIMES = (
     Regime("nudge_symmetric", lambda m: m.kind == NUDGE_SYMMETRIC, _nudge_conditions, None,
-           lambda gs, m, nu: _bound("nu*g", nu * gs.g), _pair_h1_series),
+           lambda gs, m, nu: _bound("nu*g", nu * gs.g), _pair_h1_series, sync="nudge_ss"),
     Regime("nudge_mutual", lambda m: m.kind == NUDGE_MUTUAL, _nudge_conditions, None,
-           _nudge_mutual_bound, _pair_h1_series, _energy_inequality),
+           _nudge_mutual_bound, _pair_h1_series, _energy_inequality, sync="nudge_ss"),
     Regime("dr_mutual_pair", lambda m: m.kind == DR_MUTUAL, _dr_conditions,
            lambda K, gs, c: check_K_log_condition(
                K, gs.g_theta, 64.0 * math.sqrt(6.0) * max(c.C_S, math.sqrt(c.C_A)),
                "cutoff_dr_mutual"),
            lambda gs, m, nu: _bound("sqrt(96)*nu*g_theta", math.sqrt(96.0) * nu * gs.g_theta),
-           _theta_pair_series),
+           _theta_pair_series, sync="dr_ss"),
     Regime("dr_decoupled", _dr_symmetric(lambda t1, t2: abs(t1 - 1.0) < 1e-12), _dr_conditions,
            lambda K, gs, c: check_K_log_condition(
                K, gs.k_frak, 32.0 * c.C_S**2, "cutoff_dr_decoupled", **_SQUARED),
-           lambda gs, m, nu: _bound("4*k*nu", 4.0 * gs.k_frak * nu), _pair_h1_series),
+           lambda gs, m, nu: _bound("4*k*nu", 4.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
     Regime("dr_balanced", _dr_symmetric(lambda t1, t2: abs(t1 - t2) < 1e-12), _dr_conditions,
-           None, lambda gs, m, nu: _bound("4*k*nu", 4.0 * gs.k_frak * nu), _pair_h1_series),
+           None, lambda gs, m, nu: _bound("4*k*nu", 4.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
     Regime("dr_small_theta2", _dr_symmetric(lambda t1, t2: t2 <= abs(t1 - t2)), _dr_conditions,
            lambda K, gs, c: check_K_log_condition(
                K, gs.k_frak, 20.0 * max(c.C_A, c.C_S) ** 2, "cutoff_dr_small_theta2", **_SQUARED),
-           lambda gs, m, nu: _bound("6*k*nu", 6.0 * gs.k_frak * nu), _pair_h1_series),
+           lambda gs, m, nu: _bound("6*k*nu", 6.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
     Regime("dr_near_balanced", _dr_symmetric(lambda t1, t2: True), _dr_conditions,
-           None, lambda gs, m, nu: _bound("8*nu*k", 8.0 * gs.k_frak * nu), _pair_h1_series),
+           None, lambda gs, m, nu: _bound("8*nu*k", 8.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
     # the driven low-mode heat block, compared with |p|_V, which is not recorded
     Regime("heat_low_mode", None, None, None,
            lambda gs, m, nu: _bound("sqrt(2)*nu*h", math.sqrt(2.0) * nu * gs.h_frak), None),

@@ -199,13 +199,12 @@ class IntertwinedState:
     advect: bool = True
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
-        if self.K < 0:
-            raise ValueError("cutoff K must be >= 0")
-        if self.K > self.grid.dealias_radius + 1e-12:
+        # in positive form, so that NaN fails them too
+        if not 0.0 < self.nu < np.inf:
+            raise ValueError(f"viscosity nu = {self.nu} must be finite and positive")
+        if not (0.0 <= self.K and spectral.in_ball(self.K, self.grid.dealias_radius)):
             raise ValueError(
-                f"cutoff K={self.K} exceeds the dealias radius {self.grid.dealias_radius:g}"
+                f"cutoff K = {self.K} lies outside [0, {self.grid.dealias_radius:g}], the dealias radius"
             )
         if self.v1.grid != self.grid or self.v2.grid != self.grid:
             raise ValueError("v1, v2 must live on the state's grid")

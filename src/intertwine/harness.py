@@ -86,34 +86,51 @@ def _modes(value: str) -> str:
     return value
 
 
-def _key(slot: str, parse=float, choices=None, **kwargs):
+# a field's domain: (inside(value, dealias radius), the fault of a finite
+# value outside it); every number must also be finite
+_FINITE = (lambda x, radius: True, "")
+_POSITIVE = (lambda x, radius: x > 0, "is not positive")
+_NONNEGATIVE = (lambda x, radius: x >= 0, "is negative")
+_COUNT = (lambda x, radius: x >= 1, "must be at least 1")
+
+
+def _up_to_dealias(least: float):
+    return (lambda x, radius: x >= least and sp.in_ball(x, radius),
+            f"lies outside [{least:g}, {{radius:g}}], the dealias radius")
+
+
+def _key(slot: str, parse=float, choices=None, domain=_FINITE, **kwargs):
     """A config field read from the INI key slot "section.key".
 
     parse turns the raw text into the value; a value outside choices is
-    rejected; a field without a default is a required key.
+    rejected; validate rejects a number outside domain (None for a field
+    that is not a number), and a value of None is unset; a field without a
+    default is a required key.
     """
-    return field(metadata={"ini": slot, "parse": parse, "choices": choices}, **kwargs)
+    metadata = {"ini": slot, "parse": parse, "choices": choices, "domain": domain}
+    return field(metadata=metadata, **kwargs)
 
 
 def _choice(slot: str, choices, default=MISSING):
-    return _key(slot, str.lower, tuple(choices), default=default)
+    return _key(slot, str.lower, tuple(choices), domain=None, default=default)
 
 
 @dataclass
 class ExperimentConfig:
     """Validated experiment description, one value per physical knob.
 
-    The fields are the config schema: each carries its INI key, parser and
-    allowed values in its metadata, and its default.
+    The fields are the config schema: each carries its INI key, parser,
+    allowed values and, for a number, its domain in its metadata, and its
+    default.
     """
 
     n: int = _key("grid.n", _int)
-    nu: float = _key("physics.nu")
-    K: float = _key("physics.K")
+    nu: float = _key("physics.nu", domain=_POSITIVE)
+    K: float = _key("physics.K", domain=_up_to_dealias(0))
     coupling_class: str = _choice("coupling.class", dyn.COUPLING_CLASSES)
-    dt: float = _key("time.dt")
-    t_end: float = _key("time.t_end")
-    sample_every: float = _key("time.sample_every", default=0.0)
+    dt: float = _key("time.dt", domain=_POSITIVE)
+    t_end: float = _key("time.t_end", domain=_POSITIVE)
+    sample_every: float = _key("time.sample_every", domain=_NONNEGATIVE, default=0.0)
     dealias_radius: float | None = _key("grid.dealias_radius", default=None)
     mu1: float = _key("coupling.mu1", default=0.0)
     mu2: float = _key("coupling.mu2", default=0.0)
@@ -127,24 +144,26 @@ class ExperimentConfig:
         "forcing.kind", ("kolmogorov", "time_periodic", "decaying_pair"), "kolmogorov"
     )
     amplitude: float = _key("forcing.amplitude", default=0.0)
-    wavenumber: int = _key("forcing.wavenumber", _int, default=2)
+    wavenumber: int = _key("forcing.wavenumber", _int, domain=_up_to_dealias(1), default=2)
     omega: float = _key("forcing.omega", default=0.0)
     pair_delta_amplitude: float = _key("forcing.pair_delta_amplitude", default=0.0)
-    pair_decay_rate: float = _key("forcing.pair_decay_rate", default=1.0)
-    pair_delta_max_wavenumber: float = _key("forcing.pair_delta_max_wavenumber", default=2.0)
+    pair_decay_rate: float = _key("forcing.pair_decay_rate", domain=_POSITIVE, default=1.0)
+    pair_delta_max_wavenumber: float = _key(
+        "forcing.pair_delta_max_wavenumber", domain=_NONNEGATIVE, default=2.0
+    )
     initial_kind: str = _choice("initial.kind", ("random", "modes"), "random")
-    initial_modes: str = _key("initial.modes", _modes, default="")
-    energy: float = _key("initial.energy", default=1.0)
+    initial_modes: str = _key("initial.modes", _modes, domain=None, default="")
+    energy: float = _key("initial.energy", domain=_NONNEGATIVE, default=1.0)
     spectrum_slope: float = _key("initial.spectrum_slope", default=2.0)
-    max_wavenumber: float | None = _key("initial.max_wavenumber", default=None)
+    max_wavenumber: float | None = _key("initial.max_wavenumber", domain=_POSITIVE, default=None)
     difference: str = _choice("initial.difference", ("none", "random", "high_modes"), "random")
-    difference_scale: float = _key("initial.difference_scale", default=1.0)
-    out_dir: str = _key("output.dir", str, default="runs")
-    seed: int = _key("output.seed", _int, default=0)
-    decay_threshold: float = _key("output.decay_threshold", default=1e-6)
-    constants_file: str | None = _key("output.constants_file", str, default=None)
+    difference_scale: float = _key("initial.difference_scale", domain=_NONNEGATIVE, default=1.0)
+    out_dir: str = _key("output.dir", str, domain=None, default="runs")
+    seed: int = _key("output.seed", _int, domain=_NONNEGATIVE, default=0)
+    decay_threshold: float = _key("output.decay_threshold", domain=_NONNEGATIVE, default=1e-6)
+    constants_file: str | None = _key("output.constants_file", str, domain=None, default=None)
     scenario: str = _choice("output.scenario", SCENARIOS, "self_sync")
-    threads: int = _key("output.threads", _int, default=1)
+    threads: int = _key("output.threads", _int, domain=_COUNT, default=1)
     sweep_K: tuple = _key("sweep.K", _floats, default=())
     sweep_mu: tuple = _key("sweep.mu", _floats, default=())
     sweep_theta1: tuple = _key("sweep.theta1", _floats, default=())
@@ -154,25 +173,22 @@ class ExperimentConfig:
             grid_limit = sp.grid_dealias_radius(self.n, self.dealias_radius)
         except ValueError as exc:
             raise ParseError(f"constraint violated: {exc}") from exc
-        # each domain in positive form, so that NaN fails it too
-        for name, inside, fault in (
-            ("nu", self.nu > 0, "is not positive"),
-            ("dt", self.dt > 0, "is not positive"),
-            ("t_end", self.t_end > 0, "is not positive"),
-            ("K", 0 <= self.K <= grid_limit + 1e-12, f"lies outside [0, {grid_limit:g}], the dealias radius"),
-            ("sample_every", self.sample_every >= 0, "is negative"),
-        ):
-            value = getattr(self, name)
-            if not (inside and math.isfinite(value)):
-                fault = fault if math.isfinite(value) else "is not finite"
-                raise ParseError(f"constraint violated: {name} = {value:g} {fault}")
-        if self.threads < 1:
-            raise ParseError(f"constraint violated: threads = {self.threads} must be at least 1")
+        # every number is finite and inside its field's domain
+        for f in fields(self):
+            domain, value = f.metadata["domain"], getattr(self, f.name)
+            if domain is None or value is None:
+                continue
+            inside, fault = domain
+            for x in value if isinstance(value, tuple) else (value,):
+                if not math.isfinite(x):
+                    raise ParseError(f"constraint violated: {f.name} = {x:g} is not finite")
+                if not inside(x, grid_limit):
+                    raise ParseError(f"constraint violated: {f.name} = {x:g} {fault.format(radius=grid_limit)}")
         if self.initial_kind == "modes":
             modes = _parse_mode_list(self.initial_modes)
             if not modes:
                 raise ParseError("constraint violated: initial kind = modes needs a nonempty modes list")
-            outside = [(kx, ky) for kx, ky, _ in modes if math.hypot(kx, ky) > grid_limit + 1e-12]
+            outside = [(kx, ky) for kx, ky, _ in modes if not sp.in_ball(math.hypot(kx, ky), grid_limit)]
             if outside:
                 raise ParseError(
                     f"constraint violated: initial modes {outside} lie outside the dealias radius {grid_limit:g}"
@@ -674,6 +690,8 @@ def _run_sweep_point(args):
     except Exception as exc:  # one failing point must not end the sweep
         print(f"sweep point {index} failed:\n{traceback.format_exc()}", file=sys.stderr)
         return {**point, "index": index, "error": f"{type(exc).__name__}: {exc}"}
+    regime = diag.regime_for(build_matrix(pcfg))
+    sync = regime.sync if regime else None
     row = {
         **point,
         "index": index,
@@ -681,9 +699,7 @@ def _run_sweep_point(args):
         "final_ratio": res.final_ratio,
         "rate": res.decay_l2.rate if res.decay_l2 else math.nan,
         "blowup": res.blowup,
-        "condition_satisfied": all(
-            rep.satisfied for rep in res.reports if rep.name in ("nudge_ss", "dr_ss")
-        ),
+        "condition_satisfied": all(rep.satisfied for rep in res.reports if rep.name == sync),
     }
     return row
 

@@ -7,16 +7,20 @@ pseudospectral path.  The RK4 integrator at a fixed reference step is the
 trajectory gold standard for desk-scale runs.
 
 One array kernel does the work: `_Kernel` holds the per-box constants and
-acts on raw stacks of shape (copies, 2, side*side).  `DenseModeSet` is the
-boundary type only; the public functions and the RK4 loop wrap and unwrap it.
+acts on raw stacks of shape (copies, 2, side*side).  The trajectories take
+the `IntertwinedState`s the stepper takes and read everything off them: the
+box is the stepper's dealias box (radius grid.box_cols - 1) and the Galerkin
+ball is |k| <= grid.dealias_radius, under the one ball rule
+`spectral.in_ball`.  `DenseModeSet` is the boundary type only; the public
+functions and the RK4 loop wrap and unwrap it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import BlowupDetected, diverged, sample_steps
-from .spectral import PLANCHEREL, Grid, SpectralField
+from .dynamics import BlowupDetected, _shared, diverged, sample_steps
+from .spectral import PLANCHEREL, Grid, SpectralField, in_ball
 
 MAX_RADIUS = 4
 
@@ -105,42 +109,19 @@ def _triples(radius: int, keep: float):
     """Index triples (a, b, k=a+b) inside the box, each in the ball |.| <= keep.
 
     Returns flat indices ia, ib, ik into the (2R+1)^2 layout plus the integer
-    components of b (the gradient factor acts on the second argument).
+    components of b (the gradient factor acts on the second argument), in
+    the order of nested loops over a_y, a_x, b_y, b_x.
     """
     side = 2 * radius + 1
-    ks = _k_axes(radius)
-    ia, ib, ik, bx, by = [], [], [], [], []
-    for ay in ks:
-        for ax in ks:
-            if ax == 0 and ay == 0:
-                continue
-            if ax * ax + ay * ay > keep**2 + 1e-9:
-                continue
-            for vy in ks:
-                for vx in ks:
-                    if vx == 0 and vy == 0:
-                        continue
-                    if vx * vx + vy * vy > keep**2 + 1e-9:
-                        continue
-                    kx, ky = ax + vx, ay + vy
-                    if abs(kx) > radius or abs(ky) > radius:
-                        continue
-                    if kx == 0 and ky == 0:
-                        continue
-                    if kx * kx + ky * ky > keep**2 + 1e-9:
-                        continue
-                    ia.append((ay + radius) * side + (ax + radius))
-                    ib.append((vy + radius) * side + (vx + radius))
-                    ik.append((ky + radius) * side + (kx + radius))
-                    bx.append(vx)
-                    by.append(vy)
-    return (
-        np.array(ia, dtype=np.intp),
-        np.array(ib, dtype=np.intp),
-        np.array(ik, dtype=np.intp),
-        np.array(bx, dtype=np.float64),
-        np.array(by, dtype=np.float64),
-    )
+    ay, ax, by, bx = np.meshgrid(*[_k_axes(radius)] * 4, indexing="ij")
+    ky, kx = ay + by, ax + bx
+
+    def inside(y, x):
+        return ((y != 0) | (x != 0)) & in_ball(np.sqrt(y * y + x * x), keep)
+
+    on = (abs(ky) <= radius) & (abs(kx) <= radius) & inside(ay, ax) & inside(by, bx) & inside(ky, kx)
+    flat = [((y + radius) * side + (x + radius))[on].astype(np.intp) for y, x in ((ay, ax), (by, bx), (ky, kx))]
+    return (*flat, bx[on].astype(np.float64), by[on].astype(np.float64))
 
 
 _KERNEL_CACHE: dict = {}
@@ -208,7 +189,7 @@ class _Kernel:
         return mult
 
     def low_mask(self, K: float):
-        return (self.k2 <= K**2 + 1e-9).astype(np.complex128)
+        return in_ball(self.kmag, K).astype(np.complex128)
 
     def leray(self, D):
         """u - k (k . u) / |k|^2 per mode; the mean mode passes through."""
@@ -258,13 +239,12 @@ class _Kernel:
         return [DenseModeSet(self.radius, v.reshape(shape).copy(), self.keep) for v in V]
 
 
-def _shared_kernel(*sets: DenseModeSet) -> _Kernel:
-    """The kernel of mode sets that share a box and a Galerkin ball."""
-    first = sets[0]
-    for d in sets[1:]:
-        if (d.radius, d.keep_radius) != (first.radius, first.keep_radius):
-            raise ValueError("mode sets must share radius and keep_radius")
-    return _kernel(first.radius, first.keep_radius)
+def _grid_kernel(grid: Grid) -> _Kernel:
+    """The kernel of the stepper's dealias box on grid and its dealias ball."""
+    radius = grid.box_cols - 1
+    if radius > MAX_RADIUS:
+        raise RadiusTooLarge(f"the dealias box of {grid} has radius {radius}, above {MAX_RADIUS}")
+    return _kernel(radius, grid.dealias_radius)
 
 
 def dense_stokes(u: DenseModeSet, half_power: int) -> DenseModeSet:
@@ -308,25 +288,78 @@ def heat_exact(p0: SpectralField, h: SpectralField | None, nu: float, t: float) 
     return SpectralField(g, half)
 
 
-def _coupling(kern: _Kernel, matrix, K: float, first: int = 0) -> list:
+def _coupling(kern: _Kernel, matrix, K: float, first: int) -> list:
     """The coupling entries of `_Kernel.rhs` for a pair at copies first and
-    first + 1: none for an uncoupled pair.
+    first + 1: none for a zero matrix, as in the stepper.
 
     The matrix fixes F: P_K B(., .) for direct replacement, P_K otherwise.
     """
-    if matrix is None:
+    if not np.any(matrix.entries != 0.0):
         return []
     # column j, shaped (2, 1, 1) to scale c_j in both rows, times the mask
     m = matrix.entries.astype(np.complex128)[:, :, None, None] * kern.low_mask(K)
     return [(first, m[:, 0], m[:, 1], matrix.is_direct_replacement)]
 
 
-def _dense_pair_rhs(v1, v2, g1, g2, nu, K, matrix):
-    """Right-hand sides for the coupled pair, dense path."""
-    kern = _shared_kernel(v1, v2)
-    coupling = _coupling(kern, matrix, K)
-    F = kern.rhs(kern.stack([v1, v2]), kern.stack([g1, g2]), nu * kern.lap, coupling)
-    return tuple(kern.unstack(F))
+class _System:
+    """The pairs of states on one dense stack, copies 2p and 2p + 1 being
+    member p's v1 and v2, and the right-hand side that steps them.
+
+    The states must share grid, t and nu, and none may set advect=False,
+    which has no dense system (ValueError naming the attribute otherwise).
+    Each distinct force field is converted once; a copy's force is formed
+    from its weights as `Forcing.__call__` forms it, a left fold in which a
+    weight of exactly 1 is not multiplied, and again only when its weights
+    change.
+    """
+
+    def __init__(self, states):
+        grid, self.t, nu = (_shared(states, name) for name in ("grid", "t", "nu"))
+        if not all(s.advect for s in states):
+            raise ValueError("the dense oracle has no system with advect=False")
+        self.kern = kern = _grid_kernel(grid)
+        self.nu_lap = nu * kern.lap
+        self.V = self._convert(v for s in states for v in (s.v1, s.v2))
+        self.coupling = [c for p, s in enumerate(states) for c in _coupling(kern, s.matrix, s.K, 2 * p)]
+        self.forces = [g for s in states for g in (s.forcing.g1, s.forcing.g2)]
+        fields = {id(u): u for g in self.forces for u in g.fields}
+        self.fields = dict(zip(fields, self._convert(fields.values())))
+        self.G = np.empty_like(self.V)
+        self.weights = [None] * len(self.forces)
+        self._form(self.t, range(len(self.forces)))
+        self.varying = [j for j, g in enumerate(self.forces) if not g.steady]
+
+    def _convert(self, fields) -> np.ndarray:
+        kern = self.kern
+        return kern.stack([dense_from_spectral(u, kern.radius, kern.keep) for u in fields])
+
+    def _form(self, t, copies) -> None:
+        for j in copies:
+            forcing = self.forces[j]
+            weights = forcing.weights(t)
+            if weights == self.weights[j]:
+                continue
+            self.weights[j], total = weights, None
+            for u, w in zip(forcing.fields, weights):
+                field = self.fields[id(u)]
+                term = field if w == 1.0 else field * w
+                total = term if total is None else total + term
+            self.G[j] = total
+
+    def rhs(self, V, t) -> np.ndarray:
+        self._form(t, self.varying)
+        return self.kern.rhs(V, self.G, self.nu_lap, self.coupling)
+
+    def freeze(self, copies: slice) -> None:
+        """Zero the forces of copies from now on."""
+        self.G[copies] = 0.0
+        self.varying = [j for j in self.varying if not copies.start <= j < copies.stop]
+
+
+def _dense_pair_rhs(state):
+    """Right-hand sides of the state's pair, dense path."""
+    system = _System([state])
+    return tuple(system.kern.unstack(system.rhs(system.V, state.t)))
 
 
 def _dense_project_low(d: DenseModeSet, K: float) -> DenseModeSet:
@@ -335,90 +368,62 @@ def _dense_project_low(d: DenseModeSet, K: float) -> DenseModeSet:
     return DenseModeSet(d.radius, d.coeffs * mask, d.keep_radius)
 
 
-def dense_trajectory(
-    v1_0: DenseModeSet,
-    v2_0: DenseModeSet | None,
-    forcing,
-    nu: float,
-    t_end: float,
-    dt_ref: float = 1e-4,
-    K: float = 0.0,
-    matrix=None,
-    sample_every: float | None = None,
-):
-    """Classical RK4 reference trajectory on the dense mode set.
+def dense_trajectory(state, t_end: float, dt_ref: float = 1e-4, sample_every: float | None = None):
+    """Classical RK4 reference trajectory of the state's pair on the dense box.
 
-    With v2_0 None only v1 evolves, under the plain Navier-Stokes equations;
-    otherwise the pair evolves under matrix (uncoupled when None), which also
-    fixes the intertwining function.  forcing provides g1(t), g2(t) as
-    DenseModeSet-returning callables.  Returns (samples, final) where samples
-    is a list of (t, v1, v2) snapshots at t = 0 and at the steps that
-    `dynamics.sample_steps` samples (t_end must be whole steps of dt_ref).
+    The pair evolves under the state's matrix, which also fixes the
+    intertwining function (the zero matrix is the plain Navier-Stokes
+    system), its forces, nu and K.  Returns (samples, final) where samples is
+    a list of (t, v1, v2) snapshots at state.t and at the steps that
+    `dynamics.sample_steps` samples (t_end - state.t must be whole steps of
+    dt_ref), and final is (v1, v2) at t_end.
 
     Convergence: halving dt_ref changes the endpoint at fourth order
     (Richardson ratio near 16), which the test suite verifies.
     """
-    (out,) = dense_trajectories([(v1_0, v2_0, forcing, K, matrix)], nu, t_end, dt_ref, sample_every)
+    (out,) = dense_trajectories([state], t_end, dt_ref, sample_every)
     if isinstance(out, BlowupDetected):
         raise out
     return out
 
 
-def dense_trajectories(systems, nu: float, t_end: float, dt_ref: float = 1e-4,
+def dense_trajectories(states, t_end: float, dt_ref: float = 1e-4,
                        sample_every: float | None = None) -> list:
-    """`dense_trajectory` for several systems as one RK4 loop on one stack.
+    """`dense_trajectory` for several states as one RK4 loop on one stack.
 
-    systems holds (v1_0, v2_0, forcing, K, matrix) per member, as the
-    arguments of `dense_trajectory`; the members share nu, the box and the
-    Galerkin ball.  Returns per member its (samples, final), bitwise those
-    of its lone run, or the BlowupDetected of a member that `diverged`: that
-    member is frozen in place, as the stepper freezes one, and the others go
-    on.
+    The states share grid, t and nu (see `_System`).  Returns per state its
+    (samples, final), bitwise those of its lone run, or the BlowupDetected of
+    a member that `diverged`: that member is frozen in place, as the stepper
+    freezes one, and the others go on.
     """
-    kern = _shared_kernel(*(d for system in systems for d in system[:2] if d is not None))
-    nu_lap = nu * kern.lap
-    # the stack's copies, the rows of each member, their force getters and the coupling
-    starts, spans, getters, coupling = [], [], [], []
-    for v1_0, v2_0, forcing, K, matrix in systems:
-        if matrix is not None and v2_0 is None:
-            raise ValueError("a coupling matrix needs a second copy v2_0")
-        first = len(starts)
-        starts += [d for d in (v1_0, v2_0) if d is not None]
-        spans.append(slice(first, len(starts)))
-        getters += [forcing.g1_dense, forcing.g2_dense][: len(starts) - first]
-        coupling += _coupling(kern, matrix, K, first)
-    held = [None, None]  # the forces last seen and their stack
-    zero = DenseModeSet(kern.radius, keep_radius=kern.keep)
-
-    def rhs(V, t):
-        forces = [get(t) for get in getters]
-        if held[0] is None or any(f is not h for f, h in zip(forces, held[0])):
-            held[:] = forces, kern.stack(forces)
-        return kern.rhs(V, held[1], nu_lap, coupling)
+    states = list(states)
+    system = _System(states)
+    kern, t0, V = system.kern, system.t, system.V
+    if t_end < t0:
+        raise ValueError("t_end precedes the states' current time")
+    spans = [slice(2 * p, 2 * p + 2) for p in range(len(states))]
 
     def snapshot(t, V, span):
-        sets = kern.unstack(V[span])
-        return (t, sets[0], sets[1] if len(sets) == 2 else None)
+        return (t, *kern.unstack(V[span]))
 
-    nsteps, sampled = sample_steps(t_end, dt_ref, sample_every)
+    nsteps, sampled = sample_steps(t_end - t0, dt_ref, sample_every)
     half, sixth = 0.5 * dt_ref, dt_ref / 6.0
-    V = kern.stack(starts)
-    samples = [[snapshot(0.0, V, span)] for span in spans]
-    results: list = [None] * len(systems)
-    t = 0.0
+    samples = [[snapshot(t0, V, span)] for span in spans]
+    results: list = [None] * len(states)
+    t = t0
     for istep in range(nsteps):
-        k1 = rhs(V, t)
-        k2 = rhs(V + half * k1, t + half)
-        k3 = rhs(V + half * k2, t + half)
-        k4 = rhs(V + dt_ref * k3, t + dt_ref)
+        k1 = system.rhs(V, t)
+        k2 = system.rhs(V + half * k1, t + half)
+        k3 = system.rhs(V + half * k2, t + half)
+        k4 = system.rhs(V + dt_ref * k3, t + dt_ref)
         V = V + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (istep + 1) * dt_ref
+        t = t0 + (istep + 1) * dt_ref
         # every copy is guarded, since a coupling can blow up either one alone
         energy = np.square(V.view(np.float64)).reshape(len(V), -1).sum(axis=1)
         for p in diverged(energy, spans):
             # zero rows under a zero force stay zero and leave the other rows as they were
             V[spans[p]] = 0.0
-            getters[spans[p]] = [lambda t: zero] * (spans[p].stop - spans[p].start)
+            system.freeze(spans[p])
             results[p] = BlowupDetected(t, f"dense trajectory diverged at t={t:g}")
         if None not in results:
             break
@@ -427,31 +432,3 @@ def dense_trajectories(systems, nu: float, t_end: float, dt_ref: float = 1e-4,
                 if results[p] is None:
                     samples[p].append(snapshot(t, V, span))
     return [out or (kept, snapshot(t, V, span)[1:]) for out, kept, span in zip(results, samples, spans)]
-
-
-class DenseForcingAdapter:
-    """Evaluate a spectral forcing pair on a dense mode set.
-
-    Steady forces return the same field object every call, so each slot keeps
-    its last conversion (checked by identity); time-dependent forces simply
-    reconvert.
-    """
-
-    def __init__(self, pair, radius: int, keep_radius: float | None = None):
-        self.pair = pair
-        self.radius = radius
-        self.keep_radius = keep_radius
-        self._last = {}
-
-    def _convert(self, slot, field):
-        hit = self._last.get(slot)
-        if hit is None or hit[0] is not field:
-            hit = (field, dense_from_spectral(field, self.radius, self.keep_radius))
-            self._last[slot] = hit
-        return hit[1]
-
-    def g1_dense(self, t):
-        return self._convert("g1", self.pair.g1(t))
-
-    def g2_dense(self, t):
-        return self._convert("g2", self.pair.g2(t))

@@ -45,10 +45,19 @@ ALIAS_RTOL = 1e-13
 DIV_RTOL = 1e-14
 # check_field's reality guard, relative to the largest coefficient magnitude
 REALITY_RTOL = 1e-12
+# the ball rule's slack on |k|: see in_ball
+BALL_ATOL = 1e-12
 
 
 class AliasingViolation(ValueError):
     """A field carries energy outside its grid's dealias radius."""
+
+
+def in_ball(kmag, radius: float):
+    """The one rule for "inside the ball |k| <= radius" (inclusive, to
+    BALL_ATOL on |k|), for arrays of |k| and for scalars.  Written in
+    positive form, so that a NaN is outside every ball."""
+    return kmag <= radius + BALL_ATOL
 
 
 def grid_dealias_radius(n: int, dealias_radius: float | None = None) -> float:
@@ -61,7 +70,7 @@ def grid_dealias_radius(n: int, dealias_radius: float | None = None) -> float:
         raise ValueError(f"n must be an even integer >= 4, got {n}")
     if dealias_radius is None:
         dealias_radius = n / 3.0
-    if not 0.0 < dealias_radius <= n / 3.0 + 1e-12:
+    if not (0.0 < dealias_radius and in_ball(dealias_radius, n / 3.0)):
         raise ValueError(
             f"dealias_radius must lie in (0, n/3], got {dealias_radius} with n={n}"
         )
@@ -91,7 +100,7 @@ class Grid:
         self.k2 = self.kx**2 + self.ky**2
         self.kmag = np.sqrt(self.k2)
         self.nonzero = self.k2 > 0
-        self.dealias_mask = self.kmag <= self.dealias_radius + 1e-12
+        self.dealias_mask = in_ball(self.kmag, self.dealias_radius)
         self.alias_mask = ~self.dealias_mask
         self.ikx = 1j * self.kx
         self.iky = 1j * self.ky
@@ -144,7 +153,7 @@ class Grid:
         """Boolean mask of modes with |k| <= K (inclusive Euclidean ball)."""
         if K < 0:
             raise ValueError("cutoff K must be >= 0")
-        return self.kmag <= K + 1e-12
+        return in_ball(self.kmag, K)
 
 
 class SpectralField:

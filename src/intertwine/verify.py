@@ -100,8 +100,8 @@ def oracle_suite(
 
     Bilinear-term agreement at n = 16 with box radius 4, then full
     trajectories (plain system plus both coupling families) at n = 8 to
-    T = 1 against the dense RK4 reference.  The three systems run as one
-    ensemble in each path, each member bitwise its lone run.
+    T = 1 against the dense RK4 reference.  The one list of states runs as
+    one ensemble in each path, each member bitwise its lone run.
     """
     results = []
     grid = sp.Grid(16)
@@ -121,42 +121,26 @@ def oracle_suite(
 
     g8 = sp.Grid(8)
     rng = np.random.default_rng(seed + 1)
-    keep = g8.dealias_radius
-    v1 = sp.random_field(g8, rng, energy=0.6, kmax=keep)
-    v2 = sp.random_field(g8, rng, energy=0.6, kmax=keep)
-    nu = 0.3
+    v1 = sp.random_field(g8, rng, energy=0.6, kmax=g8.dealias_radius)
+    v2 = sp.random_field(g8, rng, energy=0.6, kmax=g8.dealias_radius)
     pair = fr.ForcingPair.synchronized(fr.SteadyForcing(fr.kolmogorov_force(g8, 0.2, 2)))
-    adapter = orc.DenseForcingAdapter(pair, radius=2, keep_radius=keep)
-    d1 = orc.dense_from_spectral(v1, 2, keep_radius=keep)
-    d2 = orc.dense_from_spectral(v2, 2, keep_radius=keep)
-
-    # None is the plain system: one copy in the oracle, an uncoupled pair in
-    # the stepper
-    matrices = (
-        None,
-        dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5),
-        dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75),
-    )
+    # the plain system is the zero matrix
+    matrices = {
+        "nse": dyn.IntertwiningMatrix.zero(),
+        "nudge_mutual": dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5),
+        "dr_mutual": dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75),
+    }
     states = [
-        dyn.IntertwinedState(
-            grid=g8, t=0.0, nu=nu, K=2.0,
-            matrix=dyn.IntertwiningMatrix.zero() if matrix is None else matrix,
-            v1=v1, v2=v1.copy() if matrix is None else v2, forcing=pair,
-        )
-        for matrix in matrices
+        dyn.IntertwinedState(grid=g8, t=0.0, nu=0.3, K=2.0, matrix=matrix, v1=v1, v2=v2, forcing=pair)
+        for matrix in matrices.values()
     ]
-    systems = [(d1, None if matrix is None else d2, adapter, 2.0, matrix) for matrix in matrices]
     finals = dyn.integrate_many(states, 1.0, dt=dt_main)
-    refs = orc.dense_trajectories(systems, nu, 1.0, dt_ref=dt_ref)
-    for matrix, final, ref in zip(matrices, finals, refs):
+    refs = orc.dense_trajectories(states, 1.0, dt_ref=dt_ref)
+    for label, final, ref in zip(matrices, finals, refs):
         for out in (final, ref):
             if isinstance(out, dyn.BlowupDetected):
                 raise out
-        _, (ref1, ref2) = ref
-        gap = (final.v1 - orc.dense_to_spectral(ref1, g8)).l2
-        if matrix is not None:
-            gap = max(gap, (final.v2 - orc.dense_to_spectral(ref2, g8)).l2)
-        label = "nse" if matrix is None else matrix.kind
+        gap = max((v - orc.dense_to_spectral(d, g8)).l2 for v, d in zip((final.v1, final.v2), ref[1]))
         results.append(
             CheckResult(f"trajectory vs dense RK4 ({label})", gap <= tol_traj, gap, tol_traj)
         )

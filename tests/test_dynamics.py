@@ -186,16 +186,27 @@ class TestRightHandSides:
         }[kind]
         state = make_state(grid8, rng, dyn.COUPLING_CLASSES[kind].build(*params), nu=0.25)
         f1, f2 = rhs_general(state)
-        keep = grid8.dealias_radius
-        d1 = orc.dense_from_spectral(state.v1, 2, keep_radius=keep)
-        d2 = orc.dense_from_spectral(state.v2, 2, keep_radius=keep)
-        adapter = orc.DenseForcingAdapter(state.forcing, radius=2, keep_radius=keep)
-        e1, e2 = orc._dense_pair_rhs(
-            d1, d2, adapter.g1_dense(0.0), adapter.g2_dense(0.0), state.nu, state.K, state.matrix
-        )
+        e1, e2 = orc._dense_pair_rhs(state)
         gap1 = (f1 - orc.dense_to_spectral(e1, grid8)).l2
         gap2 = (f2 - orc.dense_to_spectral(e2, grid8)).l2
         assert max(gap1, gap2) <= 1e-11 * max(f1.l2, 1.0)
+
+    @pytest.mark.parametrize(
+        "grid, K",
+        [(sp.Grid(8), 5**0.5 - 1e-10), (sp.Grid(16, 8**0.5 - 1e-10), 2.0)],
+        ids=["cutoff_on_edge", "dealias_radius_on_edge"],
+    )
+    def test_rhs_matches_dense_oracle_on_the_ball_edge(self, grid, K):
+        # both paths read |k| <= R through spectral.in_ball, so a radius just
+        # below a shell of modes (|k| = sqrt(5), sqrt(8)) leaves it out of both
+        rng = np.random.default_rng(3)
+        for matrix in (IntertwiningMatrix.nudge_mutual(1.3, 0.4), IntertwiningMatrix.dr_mutual(0.25, 0.75)):
+            state = make_state(grid, rng, matrix, nu=0.25, K=K)
+            f1, f2 = rhs_general(state)
+            e1, e2 = orc._dense_pair_rhs(state)
+            gap1 = (f1 - orc.dense_to_spectral(e1, grid)).l2
+            gap2 = (f2 - orc.dense_to_spectral(e2, grid)).l2
+            assert max(gap1, gap2) <= 1e-11 * max(f1.l2, 1.0)
 
     def test_dr_synchronized_manifold_rhs(self, grid16, rng):
         state = make_state(grid16, rng, IntertwiningMatrix.dr_mutual(0.3, 0.7), same=True)
@@ -269,17 +280,15 @@ class TestResiduals:
         assert residual_twisted(state) <= 1e-10
 
         keep = grid8.dealias_radius
-        d1 = orc.dense_from_spectral(state.v1, 2, keep_radius=keep)
-        d2 = orc.dense_from_spectral(state.v2, 2, keep_radius=keep)
-        adapter = orc.DenseForcingAdapter(state.forcing, radius=2, keep_radius=keep)
-        f1, f2 = orc._dense_pair_rhs(
-            d1, d2, adapter.g1_dense(0.0), adapter.g2_dense(0.0),
-            state.nu, state.K, state.matrix,
+        d1, d2, g1, g2 = (
+            orc.dense_from_spectral(u, 2, keep_radius=keep)
+            for u in (state.v1, state.v2, state.forcing.g1(0.0), state.forcing.g2(0.0))
         )
+        f1, f2 = orc._dense_pair_rhs(state)
         combo = 0.5 * f1 + 0.5 * f2
         v_th = 0.5 * d1 + 0.5 * d2
         w_th = 0.5 * (d1 - d2)
-        g_th = 0.5 * adapter.g1_dense(0.0) + 0.5 * adapter.g2_dense(0.0)
+        g_th = 0.5 * g1 + 0.5 * g2
         closed = (
             g_th
             - state.nu * orc.dense_stokes(v_th, 2)
@@ -606,6 +615,15 @@ class TestStepping:
         state = make_state(grid16, rng, IntertwiningMatrix.zero())
         with pytest.raises(ValueError, match="finite and positive"):
             integrate(state, 1.0, dt=dt, cfl_factor=None)
+
+    @pytest.mark.parametrize(
+        "name, value", [("nu", np.nan), ("nu", np.inf), ("nu", 0.0), ("K", np.nan), ("K", np.inf), ("K", -1.0), ("K", 5.5)]
+    )
+    def test_state_refuses_bad_nu_and_K(self, grid16, rng, name, value):
+        # checks written as "nu <= 0 fails" once let NaN and infinities through
+        state = make_state(grid16, rng, IntertwiningMatrix.zero())
+        with pytest.raises(ValueError, match=f"{name} = {value}"):
+            replace(state, **{name: value})
 
     def test_time_dependent_force_at_stage_times(self, grid16):
         # linear check: v' = cos(omega t) f with diffusion disabled on the

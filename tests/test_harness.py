@@ -2,6 +2,7 @@
 
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -39,6 +40,21 @@ sample_every = 0.1
 [output]
 seed = 7
 """
+
+
+# MINIMAL as sections, run for 10 steps
+SHORT = {
+    "grid": {"n": "16"},
+    "physics": {"nu": "0.5", "K": "3.0"},
+    "coupling": {"class": "nudge_mutual", "mu1": "2.0", "mu2": "2.0"},
+    "forcing": {"amplitude": "0.1"},
+    "initial": {"energy": "0.3", "difference_scale": "0.2"},
+    "time": {"dt": "0.02", "t_end": "0.2", "sample_every": "0.02"},
+    "output": {"seed": "7"},
+}
+NUMERIC_SLOTS = [
+    f.metadata["ini"] for f in fields(hz.ExperimentConfig) if f.metadata["parse"] in (float, hz._int, hz._floats)
+]
 
 
 class TestConfigParsing:
@@ -612,6 +628,41 @@ class TestCli:
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert f"{key} = {value}" in capsys.readouterr().err
         assert not list(tmp_path.rglob("series.csv"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("slot", NUMERIC_SLOTS)
+    def test_every_bad_number_exits_0_or_2(self, tmp_path, capsys, monkeypatch, slot, value):
+        # a bad number is either harmless or refused before the run starts,
+        # naming its key: never a traceback (exit 1) and never a blow-up (3)
+        code, err = self._run_short(tmp_path, capsys, monkeypatch, slot, value)
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2:
+            assert slot.partition(".")[2] in err
+            assert not list(tmp_path.rglob("series.csv"))
+
+    @pytest.mark.parametrize(
+        "slot, value",
+        [
+            ("initial.energy", "-1"), ("initial.difference_scale", "-1"), ("initial.max_wavenumber", "nan"),
+            ("output.decay_threshold", "nan"), ("output.decay_threshold", "-1"), ("forcing.omega", "nan"),
+            ("forcing.wavenumber", "0"), ("forcing.wavenumber", "6"), ("output.seed", "-1"),
+        ],
+    )
+    def test_silently_wrong_numbers_exit_2(self, tmp_path, capsys, monkeypatch, slot, value):
+        # each of these once ran to exit 0 with wrong or no results, or died
+        # in a traceback
+        code, err = self._run_short(tmp_path, capsys, monkeypatch, slot, value)
+        assert code == 2 and f"{slot.partition('.')[2]} = {value}" in err
+
+    def _run_short(self, tmp_path, capsys, monkeypatch, slot, value):
+        """Exit code and stderr of a 10-step run of MINIMAL with slot = value."""
+        monkeypatch.chdir(tmp_path)
+        section, _, key = slot.partition(".")
+        sections = {name: dict(keys) for name, keys in SHORT.items()}
+        sections.setdefault(section, {})[key] = value
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
+        code = cli.main(["run", "--config", self._write(tmp_path, text), "--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "content, message",

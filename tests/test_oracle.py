@@ -1,5 +1,7 @@
 """Dense-convolution and RK4 reference implementations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,34 +106,34 @@ class TestDenseBilinear:
         assert np.array_equal(back.coeffs, u.coeffs)
 
 
-class TestDenseTrajectory:
-    def _adapter(self, grid, amplitude=0.2):
-        pair = fr.ForcingPair.synchronized(
-            fr.SteadyForcing(fr.kolmogorov_force(grid, amplitude, 2))
-        )
-        return pair, orc.DenseForcingAdapter(pair, radius=2, keep_radius=grid.dealias_radius)
+def _state(grid, v1, v2, forcing=None, matrix=None, nu=0.3, K=2.0):
+    """The state the oracle steps; a zero force and the zero matrix (the
+    plain system) by default."""
+    return dyn.IntertwinedState(
+        grid=grid, t=0.0, nu=nu, K=K, matrix=matrix or dyn.IntertwiningMatrix.zero(), v1=v1, v2=v2,
+        forcing=forcing or fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid))),
+    )
 
+
+def _kolmogorov(grid, amplitude=0.2):
+    return fr.ForcingPair.synchronized(fr.SteadyForcing(fr.kolmogorov_force(grid, amplitude, 2)))
+
+
+class TestDenseTrajectory:
     def test_pure_diffusion_exact(self, grid8):
         u = sp.field_from_modes(grid8, [(1, 1, (0.3 / 1j, -0.3 / 1j))])
         d0 = orc.dense_from_spectral(u, 2, keep_radius=grid8.dealias_radius)
-        zero_pair = fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid8)))
-        adapter = orc.DenseForcingAdapter(zero_pair, radius=2)
-        _, (final, _) = orc.dense_trajectory(
-            d0, None, adapter, nu=0.4, t_end=1.0, dt_ref=1e-3
-        )
+        _, (final, _) = orc.dense_trajectory(_state(grid8, u, u.copy(), nu=0.4), t_end=1.0, dt_ref=1e-3)
         # linear problem: RK4 reproduces exp(-nu |k|^2 t) to high order
         expect = d0.coeffs * np.exp(-0.4 * 2.0 * 1.0)
         assert np.abs(final.coeffs - expect).max() <= 1e-10
 
     def test_rk4_self_convergence(self, grid8, rng):
         u0 = sp.random_field(grid8, rng, energy=0.6, kmax=grid8.dealias_radius)
-        d0 = orc.dense_from_spectral(u0, 2, keep_radius=grid8.dealias_radius)
-        _, adapter = self._adapter(grid8)
+        state = _state(grid8, u0, u0.copy(), _kolmogorov(grid8))
         finals = []
         for dt in (0.02, 0.01, 0.005):
-            _, (final, _) = orc.dense_trajectory(
-                d0, None, adapter, nu=0.3, t_end=0.5, dt_ref=dt
-            )
+            _, (final, _) = orc.dense_trajectory(state, t_end=0.5, dt_ref=dt)
             finals.append(final)
         gap_coarse = orc.dense_l2(finals[0] - finals[1])
         gap_fine = orc.dense_l2(finals[1] - finals[2])
@@ -140,186 +142,208 @@ class TestDenseTrajectory:
 
     def test_synchronized_manifold_preserved(self, grid8, rng):
         u0 = sp.random_field(grid8, rng, energy=0.6, kmax=grid8.dealias_radius)
-        d0 = orc.dense_from_spectral(u0, 2, keep_radius=grid8.dealias_radius)
-        _, adapter = self._adapter(grid8)
         matrix = dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75)
-        _, (f1, f2) = orc.dense_trajectory(
-            d0, d0.copy(), adapter, nu=0.3, t_end=1.0,
-            dt_ref=1e-3, K=2.0, matrix=matrix,
-        )
+        state = _state(grid8, u0, u0.copy(), _kolmogorov(grid8), matrix)
+        _, (f1, f2) = orc.dense_trajectory(state, t_end=1.0, dt_ref=1e-3)
         assert orc.dense_l2(f1 - f2) <= 1e-12 * orc.dense_l2(f1)
 
     def test_blowup_guard(self, grid8):
         u = sp.field_from_modes(grid8, [(1, 0, (0.0, 1.0))]) * 1e7
-        d0 = orc.dense_from_spectral(u, 2, keep_radius=grid8.dealias_radius)
         # strong linear amplification through a general coupling matrix
         matrix = dyn.IntertwiningMatrix.general(50.0, 0.0, 0.0, 50.0)
-        zero_pair = fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid8)))
-        adapter = orc.DenseForcingAdapter(zero_pair, radius=2)
         with pytest.raises(orc.BlowupDetected):
-            orc.dense_trajectory(
-                d0, d0.copy(), adapter, nu=0.1, t_end=5.0,
-                dt_ref=1e-2, K=2.0, matrix=matrix,
-            )
+            orc.dense_trajectory(_state(grid8, u, u.copy(), matrix=matrix, nu=0.1), t_end=5.0, dt_ref=1e-2)
 
 
     def test_blowup_guard_watches_second_copy(self, grid8):
         # only the second copy is amplified (m22 = 50 on its low modes) while
         # the first decays, so a guard on the first copy alone never fires
         u = sp.field_from_modes(grid8, [(1, 0, (0.0, 1.0))])
-        d0 = orc.dense_from_spectral(u, 2, keep_radius=grid8.dealias_radius)
         matrix = dyn.IntertwiningMatrix.general(0.0, 0.0, 0.0, 50.0)
-        zero_pair = fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid8)))
-        adapter = orc.DenseForcingAdapter(zero_pair, radius=2)
         with pytest.raises(orc.BlowupDetected) as caught:
-            orc.dense_trajectory(
-                d0, d0.copy(), adapter, nu=0.1, t_end=5.0,
-                dt_ref=1e-2, K=2.0, matrix=matrix,
-            )
+            orc.dense_trajectory(_state(grid8, u, u.copy(), matrix=matrix, nu=0.1), t_end=5.0, dt_ref=1e-2)
         # |v2| grows like exp(49.9 t) from about 4.4, so it crosses 1e8 near t = 0.34
         assert caught.value.t < 0.5
 
+    def test_box_and_ball_from_the_grid(self, grid8, grid16, rng):
+        # the box is the stepper's dealias box, capped at MAX_RADIUS
+        u = sp.random_field(grid8, rng, energy=0.6)
+        samples, _ = orc.dense_trajectory(_state(grid8, u, u.copy()), t_end=1e-2, dt_ref=1e-2)
+        assert samples[0][1].radius == grid8.box_cols - 1 == 2
+        assert samples[0][1].keep_radius == grid8.dealias_radius
+        u = sp.random_field(grid16, rng, energy=0.6)
+        with pytest.raises(orc.RadiusTooLarge, match="radius 5"):
+            orc.dense_trajectory(_state(grid16, u, u.copy()), t_end=1e-2, dt_ref=1e-2)
 
-def _boundary_rk4_step(d1, d2, adapter, nu, dt, K, matrix):
+    def test_states_must_share_grid_t_nu_and_advect(self, grid8, rng):
+        u = sp.random_field(grid8, rng, energy=0.6)
+        state = _state(grid8, u, u.copy())
+        narrow = sp.Grid(8, 2.5)
+        w = sp.random_field(narrow, rng, energy=0.6)
+        for name, other in (
+            ("nu", replace(state, nu=0.5)),
+            ("t", replace(state, t=0.1)),
+            ("grid", _state(narrow, w, w.copy())),
+        ):
+            with pytest.raises(ValueError, match=name):
+                orc.dense_trajectories([state, other], t_end=0.2, dt_ref=1e-2)
+        with pytest.raises(ValueError, match="advect"):
+            orc.dense_trajectory(replace(state, advect=False), t_end=1e-2, dt_ref=1e-2)
+
+
+def _boundary_rk4_step(state, dt):
     """One RK4 step written with DenseModeSet arithmetic over the public functions."""
+    nu, K, m = state.nu, state.K, state.matrix.entries
+
+    def dense(u):
+        return orc.dense_from_spectral(u, 2, keep_radius=state.grid.dealias_radius)
 
     def rhs(a, b, t):
         B1 = orc.dense_bilinear_B(a, a)
-        f1 = adapter.g1_dense(t) - nu * orc.dense_stokes(a, 2) - B1
-        if matrix is None:
-            return f1, None
+        f1 = dense(state.forcing.g1(t)) - nu * orc.dense_stokes(a, 2) - B1
         B2 = orc.dense_bilinear_B(b, b)
-        f2 = adapter.g2_dense(t) - nu * orc.dense_stokes(b, 2) - B2
-        x1, x2 = (B1, B2) if matrix.is_direct_replacement else (a, b)
+        f2 = dense(state.forcing.g2(t)) - nu * orc.dense_stokes(b, 2) - B2
+        x1, x2 = (B1, B2) if state.matrix.is_direct_replacement else (a, b)
         c1, c2 = orc._dense_project_low(x1, K), orc._dense_project_low(x2, K)
-        m = matrix.entries
         return f1 + (m[0, 0] * c1 + m[0, 1] * c2), f2 + (m[1, 0] * c1 + m[1, 1] * c2)
 
     def shift(a, b, h, k):
-        return a + h * k[0], (b + h * k[1] if b is not None else None)
+        return a + h * k[0], b + h * k[1]
 
+    d1, d2 = dense(state.v1), dense(state.v2)
     k1 = rhs(d1, d2, 0.0)
     k2 = rhs(*shift(d1, d2, 0.5 * dt, k1), 0.5 * dt)
     k3 = rhs(*shift(d1, d2, 0.5 * dt, k2), 0.5 * dt)
     k4 = rhs(*shift(d1, d2, dt, k3), dt)
-    ends = []
-    for i, v in enumerate((d1, d2)):
-        if v is None:
-            ends.append(None)
-            continue
-        ends.append(v + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]))
-    return ends
+    return [v + (dt / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]) for i, v in enumerate((d1, d2))]
+
+
+def _nested_loop_triples(radius: int, keep: float):
+    """The triad table as nested loops, as the oracle built it before its
+    vectorised form (with its own ball test on |k|^2)."""
+    side = 2 * radius + 1
+    ks = np.arange(-radius, radius + 1)
+    ia, ib, ik, bx, by = [], [], [], [], []
+    for ay in ks:
+        for ax in ks:
+            if ax == 0 and ay == 0:
+                continue
+            if ax * ax + ay * ay > keep**2 + 1e-9:
+                continue
+            for vy in ks:
+                for vx in ks:
+                    if vx == 0 and vy == 0:
+                        continue
+                    if vx * vx + vy * vy > keep**2 + 1e-9:
+                        continue
+                    kx, ky = ax + vx, ay + vy
+                    if abs(kx) > radius or abs(ky) > radius:
+                        continue
+                    if kx == 0 and ky == 0:
+                        continue
+                    if kx * kx + ky * ky > keep**2 + 1e-9:
+                        continue
+                    ia.append((ay + radius) * side + (ax + radius))
+                    ib.append((vy + radius) * side + (vx + radius))
+                    ik.append((ky + radius) * side + (kx + radius))
+                    bx.append(vx)
+                    by.append(vy)
+    return (
+        np.array(ia, dtype=np.intp),
+        np.array(ib, dtype=np.intp),
+        np.array(ik, dtype=np.intp),
+        np.array(bx, dtype=np.float64),
+        np.array(by, dtype=np.float64),
+    )
 
 
 class TestDenseKernel:
     SYSTEMS = [
-        ("nse", None),
+        ("nse", dyn.IntertwiningMatrix.zero()),
         ("nudging", dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5)),
         ("direct_replacement", dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75)),
     ]
 
     @pytest.fixture
     def setup(self, grid8, rng):
+        """Build the state of a matrix: two random copies under a steady force."""
         keep = grid8.dealias_radius
-        pair = fr.ForcingPair.synchronized(
-            fr.SteadyForcing(fr.kolmogorov_force(grid8, 0.2, 2))
-        )
-        adapter = orc.DenseForcingAdapter(pair, radius=2, keep_radius=keep)
-        d1, d2 = (
-            orc.dense_from_spectral(sp.random_field(grid8, rng, energy=0.6, kmax=keep), 2, keep_radius=keep)
-            for _ in range(2)
-        )
-        return adapter, d1, d2
+        pair = _kolmogorov(grid8)
+        v1, v2 = (sp.random_field(grid8, rng, energy=0.6, kmax=keep) for _ in range(2))
+        return lambda matrix, K=2.0: _state(grid8, v1, v2, pair, matrix, K=K)
 
     @pytest.mark.parametrize("matrix", [m for _, m in SYSTEMS], ids=[s for s, _ in SYSTEMS])
     def test_one_step_matches_boundary_functions(self, setup, matrix):
-        adapter, d1, d2 = setup
-        dt, nu, K = 1e-2, 0.3, 2.0
-        second = d2 if matrix is not None else None
-        expect = _boundary_rk4_step(d1, second, adapter, nu, dt, K, matrix)
-        _, final = orc.dense_trajectory(
-            d1, second, adapter, nu, t_end=dt, dt_ref=dt, K=K, matrix=matrix
-        )
+        dt = 1e-2
+        state = setup(matrix)
+        expect = _boundary_rk4_step(state, dt)
+        _, final = orc.dense_trajectory(state, t_end=dt, dt_ref=dt)
         for got, want in zip(final, expect):
-            if want is None:
-                assert got is None
-                continue
             assert orc.dense_l2(got - want) <= 1e-14 * orc.dense_l2(want)
 
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_triples_equal_nested_loops(self, radius):
+        # keep radii away from the ball's edge, where both ball tests agree
+        for keep in (0.5, 1.0, 2**0.5, 2.0, 5**0.5, 8.0 / 3.0, radius + 0.5):
+            got = orc._triples(radius, keep)
+            want = _nested_loop_triples(radius, keep)
+            assert len(got) == len(want) == 5
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
     def test_sample_times_are_whole_steps(self, setup):
-        adapter, d1, d2 = setup
         dt = 1e-2
-        samples, _ = orc.dense_trajectory(
-            d1, d2, adapter, nu=0.3, t_end=30 * dt, dt_ref=dt, K=2.0,
-            matrix=dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5), sample_every=3 * dt,
-        )
+        state = setup(dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5))
+        samples, _ = orc.dense_trajectory(state, t_end=30 * dt, dt_ref=dt, sample_every=3 * dt)
         assert [s[0] for s in samples] == [k * dt for k in range(0, 31, 3)]
 
     def test_final_time_is_sampled(self, setup):
         # sample_every = 0.25 is 62.5 steps of 4e-3: the stride rounds to 62,
         # and the last sample still lands at t_end = 1, as in dynamics.integrate
-        adapter, d1, d2 = setup
-        samples, _ = orc.dense_trajectory(
-            d1, d2, adapter, nu=0.3, t_end=1.0, dt_ref=4e-3, K=2.0,
-            matrix=dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5), sample_every=0.25,
-        )
+        state = setup(dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5))
+        samples, _ = orc.dense_trajectory(state, t_end=1.0, dt_ref=4e-3, sample_every=0.25)
         assert [s[0] for s in samples] == [k * 4e-3 for k in (0, 62, 124, 186, 248, 250)]
         assert samples[-1][0] == 1.0
 
-    def test_matrix_needs_second_copy(self, setup):
-        adapter, d1, _ = setup
-        matrix = dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75)
-        with pytest.raises(ValueError, match="second copy"):
-            orc.dense_trajectory(d1, None, adapter, nu=0.3, t_end=1e-2, dt_ref=1e-2, K=2.0, matrix=matrix)
-
     def test_partial_final_step_rejected(self, setup):
-        adapter, d1, _ = setup
         with pytest.raises(ValueError, match="whole number of steps"):
-            orc.dense_trajectory(d1, None, adapter, nu=0.3, t_end=0.055, dt_ref=1e-2)
+            orc.dense_trajectory(setup(dyn.IntertwiningMatrix.zero()), t_end=0.055, dt_ref=1e-2)
 
     def test_members_bitwise_equal_to_lone_runs(self, setup, grid8):
-        # the three systems, one with its own decaying-pair force and
-        # cutoff, advance as one stack of five copies
-        adapter, d1, d2 = setup
-        keep = grid8.dealias_radius
+        # the three systems and a fourth with its own decaying-pair force and
+        # cutoff advance as one stack of eight copies
         delta = sp.random_field(grid8, np.random.default_rng(5), energy=0.1, kmax=2.0)
         pair = fr.ForcingPair.decaying_delta(fr.SteadyForcing(fr.kolmogorov_force(grid8, 0.2, 2)), delta, 1.5)
-        decaying = orc.DenseForcingAdapter(pair, radius=2, keep_radius=keep)
-        systems = [(d1, None if m is None else d2, adapter, 2.0, m) for _, m in self.SYSTEMS]
-        systems.append((d2, d1, decaying, 1.5, dyn.IntertwiningMatrix.nudge_mutual(2.0, 1.0)))
-        runs = orc.dense_trajectories(systems, 0.3, 0.2, dt_ref=1e-2, sample_every=0.05)
-        for (v1_0, v2_0, forcing, K, matrix), (samples, final) in zip(systems, runs):
-            lone_samples, lone_final = orc.dense_trajectory(
-                v1_0, v2_0, forcing, 0.3, 0.2, dt_ref=1e-2, K=K, matrix=matrix, sample_every=0.05
-            )
+        states = [setup(m) for _, m in self.SYSTEMS]
+        swapped = setup(dyn.IntertwiningMatrix.nudge_mutual(2.0, 1.0), K=1.5)
+        states.append(replace(swapped, v1=swapped.v2, v2=swapped.v1, forcing=pair))
+        runs = orc.dense_trajectories(states, 0.2, dt_ref=1e-2, sample_every=0.05)
+        for state, (samples, final) in zip(states, runs):
+            lone_samples, lone_final = orc.dense_trajectory(state, 0.2, dt_ref=1e-2, sample_every=0.05)
             got = samples + [(None, *final)]
             want = lone_samples + [(None, *lone_final)]
             assert len(got) == len(want) == 6
             for (t, a, b), (t_lone, a_lone, b_lone) in zip(got, want):
                 assert t == t_lone
                 assert a.coeffs.tobytes() == a_lone.coeffs.tobytes()
-                assert (b is None) == (v2_0 is None) == (b_lone is None)
-                if b is not None:
-                    assert b.coeffs.tobytes() == b_lone.coeffs.tobytes()
+                assert b.coeffs.tobytes() == b_lone.coeffs.tobytes()
 
     def test_blown_up_member_frozen(self, setup, grid8):
         # the anti-damped pair of test_blowup_guard_watches_second_copy
         # diverges near t = 0.34; the others go on, bitwise as alone
-        adapter, d1, d2 = setup
         u = sp.field_from_modes(grid8, [(1, 0, (0.0, 1.0))])
-        d0 = orc.dense_from_spectral(u, 2, keep_radius=grid8.dealias_radius)
-        wild = (d0, d0.copy(), adapter, 2.0, dyn.IntertwiningMatrix.general(0.0, 0.0, 0.0, 50.0))
-        calm = [(d1, None if m is None else d2, adapter, 2.0, m) for _, m in self.SYSTEMS]
-        runs = orc.dense_trajectories([calm[0], wild, *calm[1:]], 0.3, 0.5, dt_ref=1e-2)
+        wild = replace(setup(dyn.IntertwiningMatrix.general(0.0, 0.0, 0.0, 50.0)), v1=u, v2=u.copy())
+        calm = [setup(m) for _, m in self.SYSTEMS]
+        runs = orc.dense_trajectories([calm[0], wild, *calm[1:]], 0.5, dt_ref=1e-2)
         assert isinstance(runs[1], orc.BlowupDetected) and runs[1].t < 0.5
-        for (v1_0, v2_0, forcing, K, matrix), (_, final) in zip(calm, runs[:1] + runs[2:]):
-            _, lone = orc.dense_trajectory(v1_0, v2_0, forcing, 0.3, 0.5, dt_ref=1e-2, K=K, matrix=matrix)
+        for state, (_, final) in zip(calm, runs[:1] + runs[2:]):
+            _, lone = orc.dense_trajectory(state, 0.5, dt_ref=1e-2)
             for got, want in zip(final, lone):
-                assert (got is None and want is None) or got.coeffs.tobytes() == want.coeffs.tobytes()
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
     def test_oracle_calls_no_transform(self, setup, monkeypatch):
-        adapter, d1, d2 = setup
-        adapter.g1_dense(0.0), adapter.g2_dense(0.0)
+        states = [setup(matrix) for _, matrix in self.SYSTEMS]
+        d1, d2 = (orc.dense_from_spectral(v, 2) for v in (states[0].v1, states[0].v2))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the dense oracle called a transform")
@@ -329,11 +353,8 @@ class TestDenseKernel:
                 monkeypatch.setattr(np.fft, name, forbidden)
         with pytest.raises(AssertionError, match="called a transform"):
             np.fft.rfft2(np.zeros((4, 4)))
-        for _, matrix in self.SYSTEMS:
-            orc.dense_trajectory(
-                d1, d2 if matrix is not None else None, adapter, nu=0.3, t_end=0.05,
-                dt_ref=1e-2, K=2.0, matrix=matrix,
-            )
+        for state in states:
+            orc.dense_trajectory(state, t_end=0.05, dt_ref=1e-2)
         orc.dense_bilinear_B(d1, d2)
 
 

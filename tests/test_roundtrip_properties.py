@@ -14,6 +14,7 @@ from intertwine import spectral as sp
 finite = st.floats(-1e6, 1e6, allow_nan=False)
 positive = st.floats(1e-6, 1e6, allow_nan=False)
 gain = st.floats(0.0, 1e3, allow_nan=False)
+nonnegative = st.floats(0.0, 1e6, allow_nan=False)
 unit = st.floats(0.0, 1.0, allow_nan=False)
 word = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=12)
 
@@ -45,9 +46,10 @@ def configs(draw):
     """Any value the field table allows, then the constraints validate checks."""
     values = {f.name: draw(_field_strategy(f)) for f in fields(hz.ExperimentConfig)}
     values["n"] = 2 * draw(st.integers(2, 256))
-    values["dealias_radius"] = draw(st.none() | st.floats(0.5, values["n"] / 3.0))
+    values["dealias_radius"] = draw(st.none() | st.floats(1.0, values["n"] / 3.0))
     limit = values["dealias_radius"] or values["n"] / 3.0
     values["K"] = draw(st.floats(0.0, limit))
+    values["wavenumber"] = draw(st.integers(1, int(limit)))
     values["initial_modes"] = draw(mode_lists(limit))
     for name in ("nu", "dt", "sample_every"):
         values[name] = draw(positive)
@@ -57,6 +59,9 @@ def configs(draw):
     values["theta2"] = 1.0 - values["theta1"]
     values["threads"] = draw(st.integers(1, 2**64 - 1))
     values["max_wavenumber"] = draw(st.none() | positive)
+    for name in ("energy", "difference_scale", "decay_threshold", "pair_delta_max_wavenumber"):
+        values[name] = draw(nonnegative)
+    values["pair_decay_rate"] = draw(positive)
     values["constants_file"] = draw(st.none() | word)
     return hz.ExperimentConfig(**values).validate()
 
