@@ -762,18 +762,28 @@ def energy_inequality_slack(
     return worst
 
 
-def write_timeseries_csv(path, records: list[TimeSeriesRecord]) -> None:
-    """RFC-4180 CSV, header mandatory, floats at 17 significant digits."""
+def write_csv(path, header, rows) -> None:
+    """The one CSV writer of the run artifacts: RFC-4180, header mandatory,
+    each cell by `_cell`, a cell that holds a comma or a quote quoted."""
     buf = io.StringIO(newline="")
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(CSV_COLUMNS)
-    for rec in records:
-        writer.writerow([_fmt(getattr(rec, col)) for col in CSV_COLUMNS])
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_cell(value) for value in row] for row in rows)
     write_text(path, buf.getvalue())
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def write_timeseries_csv(path, records: list[TimeSeriesRecord]) -> None:
+    """series.csv: one row per record, the columns CSV_COLUMNS, each a number."""
+    write_csv(path, CSV_COLUMNS, ([float(getattr(rec, col)) for col in CSV_COLUMNS] for rec in records))
+
+
+def _cell(value) -> str:
+    """A table cell: a float at 17 significant digits, "" for None."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
 def write_condition_reports(dir_path, reports: list[ConditionReport], stem: str = "conditions") -> None:
@@ -783,8 +793,7 @@ def write_condition_reports(dir_path, reports: list[ConditionReport], stem: str 
     for rep in reports:
         verdict = "satisfied" if rep.satisfied else "VIOLATED (out of guaranteed regime)"
         lines.append(f"{rep.name}: {verdict}; {rep.formula}; margin = {rep.margin:.6g}\n")
-        rows.append(
-            f"{rep.name}\t{_fmt(rep.lhs)}\t{_fmt(rep.rhs)}\t{_fmt(rep.margin)}\t{rep.satisfied}\n"
-        )
+        numbers = "\t".join(_cell(float(x)) for x in (rep.lhs, rep.rhs, rep.margin))
+        rows.append(f"{rep.name}\t{numbers}\t{rep.satisfied}\n")
     write_text(os.path.join(dir_path, f"{stem}.txt"), "".join(lines))
     write_text(os.path.join(dir_path, f"{stem}.tsv"), "".join(rows))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .forcing import ForcingPair, SteadyForcing
+from .forcing import ForceStack, ForcingPair, SteadyForcing
 from .spectral import Grid, SpectralField, project_high, project_low
 
 NUDGE_SYMMETRIC = "nudge_symmetric"
@@ -217,13 +217,17 @@ def expm_2x2(a) -> np.ndarray:
     b^2 = d^2 I), exp(a) = e^(tr/2) (cosh(d) I + sinh(d)/d b); cos and sin
     take over when d^2 < 0, and sinh(d)/d -> 1 at d = 0.  For d > 1 the
     factors are formed as e^(tr/2 +- d), so that large gains, where cosh(d)
-    would overflow while e^(tr/2) underflows, stay finite.
+    would overflow while e^(tr/2) underflows, stay finite.  d^2 is formed on
+    b scaled by the power of two at its largest entry, which is exact, so
+    that it neither overflows nor underflows when the entries do squared.
     """
     a = np.asarray(a, dtype=np.float64)
     half_tr = 0.5 * (a[0, 0] + a[1, 1])
     b = a - half_tr * np.eye(2)
-    d2 = b[0, 0] ** 2 + b[0, 1] * b[1, 0]
-    d = np.sqrt(abs(d2))
+    scale = np.ldexp(1.0, np.frexp(np.abs(b).max())[1])
+    unit = b / scale
+    d2 = unit[0, 0] ** 2 + unit[0, 1] * unit[1, 0]
+    d = np.sqrt(abs(d2)) * scale
     if d2 > 0 and d > 1.0:
         up, down = np.exp(half_tr + d), np.exp(half_tr - d)
         return 0.5 * ((up + down) * np.eye(2) + (up - down) / d * b)
@@ -270,15 +274,13 @@ class Workspace:
     K, forces and fold flag.  Stepping runs on members; `rhs_nse` uses a
     lone copy.
 
-    Each copy's force is a `forcing.Forcing`, a tuple of fields and their
-    weights.  The distinct fields of all copies are packed once and pass the
-    alias guard (`spectral.ALIAS_RTOL`) with the initial fields, and nothing
-    inside a step checks it again: every right-hand-side term is masked to
-    the dealias ball, so content outside it only decays.  After the check
-    only the box is kept, so content below ALIAS_RTOL outside the box is
-    dropped when it is packed.  A copy's force is formed on the box as
-    `Forcing.__call__` forms it, and again only when its weights change: a
-    steady force is formed once.
+    The copies' forces are one `forcing.ForceStack` on the box.  Its
+    distinct fields are packed once and pass the alias guard
+    (`spectral.ALIAS_RTOL`) with the initial fields, and nothing inside a
+    step checks it again: every right-hand-side term is masked to the
+    dealias ball, so content outside it only decays.  After the check only
+    the box is kept, so content below ALIAS_RTOL outside the box is dropped
+    when it is packed.
 
     A pair's matrix fixes its intertwining function F: P_K B(., .) for a
     direct-replacement matrix, P_K for every other; a zero matrix, or one
@@ -303,8 +305,8 @@ class Workspace:
         self.grid, self.nu, self.advect, self.dt = grid, nu, advect, dt
         self.V = self._pack(fields)
         self.shape = self.V.shape
-        self.G, self.K1, self.X, self.B = (np.empty(self.shape, dtype=np.complex128) for _ in range(4))
-        self._init_forces(forces, t)
+        self.K1, self.X, self.B = (np.empty(self.shape, dtype=np.complex128) for _ in range(3))
+        self.forces = ForceStack(forces, self._pack, np.empty(self.shape, dtype=np.complex128), t)
         self.kernel = None
         # masks and decays enter the ufuncs at the stack's own shape (see
         # BoxAdvection), and as complex numbers, which is what numpy casts
@@ -360,52 +362,12 @@ class Workspace:
         spectral._require_dealiased(self.grid, V)
         return spectral.to_box(self.grid, V)
 
-    def _init_forces(self, forcing, t) -> None:
-        fields, index = [], {}
-        for g in forcing:
-            for u in g.fields:
-                if id(u) not in index:
-                    index[id(u)] = len(fields)
-                    fields.append(u)
-        self.force_fields = self._pack(fields)
-        self._force_terms = [(g, [index[id(u)] for u in g.fields]) for g in forcing]
-        self._weights = [None] * len(forcing)
-        for j in range(len(forcing)):
-            self._form(j, t)
-        self._varying = [j for j, g in enumerate(forcing) if not g.steady]
-
-    def _form(self, j, t) -> None:
-        """Form copy j's force at t into G[j], unless its weights are those
-        of the force already there."""
-        forcing, terms = self._force_terms[j]
-        weights = forcing.weights(t)
-        if weights == self._weights[j]:
-            return
-        self._weights[j] = weights
-        # B is free until the right-hand side advects
-        g, term = self.G[j], self.B[0]
-        for i, (k, w) in enumerate(zip(terms, weights)):
-            field = self.force_fields[k]
-            if w != 1.0:
-                field = np.multiply(field, w, out=g if i == 0 else term)
-            if i == 0:
-                if field is not g:
-                    np.copyto(g, field)
-            else:
-                np.add(g, field, out=g)
-
     @property
     def nbytes(self) -> int:
         """The bytes of the arrays the workspace holds, its kernel's included
         once it has stepped."""
-        owners = (self, self.kernel) if self.kernel else (self,)
+        owners = (self, self.forces, self.kernel) if self.kernel else (self, self.forces)
         return sum(_nbytes(a) for o in owners for a in vars(o).values())
-
-    def forces(self, t) -> np.ndarray:
-        """The force stack at t; do not modify it in place."""
-        for j in self._varying:
-            self._form(j, t)
-        return self.G
 
     def rhs(self, V, t, out, diffuse=False) -> np.ndarray:
         """Write the right-hand sides of the box stack V at t into out, which
@@ -415,7 +377,7 @@ class Workspace:
         Diffusion enters only when diffuse (the stepper integrates it
         exactly).
         """
-        F = self.forces(t)
+        F = self.forces.at(t)
         if self.kernel is None:
             make = spectral.BoxAdvection if self.dt is not None else spectral.BoxAdvection.cached
             self.kernel = make(self.grid, len(V))
@@ -483,13 +445,8 @@ class Workspace:
         """The members that have `diverged` after a step."""
         return diverged(self._square_norms(), self.members)
 
-    def freeze(self, p) -> None:
-        """Stop member p: its copies and their forces are zeroed, so the
-        copies stay zero and leave the other members as they were."""
-        pair = self.members[p]
-        self.V[pair] = 0.0
-        self.G[pair] = 0.0
-        self._varying = [j for j in self._varying if j // 2 != p]
+    # (grid, box rows) -> fresh half spectra, which holds no reference to the workspace
+    unpack = staticmethod(spectral.from_box)
 
     def right_hand_sides(self, t) -> np.ndarray:
         """The full right-hand sides of the packed fields at t, diffusion
@@ -591,12 +548,15 @@ def step_count(span: float, dt: float) -> int:
 
     Raises ValueError unless dt is finite and positive and span / dt is a
     whole number to 1e-9 relative, so that a run never ends short of its
-    end time without saying so.
+    end time without saying so, and below 2^53, from where every float is
+    a whole number and the test proves nothing.
     """
     # in positive form, so that NaN fails it too
     if not 0.0 < dt < np.inf:
         raise ValueError(f"dt = {dt:g} must be finite and positive")
     steps = span / dt
+    if not steps < 2.0**53:
+        raise ValueError(f"the span {span:g} is {steps:.6g} steps of dt = {dt:g}, not below 2^53")
     whole = round(steps)
     if abs(steps - whole) > 1e-9 * max(whole, 1):
         raise ValueError(
@@ -616,21 +576,28 @@ def sample_steps(span: float, dt: float, sample_every: float | None = None):
     return nsteps, lambda k: k % stride == 0 or k == nsteps
 
 
-def _with_pair(state: IntertwinedState, V, t: float) -> IntertwinedState:
-    """The state at t whose pair is the box stack V, in fresh arrays."""
-    v1, v2 = spectral.from_box(state.grid, V)
-    return replace(state, t=t, v1=SpectralField(state.grid, v1), v2=SpectralField(state.grid, v2))
+def _with_pair(state: IntertwinedState, half, t: float) -> IntertwinedState:
+    """The state at t whose pair is the half-spectrum stack half."""
+    return replace(state, t=t, v1=SpectralField(state.grid, half[0]), v2=SpectralField(state.grid, half[1]))
 
 
-def _run(states, t_end: float, dt: float, sample_every=None, sink=None, cfl_factor=1.0) -> list:
-    """The one run of `integrate` and `integrate_many`: the states advanced
-    to t_end as the members of one `Workspace`, step k landing at t0 + k dt.
+def _run(states, t_end: float, dt: float, sample_every=None, sink=None, cfl_factor=1.0,
+         stepper=Workspace.of) -> list:
+    """The one run loop of the package: the states advanced to t_end as the
+    members of one stepper, step k landing at t0 + k dt.
+
+    stepper(states, dt) is `Workspace.of`, or the oracle's dense RK4
+    stepper.  It holds the copies as rows V, members[p] being member p's
+    two, and their forces as a `forcing.ForceStack`; step(t) advances V
+    from t, blown_up() names the members that have `diverged`, and
+    unpack(grid, rows) gives fresh half spectra of rows.
 
     sink(state) gets each live member's state at t0 and at each step that
-    sample_steps samples.  A member that blows up is frozen there, and the
-    run stops once every member has.  Returns per state its state at t_end
-    or its BlowupDetected.  The workspace is freed before the returned
-    states are built, so a run peaks at the workspace's own arrays.
+    sample_steps samples.  A member that blows up is frozen: its rows are
+    zeroed under frozen forces, so they stay zero and leave the others as
+    they were, and the run stops once every member has.  Returns per state
+    its state at t_end or its BlowupDetected.  The stepper is freed before
+    the returned states are built, so a run peaks at its own arrays.
     """
     t0 = states[0].t
     if t_end < t0:
@@ -645,26 +612,27 @@ def _run(states, t_end: float, dt: float, sample_every=None, sink=None, cfl_fact
                 f"dt={dt:g} violates the step guard {limit:g}; "
                 "reduce dt or raise cfl_factor explicitly"
             )
-    ws = Workspace.of(states, dt)
-    members, blowups = ws.members, {}
+    run = stepper(states, dt)
+    members, unpack, blowups = run.members, run.unpack, {}
     if sink is not None:
         for state in states:
             sink(state)
     for k in range(1, nsteps + 1):
-        ws.step(t0 + (k - 1) * dt)
-        for p in ws.blown_up():
-            ws.freeze(p)
+        run.step(t0 + (k - 1) * dt)
+        for p in run.blown_up():
+            run.V[members[p]] = 0.0
+            run.forces.freeze(members[p])
             blowups[p] = BlowupDetected(t0 + k * dt)
         if len(blowups) == len(states):
             break
         if sink is not None and sampled(k):
             for p, state in enumerate(states):
                 if p not in blowups:
-                    sink(_with_pair(state, ws.V[members[p]], t0 + k * dt))
-    V = ws.V
-    del ws
+                    sink(_with_pair(state, unpack(state.grid, run.V[members[p]]), t0 + k * dt))
+    V = run.V
+    del run
     t = t0 + nsteps * dt
-    return [blowups.get(p) or _with_pair(s, V[members[p]], t) for p, s in enumerate(states)]
+    return [blowups.get(p) or _with_pair(s, unpack(s.grid, V[members[p]]), t) for p, s in enumerate(states)]
 
 
 def integrate(

@@ -26,8 +26,8 @@ class Forcing:
     written as a fixed tuple of fields and a weight per field:
     g(t) = sum_i weights(t)[i] fields[i].
 
-    A stepper packs the fields once and forms g(t) from the weights.  steady
-    says the weights never change, so that g is formed once.
+    A `ForceStack` packs the fields once and forms g(t) from the weights.
+    steady says the weights never change, so that g is formed once.
     """
 
     kind = STEADY
@@ -49,6 +49,64 @@ class Forcing:
     def sup_l2(self) -> float:
         """sup over t >= 0 of |g(t)|, exact where a closed form exists."""
         raise NotImplementedError
+
+
+class ForceStack:
+    """The forces of a stack of copies, formed in place in G: the one force
+    fold of the stepper and of the dense oracle.
+
+    forces holds each copy's `Forcing`.  pack(fields) turns a list of fields
+    into a stack in G's layout; each distinct field (by identity) is packed
+    once.  Copy j's force is formed into G[j] at t as `Forcing.__call__`
+    forms it, a left fold in which a weight of exactly 1 is not multiplied,
+    so the two are bitwise equal; it is formed again only when its weights
+    change, so a steady force is formed once.
+    """
+
+    def __init__(self, forces, pack, G, t: float):
+        fields, index = [], {}
+        for g in forces:
+            for u in g.fields:
+                if id(u) not in index:
+                    index[id(u)] = len(fields)
+                    fields.append(u)
+        self.fields = pack(fields)
+        self.terms = [(g, [index[id(u)] for u in g.fields]) for g in forces]
+        self.G = G
+        # the scratch of a weighted term after the first, for a force of several fields
+        self.term = np.empty_like(G[0]) if any(len(g.fields) > 1 for g in forces) else None
+        self.weights = [None] * len(forces)
+        for j in range(len(forces)):
+            self._form(j, t)
+        self.varying = [j for j, g in enumerate(forces) if not g.steady]
+
+    def _form(self, j: int, t: float) -> None:
+        forcing, terms = self.terms[j]
+        weights = forcing.weights(t)
+        if weights == self.weights[j]:
+            return
+        self.weights[j] = weights
+        g = self.G[j]
+        for i, (k, w) in enumerate(zip(terms, weights)):
+            field = self.fields[k]
+            if w != 1.0:
+                field = np.multiply(field, w, out=g if i == 0 else self.term)
+            if i == 0:
+                if field is not g:
+                    np.copyto(g, field)
+            else:
+                np.add(g, field, out=g)
+
+    def at(self, t: float) -> np.ndarray:
+        """The force stack G at t; do not modify it in place."""
+        for j in self.varying:
+            self._form(j, t)
+        return self.G
+
+    def freeze(self, copies: slice) -> None:
+        """Zero the forces of copies from now on."""
+        self.G[copies] = 0.0
+        self.varying = [j for j in self.varying if not copies.start <= j < copies.stop]
 
 
 class SteadyForcing(Forcing):

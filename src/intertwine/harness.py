@@ -164,7 +164,7 @@ class ExperimentConfig:
     constants_file: str | None = _key("output.constants_file", str, domain=None, default=None)
     scenario: str = _choice("output.scenario", SCENARIOS, "self_sync")
     threads: int = _key("output.threads", _int, domain=_COUNT, default=1)
-    sweep_K: tuple = _key("sweep.K", _floats, default=())
+    sweep_K: tuple = _key("sweep.K", _floats, domain=_up_to_dealias(0), default=())
     sweep_mu: tuple = _key("sweep.mu", _floats, default=())
     sweep_theta1: tuple = _key("sweep.theta1", _floats, default=())
 
@@ -195,7 +195,9 @@ class ExperimentConfig:
                 )
         try:
             dyn.step_count(self.t_end, self.dt)
-            build_matrix(self)
+            # the config's matrix and every sweep point's
+            for _, point in _sweep_points(self):
+                build_matrix(point)
         except ValueError as exc:
             raise ParseError(f"constraint violated: {exc}") from exc
         return self
@@ -650,10 +652,8 @@ def _fdm_verdicts(cfg, ladder, rows, result):
 
 def _write_fdm_table(out_dir, ladder, rows):
     os.makedirs(out_dir, exist_ok=True)
-    lines = ["t," + ",".join(f"l2_P{N:g}_w" for N in ladder)]
-    for t, vals in rows:
-        lines.append(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in vals]))
-    write_text(os.path.join(out_dir, "fdm_table.csv"), "\r\n".join(lines) + "\r\n")
+    header = ["t"] + [f"l2_P{N:g}_w" for N in ladder]
+    diag.write_csv(os.path.join(out_dir, "fdm_table.csv"), header, ([t, *vals] for t, vals in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -758,19 +758,6 @@ def _monotonicity_flags(rows):
 
 def _write_sweep_table(out_dir, rows, flags):
     cols = sorted({key for row in rows for key in row})
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(col)) for col in cols))
-    write_text(os.path.join(out_dir, "sweep_table.csv"), "\r\n".join(lines) + "\r\n")
+    diag.write_csv(os.path.join(out_dir, "sweep_table.csv"), cols, ([row.get(col) for col in cols] for row in rows))
     if flags:
         write_text(os.path.join(out_dir, "sweep_flags.txt"), "\n".join(flags) + "\n")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)

@@ -8,18 +8,20 @@ trajectory gold standard for desk-scale runs.
 
 One array kernel does the work: `_Kernel` holds the per-box constants and
 acts on raw stacks of shape (copies, 2, side*side).  The trajectories take
-the `IntertwinedState`s the stepper takes and read everything off them: the
-box is the stepper's dealias box (radius grid.box_cols - 1) and the Galerkin
-ball is |k| <= grid.dealias_radius, under the one ball rule
-`spectral.in_ball`.  `DenseModeSet` is the boundary type only; the public
-functions and the RK4 loop wrap and unwrap it.
+the `IntertwinedState`s the stepper takes, read everything off them and
+return what the stepper returns: `_RK4` is a stepper that the stepper's own
+run loop, `dynamics._run`, drives.  Its box is the stepper's dealias box
+(radius grid.box_cols - 1) and its Galerkin ball is |k| <=
+grid.dealias_radius, under the one ball rule `spectral.in_ball`.
+`DenseModeSet` is the boundary type of the convolution functions only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import BlowupDetected, _shared, diverged, sample_steps
+from .dynamics import BlowupDetected, _run, _shared, diverged
+from .forcing import ForceStack
 from .spectral import PLANCHEREL, Grid, SpectralField, in_ball
 
 MAX_RADIUS = 4
@@ -88,13 +90,17 @@ def dense_from_spectral(u: SpectralField, radius: int, keep_radius=None) -> Dens
     return DenseModeSet(radius, np.ascontiguousarray(u.coeffs[:, rows[:, None], rows]), keep_radius)
 
 
+def _half(D, radius: int, n: int) -> np.ndarray:
+    """Fresh half spectra on an n grid of the dense stack D (..., 2, side,
+    side): the box's modes kx >= 0; the modes kx < 0 are their conjugates."""
+    half = np.zeros(D.shape[:-2] + (n, n // 2 + 1), dtype=np.complex128)
+    half[..., _box_rows(radius, n), : radius + 1] = D[..., radius:]
+    return half
+
+
 def dense_to_spectral(d: DenseModeSet, grid: Grid) -> SpectralField:
     """The field of the box's modes kx >= 0; the modes kx < 0 are their conjugates."""
-    rows = _box_rows(d.radius, grid.n)
-    half = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
-    R = d.radius
-    half[:, rows, : R + 1] = d.coeffs[:, :, R:]
-    return SpectralField(grid, half)
+    return SpectralField(grid, _half(d.coeffs, d.radius, grid.n))
 
 
 def dense_inner(u: DenseModeSet, v: DenseModeSet) -> float:
@@ -301,64 +307,64 @@ def _coupling(kern: _Kernel, matrix, K: float, first: int) -> list:
     return [(first, m[:, 0], m[:, 1], matrix.is_direct_replacement)]
 
 
-class _System:
-    """The pairs of states on one dense stack, copies 2p and 2p + 1 being
-    member p's v1 and v2, and the right-hand side that steps them.
+class _RK4:
+    """The dense stepper of the oracle's trajectories: the pairs of states
+    on one dense stack, copies 2p and 2p + 1 being member p's v1 and v2,
+    advanced by classical RK4 at step dt.  `dynamics._run` drives it as it
+    drives a `dynamics.Workspace`.
 
     The states must share grid, t and nu, and none may set advect=False,
     which has no dense system (ValueError naming the attribute otherwise).
-    Each distinct force field is converted once; a copy's force is formed
-    from its weights as `Forcing.__call__` forms it, a left fold in which a
-    weight of exactly 1 is not multiplied, and again only when its weights
-    change.
+    The forces are one `forcing.ForceStack` on the dense stack.
     """
 
-    def __init__(self, states):
-        grid, self.t, nu = (_shared(states, name) for name in ("grid", "t", "nu"))
+    def __init__(self, states, dt=None):
+        grid, t, nu = (_shared(states, name) for name in ("grid", "t", "nu"))
         if not all(s.advect for s in states):
             raise ValueError("the dense oracle has no system with advect=False")
         self.kern = kern = _grid_kernel(grid)
+        self.dt = dt
         self.nu_lap = nu * kern.lap
         self.V = self._convert(v for s in states for v in (s.v1, s.v2))
         self.coupling = [c for p, s in enumerate(states) for c in _coupling(kern, s.matrix, s.K, 2 * p)]
-        self.forces = [g for s in states for g in (s.forcing.g1, s.forcing.g2)]
-        fields = {id(u): u for g in self.forces for u in g.fields}
-        self.fields = dict(zip(fields, self._convert(fields.values())))
-        self.G = np.empty_like(self.V)
-        self.weights = [None] * len(self.forces)
-        self._form(self.t, range(len(self.forces)))
-        self.varying = [j for j, g in enumerate(self.forces) if not g.steady]
+        forces = [g for s in states for g in (s.forcing.g1, s.forcing.g2)]
+        self.forces = ForceStack(forces, self._convert, np.empty_like(self.V), t)
+        self.members = [slice(2 * p, 2 * p + 2) for p in range(len(states))]
 
     def _convert(self, fields) -> np.ndarray:
         kern = self.kern
         return kern.stack([dense_from_spectral(u, kern.radius, kern.keep) for u in fields])
 
-    def _form(self, t, copies) -> None:
-        for j in copies:
-            forcing = self.forces[j]
-            weights = forcing.weights(t)
-            if weights == self.weights[j]:
-                continue
-            self.weights[j], total = weights, None
-            for u, w in zip(forcing.fields, weights):
-                field = self.fields[id(u)]
-                term = field if w == 1.0 else field * w
-                total = term if total is None else total + term
-            self.G[j] = total
-
     def rhs(self, V, t) -> np.ndarray:
-        self._form(t, self.varying)
-        return self.kern.rhs(V, self.G, self.nu_lap, self.coupling)
+        return self.kern.rhs(V, self.forces.at(t), self.nu_lap, self.coupling)
 
-    def freeze(self, copies: slice) -> None:
-        """Zero the forces of copies from now on."""
-        self.G[copies] = 0.0
-        self.varying = [j for j in self.varying if not copies.start <= j < copies.stop]
+    def step(self, t) -> None:
+        """One classical RK4 step of V from time t."""
+        dt, V = self.dt, self.V
+        half, sixth = 0.5 * dt, dt / 6.0
+        k1 = self.rhs(V, t)
+        k2 = self.rhs(V + half * k1, t + half)
+        k3 = self.rhs(V + half * k2, t + half)
+        k4 = self.rhs(V + dt * k3, t + dt)
+        self.V = V + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def blown_up(self) -> list:
+        """The members that have `diverged`; every copy is guarded, since a
+        coupling can blow up either one alone."""
+        energy = np.square(self.V.view(np.float64)).reshape(len(self.V), -1).sum(axis=1)
+        return diverged(energy, self.members)
+
+    @staticmethod
+    def unpack(grid: Grid, V) -> np.ndarray:
+        """Fresh half spectra of the dense rows V (copies, 2, side^2)."""
+        radius = grid.box_cols - 1
+        side = 2 * radius + 1
+        return _half(V.reshape(V.shape[:-1] + (side, side)), radius, grid.n)
 
 
 def _dense_pair_rhs(state):
     """Right-hand sides of the state's pair, dense path."""
-    system = _System([state])
+    system = _RK4([state])
     return tuple(system.kern.unstack(system.rhs(system.V, state.t)))
 
 
@@ -368,67 +374,35 @@ def _dense_project_low(d: DenseModeSet, K: float) -> DenseModeSet:
     return DenseModeSet(d.radius, d.coeffs * mask, d.keep_radius)
 
 
-def dense_trajectory(state, t_end: float, dt_ref: float = 1e-4, sample_every: float | None = None):
-    """Classical RK4 reference trajectory of the state's pair on the dense box.
+def dense_trajectory(state, t_end: float, dt_ref: float = 1e-4, sample_every: float | None = None,
+                     sink=None):
+    """Classical RK4 reference trajectory of the state's pair on the dense
+    box: what `dynamics.integrate` returns for the state, without its
+    step-size guard.
 
     The pair evolves under the state's matrix, which also fixes the
     intertwining function (the zero matrix is the plain Navier-Stokes
-    system), its forces, nu and K.  Returns (samples, final) where samples is
-    a list of (t, v1, v2) snapshots at state.t and at the steps that
-    `dynamics.sample_steps` samples (t_end - state.t must be whole steps of
-    dt_ref), and final is (v1, v2) at t_end.
+    system), its forces, nu and K.  t_end - state.t must be whole steps of
+    dt_ref.  sink(state) gets the state at state.t and at the steps that
+    `dynamics.sample_steps` samples.  Returns the state at t_end; raises
+    BlowupDetected when the pair `diverged`.
 
     Convergence: halving dt_ref changes the endpoint at fourth order
     (Richardson ratio near 16), which the test suite verifies.
     """
-    (out,) = dense_trajectories([state], t_end, dt_ref, sample_every)
+    (out,) = _run((state,), t_end, dt_ref, sample_every, sink, cfl_factor=None, stepper=_RK4)
     if isinstance(out, BlowupDetected):
         raise out
     return out
 
 
-def dense_trajectories(states, t_end: float, dt_ref: float = 1e-4,
-                       sample_every: float | None = None) -> list:
-    """`dense_trajectory` for several states as one RK4 loop on one stack.
+def dense_trajectories(states, t_end: float, dt_ref: float = 1e-4) -> list:
+    """`dense_trajectory` for several states on one stack, as
+    `dynamics.integrate_many` runs them.
 
-    The states share grid, t and nu (see `_System`).  Returns per state its
-    (samples, final), bitwise those of its lone run, or the BlowupDetected of
-    a member that `diverged`: that member is frozen in place, as the stepper
-    freezes one, and the others go on.
+    The states share grid, t and nu (see `_RK4`).  Returns per state its
+    state at t_end, bitwise that of its lone run, or the BlowupDetected of a
+    member that `diverged`: that member is frozen, as the stepper freezes
+    one, and the others go on.
     """
-    states = list(states)
-    system = _System(states)
-    kern, t0, V = system.kern, system.t, system.V
-    if t_end < t0:
-        raise ValueError("t_end precedes the states' current time")
-    spans = [slice(2 * p, 2 * p + 2) for p in range(len(states))]
-
-    def snapshot(t, V, span):
-        return (t, *kern.unstack(V[span]))
-
-    nsteps, sampled = sample_steps(t_end - t0, dt_ref, sample_every)
-    half, sixth = 0.5 * dt_ref, dt_ref / 6.0
-    samples = [[snapshot(t0, V, span)] for span in spans]
-    results: list = [None] * len(states)
-    t = t0
-    for istep in range(nsteps):
-        k1 = system.rhs(V, t)
-        k2 = system.rhs(V + half * k1, t + half)
-        k3 = system.rhs(V + half * k2, t + half)
-        k4 = system.rhs(V + dt_ref * k3, t + dt_ref)
-        V = V + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (istep + 1) * dt_ref
-        # every copy is guarded, since a coupling can blow up either one alone
-        energy = np.square(V.view(np.float64)).reshape(len(V), -1).sum(axis=1)
-        for p in diverged(energy, spans):
-            # zero rows under a zero force stay zero and leave the other rows as they were
-            V[spans[p]] = 0.0
-            system.freeze(spans[p])
-            results[p] = BlowupDetected(t, f"dense trajectory diverged at t={t:g}")
-        if None not in results:
-            break
-        if sampled(istep + 1):
-            for p, span in enumerate(spans):
-                if results[p] is None:
-                    samples[p].append(snapshot(t, V, span))
-    return [out or (kept, snapshot(t, V, span)[1:]) for out, kept, span in zip(results, samples, spans)]
+    return _run(list(states), t_end, dt_ref, cfl_factor=None, stepper=_RK4)

@@ -608,6 +608,10 @@ class TestStepping:
             integrate(state, 1.0, dt=0.3, cfl_factor=None)
         assert dyn.step_count(1.0, 0.25) == 4
         assert dyn.step_count(30.0, 0.008) == 3750
+        # from 2^53 on every float is whole, so the test above proves nothing
+        assert dyn.step_count(2.0**53 - 1, 1.0) == 2**53 - 1
+        with pytest.raises(ValueError, match="2\\^53"):
+            dyn.step_count(2.0**53, 1.0)
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -0.1])
     def test_dt_must_be_finite_and_positive(self, grid16, rng, dt):
@@ -762,6 +766,15 @@ class TestNumpyOnly:
         # projector onto the synchronized manifold
         big = dyn.expm_2x2(IntertwiningMatrix.nudge_mutual(1e4, 1e4).entries)
         assert np.allclose(big, 0.5, rtol=1e-15, atol=0)
+
+    def test_expm_2x2_huge_gains(self):
+        # d^2 of the unscaled b overflowed past |b| ~ 1e154, and the result
+        # was NaN; e^(tr/2 - d) underflows to 0 as it should
+        with np.errstate(over="raise", invalid="raise"):
+            mutual = dyn.expm_2x2(0.02 * IntertwiningMatrix.nudge_mutual(1e300, 1e300).entries)
+            symmetric = dyn.expm_2x2(0.02 * IntertwiningMatrix.nudge_symmetric(1e300, 1e299).entries)
+        assert np.array_equal(mutual, [[0.5, 0.5], [0.5, 0.5]])
+        assert np.array_equal(symmetric, np.zeros((2, 2)))
 
     def test_runtime_path_imports_no_scipy(self):
         code = (

@@ -1,5 +1,6 @@
 """Config parsing, checkpoints, scenario runs, sweeps, and the CLI."""
 
+import csv
 import os
 import re
 from dataclasses import fields
@@ -142,6 +143,13 @@ class TestConfigParsing:
         # a sample stride that is not a multiple of dt is still accepted
         ok = MINIMAL.replace("sample_every = 0.1", "sample_every = 0.25")
         assert hz.parse_config_text(ok).sample_every == 0.25
+
+    def test_step_count_below_2_to_53(self):
+        # 5e301 steps once parsed, since every float that large is whole,
+        # and the run stepped without end
+        huge = MINIMAL.replace("t_end = 4.0", "t_end = 1e300")
+        with pytest.raises(ParseError, match="2\\^53"):
+            hz.parse_config_text(huge)
 
     def test_bad_modes_rejected_with_line_number(self):
         text = MINIMAL.replace("energy = 0.3", "kind = modes\nmodes = 1,0,a,0,0,1")
@@ -452,6 +460,23 @@ class TestScenarios:
         assert repr([rows[0], rows[2]]) == repr([clean[0], clean[2]])  # repr: nan == nan
         assert "RuntimeError: injected failure" in (tmp_path / "out" / "sweep_table.csv").read_text()
 
+    def test_sweep_table_quotes_an_error_with_commas(self, tmp_path, monkeypatch):
+        # a hand-joined row once split such an error into extra fields
+        run_scenario = hz.run_scenario
+
+        def failing(cfg, kind=None, out_dir=None, seed=None):
+            if str(out_dir).endswith("point_001"):
+                raise ValueError("bad point, K = 2, mu = 2")
+            return run_scenario(cfg, kind=kind, out_dir=out_dir, seed=seed)
+
+        monkeypatch.setattr(hz, "run_scenario", failing)
+        text = MINIMAL.replace("t_end = 4.0", "t_end = 0.2") + "\n[sweep]\nK = 1.0, 2.0\n"
+        run_scenario(hz.parse_config_text(text), kind="regime_sweep", out_dir=tmp_path)
+        with open(tmp_path / "sweep_table.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+        assert rows[1][header.index("error")] == "ValueError: bad point, K = 2, mu = 2"
+
     def test_write_outputs_surface(self, tmp_path, grid16, rng):
         from intertwine import diagnostics as diag
         from intertwine import dynamics as dyn
@@ -574,6 +599,23 @@ class TestCli:
         code = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         assert os.path.exists(tmp_path / "out" / "sweep_table.csv")
+
+    @pytest.mark.parametrize(
+        "coupling, sweep",
+        [
+            ("class = nudge_mutual", "K = 20"),
+            ("class = nudge_mutual", "mu = -1"),
+            ("class = dr_mutual\ntheta1 = 0.5\ntheta2 = 0.5", "theta1 = 1.5"),
+        ],
+        ids=["K_outside_dealias", "negative_mu", "theta_above_1"],
+    )
+    def test_bad_sweep_point_exit_code(self, tmp_path, capsys, coupling, sweep):
+        # each point's K and matrix are checked at parse time, before any point runs
+        text = MINIMAL.replace("class = nudge_mutual", coupling) + f"\n[sweep]\n{sweep}\n"
+        cfg = self._write(tmp_path, text)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "constraint violated" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "point_000").exists()
 
     def test_twin_from_zero_error_exit_code(self, tmp_path, capsys):
         cfg = self._write(tmp_path, MINIMAL.replace("energy = 0.3", "energy = 0.3\nmax_wavenumber = 3.0"))

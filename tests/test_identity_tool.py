@@ -27,8 +27,16 @@ def test_toy_set_is_deterministic_and_compare_finds_a_changed_cell(tmp_path):
     assert sums == (b / "SHA256SUMS").read_text()
     listed = {line.split("  ", 1)[1] for line in sums.splitlines()}
     for rel in ("nudge/series.csv", "nudge/final.ckpt", "sweep_n32/sweep_table.csv",
-                "fdss_amplitude_1/fdm_table.csv", "verify_fast.txt"):
+                "fdss_amplitude_1/fdm_table.csv", "verify_fast.txt", "verify_worst.tsv"):
         assert rel in listed
+    # the worst values at 17 digits, one per printed check line
+    head, *rows = (a / "verify_worst.tsv").read_text().splitlines()
+    printed = (a / "verify_fast.txt").read_text().splitlines()
+    assert head == "check\tworst" and len(rows) == len(printed) - 1 >= 1
+    for row, line in zip(rows, printed):
+        name, worst = row.split("\t")
+        assert line.startswith(f"[PASS] {name}: worst {float(worst):.3e}")
+        assert f"{float(worst):.17g}" == worst
     assert not list(a.rglob("error.txt"))
     same = run_tool("--compare", a, b)
     assert same.returncode == 0 and "0 differ" in same.stdout
@@ -50,3 +58,22 @@ def test_toy_set_is_deterministic_and_compare_finds_a_changed_cell(tmp_path):
     gaps = [line for line in diff.stdout.splitlines() if "largest relative gap" in line]
     assert len(gaps) == 1 and gaps[0].split()[0] == "l2_w:"
     assert abs(float(gaps[0].split()[-1]) / 1e-3 - 1) < 1e-2
+
+
+def test_verify_lines_are_what_the_cli_prints(monkeypatch, capsys):
+    # the suites run once for both files, so the printed lines are rebuilt
+    # from their results; they must be the CLI's, less its [time] lines
+    import importlib.util
+
+    from intertwine import cli, verify
+
+    spec = importlib.util.spec_from_file_location("identity_tool", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    passing = verify.identity_suite(sizes=(16,), count=2)
+    failing = [verify.CheckResult("a failed check", False, 2.0, 1.0, "detail")]
+    for results in (passing, passing + failing):
+        monkeypatch.setattr(verify, "suites", lambda fast=False, r=results: [("toy", lambda: r)])
+        cli.main(["verify", "--fast"])
+        printed = [line for line in capsys.readouterr().out.splitlines(True) if not line.startswith("[time]")]
+        assert tool.verify_lines(results) == "".join(printed)

@@ -122,21 +122,20 @@ def _kolmogorov(grid, amplitude=0.2):
 class TestDenseTrajectory:
     def test_pure_diffusion_exact(self, grid8):
         u = sp.field_from_modes(grid8, [(1, 1, (0.3 / 1j, -0.3 / 1j))])
-        d0 = orc.dense_from_spectral(u, 2, keep_radius=grid8.dealias_radius)
-        _, (final, _) = orc.dense_trajectory(_state(grid8, u, u.copy(), nu=0.4), t_end=1.0, dt_ref=1e-3)
+        final = orc.dense_trajectory(_state(grid8, u, u.copy(), nu=0.4), t_end=1.0, dt_ref=1e-3)
         # linear problem: RK4 reproduces exp(-nu |k|^2 t) to high order
-        expect = d0.coeffs * np.exp(-0.4 * 2.0 * 1.0)
-        assert np.abs(final.coeffs - expect).max() <= 1e-10
+        expect = u.half * np.exp(-0.4 * 2.0 * 1.0)
+        assert final.t == 1.0
+        assert np.abs(final.v1.half - expect).max() <= 1e-10
 
     def test_rk4_self_convergence(self, grid8, rng):
         u0 = sp.random_field(grid8, rng, energy=0.6, kmax=grid8.dealias_radius)
         state = _state(grid8, u0, u0.copy(), _kolmogorov(grid8))
         finals = []
         for dt in (0.02, 0.01, 0.005):
-            _, (final, _) = orc.dense_trajectory(state, t_end=0.5, dt_ref=dt)
-            finals.append(final)
-        gap_coarse = orc.dense_l2(finals[0] - finals[1])
-        gap_fine = orc.dense_l2(finals[1] - finals[2])
+            finals.append(orc.dense_trajectory(state, t_end=0.5, dt_ref=dt).v1)
+        gap_coarse = (finals[0] - finals[1]).l2
+        gap_fine = (finals[1] - finals[2]).l2
         order = np.log2(gap_coarse / gap_fine)
         assert order >= 3.8
 
@@ -144,8 +143,8 @@ class TestDenseTrajectory:
         u0 = sp.random_field(grid8, rng, energy=0.6, kmax=grid8.dealias_radius)
         matrix = dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75)
         state = _state(grid8, u0, u0.copy(), _kolmogorov(grid8), matrix)
-        _, (f1, f2) = orc.dense_trajectory(state, t_end=1.0, dt_ref=1e-3)
-        assert orc.dense_l2(f1 - f2) <= 1e-12 * orc.dense_l2(f1)
+        final = orc.dense_trajectory(state, t_end=1.0, dt_ref=1e-3)
+        assert (final.v1 - final.v2).l2 <= 1e-12 * final.v1.l2
 
     def test_blowup_guard(self, grid8):
         u = sp.field_from_modes(grid8, [(1, 0, (0.0, 1.0))]) * 1e7
@@ -168,9 +167,9 @@ class TestDenseTrajectory:
     def test_box_and_ball_from_the_grid(self, grid8, grid16, rng):
         # the box is the stepper's dealias box, capped at MAX_RADIUS
         u = sp.random_field(grid8, rng, energy=0.6)
-        samples, _ = orc.dense_trajectory(_state(grid8, u, u.copy()), t_end=1e-2, dt_ref=1e-2)
-        assert samples[0][1].radius == grid8.box_cols - 1 == 2
-        assert samples[0][1].keep_radius == grid8.dealias_radius
+        kern = orc._RK4([_state(grid8, u, u.copy())], 1e-2).kern
+        assert kern.radius == grid8.box_cols - 1 == 2
+        assert kern.keep == grid8.dealias_radius
         u = sp.random_field(grid16, rng, energy=0.6)
         with pytest.raises(orc.RadiusTooLarge, match="radius 5"):
             orc.dense_trajectory(_state(grid16, u, u.copy()), t_end=1e-2, dt_ref=1e-2)
@@ -277,8 +276,9 @@ class TestDenseKernel:
         dt = 1e-2
         state = setup(matrix)
         expect = _boundary_rk4_step(state, dt)
-        _, final = orc.dense_trajectory(state, t_end=dt, dt_ref=dt)
-        for got, want in zip(final, expect):
+        final = orc.dense_trajectory(state, t_end=dt, dt_ref=dt)
+        for got, want in zip((final.v1, final.v2), expect):
+            got = orc.dense_from_spectral(got, 2, keep_radius=state.grid.dealias_radius)
             assert orc.dense_l2(got - want) <= 1e-14 * orc.dense_l2(want)
 
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
@@ -294,16 +294,19 @@ class TestDenseKernel:
     def test_sample_times_are_whole_steps(self, setup):
         dt = 1e-2
         state = setup(dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5))
-        samples, _ = orc.dense_trajectory(state, t_end=30 * dt, dt_ref=dt, sample_every=3 * dt)
-        assert [s[0] for s in samples] == [k * dt for k in range(0, 31, 3)]
+        times = []
+        orc.dense_trajectory(state, t_end=30 * dt, dt_ref=dt, sample_every=3 * dt, sink=lambda s: times.append(s.t))
+        assert times == [k * dt for k in range(0, 31, 3)]
 
     def test_final_time_is_sampled(self, setup):
         # sample_every = 0.25 is 62.5 steps of 4e-3: the stride rounds to 62,
         # and the last sample still lands at t_end = 1, as in dynamics.integrate
         state = setup(dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5))
-        samples, _ = orc.dense_trajectory(state, t_end=1.0, dt_ref=4e-3, sample_every=0.25)
-        assert [s[0] for s in samples] == [k * 4e-3 for k in (0, 62, 124, 186, 248, 250)]
-        assert samples[-1][0] == 1.0
+        samples = []
+        final = orc.dense_trajectory(state, t_end=1.0, dt_ref=4e-3, sample_every=0.25, sink=samples.append)
+        assert [s.t for s in samples] == [k * 4e-3 for k in (0, 62, 124, 186, 248, 250)]
+        assert samples[-1].t == final.t == 1.0
+        assert samples[-1].v1.half.tobytes() == final.v1.half.tobytes()
 
     def test_partial_final_step_rejected(self, setup):
         with pytest.raises(ValueError, match="whole number of steps"):
@@ -317,16 +320,14 @@ class TestDenseKernel:
         states = [setup(m) for _, m in self.SYSTEMS]
         swapped = setup(dyn.IntertwiningMatrix.nudge_mutual(2.0, 1.0), K=1.5)
         states.append(replace(swapped, v1=swapped.v2, v2=swapped.v1, forcing=pair))
-        runs = orc.dense_trajectories(states, 0.2, dt_ref=1e-2, sample_every=0.05)
-        for state, (samples, final) in zip(states, runs):
-            lone_samples, lone_final = orc.dense_trajectory(state, 0.2, dt_ref=1e-2, sample_every=0.05)
-            got = samples + [(None, *final)]
-            want = lone_samples + [(None, *lone_final)]
-            assert len(got) == len(want) == 6
-            for (t, a, b), (t_lone, a_lone, b_lone) in zip(got, want):
-                assert t == t_lone
-                assert a.coeffs.tobytes() == a_lone.coeffs.tobytes()
-                assert b.coeffs.tobytes() == b_lone.coeffs.tobytes()
+        runs = orc.dense_trajectories(states, 0.2, dt_ref=1e-2)
+        assert len(runs) == len(states)
+        for state, final in zip(states, runs):
+            lone = orc.dense_trajectory(state, 0.2, dt_ref=1e-2)
+            assert final.t == lone.t == 0.2
+            assert final.matrix is state.matrix and final.K == state.K
+            for got, want in ((final.v1, lone.v1), (final.v2, lone.v2)):
+                assert got.half.tobytes() == want.half.tobytes()
 
     def test_blown_up_member_frozen(self, setup, grid8):
         # the anti-damped pair of test_blowup_guard_watches_second_copy
@@ -336,10 +337,10 @@ class TestDenseKernel:
         calm = [setup(m) for _, m in self.SYSTEMS]
         runs = orc.dense_trajectories([calm[0], wild, *calm[1:]], 0.5, dt_ref=1e-2)
         assert isinstance(runs[1], orc.BlowupDetected) and runs[1].t < 0.5
-        for state, (_, final) in zip(calm, runs[:1] + runs[2:]):
-            _, lone = orc.dense_trajectory(state, 0.5, dt_ref=1e-2)
-            for got, want in zip(final, lone):
-                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+        for state, final in zip(calm, runs[:1] + runs[2:]):
+            lone = orc.dense_trajectory(state, 0.5, dt_ref=1e-2)
+            for got, want in ((final.v1, lone.v1), (final.v2, lone.v2)):
+                assert got.half.tobytes() == want.half.tobytes()
 
     def test_oracle_calls_no_transform(self, setup, monkeypatch):
         states = [setup(matrix) for _, matrix in self.SYSTEMS]

@@ -57,6 +57,10 @@ def configs(draw):
     values["mu1"], values["mu2"] = sorted((draw(gain), draw(gain)), reverse=True)
     values["theta1"] = draw(unit)
     values["theta2"] = 1.0 - values["theta1"]
+    # every sweep point's K and matrix must be valid too
+    values["sweep_K"] = tuple(draw(st.lists(st.floats(0.0, limit), max_size=4)))
+    values["sweep_mu"] = tuple(draw(st.lists(gain, max_size=4)))
+    values["sweep_theta1"] = tuple(draw(st.lists(unit, max_size=4)))
     values["threads"] = draw(st.integers(1, 2**64 - 1))
     values["max_wavenumber"] = draw(st.none() | positive)
     for name in ("energy", "difference_scale", "decay_threshold", "pair_delta_max_wavenumber"):

@@ -5,9 +5,11 @@
 
 --out runs the set with the package in SRC (default: this checkout's
 `src`) and writes one directory per run, `verify_fast.txt` (what
-`intertwine verify --fast` prints, without its [time] lines) and
-`SHA256SUMS`, one `sha256sum` line per file, into DIR.  A run that raises
-leaves its error in `<run>/error.txt`.  --toy runs the same set at toy size.
+`intertwine verify --fast` prints, without its [time] lines),
+`verify_worst.tsv` (each of those checks' worst value to 17 significant
+digits) and `SHA256SUMS`, one `sha256sum` line per file, into DIR.  A run
+that raises leaves its error in `<run>/error.txt`.  --toy runs the same set
+at toy size.
 
 --compare lists the files that differ between two such directories and, for
 each CSV or TSV among them, the largest relative gap per column; it exits 1
@@ -20,10 +22,8 @@ No digests are committed: FFT bits may differ across numpy builds and CPUs.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import hashlib
-import io
 import math
 import os
 import sys
@@ -153,17 +153,27 @@ def run_set(toy: bool) -> list:
     ]
 
 
-def verify_lines(toy: bool) -> str:
-    """What `intertwine verify --fast` prints, less its [time] lines; at toy
-    size, the lines of a small identity suite."""
-    from intertwine import cli, verify
+def verify_results(toy: bool) -> list:
+    """The results of `verify.suites(fast=True)`, each suite run once; at
+    toy size, those of a small identity suite."""
+    from intertwine import verify
 
     if toy:
-        return "".join(res.line() + "\n" for res in verify.identity_suite(sizes=(16,), count=2))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli.main(["verify", "--fast"])
-    return "".join(line for line in out.getvalue().splitlines(True) if not line.startswith("[time]"))
+        return verify.identity_suite(sizes=(16,), count=2)
+    return [res for _, run in verify.suites(fast=True) for res in run()]
+
+
+def verify_lines(results: list) -> str:
+    """What `intertwine verify --fast` prints for results, less its [time] lines."""
+    failures = sum(not res.passed for res in results)
+    tail = f"{failures} check(s) failed" if failures else "all checks passed"
+    return "".join(res.line() + "\n" for res in results) + tail + "\n"
+
+
+def verify_worst(results: list) -> str:
+    """A TSV of each check's worst value to 17 significant digits, which
+    the 3 digits of the printed lines cannot show unchanged."""
+    return "check\tworst\n" + "".join(f"{res.name}\t{res.worst:.17g}\n" for res in results)
 
 
 def files(root: str) -> list:
@@ -194,8 +204,10 @@ def write_set(out: str, toy: bool) -> None:
             os.makedirs(run_dir, exist_ok=True)
             with open(os.path.join(run_dir, "error.txt"), "w", encoding="utf-8") as fh:
                 fh.write(f"{type(exc).__name__}: {exc}\n")
-    with open(os.path.join(out, "verify_fast.txt"), "w", encoding="utf-8") as fh:
-        fh.write(verify_lines(toy))
+    results = verify_results(toy)
+    for name, text in (("verify_fast.txt", verify_lines(results)), ("verify_worst.tsv", verify_worst(results))):
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
     with open(os.path.join(out, SUMS), "w", encoding="utf-8") as fh:
         fh.writelines(f"{digest(os.path.join(out, rel))}  {rel}\n" for rel in files(out))
 
