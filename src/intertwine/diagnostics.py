@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
@@ -98,7 +99,9 @@ class ConstantsConfig:
     def __post_init__(self):
         for name in ("C_L", "C_A", "C_S", "C2"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not value > 0:
+            # a positive float; a bool is an int to Python, not a number here,
+            # and an int beyond the float range would overflow where it is used
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
 
     def to_json(self) -> str:

@@ -544,7 +544,7 @@ def cfl_limit(state: IntertwinedState, c: float = 1.0) -> float:
 
 
 def step_count(span: float, dt: float) -> int:
-    """The number of steps of size dt in span.
+    """The number of steps of size dt in span = t_end - t.
 
     Raises ValueError unless dt is finite and positive and span / dt is a
     whole number to 1e-9 relative, so that a run never ends short of its
@@ -556,11 +556,11 @@ def step_count(span: float, dt: float) -> int:
         raise ValueError(f"dt = {dt:g} must be finite and positive")
     steps = span / dt
     if not steps < 2.0**53:
-        raise ValueError(f"the span {span:g} is {steps:.6g} steps of dt = {dt:g}, not below 2^53")
+        raise ValueError(f"t_end - t = {span:g} is {steps:.6g} steps of dt = {dt:g}, not below 2^53")
     whole = round(steps)
     if abs(steps - whole) > 1e-9 * max(whole, 1):
         raise ValueError(
-            f"the span {span:g} is not a whole number of steps of dt = {dt:g} ({steps:.6g})"
+            f"t_end - t = {span:g} is not a whole number of steps of dt = {dt:g} ({steps:.6g})"
         )
     return int(whole)
 

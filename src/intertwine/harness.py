@@ -92,6 +92,8 @@ _FINITE = (lambda x, radius: True, "")
 _POSITIVE = (lambda x, radius: x > 0, "is not positive")
 _NONNEGATIVE = (lambda x, radius: x >= 0, "is negative")
 _COUNT = (lambda x, radius: x >= 1, "must be at least 1")
+# the checkpoint stores the seed as a u64
+_SEED = (lambda x, radius: 0 <= x < 2**64, "lies outside [0, 2^64)")
 
 
 def _up_to_dealias(least: float):
@@ -159,7 +161,7 @@ class ExperimentConfig:
     difference: str = _choice("initial.difference", ("none", "random", "high_modes"), "random")
     difference_scale: float = _key("initial.difference_scale", domain=_NONNEGATIVE, default=1.0)
     out_dir: str = _key("output.dir", str, domain=None, default="runs")
-    seed: int = _key("output.seed", _int, domain=_NONNEGATIVE, default=0)
+    seed: int = _key("output.seed", _int, domain=_SEED, default=0)
     decay_threshold: float = _key("output.decay_threshold", domain=_NONNEGATIVE, default=1e-6)
     constants_file: str | None = _key("output.constants_file", str, domain=None, default=None)
     scenario: str = _choice("output.scenario", SCENARIOS, "self_sync")
@@ -180,10 +182,12 @@ class ExperimentConfig:
                 continue
             inside, fault = domain
             for x in value if isinstance(value, tuple) else (value,):
-                if not math.isfinite(x):
-                    raise ParseError(f"constraint violated: {f.name} = {x:g} is not finite")
+                # an int is exact and finite; float() of a huge one overflows
+                shown = x if isinstance(x, int) else f"{x:g}"
+                if not (isinstance(x, int) or math.isfinite(x)):
+                    raise ParseError(f"constraint violated: {f.name} = {shown} is not finite")
                 if not inside(x, grid_limit):
-                    raise ParseError(f"constraint violated: {f.name} = {x:g} {fault.format(radius=grid_limit)}")
+                    raise ParseError(f"constraint violated: {f.name} = {shown} {fault.format(radius=grid_limit)}")
         if self.initial_kind == "modes":
             modes = _parse_mode_list(self.initial_modes)
             if not modes:

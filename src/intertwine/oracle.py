@@ -6,69 +6,34 @@ transform roundoff, and serves as an independent cross-check for the
 pseudospectral path.  The RK4 integrator at a fixed reference step is the
 trajectory gold standard for desk-scale runs.
 
-One array kernel does the work: `_Kernel` holds the per-box constants and
-acts on raw stacks of shape (copies, 2, side*side).  The trajectories take
-the `IntertwinedState`s the stepper takes, read everything off them and
-return what the stepper returns: `_RK4` is a stepper that the stepper's own
-run loop, `dynamics._run`, drives.  Its box is the stepper's dealias box
-(radius grid.box_cols - 1) and its Galerkin ball is |k| <=
-grid.dealias_radius, under the one ball rule `spectral.in_ball`.
-`DenseModeSet` is the boundary type of the convolution functions only.
+Every function takes and returns the stepper's own types, `SpectralField`s
+and `IntertwinedState`s.  One array kernel does the work: `_Kernel` holds
+the constants of one Galerkin ball |k| <= keep on the smallest box that
+holds it, reads fields into raw stacks of shape (copies, 2, side*side) and
+writes stacks back to half spectra.  The trajectories take the
+`IntertwinedState`s the stepper takes, read everything off them and return
+what the stepper returns: `_RK4` is a stepper that the stepper's own run
+loop, `dynamics._run`, drives.  Its ball is |k| <= grid.dealias_radius, so
+its box is the stepper's dealias box (radius grid.box_cols - 1), under the
+one ball rule `spectral.in_ball`.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
 from .dynamics import BlowupDetected, _run, _shared, diverged
 from .forcing import ForceStack
-from .spectral import PLANCHEREL, Grid, SpectralField, in_ball
+from .spectral import BALL_ATOL, Grid, SpectralField, _require_same_grid, in_ball
 
 MAX_RADIUS = 4
 
 
 class RadiusTooLarge(ValueError):
     """A dense box is capped at MAX_RADIUS, and must fit the grid it reads or writes."""
-
-
-class DenseModeSet:
-    """All modes in the box max(|kx|,|ky|) <= radius, stored densely.
-
-    coeffs has shape (2, 2*radius+1, 2*radius+1) indexed [comp, ky+R, kx+R].
-    keep_radius is the Euclidean truncation applied to products; matching it
-    to a pseudospectral grid's dealias radius makes both paths integrate the
-    same Galerkin system.
-    """
-
-    __slots__ = ("radius", "keep_radius", "coeffs")
-
-    def __init__(self, radius: int, coeffs=None, keep_radius: float | None = None):
-        if radius < 1 or radius > MAX_RADIUS:
-            raise RadiusTooLarge(f"radius must be in [1, {MAX_RADIUS}], got {radius}")
-        self.radius = int(radius)
-        side = 2 * self.radius + 1
-        if coeffs is None:
-            coeffs = np.zeros((2, side, side), dtype=np.complex128)
-        else:
-            coeffs = np.asarray(coeffs, dtype=np.complex128)
-            if coeffs.shape != (2, side, side):
-                raise ValueError(f"coeffs must have shape (2, {side}, {side})")
-        self.coeffs = coeffs
-        self.keep_radius = float(keep_radius) if keep_radius is not None else float(radius)
-
-    def copy(self):
-        return DenseModeSet(self.radius, self.coeffs.copy(), self.keep_radius)
-
-    def __add__(self, other):
-        return DenseModeSet(self.radius, self.coeffs + other.coeffs, self.keep_radius)
-
-    def __sub__(self, other):
-        return DenseModeSet(self.radius, self.coeffs - other.coeffs, self.keep_radius)
-
-    def __mul__(self, scalar):
-        return DenseModeSet(self.radius, self.coeffs * scalar, self.keep_radius)
-
-    __rmul__ = __mul__
 
 
 def _k_axes(radius):
@@ -82,33 +47,6 @@ def _box_rows(radius: int, n: int):
             f"a dense box of radius {radius} needs a grid with n > {2 * radius}, got n = {n}"
         )
     return _k_axes(radius) % n
-
-
-def dense_from_spectral(u: SpectralField, radius: int, keep_radius=None) -> DenseModeSet:
-    """Extract the box |k_i| <= radius from a spectral field."""
-    rows = _box_rows(radius, u.grid.n)
-    return DenseModeSet(radius, np.ascontiguousarray(u.coeffs[:, rows[:, None], rows]), keep_radius)
-
-
-def _half(D, radius: int, n: int) -> np.ndarray:
-    """Fresh half spectra on an n grid of the dense stack D (..., 2, side,
-    side): the box's modes kx >= 0; the modes kx < 0 are their conjugates."""
-    half = np.zeros(D.shape[:-2] + (n, n // 2 + 1), dtype=np.complex128)
-    half[..., _box_rows(radius, n), : radius + 1] = D[..., radius:]
-    return half
-
-
-def dense_to_spectral(d: DenseModeSet, grid: Grid) -> SpectralField:
-    """The field of the box's modes kx >= 0; the modes kx < 0 are their conjugates."""
-    return SpectralField(grid, _half(d.coeffs, d.radius, grid.n))
-
-
-def dense_inner(u: DenseModeSet, v: DenseModeSet) -> float:
-    return PLANCHEREL * float(np.real(np.sum(u.coeffs * np.conj(v.coeffs))))
-
-
-def dense_l2(u: DenseModeSet) -> float:
-    return float(np.sqrt(dense_inner(u, u)))
 
 
 def _triples(radius: int, keep: float):
@@ -130,46 +68,52 @@ def _triples(radius: int, keep: float):
     return (*flat, bx[on].astype(np.float64), by[on].astype(np.float64))
 
 
-_KERNEL_CACHE: dict = {}
+def _box_radius(keep: float) -> int:
+    """The radius of the smallest box max(|kx|, |ky|) <= R that holds the ball |k| <= keep."""
+    return math.floor(keep + BALL_ATOL)
 
 
-def _kernel(radius: int, keep: float) -> "_Kernel":
-    key = (radius, round(keep, 12))
-    kern = _KERNEL_CACHE.get(key)
-    if kern is None:
-        kern = _KERNEL_CACHE[key] = _Kernel(radius, keep)
-    return kern
+@functools.cache
+def _kernel(keep: float) -> "_Kernel":
+    """The kernel of the ball |k| <= keep, built once on first use."""
+    return _Kernel(keep)
 
 
 class _Kernel:
-    """The array kernel of one box and Galerkin ball, built once on first use.
+    """The array kernel of the Galerkin ball |k| <= keep on the smallest box
+    that holds it, max(|kx|, |ky|) <= radius = `_box_radius`(keep).
 
     Stacks have shape (copies, 2, S) with S = side^2, for any number of
-    copies; mode index (ky+R)*side + (kx+R) as in `DenseModeSet.coeffs`.
-    The triad indices are offset by (copy*2 + comp)*S, so one bincount over
-    the interleaved real and imaginary parts sums the convolution of every
-    copy and component.  The offset tables grow to the most copies seen;
-    memory is O(triads * copies).
+    copies; mode index (ky+R)*side + (kx+R).  `read` fills a stack from
+    fields and `write` turns one into half spectra.  The triad indices are
+    offset by (copy*2 + comp)*S, so one bincount over the interleaved real
+    and imaginary parts sums the convolution of every copy and component.
+    The offset tables grow to the most copies seen; memory is
+    O(triads * copies).
     """
 
-    def __init__(self, radius: int, keep: float):
-        self.radius = radius
+    def __init__(self, keep: float):
+        self.radius = radius = _box_radius(keep)
+        if not 1 <= radius <= MAX_RADIUS:
+            raise RadiusTooLarge(
+                f"the ball |k| <= {keep:g} needs a dense box of radius {radius}, outside [1, {MAX_RADIUS}]"
+            )
         self.keep = keep
         self.side = side = 2 * radius + 1
         self.size = S = side * side
         ks = _k_axes(radius).astype(float)
         kvec = np.stack([np.tile(ks, side), np.repeat(ks, side)])
-        self.k2 = kvec[0] ** 2 + kvec[1] ** 2
-        nz = self.k2 > 0
-        self.kmag = np.sqrt(self.k2)
+        k2 = kvec[0] ** 2 + kvec[1] ** 2
+        nz = k2 > 0
+        self.kmag = np.sqrt(k2)
         inv_k2 = np.zeros(S)
-        inv_k2[nz] = 1.0 / self.k2[nz]
-        self.mean = radius * side + radius
+        inv_k2[nz] = 1.0 / k2[nz]
         # numpy casts a real operand of a complex product to complex, so the
         # constants are stored complex: the same products without the casts
         self.kvec = kvec.astype(np.complex128)
         self.inv_k2 = inv_k2.astype(np.complex128)
-        self.lap = self.stokes_multiplier(2).astype(np.complex128)
+        # |k|^2 formed from |k|, not k2: the two differ in their last bits
+        self.lap = (self.kmag**2).astype(np.complex128)
         self.triads = _triples(radius, keep)
         self.ntriads = self.triads[0].size
         self._offset_tables(2)
@@ -186,13 +130,22 @@ class _Kernel:
         self.ik = ((2 * (ik + offsets))[..., None] + np.arange(2)).ravel()
         self.capacity = copies
 
-    def stokes_multiplier(self, half_power: int):
-        mult = np.zeros(self.size)
-        nz = self.kmag > 0
-        mult[nz] = self.kmag[nz] ** half_power
-        if half_power == 0:
-            mult[~nz] = 1.0
-        return mult
+    def read(self, fields) -> np.ndarray:
+        """The stack of the fields' boxes, read through `SpectralField.coeffs`."""
+
+        def box(u):
+            rows = _box_rows(self.radius, u.grid.n)
+            return u.coeffs[:, rows[:, None], rows].reshape(2, self.size)
+
+        return np.array([box(u) for u in fields])
+
+    def write(self, grid: Grid, V) -> np.ndarray:
+        """Fresh half spectra on grid of the stack V (..., 2, S): the box's
+        modes kx >= 0; the modes kx < 0 are their conjugates."""
+        R, lead = self.radius, V.shape[:-1]
+        half = np.zeros(lead + (grid.n, grid.n // 2 + 1), dtype=np.complex128)
+        half[..., _box_rows(R, grid.n), : R + 1] = V.reshape(lead + (self.side, self.side))[..., R:]
+        return half
 
     def low_mask(self, K: float):
         return in_ball(self.kmag, K).astype(np.complex128)
@@ -237,44 +190,20 @@ class _Kernel:
             F[pair] = F[pair] + (m1 * X[first] + m2 * X[first + 1])
         return F
 
-    def stack(self, sets):
-        return np.array([d.coeffs.reshape(2, self.size) for d in sets])
 
-    def unstack(self, V):
-        shape = (2, self.side, self.side)
-        return [DenseModeSet(self.radius, v.reshape(shape).copy(), self.keep) for v in V]
+def dense_bilinear_B(u: SpectralField, v: SpectralField, keep: float | None = None) -> SpectralField:
+    """B(u, v) by explicit convolution on the Galerkin ball |k| <= keep
+    (default the grid's dealias radius): sum over a + b = k of i (u_a . b) v_b.
 
-
-def _grid_kernel(grid: Grid) -> _Kernel:
-    """The kernel of the stepper's dealias box on grid and its dealias ball."""
-    radius = grid.box_cols - 1
-    if radius > MAX_RADIUS:
-        raise RadiusTooLarge(f"the dealias box of {grid} has radius {radius}, above {MAX_RADIUS}")
-    return _kernel(radius, grid.dealias_radius)
-
-
-def dense_stokes(u: DenseModeSet, half_power: int) -> DenseModeSet:
-    kern = _kernel(u.radius, u.keep_radius)
-    mult = kern.stokes_multiplier(half_power).reshape(kern.side, kern.side)
-    return DenseModeSet(u.radius, u.coeffs * mult, u.keep_radius)
-
-
-def dense_bilinear_B(u: DenseModeSet, v: DenseModeSet) -> DenseModeSet:
-    """B(u, v) by explicit convolution: sum over a + b = k of i (u_a . b) v_b.
-
-    Output truncated to the Euclidean ball keep_radius and Leray-projected
-    per mode.  No transforms, hence no aliasing by construction.
+    Only the modes of u and v in the ball enter, and the output is truncated
+    to the ball and Leray-projected per mode; reading and writing the same
+    ball keeps the trilinear identities exact under truncation.  No
+    transforms, hence no aliasing by construction.
     """
-    if u.radius != v.radius:
-        raise ValueError("mode sets must share a radius")
-    # the Galerkin space is the Euclidean ball |k| <= keep_radius; reading and
-    # writing the same ball keeps the trilinear identities exact under truncation
-    kern = _kernel(u.radius, min(u.keep_radius, v.keep_radius))
-    return kern.unstack(kern.bilinear(kern.stack([u]), kern.stack([v])))[0]
-
-
-def dense_trilinear_b(u, v, w) -> float:
-    return dense_inner(dense_bilinear_B(u, v), w)
+    _require_same_grid(u, v)
+    grid = u.grid
+    kern = _kernel(grid.dealias_radius if keep is None else keep)
+    return SpectralField(grid, kern.write(grid, kern.bilinear(kern.read([u]), kern.read([v])))[0])
 
 
 def heat_exact(p0: SpectralField, h: SpectralField | None, nu: float, t: float) -> SpectralField:
@@ -315,25 +244,24 @@ class _RK4:
 
     The states must share grid, t and nu, and none may set advect=False,
     which has no dense system (ValueError naming the attribute otherwise).
-    The forces are one `forcing.ForceStack` on the dense stack.
+    The forces are one `forcing.ForceStack` on the dense stack, and
+    unpack(grid, V) is the kernel's `_Kernel.write`.
     """
 
     def __init__(self, states, dt=None):
         grid, t, nu = (_shared(states, name) for name in ("grid", "t", "nu"))
         if not all(s.advect for s in states):
             raise ValueError("the dense oracle has no system with advect=False")
-        self.kern = kern = _grid_kernel(grid)
+        self.kern = kern = _kernel(grid.dealias_radius)
+        # the kernel's method, not the stepper's: _run keeps unpack after it frees the stepper
+        self.unpack = kern.write
         self.dt = dt
         self.nu_lap = nu * kern.lap
-        self.V = self._convert(v for s in states for v in (s.v1, s.v2))
+        self.V = kern.read([v for s in states for v in (s.v1, s.v2)])
         self.coupling = [c for p, s in enumerate(states) for c in _coupling(kern, s.matrix, s.K, 2 * p)]
         forces = [g for s in states for g in (s.forcing.g1, s.forcing.g2)]
-        self.forces = ForceStack(forces, self._convert, np.empty_like(self.V), t)
+        self.forces = ForceStack(forces, kern.read, np.empty_like(self.V), t)
         self.members = [slice(2 * p, 2 * p + 2) for p in range(len(states))]
-
-    def _convert(self, fields) -> np.ndarray:
-        kern = self.kern
-        return kern.stack([dense_from_spectral(u, kern.radius, kern.keep) for u in fields])
 
     def rhs(self, V, t) -> np.ndarray:
         return self.kern.rhs(V, self.forces.at(t), self.nu_lap, self.coupling)
@@ -354,24 +282,11 @@ class _RK4:
         energy = np.square(self.V.view(np.float64)).reshape(len(self.V), -1).sum(axis=1)
         return diverged(energy, self.members)
 
-    @staticmethod
-    def unpack(grid: Grid, V) -> np.ndarray:
-        """Fresh half spectra of the dense rows V (copies, 2, side^2)."""
-        radius = grid.box_cols - 1
-        side = 2 * radius + 1
-        return _half(V.reshape(V.shape[:-1] + (side, side)), radius, grid.n)
-
 
 def _dense_pair_rhs(state):
-    """Right-hand sides of the state's pair, dense path."""
+    """Right-hand sides of the state's pair, dense path, as `SpectralField`s."""
     system = _RK4([state])
-    return tuple(system.kern.unstack(system.rhs(system.V, state.t)))
-
-
-def _dense_project_low(d: DenseModeSet, K: float) -> DenseModeSet:
-    kern = _kernel(d.radius, d.keep_radius)
-    mask = kern.low_mask(K).reshape(kern.side, kern.side)
-    return DenseModeSet(d.radius, d.coeffs * mask, d.keep_radius)
+    return tuple(SpectralField(state.grid, h) for h in system.unpack(state.grid, system.rhs(system.V, state.t)))
 
 
 def dense_trajectory(state, t_end: float, dt_ref: float = 1e-4, sample_every: float | None = None,

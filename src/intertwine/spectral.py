@@ -47,6 +47,8 @@ DIV_RTOL = 1e-14
 REALITY_RTOL = 1e-12
 # the ball rule's slack on |k|: see in_ball
 BALL_ATOL = 1e-12
+# the largest grid: Grid(4096) alone holds about 1 GiB of wavenumber tables
+MAX_N = 4096
 
 
 class AliasingViolation(ValueError):
@@ -63,11 +65,11 @@ def in_ball(kmag, radius: float):
 def grid_dealias_radius(n: int, dealias_radius: float | None = None) -> float:
     """Check a grid's size and dealias radius; returns the radius (default n/3).
 
-    Raises ValueError unless n is an even integer >= 4 and the radius lies in
-    (0, n/3].
+    Raises ValueError unless n is an even integer in [4, MAX_N] and the
+    radius lies in (0, n/3].
     """
-    if n < 4 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 4, got {n}")
+    if not (4 <= n <= MAX_N and n % 2 == 0):
+        raise ValueError(f"n must be an even integer >= 4 and <= {MAX_N}, got {n}")
     if dealias_radius is None:
         dealias_radius = n / 3.0
     if not (0.0 < dealias_radius and in_ball(dealias_radius, n / 3.0)):

@@ -98,7 +98,7 @@ def oracle_suite(
 ):
     """Cross-validation of the pseudospectral path against the dense oracle.
 
-    Bilinear-term agreement at n = 16 with box radius 4, then full
+    Bilinear-term agreement at n = 16 on the ball |k| <= 4, then full
     trajectories (plain system plus both coupling families) at n = 8 to
     T = 1 against the dense RK4 reference.  The one list of states runs as
     one ensemble in each path, each member bitwise its lone run, and both
@@ -111,9 +111,7 @@ def oracle_suite(
     for _ in range(cases):
         u = sp.random_field(grid, rng, energy=1.0, kmax=4.0)
         v = sp.random_field(grid, rng, energy=1.0, kmax=4.0)
-        du = orc.dense_from_spectral(u, 4)
-        dv = orc.dense_from_spectral(v, 4)
-        dense = orc.dense_to_spectral(orc.dense_bilinear_B(du, dv), grid)
+        dense = orc.dense_bilinear_B(u, v, keep=4.0)
         pseudo = sp.project_low(sp.bilinear_B(u, v), 4.0)
         worst_b = max(worst_b, _rel((pseudo - dense).l2, dense.l2))
     results.append(

@@ -57,6 +57,34 @@ NUMERIC_SLOTS = [
     f.metadata["ini"] for f in fields(hz.ExperimentConfig) if f.metadata["parse"] in (float, hz._int, hz._floats)
 ]
 
+INTEGER_SLOTS = [f.metadata["ini"] for f in fields(hz.ExperimentConfig) if f.metadata["parse"] is hz._int]
+# an even literal of 401 digits: past the float range, so float() of it overflows
+HUGE_INTEGER = "2" * 401
+
+
+def _bad_number(slot, value):
+    marks = ()
+    if (slot, value) == ("physics.nu", "1e300"):
+        marks = pytest.mark.xfail(strict=True, raises=OverflowError, reason="the diagnostics square nu after the run")
+    return pytest.param(slot, value, marks=marks, id=f"{slot}-{'401_digits' if value == HUGE_INTEGER else value}")
+
+
+BAD_NUMBERS = [
+    _bad_number(slot, value)
+    for slot in NUMERIC_SLOTS
+    for value in ("nan", "inf", "-inf", "-1", "0", "1e300", *([HUGE_INTEGER] * (slot in INTEGER_SLOTS)))
+]
+# bad numbers whose outcome is correct but not "exit 0, or exit 2 naming the
+# key": (exit code, the text that names the fault)
+TRUE_OUTCOMES = {
+    # the fields really overflow, and the run reports a blow-up
+    ("forcing.amplitude", "1e300"): (3, "BLOWUP"),
+    ("forcing.pair_delta_amplitude", "1e300"): (3, "BLOWUP"),
+    # so large an initial field fails the step guard, whose message names dt
+    ("initial.energy", "1e300"): (2, "dt"),
+    ("initial.difference_scale", "1e300"): (2, "dt"),
+}
+
 
 class TestConfigParsing:
     def test_minimal_roundtrip(self):
@@ -143,6 +171,13 @@ class TestConfigParsing:
         # a sample stride that is not a multiple of dt is still accepted
         ok = MINIMAL.replace("sample_every = 0.1", "sample_every = 0.25")
         assert hz.parse_config_text(ok).sample_every == 0.25
+
+    def test_grid_size_ceiling(self):
+        # validate checks the size without building the grid
+        assert sp.MAX_N == 4096
+        assert hz.parse_config_text(MINIMAL.replace("n = 16", f"n = {sp.MAX_N}")).n == sp.MAX_N
+        with pytest.raises(ParseError, match="<= 4096, got 4098"):
+            hz.parse_config_text(MINIMAL.replace("n = 16", "n = 4098"))
 
     def test_step_count_below_2_to_53(self):
         # 5e301 steps once parsed, since every float that large is whole,
@@ -571,6 +606,7 @@ class TestCli:
         [
             ("n = 15", "n must be an even integer >= 4"),
             ("n = 2", "n must be an even integer >= 4"),
+            ("n = 4098", "n must be an even integer >= 4 and <= 4096"),
             ("n = 16\ndealias_radius = 6.0", "dealias_radius must lie in"),
         ],
     )
@@ -671,15 +707,19 @@ class TestCli:
         assert f"{key} = {value}" in capsys.readouterr().err
         assert not list(tmp_path.rglob("series.csv"))
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
-    @pytest.mark.parametrize("slot", NUMERIC_SLOTS)
+    @pytest.mark.parametrize("slot, value", BAD_NUMBERS)
     def test_every_bad_number_exits_0_or_2(self, tmp_path, capsys, monkeypatch, slot, value):
         # a bad number is either harmless or refused before the run starts,
-        # naming its key: never a traceback (exit 1) and never a blow-up (3)
-        code, err = self._run_short(tmp_path, capsys, monkeypatch, slot, value)
-        assert code in (0, 2) and "Traceback" not in err
+        # naming its key: never a traceback (exit 1) and never a blow-up (3),
+        # except the cases of TRUE_OUTCOMES
+        code, captured = self._run_short(tmp_path, capsys, monkeypatch, slot, value)
+        assert "Traceback" not in captured.err
+        want_code, names = TRUE_OUTCOMES.get((slot, value), (None, slot.partition(".")[2]))
+        assert code == want_code if want_code else code in (0, 2)
+        if code == 3:
+            assert names in captured.out
         if code == 2:
-            assert slot.partition(".")[2] in err
+            assert names in captured.err
             assert not list(tmp_path.rglob("series.csv"))
 
     @pytest.mark.parametrize(
@@ -688,23 +728,24 @@ class TestCli:
             ("initial.energy", "-1"), ("initial.difference_scale", "-1"), ("initial.max_wavenumber", "nan"),
             ("output.decay_threshold", "nan"), ("output.decay_threshold", "-1"), ("forcing.omega", "nan"),
             ("forcing.wavenumber", "0"), ("forcing.wavenumber", "6"), ("output.seed", "-1"),
+            ("output.seed", "18446744073709551616"),
         ],
     )
     def test_silently_wrong_numbers_exit_2(self, tmp_path, capsys, monkeypatch, slot, value):
         # each of these once ran to exit 0 with wrong or no results, or died
         # in a traceback
-        code, err = self._run_short(tmp_path, capsys, monkeypatch, slot, value)
-        assert code == 2 and f"{slot.partition('.')[2]} = {value}" in err
+        code, captured = self._run_short(tmp_path, capsys, monkeypatch, slot, value)
+        assert code == 2 and f"{slot.partition('.')[2]} = {value}" in captured.err
 
     def _run_short(self, tmp_path, capsys, monkeypatch, slot, value):
-        """Exit code and stderr of a 10-step run of MINIMAL with slot = value."""
+        """Exit code and captured output of a 10-step run of MINIMAL with slot = value."""
         monkeypatch.chdir(tmp_path)
         section, _, key = slot.partition(".")
         sections = {name: dict(keys) for name, keys in SHORT.items()}
         sections.setdefault(section, {})[key] = value
         text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) for name, keys in sections.items())
         code = cli.main(["run", "--config", self._write(tmp_path, text), "--out", str(tmp_path / "out")])
-        return code, capsys.readouterr().err
+        return code, capsys.readouterr()
 
     @pytest.mark.parametrize(
         "content, message",
@@ -713,9 +754,14 @@ class TestCli:
             ('{"C_L": 1.0, "C_A": 1.0, "C_S": 1.0, "C9": 2.0}', "'C9'"),
             ('{"C_L": -1.0, "C_A": 1.0, "C_S": 1.0}', "C_L must be a positive number"),
             ('{"C_L": "1", "C_A": 1.0, "C_S": 1.0}', "C_L must be a positive number"),
+            ('{"C_L": 1.0, "C_A": Infinity, "C_S": 1.0}', "C_A must be a positive number"),
+            ('{"C_L": 1.0, "C_A": NaN, "C_S": 1.0}', "C_A must be a positive number"),
+            ('{"C_L": 1.0, "C_A": 1.0, "C_S": true}', "C_S must be a positive number"),
+            ('{"C_L": 1%s, "C_A": 1.0, "C_S": 1.0}' % ("0" * 400), "C_L must be a positive number"),
             ("[1.0]", "one JSON object"),
         ],
-        ids=["missing", "unknown_key", "negative", "not_a_number", "not_an_object"],
+        ids=["missing", "unknown_key", "negative", "not_a_number", "infinite", "nan", "bool", "huge_integer",
+             "not_an_object"],
     )
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_bad_constants_file_exit_code(self, tmp_path, capsys, command, content, message):

@@ -27,8 +27,20 @@ def test_toy_set_is_deterministic_and_compare_finds_a_changed_cell(tmp_path):
     assert sums == (b / "SHA256SUMS").read_text()
     listed = {line.split("  ", 1)[1] for line in sums.splitlines()}
     for rel in ("nudge/series.csv", "nudge/final.ckpt", "sweep_n32/sweep_table.csv",
-                "fdss_amplitude_1/fdm_table.csv", "verify_fast.txt", "verify_worst.tsv"):
+                "fdss_amplitude_1/fdm_table.csv", "verify_fast.txt", "verify_worst.tsv", "dense_oracle.tsv"):
         assert rel in listed
+    # each member of each path once; the dense and stepped members agree to
+    # the Heun step's error, and their bits differ
+    head, *rows = (a / "dense_oracle.tsv").read_text().splitlines()
+    assert head.split("\t") == ["path", "member", "l2_v1", "l2_v2", "sha256"]
+    table = {tuple(row.split("\t")[:2]): row.split("\t")[2:] for row in rows}
+    members = ("zero", "nudge_symmetric", "dr_symmetric")
+    assert sorted(table) == sorted((path, m) for path in ("dense", "stepper") for m in members)
+    for member in members:
+        dense, stepped = table["dense", member], table["stepper", member]
+        for x, y in zip(dense[:2], stepped[:2]):
+            assert f"{float(x):.17g}" == x and abs(float(x) - float(y)) <= 1e-5 * float(x)
+        assert len(dense[2]) == 64 and dense[2] != stepped[2]
     # the worst values at 17 digits, one per printed check line
     head, *rows = (a / "verify_worst.tsv").read_text().splitlines()
     printed = (a / "verify_fast.txt").read_text().splitlines()

@@ -1,5 +1,6 @@
 """Dense-convolution and RK4 reference implementations."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,44 +16,40 @@ from intertwine import spectral as sp
 def dense_pair(grid16, rng):
     u = sp.random_field(grid16, rng, energy=1.0, kmax=4.0)
     v = sp.random_field(grid16, rng, energy=1.0, kmax=4.0)
-    return (
-        orc.dense_from_spectral(u, 4),
-        orc.dense_from_spectral(v, 4),
-        u,
-        v,
-    )
+    return u, v
+
+
+def _b(u, v, w):
+    """The trilinear form b(u, v, w) = (B(u, v), w) through the dense convolution on |k| <= 4."""
+    return sp.inner(orc.dense_bilinear_B(u, v, keep=4.0), w)
 
 
 class TestDenseBilinear:
-    def test_radius_cap(self):
-        with pytest.raises(orc.RadiusTooLarge):
-            orc.DenseModeSet(5)
-        with pytest.raises(orc.RadiusTooLarge):
-            orc.DenseModeSet(0)
+    def test_radius_cap(self, grid16, rng):
+        # keep = 5 needs a box of radius 5, above MAX_RADIUS; keep = 0.5 a box of radius 0
+        u = sp.random_field(grid16, rng, kmax=4.0)
+        for keep in (5.0, 0.5):
+            with pytest.raises(orc.RadiusTooLarge):
+                orc.dense_bilinear_B(u, u, keep=keep)
 
     def test_shear_self_advection(self, grid16):
         shear = sp.field_from_modes(grid16, [(0, 1, (0.5 / 1j, 0.0))])
-        d = orc.dense_from_spectral(shear, 2)
-        assert orc.dense_l2(orc.dense_bilinear_B(d, d)) < 1e-16
+        assert orc.dense_bilinear_B(shear, shear, keep=2.0).l2 < 1e-16
 
     def test_skew_symmetry_tight(self, dense_pair, grid16, rng):
-        du, dv, _, _ = dense_pair
-        dw = orc.dense_from_spectral(sp.random_field(grid16, rng, kmax=4.0), 4)
-        scale = orc.dense_l2(du) * orc.dense_l2(dv) * orc.dense_l2(dw)
-        resid = orc.dense_trilinear_b(du, dv, dw) + orc.dense_trilinear_b(du, dw, dv)
+        u, v = dense_pair
+        w = sp.random_field(grid16, rng, kmax=4.0)
+        scale = u.l2 * v.l2 * w.l2
+        resid = _b(u, v, w) + _b(u, w, v)
         assert abs(resid) <= 1e-13 * scale
 
     def test_enstrophy_identities_tight(self, dense_pair):
-        du, dv, _, _ = dense_pair
-        Au = orc.dense_stokes(du, 2)
-        Av = orc.dense_stokes(dv, 2)
-        scale = orc.dense_l2(du) ** 2 * orc.dense_l2(Au)
-        assert abs(orc.dense_trilinear_b(du, du, Au)) <= 1e-13 * scale
-        miracle = (
-            orc.dense_trilinear_b(dv, dv, Au)
-            + orc.dense_trilinear_b(du, dv, Av)
-            + orc.dense_trilinear_b(dv, du, Av)
-        )
+        u, v = dense_pair
+        Au = sp.stokes_apply(u, 2)
+        Av = sp.stokes_apply(v, 2)
+        scale = u.l2**2 * Au.l2
+        assert abs(_b(u, u, Au)) <= 1e-13 * scale
+        miracle = _b(v, v, Au) + _b(u, v, Av) + _b(v, u, Av)
         assert abs(miracle) <= 1e-13 * scale
 
     def test_agreement_with_pseudospectral(self, grid16, rng):
@@ -61,49 +58,63 @@ class TestDenseBilinear:
         for _ in range(10):
             u = sp.random_field(grid16, rng, kmax=4.0)
             v = sp.random_field(grid16, rng, kmax=4.0)
-            dense = orc.dense_to_spectral(
-                orc.dense_bilinear_B(
-                    orc.dense_from_spectral(u, 4), orc.dense_from_spectral(v, 4)
-                ),
-                grid16,
-            )
+            dense = orc.dense_bilinear_B(u, v, keep=4.0)
             pseudo = sp.project_low(sp.bilinear_B(u, v), 4.0)
             worst = max(worst, (pseudo - dense).l2 / max(dense.l2, 1e-30))
         assert worst <= 1e-11
 
     def test_agreement_at_n8(self, grid8, rng):
+        # the default ball is the grid's dealias ball
         keep = grid8.dealias_radius
         worst = 0.0
         for _ in range(10):
             u = sp.random_field(grid8, rng, kmax=keep)
             v = sp.random_field(grid8, rng, kmax=keep)
-            dense = orc.dense_to_spectral(
-                orc.dense_bilinear_B(
-                    orc.dense_from_spectral(u, 2, keep_radius=keep),
-                    orc.dense_from_spectral(v, 2, keep_radius=keep),
-                ),
-                grid8,
-            )
+            dense = orc.dense_bilinear_B(u, v)
             pseudo = sp.bilinear_B(u, v)
             worst = max(worst, (pseudo - dense).l2 / max(dense.l2, 1e-30))
         assert worst <= 1e-11
 
     def test_roundtrip_spectral_dense(self, grid16, rng):
         u = sp.random_field(grid16, rng, kmax=4.0)
-        back = orc.dense_to_spectral(orc.dense_from_spectral(u, 4), grid16)
+        kern = orc._kernel(4.0)
+        back = sp.SpectralField(grid16, kern.write(grid16, kern.read([u]))[0])
         assert np.array_equal(back.coeffs, u.coeffs)
 
     def test_box_must_fit_grid(self, grid8, rng):
         # on n = 8 the rows ky = -4 and ky = +4 are one stored row, so a box of
         # radius 4 would read one mode twice and write two modes to one slot
         u = sp.random_field(grid8, rng, kmax=2.0)
+        kern = orc._kernel(4.0)
         with pytest.raises(orc.RadiusTooLarge, match="radius 4.*n = 8"):
-            orc.dense_from_spectral(u, 4)
+            kern.read([u])
         with pytest.raises(orc.RadiusTooLarge, match="radius 4.*n = 8"):
-            orc.dense_to_spectral(orc.DenseModeSet(4), grid8)
+            kern.write(grid8, np.zeros((1, 2, kern.size), dtype=np.complex128))
         # the largest box that fits reads every row once
-        back = orc.dense_to_spectral(orc.dense_from_spectral(u, 3), grid8)
+        kern = orc._kernel(3.0)
+        back = sp.SpectralField(grid8, kern.write(grid8, kern.read([u]))[0])
         assert np.array_equal(back.coeffs, u.coeffs)
+
+    def test_ball_must_fit_grid(self, grid8, rng):
+        u = sp.random_field(grid8, rng, kmax=2.0)
+        with pytest.raises(orc.RadiusTooLarge, match="radius 4.*n = 8"):
+            orc.dense_bilinear_B(u, u, keep=4.0)
+
+    def test_fields_must_share_a_grid(self, grid8, grid16, rng):
+        u = sp.random_field(grid8, rng, kmax=2.0)
+        v = sp.random_field(grid16, rng, kmax=2.0)
+        with pytest.raises(ValueError, match="different grids"):
+            orc.dense_bilinear_B(u, v, keep=2.0)
+
+    def test_box_is_the_dealias_box(self):
+        # the smallest box that holds the ball is the stepper's dealias box,
+        # also for radii just below and just above a whole number
+        for n in range(4, 129, 2):
+            whole = math.floor(n / 3)
+            near = (whole - 1e-9, whole - 1e-13, whole + 1e-13, whole + 1e-9)
+            for radius in (None, *(r for r in near if sp.in_ball(r, n / 3))):
+                grid = sp.Grid(n, radius)
+                assert orc._box_radius(grid.dealias_radius) == grid.box_cols - 1
 
 
 def _state(grid, v1, v2, forcing=None, matrix=None, nu=0.3, K=2.0):
@@ -191,25 +202,22 @@ class TestDenseTrajectory:
 
 
 def _boundary_rk4_step(state, dt):
-    """One RK4 step written with DenseModeSet arithmetic over the public functions."""
+    """One RK4 step written with SpectralField arithmetic over the public functions."""
     nu, K, m = state.nu, state.K, state.matrix.entries
-
-    def dense(u):
-        return orc.dense_from_spectral(u, 2, keep_radius=state.grid.dealias_radius)
 
     def rhs(a, b, t):
         B1 = orc.dense_bilinear_B(a, a)
-        f1 = dense(state.forcing.g1(t)) - nu * orc.dense_stokes(a, 2) - B1
+        f1 = state.forcing.g1(t) - nu * sp.stokes_apply(a, 2) - B1
         B2 = orc.dense_bilinear_B(b, b)
-        f2 = dense(state.forcing.g2(t)) - nu * orc.dense_stokes(b, 2) - B2
+        f2 = state.forcing.g2(t) - nu * sp.stokes_apply(b, 2) - B2
         x1, x2 = (B1, B2) if state.matrix.is_direct_replacement else (a, b)
-        c1, c2 = orc._dense_project_low(x1, K), orc._dense_project_low(x2, K)
+        c1, c2 = sp.project_low(x1, K), sp.project_low(x2, K)
         return f1 + (m[0, 0] * c1 + m[0, 1] * c2), f2 + (m[1, 0] * c1 + m[1, 1] * c2)
 
     def shift(a, b, h, k):
         return a + h * k[0], b + h * k[1]
 
-    d1, d2 = dense(state.v1), dense(state.v2)
+    d1, d2 = state.v1, state.v2
     k1 = rhs(d1, d2, 0.0)
     k2 = rhs(*shift(d1, d2, 0.5 * dt, k1), 0.5 * dt)
     k3 = rhs(*shift(d1, d2, 0.5 * dt, k2), 0.5 * dt)
@@ -278,8 +286,7 @@ class TestDenseKernel:
         expect = _boundary_rk4_step(state, dt)
         final = orc.dense_trajectory(state, t_end=dt, dt_ref=dt)
         for got, want in zip((final.v1, final.v2), expect):
-            got = orc.dense_from_spectral(got, 2, keep_radius=state.grid.dealias_radius)
-            assert orc.dense_l2(got - want) <= 1e-14 * orc.dense_l2(want)
+            assert (got - want).l2 <= 1e-14 * want.l2
 
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
     def test_triples_equal_nested_loops(self, radius):
@@ -344,7 +351,6 @@ class TestDenseKernel:
 
     def test_oracle_calls_no_transform(self, setup, monkeypatch):
         states = [setup(matrix) for _, matrix in self.SYSTEMS]
-        d1, d2 = (orc.dense_from_spectral(v, 2) for v in (states[0].v1, states[0].v2))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the dense oracle called a transform")
@@ -356,7 +362,7 @@ class TestDenseKernel:
             np.fft.rfft2(np.zeros((4, 4)))
         for state in states:
             orc.dense_trajectory(state, t_end=0.05, dt_ref=1e-2)
-        orc.dense_bilinear_B(d1, d2)
+        orc.dense_bilinear_B(states[0].v1, states[0].v2)
 
 
 class TestHeatExact:

@@ -7,7 +7,9 @@
 `src`) and writes one directory per run, `verify_fast.txt` (what
 `intertwine verify --fast` prints, without its [time] lines),
 `verify_worst.tsv` (each of those checks' worst value to 17 significant
-digits) and `SHA256SUMS`, one `sha256sum` line per file, into DIR.  A run
+digits), `dense_oracle.tsv` (an n = 8 ensemble under a time-dependent force,
+stepped by the dense oracle and by the stepper) and `SHA256SUMS`, one
+`sha256sum` line per file, into DIR.  A run
 that raises leaves its error in `<run>/error.txt`.  --toy runs the same set
 at toy size.
 
@@ -176,6 +178,38 @@ def verify_worst(results: list) -> str:
     return "check\tworst\n" + "".join(f"{res.name}\t{res.worst:.17g}\n" for res in results)
 
 
+def dense_oracle(toy: bool) -> str:
+    """A TSV of each member's final |v1| and |v2| to 17 significant digits
+    and the SHA-256 of its half spectra, from `oracle.dense_trajectories`
+    and `dynamics.integrate_many`: an n = 8 ensemble of the zero,
+    nudge_symmetric and dr_symmetric matrices under a time-periodic force
+    plus a decaying delta, the forces that the verify suites do not use."""
+    import numpy as np
+
+    from intertwine import dynamics as dyn, forcing as fr, oracle as orc, spectral as sp
+
+    grid = sp.Grid(8)
+    rng = np.random.default_rng(11)
+    v1, v2, delta = (sp.random_field(grid, rng, energy=e, kmax=grid.dealias_radius) for e in (0.6, 0.6, 0.1))
+    base = fr.TimePeriodicForcing(fr.kolmogorov_force(grid, 0.2, 2), 1.3)
+    pair = fr.ForcingPair.decaying_delta(base, delta, 1.5)
+    matrices = {
+        "zero": dyn.IntertwiningMatrix.zero(),
+        "nudge_symmetric": dyn.IntertwiningMatrix.nudge_symmetric(2.0, 1.0),
+        "dr_symmetric": dyn.IntertwiningMatrix.dr_symmetric(0.6, 0.4),
+    }
+    states = [dyn.IntertwinedState(grid=grid, t=0.0, nu=0.3, K=2.0, matrix=m, v1=v1, v2=v2, forcing=pair)
+              for m in matrices.values()]
+    t_end, dt = 0.1 if toy else 1.0, 1e-3
+    rows = ["path\tmember\tl2_v1\tl2_v2\tsha256\n"]
+    for path, finals in (("dense", orc.dense_trajectories(states, t_end, dt_ref=dt)),
+                         ("stepper", dyn.integrate_many(states, t_end, dt))):
+        for name, final in zip(matrices, finals):
+            sha = hashlib.sha256(final.v1.half.tobytes() + final.v2.half.tobytes()).hexdigest()
+            rows.append(f"{path}\t{name}\t{final.v1.l2:.17g}\t{final.v2.l2:.17g}\t{sha}\n")
+    return "".join(rows)
+
+
 def files(root: str) -> list:
     """Every file under root but SHA256SUMS, as sorted relative paths."""
     found = []
@@ -205,7 +239,8 @@ def write_set(out: str, toy: bool) -> None:
             with open(os.path.join(run_dir, "error.txt"), "w", encoding="utf-8") as fh:
                 fh.write(f"{type(exc).__name__}: {exc}\n")
     results = verify_results(toy)
-    for name, text in (("verify_fast.txt", verify_lines(results)), ("verify_worst.tsv", verify_worst(results))):
+    for name, text in (("verify_fast.txt", verify_lines(results)), ("verify_worst.tsv", verify_worst(results)),
+                       ("dense_oracle.tsv", dense_oracle(toy))):
         with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
             fh.write(text)
     with open(os.path.join(out, SUMS), "w", encoding="utf-8") as fh:
