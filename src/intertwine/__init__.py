@@ -9,7 +9,6 @@ from .spectral import (
     bilinear_B,
     frechet_DB,
     leray_project,
-    norms,
     project_high,
     project_low,
     random_field,
@@ -28,7 +27,6 @@ from .dynamics import (
     residual_half_DB,
     residual_twisted,
     rhs_general,
-    rhs_nse,
 )
 from .diagnostics import (
     ConditionReport,
@@ -43,7 +41,6 @@ from .diagnostics import (
     check_uniform_bound,
     decay_detect,
     default_constants,
-    grashof_from_series,
     heat_compare,
 )
 

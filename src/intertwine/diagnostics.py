@@ -149,14 +149,6 @@ class DecayVerdict:
     r2: float
 
 
-def grashof_from_series(samples, nu: float) -> float:
-    """Sampled sup of |g(t)| / nu^2; sampling density is the caller's job."""
-    values = [float(x) for x in samples]
-    if not values:
-        raise EmptySeries("force series is empty")
-    return max(values) / nu**2
-
-
 def grashof_set_for_state(state: IntertwinedState, t0: float = 0.0, m_frak: float = math.nan) -> GrashofSet:
     """Assemble the dimensionless numbers for a configured run."""
     nu = state.nu

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectral
-from .forcing import ForceStack, ForcingPair, SteadyForcing
+from .forcing import ForceStack, ForcingPair
 from .spectral import Grid, SpectralField, project_high, project_low
 
 NUDGE_SYMMETRIC = "nudge_symmetric"
@@ -132,21 +132,6 @@ class IntertwiningMatrix:
     def is_direct_replacement(self):
         return self.kind in DR_CLASSES
 
-    @property
-    def eigenvalues(self):
-        """Eigenvalues of the damping matrix -M, ordered (lambda1, lambda2).
-
-        For the symmetric nudging class these are (mu1 - mu2, mu1 + mu2) and
-        -M is non-negative definite.
-        """
-        lams = np.linalg.eigvals(-self.entries)
-        lams = np.sort(np.real_if_close(lams))
-        return float(np.real(lams[0])), float(np.real(lams[1]))
-
-    def damping(self) -> np.ndarray:
-        """The matrix -entries (non-negative definite for symmetric nudging)."""
-        return -self.entries
-
     def __repr__(self):
         return f"IntertwiningMatrix({self.kind}, params={self.params})"
 
@@ -183,9 +168,7 @@ COUPLING_BY_CODE = {spec.code: spec for spec in reversed(COUPLING_CLASSES.values
 class IntertwinedState:
     """Snapshot of the coupled pair: (v1, v2) plus time and parameters.
 
-    States are immutable; stepping returns a new state.  Setting advect=False
-    drops both B terms, turning each copy into a driven heat equation (used by
-    the low-mode heat checks).
+    States are immutable; stepping returns a new state.
     """
 
     grid: Grid
@@ -196,7 +179,6 @@ class IntertwinedState:
     v1: SpectralField
     v2: SpectralField
     forcing: ForcingPair
-    advect: bool = True
 
     def __post_init__(self):
         # in positive form, so that NaN fails them too
@@ -263,16 +245,14 @@ def _nbytes(x) -> int:
 class Workspace:
     """Every array of the coupled right-hand side and of its stepper, built
     once per call and reused: the one kernel of `integrate`,
-    `integrate_many`, `rhs_general` and `rhs_nse`.
+    `integrate_many` and `rhs_general`.
 
-    It holds c copies as one (c, 2, 2r+1, r+1) stack on the dealias box, and
-    `spectral.BoxAdvection` supplies B(v, v) for all of them at once.
-    fields and forces hold each copy's field and force, and pairs holds
-    (matrix, K, fold) for each pair of copies 2p, 2p + 1.  `Workspace.of`
-    builds the ensemble of P states as P such pairs, its members: they
-    share grid, t, nu, advect and dt, and each keeps its own matrix, cutoff
-    K, forces and fold flag.  Stepping runs on members; `rhs_nse` uses a
-    lone copy.
+    It holds the states as its members, member p's copies v1 and v2 being
+    copies 2p and 2p + 1 of one (2P, 2, 2r+1, r+1) stack on the dealias box,
+    and `spectral.BoxAdvection` supplies B(v, v) for all of them at once.
+    The members share grid, t and nu (ValueError naming the attribute
+    otherwise) and the step dt, and each keeps its own matrix, cutoff K,
+    forces and fold flag; fold None folds each member by `folds`.
 
     The copies' forces are one `forcing.ForceStack` on the box.  Its
     distinct fields are packed once and pass the alias guard
@@ -282,11 +262,11 @@ class Workspace:
     the box is kept, so content below ALIAS_RTOL outside the box is dropped
     when it is packed.
 
-    A pair's matrix fixes its intertwining function F: P_K B(., .) for a
+    A member's matrix fixes its intertwining function F: P_K B(., .) for a
     direct-replacement matrix, P_K for every other; a zero matrix, or one
     folded into the propagator, adds no coupling term.  With dt set the
     workspace steps: the propagator is the decay exp(-nu |k|^2 dt), and for
-    a folded pair also the 2x2 exp(dt M) across its copies on low modes,
+    a folded member also the 2x2 exp(dt M) across its copies on low modes,
     which moves the linear nudging coupling out of the explicit stages.
 
     Each entry's arithmetic (the force's fold, F = g - B, the row sums
@@ -300,12 +280,13 @@ class Workspace:
     side) the shared kernel of `BoxAdvection.cached` serves instead.
     """
 
-    def __init__(self, grid: Grid, nu: float, fields, forces, t: float = 0.0,
-                 advect: bool = True, dt=None, pairs=()):
-        self.grid, self.nu, self.advect, self.dt = grid, nu, advect, dt
-        self.V = self._pack(fields)
+    def __init__(self, states, dt=None, fold=None):
+        grid, t, nu = (_shared(states, name) for name in ("grid", "t", "nu"))
+        self.grid, self.nu, self.dt = grid, nu, dt
+        self.V = self._pack([v for s in states for v in (s.v1, s.v2)])
         self.shape = self.V.shape
         self.K1, self.X, self.B = (np.empty(self.shape, dtype=np.complex128) for _ in range(3))
+        forces = [g for s in states for g in (s.forcing.g1, s.forcing.g2)]
         self.forces = ForceStack(forces, self._pack, np.empty(self.shape, dtype=np.complex128), t)
         self.kernel = None
         # masks and decays enter the ufuncs at the stack's own shape (see
@@ -317,41 +298,27 @@ class Workspace:
             self.norm_weight = np.tile(np.repeat(grid.weight[:cols], 2), 2 * rows)
             self.norms = np.empty(len(self.V))
             self.members = [slice(c, c + 2) for c in range(0, len(self.V), 2)]
-        # (first copy, entries, bilinear) of each pair with a coupling term
+        folding = [dt is not None and (folds(s.matrix, dt) if fold is None else fold) for s in states]
+        # (first copy, entries, bilinear) of each member with a coupling term
         self.coupling = [
-            (2 * p, matrix.entries, matrix.is_direct_replacement)
-            for p, (matrix, _, fold) in enumerate(pairs) if not fold and np.any(matrix.entries != 0.0)
+            (2 * p, s.matrix.entries, s.matrix.is_direct_replacement)
+            for p, s in enumerate(states) if not folding[p] and np.any(s.matrix.entries != 0.0)
         ]
-        self.bilinear = any(bilinear for _, _, bilinear in self.coupling)
         self.low = None
         if self.coupling:
             self.low = np.empty(self.shape, dtype=np.complex128)
-            for p, (_, K, _) in enumerate(pairs):
-                self.low[2 * p : 2 * p + 2] = spectral.to_box(grid, grid.low_mode_mask(K))
-        # (first copy, exp(dt M), low modes and their two buffers) of each folded pair
+            for p, s in enumerate(states):
+                self.low[2 * p : 2 * p + 2] = spectral.to_box(grid, grid.low_mode_mask(s.K))
+        # (first copy, exp(dt M), low modes and their two buffers) of each folded member
         self.folded = []
-        for p, (matrix, K, fold) in enumerate(pairs):
-            if fold:
-                modes = np.flatnonzero(spectral.to_box(grid, grid.low_mode_mask(K)))
+        for p, s in enumerate(states):
+            if folding[p]:
+                modes = np.flatnonzero(spectral.to_box(grid, grid.low_mode_mask(s.K)))
                 self.folded.append((
-                    2 * p, expm_2x2(dt * matrix.entries).astype(np.complex128), modes,
+                    2 * p, expm_2x2(dt * s.matrix.entries).astype(np.complex128), modes,
                     np.empty((2, 2, len(modes)), dtype=np.complex128),
                     np.empty((2, 2 * len(modes)), dtype=np.complex128),
                 ))
-
-    @classmethod
-    def of(cls, states, dt=None, fold=None) -> "Workspace":
-        """The workspace of one state's pair, or of an ensemble of states,
-        which must share grid, t, nu and advect; fold None folds each
-        member by `folds`."""
-        states = (states,) if isinstance(states, IntertwinedState) else tuple(states)
-        grid, t, nu, advect = (_shared(states, name) for name in ("grid", "t", "nu", "advect"))
-        pairs = [
-            (s.matrix, s.K, dt is not None and (folds(s.matrix, dt) if fold is None else fold))
-            for s in states
-        ]
-        return cls(grid, nu, [v for s in states for v in (s.v1, s.v2)],
-                   [g for s in states for g in (s.forcing.g1, s.forcing.g2)], t, advect, dt, pairs)
 
     def _stack(self, a) -> np.ndarray:
         box = np.broadcast_to(spectral.to_box(self.grid, a), self.shape)
@@ -383,17 +350,13 @@ class Workspace:
             self.kernel = make(self.grid, len(V))
         B, (c, s) = self.B, self.kernel.work
         # every read of V comes before out is written
-        if self.advect or self.bilinear:
-            self.kernel.advect(V, B)
+        self.kernel.advect(V, B)
         for p, _, bilinear in self.coupling:
             pair = slice(p, p + 2)
             np.multiply((B if bilinear else V)[pair], self.low[pair], out=c[pair])
         if diffuse:
             F = np.subtract(F, self.nu * (spectral.to_box(self.grid, self.grid.k2) * V), out=out)
-        if self.advect:
-            F = np.subtract(F, B, out=out)
-        if F is not out:
-            np.copyto(out, F)
+        np.subtract(F, B, out=out)
         for p, m, _ in self.coupling:
             # sum each row's coupling first: commutativity of addition then
             # keeps the two equations bitwise equal on the synchronized manifold
@@ -436,11 +399,6 @@ class Workspace:
         np.multiply(floats, floats, out=squares)
         return np.dot(squares, self.norm_weight, out=self.norms)
 
-    def largest_norms(self) -> np.ndarray:
-        """Per member, the larger L2 norm of its two copies after a step; NaN
-        when one is not finite."""
-        return np.sqrt(spectral.PLANCHEREL * self._square_norms().reshape(-1, 2).max(axis=1))
-
     def blown_up(self) -> list:
         """The members that have `diverged` after a step."""
         return diverged(self._square_norms(), self.members)
@@ -454,12 +412,6 @@ class Workspace:
         return spectral.from_box(self.grid, self.rhs(self.V, t, self.K1, diffuse=True))
 
 
-def rhs_nse(u: SpectralField, f: SpectralField, nu: float) -> SpectralField:
-    """Plain Navier-Stokes right-hand side f - nu A u - B(u, u)."""
-    ws = Workspace(u.grid, nu, (u,), (SteadyForcing(f),))
-    return SpectralField(u.grid, ws.right_hand_sides(0.0)[0])
-
-
 def rhs_general(state: IntertwinedState):
     """Right-hand sides of the intertwined system.
 
@@ -467,7 +419,7 @@ def rhs_general(state: IntertwinedState):
     + m_i1 F(v1) + m_i2 F(v2).  The matrix fixes F: P_K B(., .) for a
     direct-replacement matrix, P_K for every other.
     """
-    F = Workspace.of(state).right_hand_sides(state.t)
+    F = Workspace([state]).right_hand_sides(state.t)
     return SpectralField(state.grid, F[0]), SpectralField(state.grid, F[1])
 
 
@@ -582,11 +534,11 @@ def _with_pair(state: IntertwinedState, half, t: float) -> IntertwinedState:
 
 
 def _run(states, t_end: float, dt: float, sample_every=None, sink=None, cfl_factor=1.0,
-         stepper=Workspace.of) -> list:
+         stepper=Workspace) -> list:
     """The one run loop of the package: the states advanced to t_end as the
     members of one stepper, step k landing at t0 + k dt.
 
-    stepper(states, dt) is `Workspace.of`, or the oracle's dense RK4
+    stepper(states, dt) is a `Workspace`, or the oracle's dense RK4
     stepper.  It holds the copies as rows V, members[p] being member p's
     two, and their forces as a `forcing.ForceStack`; step(t) advances V
     from t, blown_up() names the members that have `diverged`, and
@@ -606,7 +558,7 @@ def _run(states, t_end: float, dt: float, sample_every=None, sink=None, cfl_fact
     if nsteps == 0:
         return list(states)
     for state in states:
-        limit = cfl_limit(state, cfl_factor) if cfl_factor is not None and state.advect else np.inf
+        limit = cfl_limit(state, cfl_factor) if cfl_factor is not None else np.inf
         if dt > limit:
             raise StepGuardViolation(
                 f"dt={dt:g} violates the step guard {limit:g}; "
@@ -667,7 +619,7 @@ def integrate(
 def integrate_many(states, t_end: float, dt: float, cfl_factor: float | None = 1.0) -> list:
     """Advance an ensemble of states to t_end as one stack on one `Workspace`.
 
-    The states must share grid, t, nu and advect (ValueError otherwise), and
+    The states must share grid, t and nu (ValueError otherwise), and
     dt is one step for all.  Returns, per state, its state at t_end, bitwise
     the state `integrate` returns for it alone, or the BlowupDetected of a
     member that blew up: that member is frozen and the others go on.  The

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, field_from_modes, zero_field
-
-STEADY = "steady"
-TIME_PERIODIC = "time_periodic"
-DECAYING_PAIR_DELTA = "decaying_pair_delta"
+from .spectral import Grid, SpectralField, field_from_modes
 
 
 class NoClosedForm(ValueError):
@@ -30,7 +26,6 @@ class Forcing:
     steady says the weights never change, so that g is formed once.
     """
 
-    kind = STEADY
     steady = False
     fields: tuple = ()
 
@@ -110,7 +105,6 @@ class ForceStack:
 
 
 class SteadyForcing(Forcing):
-    kind = STEADY
     steady = True
 
     def __init__(self, field: SpectralField):
@@ -125,36 +119,23 @@ class SteadyForcing(Forcing):
 
 
 class TimePeriodicForcing(Forcing):
-    """g(t) = cos(omega t) * a + sin(omega t) * b."""
+    """g(t) = cos(omega t) * a."""
 
-    kind = TIME_PERIODIC
-
-    def __init__(self, cos_field: SpectralField, omega: float, sin_field=None):
-        self.cos_field = cos_field
-        self.sin_field = sin_field if sin_field is not None else zero_field(cos_field.grid)
+    def __init__(self, field: SpectralField, omega: float):
+        self.field = field
         self.omega = float(omega)
-        self.fields = (self.cos_field, self.sin_field)
+        self.fields = (field,)
 
     def weights(self, t: float) -> tuple:
-        return (np.cos(self.omega * t), np.sin(self.omega * t))
+        return (np.cos(self.omega * t),)
 
     def sup_l2(self) -> float:
-        # |g(t)|^2 is a quadratic form in (cos, sin); the sup is the largest
-        # eigenvalue of the 2x2 Gram matrix of (a, b)
-        from .spectral import inner
-
-        aa = inner(self.cos_field, self.cos_field)
-        bb = inner(self.sin_field, self.sin_field)
-        ab = inner(self.cos_field, self.sin_field)
-        half_tr = 0.5 * (aa + bb)
-        rad = np.sqrt(max(0.0, (0.5 * (aa - bb)) ** 2 + ab**2))
-        return float(np.sqrt(max(0.0, half_tr + rad)))
+        # |cos| reaches 1 at t = 0
+        return self.field.l2
 
 
 class DecayingDeltaForcing(Forcing):
     """base(t) + exp(-rate * t) * delta; tends to base, giving a synchronous pair."""
-
-    kind = DECAYING_PAIR_DELTA
 
     def __init__(self, base: Forcing, delta: SpectralField, rate: float):
         if rate <= 0:
@@ -202,7 +183,7 @@ class ForcingPair:
         if isinstance(self.g2, DecayingDeltaForcing) and self.g2.base is self.g1:
             return float(np.exp(-self.g2.rate * t0)) * self.g2.delta.l2
         raise NoClosedForm(
-            f"no closed form for sup |g1 - g2| of a ({self.g1.kind}, {self.g2.kind}) pair"
+            f"no closed form for sup |g1 - g2| of a ({type(self.g1).__name__}, {type(self.g2).__name__}) pair"
         )
 
 

@@ -270,11 +270,6 @@ def config_slots(text: str) -> set:
     return {f"{section}.{key}" for _, section, key, _ in _parse_kv_lines(text)}
 
 
-def parse_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
 def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ", ".join(repr(v) for v in value)
@@ -507,6 +502,12 @@ def _condition_reports(state0, records, constants, nu) -> list[ConditionReport]:
 
 
 def _integrate_with_records(cfg, state, extra_sink=None):
+    """Integrate the state per cfg, sampling a record per sample.
+
+    Returns (final state, records, blow-up): the final state is None and
+    the blow-up its BlowupDetected when the run blew up, and the records
+    then hold the samples taken before it.
+    """
     records: list[TimeSeriesRecord] = []
 
     def sink(snapshot):
@@ -514,27 +515,16 @@ def _integrate_with_records(cfg, state, extra_sink=None):
         if extra_sink is not None:
             extra_sink(snapshot)
 
-    final = dyn.integrate(
-        state, cfg.t_end, dt=cfg.dt, sample_every=cfg.sample_every, sink=sink
-    )
+    final, blowup = None, None
+    try:
+        final = dyn.integrate(state, cfg.t_end, dt=cfg.dt, sample_every=cfg.sample_every, sink=sink)
+    except dyn.BlowupDetected as exc:
+        blowup = exc
     diag.fill_energy_residuals(records, cfg.nu)
-    return final, records
+    return final, records, blowup
 
 
-def write_outputs(records, reports, dir_path) -> None:
-    """Write the CSV series and condition reports into a directory."""
-    os.makedirs(dir_path, exist_ok=True)
-    diag.write_timeseries_csv(os.path.join(dir_path, "series.csv"), records)
-    diag.write_condition_reports(dir_path, reports)
-
-
-def _write_run_artifacts(cfg, out_dir, records, reports, final_state, constants, result):
-    os.makedirs(out_dir, exist_ok=True)
-    write_text(os.path.join(out_dir, "config.ini"), serialize_config(cfg))
-    write_text(os.path.join(out_dir, "constants.json"), constants.to_json())
-    write_outputs(records, reports, out_dir)
-    if final_state is not None:
-        checkpoint_save(final_state, os.path.join(out_dir, "final.ckpt"), seed=cfg.seed)
+def _write_manifest(cfg, out_dir, result) -> None:
     manifest = {
         "package": "intertwine",
         "version": __import__("intertwine").__version__,
@@ -561,6 +551,12 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None, s
     (truth plus observer); fdss_determining_modes runs the uncoupled pair with
     a decaying force offset and tabulates low-mode versus full-state decay;
     regime_sweep fans self_sync over parameter grids.
+
+    The run's own artifacts (config.ini, constants.json, series.csv and
+    final.ckpt) are written before any verdict is formed, then conditions.*
+    and fdm_table.csv, and manifest.json last, so that its presence marks a
+    complete run.  A run that blows up keeps the samples it took, and has
+    no decay verdict, final ratio or condition reports.
     """
     kind = (kind or cfg.scenario).lower()
     if kind not in SCENARIOS:
@@ -589,15 +585,19 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None, s
     else:
         extra_sink = None
 
-    final_state = None
-    records: list[TimeSeriesRecord] = []
-    try:
-        final_state, records = _integrate_with_records(cfg, state, extra_sink)
-    except dyn.BlowupDetected as exc:
+    final_state, records, blowup = _integrate_with_records(cfg, state, extra_sink)
+    if blowup is not None:
         result.blowup = True
-        result.blowup_t = exc.t
+        result.blowup_t = blowup.t
 
-    if records:
+    os.makedirs(out_dir, exist_ok=True)
+    write_text(os.path.join(out_dir, "config.ini"), serialize_config(cfg))
+    write_text(os.path.join(out_dir, "constants.json"), constants.to_json())
+    diag.write_timeseries_csv(os.path.join(out_dir, "series.csv"), records)
+    if final_state is not None:
+        checkpoint_save(final_state, os.path.join(out_dir, "final.ckpt"), seed=cfg.seed)
+
+    if records and not result.blowup:
         l2_series = _collect_series(records, "l2_w")
         h1_series = _collect_series(records, "h1_w")
         try:
@@ -612,12 +612,13 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None, s
         # the fitted-rate verdicts above stay available as diagnostics
         result.decayed = bool(initial > 0 and result.final_ratio <= cfg.decay_threshold)
         result.reports = _condition_reports(state, records, constants, cfg.nu)
+    diag.write_condition_reports(out_dir, result.reports)
 
     if ladder is not None and ladder_rows:
         result.extras["fdm"] = _fdm_verdicts(cfg, ladder, ladder_rows, result)
         _write_fdm_table(out_dir, ladder, ladder_rows)
 
-    _write_run_artifacts(cfg, out_dir, records, result.reports, final_state, constants, result)
+    _write_manifest(cfg, out_dir, result)
     return result
 
 
@@ -655,7 +656,6 @@ def _fdm_verdicts(cfg, ladder, rows, result):
 
 
 def _write_fdm_table(out_dir, ladder, rows):
-    os.makedirs(out_dir, exist_ok=True)
     header = ["t"] + [f"l2_P{N:g}_w" for N in ladder]
     diag.write_csv(os.path.join(out_dir, "fdm_table.csv"), header, ([t, *vals] for t, vals in rows))
 

@@ -242,16 +242,13 @@ class _RK4:
     advanced by classical RK4 at step dt.  `dynamics._run` drives it as it
     drives a `dynamics.Workspace`.
 
-    The states must share grid, t and nu, and none may set advect=False,
-    which has no dense system (ValueError naming the attribute otherwise).
-    The forces are one `forcing.ForceStack` on the dense stack, and
+    The states must share grid, t and nu (ValueError naming the attribute
+    otherwise).  The forces are one `forcing.ForceStack` on the dense stack, and
     unpack(grid, V) is the kernel's `_Kernel.write`.
     """
 
     def __init__(self, states, dt=None):
         grid, t, nu = (_shared(states, name) for name in ("grid", "t", "nu"))
-        if not all(s.advect for s in states):
-            raise ValueError("the dense oracle has no system with advect=False")
         self.kern = kern = _kernel(grid.dealias_radius)
         # the kernel's method, not the stepper's: _run keeps unpack after it frees the stepper
         self.unpack = kern.write

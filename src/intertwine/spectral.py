@@ -25,12 +25,11 @@ back, two-thirds mask, Leray projection.  `bilinear_B(u, v)` uses the
 convective form.  `BoxAdvection` evaluates B(v, v) for a whole stack in
 rotational form on the dealias box (`Grid.box_rows`, `Grid.box_cols`: the
 modes a dealiased field can carry), with pruned transforms into buffers it
-owns; `self_advection` runs it on half-spectrum stacks.
+owns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -222,15 +221,6 @@ class SpectralField:
         return f"SpectralField(n={self.grid.n}, l2={self.l2:.6g})"
 
 
-@dataclass
-class NormTriple:
-    """L2 norm, H1 seminorm and the ladder of higher Sobolev norms |A^(m/2) u|."""
-
-    l2: float
-    h1: float
-    hm: dict = field(default_factory=dict)
-
-
 def _require_same_grid(u: SpectralField, v: SpectralField):
     if u.grid != v.grid:
         raise ValueError("fields live on different grids")
@@ -347,11 +337,6 @@ def hm_norm(u: SpectralField, m: int) -> float:
     return float(np.sqrt(PLANCHEREL * np.sum(u.grid.hm_weight(m) * (h.real**2 + h.imag**2))))
 
 
-def norms(u: SpectralField, max_m: int = 2) -> NormTriple:
-    hm = {m: hm_norm(u, m) for m in range(max_m + 1)}
-    return NormTriple(l2=hm[0], h1=hm[1] if max_m >= 1 else hm_norm(u, 1), hm=hm)
-
-
 def to_box(grid: Grid, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The dealias box of the stack V (..., 2, n, n//2+1), shape
     (..., 2, 2r+1, r+1) (see `Grid.box_rows`): a fresh C-contiguous copy, or
@@ -411,11 +396,6 @@ def l4_norm(u: SpectralField) -> float:
     return float((np.sum((phys[0] ** 2 + phys[1] ** 2) ** 2) * cell) ** 0.25)
 
 
-def dealias(u: SpectralField) -> SpectralField:
-    """Zero all modes outside the grid's dealias radius."""
-    return SpectralField(u.grid, u.half * u.grid.dealias_mask)
-
-
 def alias_energy(grid: Grid, V: np.ndarray) -> np.ndarray:
     """For each field of the stack V (..., 2, n, n//2+1): its largest
     coefficient magnitude outside the dealias radius, relative to 1 + its
@@ -455,8 +435,7 @@ def bilinear_B(u: SpectralField, v: SpectralField) -> SpectralField:
 
 class BoxAdvection:
     """B(v, v) for a stack of c fields held on the dealias box, with every
-    transform buffer allocated once: the kernel of `self_advection` and of
-    the stepper.
+    transform buffer allocated once: the kernel of the stepper.
 
     Rotational form: (v . grad) v = grad(|v|^2 / 2) + omega (-v_y, v_x) with
     omega = d_x v_y - d_y v_x, and the Leray projection removes the gradient,
@@ -548,20 +527,6 @@ class BoxAdvection:
                 np.multiply(rot[i, 1, c], raw[c, 1], out=res[c, i])
         np.add(prod, res, out=res)
         return out
-
-
-def self_advection(grid: Grid, V: np.ndarray) -> np.ndarray:
-    """B(v, v) for each field v of the stack V, shape (c, 2, n, n//2+1).
-
-    Runs the shared `BoxAdvection` of (grid, c) on the dealias box of V and
-    returns a fresh array, zero outside the box.  Equals bilinear_B(v, v) to
-    roundoff for inputs inside the dealias radius; raises AliasingViolation
-    otherwise.
-    """
-    _require_dealiased(grid, V)
-    kernel = BoxAdvection.cached(grid, len(V))
-    out = np.empty(kernel.shape, dtype=np.complex128)
-    return from_box(grid, kernel.advect(to_box(grid, V), out))
 
 
 def trilinear_b(u: SpectralField, v: SpectralField, w: SpectralField) -> float:

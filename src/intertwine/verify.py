@@ -225,8 +225,3 @@ def suites(fast: bool = False):
                                         dt_ref=5e-4 if fast else 1e-4)),
         ("heat", lambda: heat_suite()),
     ]
-
-
-def run_all(fast: bool = False):
-    """Every suite's results; fast mode trims batch sizes for a quick smoke check."""
-    return [res for _, run in suites(fast) for res in run()]

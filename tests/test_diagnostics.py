@@ -27,23 +27,36 @@ from intertwine.diagnostics import (
     check_uniform_bound,
     decay_detect,
     default_constants,
-    grashof_from_series,
+    grashof_set_for_state,
     heat_compare,
 )
 
 UNIT = ConstantsConfig(C_L=1.0, C_A=1.0, C_S=1.0)
 
 
-class TestGrashofNumbers:
-    def test_constant_force(self):
-        assert grashof_from_series([2.0, 2.0, 2.0], nu=1.0) == 2.0
+def _forced_state(grid, force, nu):
+    u = sp.zero_field(grid)
+    pair = fr.ForcingPair.synchronized(fr.SteadyForcing(force))
+    return dyn.IntertwinedState(grid=grid, t=0.0, nu=nu, K=2.0, matrix=dyn.IntertwiningMatrix.zero(),
+                                v1=u, v2=u, forcing=pair)
 
-    def test_zero_force(self):
-        assert grashof_from_series([0.0, 0.0], nu=0.5) == 0.0
+
+class TestGrashofNumbers:
+    def test_constant_force(self, grid16):
+        force = fr.kolmogorov_force(grid16, 0.3, 2)
+        gs = grashof_set_for_state(_forced_state(grid16, force, nu=1.0))
+        assert gs.g1 == gs.g2 == force.l2
+
+    def test_zero_force(self, grid16):
+        gs = grashof_set_for_state(_forced_state(grid16, sp.zero_field(grid16), nu=0.5))
+        assert gs.g1 == gs.g2 == gs.g == 0.0
 
     def test_empty_series(self):
         with pytest.raises(EmptySeries):
-            grashof_from_series([], nu=1.0)
+            diag.measured_m_frak([], [], nu=1.0)
+        with pytest.raises(EmptySeries):
+            check_uniform_bound([], "nudge_mutual", GrashofSet(g1=1.0, g2=1.0, g=2**0.5),
+                                dyn.IntertwiningMatrix.nudge_mutual(1.0, 1.0), nu=0.1)
 
     def test_decaying_pair_tail_sup(self, grid16, rng):
         # the tail sup of |h| is the closed-form exponential envelope
@@ -63,8 +76,15 @@ class TestGrashofNumbers:
         pair = fr.ForcingPair(
             fr.SteadyForcing(force), fr.TimePeriodicForcing(force, omega=1.0)
         )
-        with pytest.raises(fr.NoClosedForm):
+        with pytest.raises(fr.NoClosedForm, match="SteadyForcing, TimePeriodicForcing"):
             pair.sup_h_l2(0.0)
+
+    def test_time_periodic_sup_is_the_sampled_max(self, grid16):
+        # g(t) = cos(omega t) a: the sup |a| is reached at t = 0
+        omega = 3.0
+        g = fr.TimePeriodicForcing(fr.kolmogorov_force(grid16, 0.3, 2) + sp.taylor_green(grid16, 0.2), omega)
+        sampled = max(g(t).l2 for t in np.arange(64) * (2.0 * np.pi / omega / 64))
+        assert g.sup_l2() == pytest.approx(sampled, rel=1e-15, abs=0.0)
 
     def test_set_invariants(self):
         with pytest.raises(ValueError):
@@ -159,8 +179,8 @@ class TestWeightedNormEquivalence:
     def test_symmetric_damping_bounds(self, rng):
         # lambda1 |u|^2 <= u^T (-M) u <= lambda2 |u|^2 for the symmetric class
         m = dyn.IntertwiningMatrix.nudge_symmetric(3.0, 1.0)
-        lam1, lam2 = m.eigenvalues
-        D = m.damping()
+        D = -m.entries
+        lam1, lam2 = np.linalg.eigvalsh(D)
         for _ in range(200):
             u = rng.standard_normal(2)
             q = float(u @ D @ u)

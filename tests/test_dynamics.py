@@ -24,7 +24,6 @@ from intertwine.dynamics import (
     residual_half_DB,
     residual_twisted,
     rhs_general,
-    rhs_nse,
 )
 
 NUDGE_N128 = """\
@@ -61,6 +60,18 @@ seed = 42
 """
 
 
+def plain(u, f, nu):
+    """The plain Navier-Stokes right-hand side f - nu A u - B(u, u), as
+    either copy's under the zero matrix with v1 = v2 = u and g1 = g2 = f."""
+    state = IntertwinedState(
+        grid=u.grid, t=0.0, nu=nu, K=0.0, matrix=IntertwiningMatrix.zero(), v1=u, v2=u,
+        forcing=fr.ForcingPair.synchronized(fr.SteadyForcing(f)),
+    )
+    f1, f2 = rhs_general(state)
+    assert f1.half.tobytes() == f2.half.tobytes()
+    return f1
+
+
 def make_state(grid, rng, matrix, nu=0.2, K=2.0, amplitude=0.1, energy=0.6, same=False):
     pair = fr.ForcingPair.synchronized(
         fr.SteadyForcing(fr.kolmogorov_force(grid, amplitude, 2))
@@ -76,8 +87,8 @@ class TestIntertwiningMatrix:
     def test_symmetric_nudging_entries_and_eigenvalues(self):
         m = IntertwiningMatrix.nudge_symmetric(3.0, 1.0)
         assert np.array_equal(m.entries, [[-3.0, 1.0], [1.0, -3.0]])
-        assert m.eigenvalues == (2.0, 4.0)  # of the damping matrix -M
-        evals = np.linalg.eigvalsh(m.damping())
+        evals = np.linalg.eigvalsh(-m.entries)  # of the damping matrix -M
+        assert tuple(evals) == (2.0, 4.0)
         assert min(evals) >= 0.0
 
     def test_mutual_nudging_entries(self):
@@ -108,12 +119,12 @@ class TestIntertwiningMatrix:
 class TestRightHandSides:
     def test_nse_zero_state_returns_force(self, grid16):
         f = fr.kolmogorov_force(grid16, 0.3, 2)
-        out = rhs_nse(sp.zero_field(grid16), f, nu=0.1)
+        out = plain(sp.zero_field(grid16), f, nu=0.1)
         assert np.array_equal(out.coeffs, f.coeffs)
 
     def test_nse_shear_pure_diffusion(self, grid16):
         shear = sp.field_from_modes(grid16, [(0, 2, (0.5 / 1j, 0.0))])
-        out = rhs_nse(shear, sp.zero_field(grid16), nu=0.3)
+        out = plain(shear, sp.zero_field(grid16), nu=0.3)
         expect = -0.3 * sp.stokes_apply(shear, 2)
         assert (out - expect).l2 <= 1e-15
 
@@ -121,7 +132,7 @@ class TestRightHandSides:
         u = sp.random_field(grid8, rng, energy=0.7, kmax=grid8.dealias_radius)
         f = fr.kolmogorov_force(grid8, 0.2, 2)
         nu = 0.25
-        mine = rhs_nse(u, f, nu)
+        mine = plain(u, f, nu)
         dense = f - nu * sp.stokes_apply(u, 2) - orc.dense_bilinear_B(u, u)
         gap = (mine - dense).l2
         assert gap <= 1e-11 * max(mine.l2, 1.0)
@@ -129,16 +140,16 @@ class TestRightHandSides:
     def test_zero_matrix_decouples(self, grid16, rng):
         state = make_state(grid16, rng, IntertwiningMatrix.zero())
         f1, f2 = rhs_general(state)
-        e1 = rhs_nse(state.v1, state.forcing.g1(0.0), state.nu)
-        e2 = rhs_nse(state.v2, state.forcing.g2(0.0), state.nu)
+        e1 = plain(state.v1, state.forcing.g1(0.0), state.nu)
+        e2 = plain(state.v2, state.forcing.g2(0.0), state.nu)
         assert np.array_equal(f1.coeffs, e1.coeffs)
         assert np.array_equal(f2.coeffs, e2.coeffs)
 
     def test_zero_gain_nudging_decouples(self, grid16, rng):
         state = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(0.0, 0.0))
         f1, f2 = rhs_general(state)
-        assert np.array_equal(f1.coeffs, rhs_nse(state.v1, state.forcing.g1(0.0), state.nu).coeffs)
-        assert np.array_equal(f2.coeffs, rhs_nse(state.v2, state.forcing.g2(0.0), state.nu).coeffs)
+        assert np.array_equal(f1.coeffs, plain(state.v1, state.forcing.g1(0.0), state.nu).coeffs)
+        assert np.array_equal(f2.coeffs, plain(state.v2, state.forcing.g2(0.0), state.nu).coeffs)
 
     def test_one_sided_nudging_endpoint(self, grid16, rng):
         # mu1 = 0 leaves the first copy untouched and nudges the second
@@ -146,9 +157,9 @@ class TestRightHandSides:
         mu = 1.7
         state = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(0.0, mu))
         f1, f2 = rhs_general(state)
-        plain1 = rhs_nse(state.v1, state.forcing.g1(0.0), state.nu)
+        plain1 = plain(state.v1, state.forcing.g1(0.0), state.nu)
         assert np.array_equal(f1.coeffs, plain1.coeffs)
-        plain2 = rhs_nse(state.v2, state.forcing.g2(0.0), state.nu)
+        plain2 = plain(state.v2, state.forcing.g2(0.0), state.nu)
         feedback = mu * sp.project_low(state.v1 - state.v2, state.K)
         assert (f2 - plain2 - feedback).l2 <= 1e-14 * f2.l2
 
@@ -157,7 +168,7 @@ class TestRightHandSides:
         # replacement observer; compare against a separately coded observer
         state = make_state(grid8, rng, IntertwiningMatrix.dr_mutual(0.0, 1.0))
         f1, f2 = rhs_general(state)
-        plain1 = rhs_nse(state.v1, state.forcing.g1(0.0), state.nu)
+        plain1 = plain(state.v1, state.forcing.g1(0.0), state.nu)
         assert np.array_equal(f1.coeffs, plain1.coeffs)
         g2 = state.forcing.g2(0.0)
         observer = (
@@ -315,9 +326,9 @@ class TestStepping:
         zero_pair = fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid16)))
         state = IntertwinedState(
             grid=grid16, t=0.0, nu=0.6, K=2.0, matrix=IntertwiningMatrix.zero(),
-            v1=mode, v2=mode.copy(), forcing=zero_pair, advect=False,
+            v1=mode, v2=mode.copy(), forcing=zero_pair,
         )
-        out = integrate(state, 0.25, dt=0.25)
+        out = integrate(state, 0.25, dt=0.25, cfl_factor=None)
         expect = mode.coeffs * np.exp(-0.6 * 5.0 * 0.25)
         assert np.abs(out.v1.coeffs - expect).max() <= 1e-16
 
@@ -376,7 +387,7 @@ class TestStepping:
         # with moderate gains both paths integrate the same flow at O(dt^2)
         base = make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(3.0, 2.0))
         fine = integrate(base, 0.5, dt=1e-3)
-        ws = dyn.Workspace.of(base, dt=0.01, fold=True)
+        ws = dyn.Workspace([base], dt=0.01, fold=True)
         for k in range(int(0.5 / 0.01)):
             ws.step(k * 0.01)
         folded = sp.SpectralField(grid16, sp.from_box(grid16, ws.V)[0])
@@ -402,10 +413,11 @@ class TestStepping:
             make_state(grid16, rng, IntertwiningMatrix.zero()),
             v2=sp.random_field(grid16, rng, energy=2.0),
         )
-        ws = dyn.Workspace.of(state, dt=0.01)
+        ws = dyn.Workspace([state], dt=0.01)
         ws.step(0.0)
         v1, v2 = (sp.SpectralField(grid16, h) for h in sp.from_box(grid16, ws.V))
-        assert ws.largest_norms() == pytest.approx([max(v1.l2, v2.l2)], rel=1e-14)
+        norms = np.sqrt(sp.PLANCHEREL * ws._square_norms())
+        assert norms == pytest.approx([v1.l2, v2.l2], rel=1e-14)
 
     def test_blowup_detected(self, grid16):
         # strong anti-damping through a general coupling matrix
@@ -442,17 +454,17 @@ class TestStepping:
         sp.check_field(out.v2)
 
     @pytest.mark.parametrize(
-        "matrix, dt, advect",
+        "matrix, dt",
         [
-            (IntertwiningMatrix.nudge_mutual(1.0, 0.5), 0.02, True),
-            (IntertwiningMatrix.nudge_symmetric(40.0, 40.0), 0.05, True),  # folded
-            (IntertwiningMatrix.dr_mutual(0.25, 0.75), 0.02, True),
-            (IntertwiningMatrix.dr_symmetric(0.75, 0.25), 0.02, False),
+            (IntertwiningMatrix.nudge_mutual(1.0, 0.5), 0.02),
+            (IntertwiningMatrix.nudge_symmetric(40.0, 40.0), 0.05),  # folded
+            (IntertwiningMatrix.dr_mutual(0.25, 0.75), 0.02),
+            (IntertwiningMatrix.dr_symmetric(0.75, 0.25), 0.02),
         ],
     )
-    def test_integrate_equals_step_loop(self, grid16, rng, matrix, dt, advect):
+    def test_integrate_equals_step_loop(self, grid16, rng, matrix, dt):
         # one-step integrate calls sum t, so step k starts at a running sum
-        state = replace(make_state(grid16, rng, matrix), advect=advect)
+        state = make_state(grid16, rng, matrix)
         out = integrate(state, 0.5, dt=dt, cfl_factor=None)
         looped = state
         for _ in range(round(0.5 / dt)):
@@ -493,8 +505,8 @@ class TestStepping:
         )
         calls.clear()
         integrate(replace(state, forcing=periodic), 0.2, dt=0.02)
-        # the initial pair and the force fields (cos, sin): the force is
-        # formed from its weights at each stage, not packed again
+        # the initial pair and the force field: the force is formed from its
+        # weight at each stage, not packed again
         assert len(calls) == 2
 
     def test_integrate_catches_aliased_forcing(self, grid16, rng):
@@ -509,20 +521,20 @@ class TestStepping:
             integrate(state, 0.1, dt=0.01)
 
     def test_integrate_catches_force_aliased_after_t0(self, grid16, rng):
-        # cos(omega t) a + sin(omega t) b with b aliased: g(0) is clean, so
-        # the guard must run on each of the force's fields, not on g(t0)
+        # cos(omega t) a with a aliased, from t0 = pi / (2 omega): g(t0) is
+        # clean to roundoff, so the guard must run on the force's field, not
+        # on g(t0)
         bad = np.zeros((2, 16, 9), dtype=complex)
         bad[1, 0, 7] = 0.1  # |k| = 7 > 16/3
-        forcing = fr.TimePeriodicForcing(
-            fr.kolmogorov_force(grid16, 0.3, 2), omega=3.0, sin_field=sp.leray_project(grid16, bad)
-        )
-        sp._require_dealiased(grid16, sp.pack(forcing(0.0)))
+        forcing = fr.TimePeriodicForcing(sp.leray_project(grid16, bad), omega=3.0)
+        t0 = np.pi / 6.0
+        sp._require_dealiased(grid16, sp.pack(forcing(t0)))
         state = replace(
             make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 1.0)),
-            forcing=fr.ForcingPair.synchronized(forcing),
+            t=t0, forcing=fr.ForcingPair.synchronized(forcing),
         )
         with pytest.raises(sp.AliasingViolation):
-            integrate(state, 0.1, dt=0.01)
+            integrate(state, t0 + 0.1, dt=0.01)
 
     def test_sub_tolerance_content_outside_box_dropped_at_pack(self, grid16, rng):
         # content below ALIAS_RTOL passes the guard; outside the box it is
@@ -575,7 +587,7 @@ class TestStepping:
                 return integrate(state, t_end, dt=0.02)
             return dyn.integrate_many(states, t_end, dt=0.02)
 
-        ws = dyn.Workspace.of(states, dt=0.02)
+        ws = dyn.Workspace(states, dt=0.02)
         ws.step(0.0)
         run(0.04)  # numpy's first-call caches
         tracemalloc.start()
@@ -631,7 +643,6 @@ class TestStepping:
         state = IntertwinedState(
             grid=grid16, t=0.0, nu=1e-12, K=2.0, matrix=IntertwiningMatrix.zero(),
             v1=sp.zero_field(grid16), v2=sp.zero_field(grid16), forcing=pair,
-            advect=False,
         )
         out = integrate(state, 1.0, dt=0.005, cfl_factor=None)
         expect = (np.sin(3.0 * 1.0) / 3.0) * f
@@ -696,7 +707,7 @@ class TestEnsemble:
             dyn.integrate_many([calm, fast], 1.0, dt=0.5)
 
     @pytest.mark.parametrize("field, value", [
-        ("grid", sp.Grid(32)), ("t", 0.1), ("nu", 0.3), ("advect", False),
+        ("grid", sp.Grid(32)), ("t", 0.1), ("nu", 0.3),
     ])
     def test_members_must_share(self, grid16, rng, field, value):
         states = ensemble(grid16, rng)[:2]
@@ -709,29 +720,24 @@ class TestEnsemble:
         with pytest.raises(ValueError, match=f"share {field}"):
             dyn.integrate_many([states[0], other], 0.5, dt=0.02)
         with pytest.raises(ValueError, match=f"share {field}"):
-            dyn.Workspace.of([states[0], other], dt=0.02)
+            dyn.Workspace([states[0], other], dt=0.02)
 
     def test_no_steps_returns_the_states(self, grid16, rng):
         states = ensemble(grid16, rng)
         assert dyn.integrate_many(states, 0.0, dt=0.02) == states
 
     def test_one_shot_callers_share_a_kernel(self, grid16, rng):
-        # rhs_general, rhs_nse and self_advection run on one cached kernel
-        # per (grid, copies); it holds nothing between calls, so the results
-        # are bitwise those of a fresh kernel, whatever ran on it before
+        # rhs_general runs on one cached kernel per (grid, copies); it holds
+        # nothing between calls, so the results are bitwise those of a fresh
+        # kernel, whatever ran on it before
         state = make_state(grid16, rng, IntertwiningMatrix.dr_mutual(0.25, 0.75))
-        fresh = dyn.Workspace.of(state)
+        fresh = dyn.Workspace([state])
         fresh.kernel = sp.BoxAdvection(grid16, 2)
         expect = fresh.right_hand_sides(state.t)
         rhs_general(make_state(grid16, rng, IntertwiningMatrix.nudge_mutual(1.0, 0.5)))
         f1, f2 = rhs_general(state)
         assert f1.half.tobytes() == expect[0].tobytes() and f2.half.tobytes() == expect[1].tobytes()
-        assert dyn.Workspace.of(state).kernel is None  # built at the first right-hand side
-        V = sp.pack(state.v1, state.v2)
-        kernel = sp.BoxAdvection(grid16, 2)
-        out = np.empty(kernel.shape, dtype=complex)
-        expect = sp.from_box(grid16, kernel.advect(sp.to_box(grid16, V), out))
-        assert sp.self_advection(grid16, V).tobytes() == expect.tobytes()
+        assert dyn.Workspace([state]).kernel is None  # built at the first right-hand side
         assert sp.BoxAdvection.cached(grid16, 2) is sp.BoxAdvection.cached(sp.Grid(16), 2)
 
 

@@ -206,7 +206,7 @@ class TestConfigParsing:
         res = hz.run_scenario(hz.parse_config_text(text), kind="regime_sweep", out_dir=tmp_path)
         for row in res.extras["table"]:
             pdir = tmp_path / f"point_{row['index']:03d}"
-            alone = hz.run_scenario(hz.parse_config(pdir / "config.ini"), out_dir=pdir / "alone")
+            alone = hz.run_scenario(hz.parse_config_text((pdir / "config.ini").read_text()), out_dir=pdir / "alone")
             assert alone.final_ratio == pytest.approx(row["final_ratio"], rel=1e-12, abs=0)
 
 
@@ -309,6 +309,18 @@ class TestCheckpoints:
 
 
 class TestScenarios:
+    def test_artifacts_written_before_verdicts(self, tmp_path, monkeypatch):
+        # a report that raises leaves the run's own artifacts, and no manifest
+        def failing(*args):
+            raise OverflowError("report arithmetic")
+
+        monkeypatch.setattr(hz, "_condition_reports", failing)
+        with pytest.raises(OverflowError):
+            hz.run_scenario(hz.parse_config_text(MINIMAL.replace("t_end = 4.0", "t_end = 0.2")), out_dir=tmp_path)
+        for name in ("config.ini", "constants.json", "series.csv", "final.ckpt"):
+            assert (tmp_path / name).exists(), name
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_self_sync_artifacts(self, tmp_path):
         cfg = hz.parse_config_text(MINIMAL)
         res = hz.run_scenario(cfg, out_dir=tmp_path)
@@ -513,6 +525,7 @@ class TestScenarios:
         assert rows[1][header.index("error")] == "ValueError: bad point, K = 2, mu = 2"
 
     def test_write_outputs_surface(self, tmp_path, grid16, rng):
+        # the writers of a run's outputs: the series and the condition reports
         from intertwine import diagnostics as diag
         from intertwine import dynamics as dyn
         from intertwine import forcing as fr
@@ -525,9 +538,10 @@ class TestScenarios:
         )
         records = [diag.sample_record(state)]
         reports = [diag.check_nudge_fdss_condition(4.0, 1.0, diag.default_constants())]
-        hz.write_outputs(records, reports, tmp_path / "out")
-        assert (tmp_path / "out" / "series.csv").exists()
-        assert (tmp_path / "out" / "conditions.tsv").exists()
+        diag.write_timeseries_csv(tmp_path / "series.csv", records)
+        diag.write_condition_reports(tmp_path, reports)
+        assert (tmp_path / "series.csv").exists()
+        assert (tmp_path / "conditions.tsv").exists()
 
     def test_failed_rewrite_keeps_previous_artifacts(self, tmp_path, grid16, rng):
         from intertwine import diagnostics as diag
@@ -542,7 +556,8 @@ class TestScenarios:
         )
         records = [diag.sample_record(state)]
         reports = [diag.check_nudge_fdss_condition(4.0, 1.0, diag.default_constants())]
-        hz.write_outputs(records, reports, tmp_path)
+        diag.write_timeseries_csv(tmp_path / "series.csv", records)
+        diag.write_condition_reports(tmp_path, reports)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         # a value that cannot be formatted fails the write partway through
         broken_record = diag.sample_record(state)
@@ -622,6 +637,11 @@ class TestCli:
         ).replace("energy = 0.3", "energy = 1.0")
         cfg = self._write(tmp_path, text)
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        # the samples taken before the blow-up are kept
+        with open(tmp_path / "out" / "series.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert rows and float(rows[0][header.index("t")]) == 0.0
+        assert not (tmp_path / "out" / "final.ckpt").exists()
 
     def test_twin_subcommand(self, tmp_path, capsys):
         cfg = self._write(tmp_path, MINIMAL.replace("t_end = 4.0", "t_end = 8.0"))

@@ -89,3 +89,65 @@ def test_verify_lines_are_what_the_cli_prints(monkeypatch, capsys):
         cli.main(["verify", "--fast"])
         printed = [line for line in capsys.readouterr().out.splitlines(True) if not line.startswith("[time]")]
         assert tool.verify_lines(results) == "".join(printed)
+
+
+def _load(path, name):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SYNTHETIC = '''\
+"""A module docstring
+over two lines."""
+
+import os  # a comment after code
+
+# a comment line
+SCALE = 2
+
+
+class Box:
+    """A class docstring."""
+
+    def used(self):
+        return SCALE
+
+    def unused(self):
+        """A method docstring."""
+        text = """a string that is code,
+        not a docstring"""
+        return text
+
+    def __len__(self):
+        return 0
+
+
+def helper():
+    return os.sep
+
+
+def orphan():
+    pass
+'''
+
+
+def test_loc_counts_and_unused_names(tmp_path):
+    # code lines skip blanks, comments and docstrings but keep other strings;
+    # a name counts as used when a user module reads it, and the package's
+    # __init__ re-exports do not count
+    loc = _load(ROOT / "tools" / "loc.py", "loc_tool")
+    assert loc.count(SYNTHETIC) == (15, SYNTHETIC.count("\n"))
+    pkg = tmp_path / "src" / "intertwine"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .mod import orphan, helper\n")
+    (pkg / "mod.py").write_text(SYNTHETIC)
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "demo.py").write_text("from intertwine.mod import helper\nhelper()\nBox().used()\n")
+    assert loc.unused(str(tmp_path / "src"), str(tmp_path)) == ["mod.Box.unused", "mod.orphan"]
+    table = loc.sizes(str(tmp_path / "src")).splitlines()
+    assert table[0].split() == ["module", "code", "wc", "-l"]
+    assert table[-1].split() == ["total", "16", str(SYNTHETIC.count("\n") + 1)]

@@ -185,7 +185,7 @@ class TestDenseTrajectory:
         with pytest.raises(orc.RadiusTooLarge, match="radius 5"):
             orc.dense_trajectory(_state(grid16, u, u.copy()), t_end=1e-2, dt_ref=1e-2)
 
-    def test_states_must_share_grid_t_nu_and_advect(self, grid8, rng):
+    def test_states_must_share_grid_t_and_nu(self, grid8, rng):
         u = sp.random_field(grid8, rng, energy=0.6)
         state = _state(grid8, u, u.copy())
         narrow = sp.Grid(8, 2.5)
@@ -197,8 +197,6 @@ class TestDenseTrajectory:
         ):
             with pytest.raises(ValueError, match=name):
                 orc.dense_trajectories([state, other], t_end=0.2, dt_ref=1e-2)
-        with pytest.raises(ValueError, match="advect"):
-            orc.dense_trajectory(replace(state, advect=False), t_end=1e-2, dt_ref=1e-2)
 
 
 def _boundary_rk4_step(state, dt):

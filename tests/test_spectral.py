@@ -14,7 +14,6 @@ from intertwine.spectral import (
     hm_norm,
     inner,
     leray_project,
-    norms,
     project_high,
     project_low,
     random_field,
@@ -167,22 +166,19 @@ class TestModeProjections:
 class TestNorms:
     def test_unit_mode_l2_equals_h1(self, grid16):
         u = sp.field_from_modes(grid16, [(1, 0, (0.0, 1.0))])
-        t = norms(u)
-        assert t.l2 == pytest.approx(t.h1, rel=1e-14)
-        assert t.hm[0] == t.l2 and t.hm[1] == t.h1
+        assert u.l2 == pytest.approx(u.h1, rel=1e-14)
+        assert hm_norm(u, 0) == u.l2 and hm_norm(u, 1) == u.h1
 
     def test_bernstein_equality_single_shell(self, grid16):
         # content only at |k| = 2 with N = 2: order-2 norm is exactly N^2 * l2
         u = sp.field_from_modes(grid16, [(0, 2, (1.0 / 1j, 0.0)), (2, 0, (0.0, 0.5))])
-        t = norms(u, max_m=2)
-        assert t.hm[2] == pytest.approx(4.0 * t.l2, rel=1e-13)
+        assert hm_norm(u, 2) == pytest.approx(4.0 * u.l2, rel=1e-13)
 
     def test_interpolation_by_direct_summation(self, grid16, rng):
         for _ in range(20):
             u = random_field(grid16, rng, slope=rng.uniform(0.5, 3.0))
-            t = norms(u, max_m=2)
             # direct Cauchy-Schwarz on the coefficient sums
-            assert t.hm[1] ** 2 <= t.hm[2] * t.hm[0] * (1 + 1e-12)
+            assert hm_norm(u, 1) ** 2 <= hm_norm(u, 2) * hm_norm(u, 0) * (1 + 1e-12)
 
     def test_poincare_on_batch(self, grid16, rng):
         for _ in range(1000):
@@ -374,7 +370,7 @@ class TestEmpiricalRatios:
             project_high(u, 3.0),
             bilinear_B(u, v),
             frechet_DB(u, v),
-            sp.dealias(u),
+            project_low(u, grid16.dealias_radius),
             u + v,
             2.5 * u - v,
         ]
@@ -387,7 +383,7 @@ class TestPackedLayout:
     def test_self_advection_equals_bilinear_B(self, rng, n):
         grid = Grid(n)
         fields = [random_field(grid, rng, slope=s) for s in (0.5, 1.0, 2.0)]
-        packed = sp.self_advection(grid, sp.pack(*fields))
+        packed = _box_advection(grid, sp.pack(*fields))
         for u, out in zip(fields, packed):
             ref = bilinear_B(u, u).half
             assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -403,7 +399,7 @@ class TestPackedLayout:
             for seed in range(6)
             for slope in (0.5, 1.0, 2.0, 3.0)
         ]
-        packed = sp.self_advection(grid, sp.pack(*fields))
+        packed = _box_advection(grid, sp.pack(*fields))
         for u, out in zip(fields, packed):
             ref = bilinear_B(u, u).half
             assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -438,9 +434,17 @@ class TestPackedLayout:
         bad = u.half.copy()
         bad[:, 0, 7] = 1.0  # |k| = 7 > 16/3
         dirty = leray_project(grid16, bad)
-        sp.self_advection(grid16, sp.pack(u, u))
+        sp._require_dealiased(grid16, sp.pack(u, u))
         with pytest.raises(AliasingViolation):
-            sp.self_advection(grid16, sp.pack(u, dirty))
+            sp._require_dealiased(grid16, sp.pack(u, dirty))
+
+
+def _box_advection(grid, V):
+    """B(v, v) of each field of the half-spectrum stack V by a fresh
+    `BoxAdvection` on its dealias box, zero outside the box."""
+    kernel = sp.BoxAdvection(grid, len(V))
+    out = np.empty(kernel.shape, dtype=complex)
+    return sp.from_box(grid, kernel.advect(sp.to_box(grid, V), out))
 
 
 def _reference_self_advection(grid, V):
@@ -472,7 +476,7 @@ class TestBoxKernel:
         for _ in range(2):  # the buffers are reused
             kernel.advect(sp.to_box(grid, V), out)
             assert out.tobytes() == sp.to_box(grid, ref).tobytes()
-        full = sp.self_advection(grid, V)
+        full = _box_advection(grid, V)
         assert np.array_equal(full, ref)  # zero outside the box, as the reference there
 
     def test_box_holds_the_dealias_ball(self):
