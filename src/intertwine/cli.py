@@ -59,16 +59,13 @@ def _report(result) -> None:
     print(f"artifacts: {result.out_dir}")
     if result.blowup:
         print(f"BLOWUP at t = {result.blowup_t:g}")
+    if result.decayed is not None:
+        # the verdict of the manifest; the fits are diagnostics beside it
+        print(f"|w| decay: decayed={result.decayed} final/initial={result.final_ratio:.3e}")
     if result.decay_l2 is not None:
-        print(
-            f"|w| decay: decayed={result.decay_l2.decayed} "
-            f"rate={result.decay_l2.rate:.4g} r2={result.decay_l2.r2:.3f} "
-            f"final/initial={result.final_ratio:.3e}"
-        )
+        print(f"|w| fit: rate={result.decay_l2.rate:.4g} r2={result.decay_l2.r2:.3f}")
     if result.decay_h1 is not None:
-        print(
-            f"|w|_V decay: decayed={result.decay_h1.decayed} rate={result.decay_h1.rate:.4g}"
-        )
+        print(f"|w|_V fit: rate={result.decay_h1.rate:.4g}")
     for rep in result.reports:
         mark = "ok " if rep.satisfied else "OUT"
         print(f"  [{mark}] {rep.name}: {rep.formula}")

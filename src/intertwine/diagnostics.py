@@ -4,7 +4,7 @@ checks, uniform-in-time bound checks, decay detection, and CSV time series.
 All sufficient conditions implemented here guarantee synchronization or
 uniform bounds; they are one-directional, so a violated condition annotates a
 run as "out of the guaranteed regime" rather than aborting it.  sup over time
-is approximated by the sampled max on a caller-chosen tail window.
+is approximated by the sampled max on the tail window TAIL_FRACTION.
 """
 
 from __future__ import annotations
@@ -37,6 +37,15 @@ from .spectral import Grid, SpectralField, hm_norm, random_field
 
 CONSTANTS_DATA_VERSION = 1
 
+# the last half of a sampled series: the window of every tail sup and fit
+TAIL_FRACTION = 0.5
+
+# The Grashof numbers and the condition formulas of a run take nu as a float64
+# scalar under this error state: where Python floats raise, an overflow reads
+# inf and 0/0 NaN, and a comparison with NaN fails, so a saturated condition
+# reads VIOLATED.
+_saturating = np.errstate(all="ignore")
+
 
 class EmptySeries(ValueError):
     pass
@@ -62,7 +71,6 @@ class GrashofSet:
     h_frak: float = math.nan
     k_frak: float = math.nan
     p_frak: float = math.nan
-    m_frak: float = math.nan
     d_frak: float = math.nan
     f_frak: float = math.nan
     r_frak: float = math.nan
@@ -149,14 +157,16 @@ class DecayVerdict:
     r2: float
 
 
-def grashof_set_for_state(state: IntertwinedState, t0: float = 0.0, m_frak: float = math.nan) -> GrashofSet:
-    """Assemble the dimensionless numbers for a configured run."""
-    nu = state.nu
+@_saturating
+def grashof_set_for_state(state: IntertwinedState) -> GrashofSet:
+    """Assemble the dimensionless numbers for a configured run; each
+    saturates to inf or NaN where nu is too small or too large to square."""
+    nu = np.float64(state.nu)
     pair = state.forcing
     g1 = pair.g1.sup_l2() / nu**2
     g2 = pair.g2.sup_l2() / nu**2
-    g = math.sqrt(g1**2 + g2**2)
-    h_frak = pair.sup_h_l2(t0) / nu**2
+    g = np.sqrt(g1**2 + g2**2)
+    h_frak = pair.sup_h_l2() / nu**2
     # sum-force envelope: exact for a synchronized pair
     if pair.g2 is pair.g1:
         k_frak = 2.0 * pair.g1.sup_l2() / nu**2
@@ -181,25 +191,24 @@ def grashof_set_for_state(state: IntertwinedState, t0: float = 0.0, m_frak: floa
         g_theta=g_theta,
         h_frak=h_frak,
         k_frak=k_frak,
-        p_frak=math.sqrt(p0**2 + h_frak**2),
-        m_frak=m_frak,
-        d_frak=math.sqrt(1.0 + (z0**2 + w0**2) / nu**2),
-        f_frak=math.sqrt(k_frak**2 + h_frak**2),
-        r_frak=math.sqrt(16.0 * (r0**2 + k_frak**2)),
+        p_frak=np.sqrt(p0**2 + h_frak**2),
+        d_frak=np.sqrt(1.0 + (z0**2 + w0**2) / nu**2),
+        f_frak=np.sqrt(k_frak**2 + h_frak**2),
+        r_frak=np.sqrt(16.0 * (r0**2 + k_frak**2)),
     )
 
 
-def measured_m_frak(h1_v1_series, h1_v2_series, nu: float, tail_fraction: float = 0.5) -> float:
+def measured_m_frak(h1_v1_series, h1_v2_series, nu: float) -> float:
     """min over copies of the tail sup of |v_i| / nu (the uniform-ball size)."""
     if len(h1_v1_series) == 0:
         raise EmptySeries("empty norm series")
-    sups = [max(_tail(series, tail_fraction)) for series in (h1_v1_series, h1_v2_series)]
+    sups = [max(_tail(series)) for series in (h1_v1_series, h1_v2_series)]
     return min(sups) / nu
 
 
-def _tail(series, tail_fraction: float):
-    """The last tail_fraction of a sampled series: the window of every tail sup and fit."""
-    return series[int(len(series) * (1.0 - tail_fraction)):]
+def _tail(series):
+    """The last TAIL_FRACTION of a sampled series."""
+    return series[int(len(series) * (1.0 - TAIL_FRACTION)):]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +257,7 @@ def check_K_log_condition(
     K: float,
     g_frak: float,
     C0: float,
-    name: str = "cutoff_log",
+    name: str,
     k_power: float = 1.0,
     log_power: float = 0.5,
     g_power: float = 1.0,
@@ -271,7 +280,7 @@ def check_K_log_condition(
 def m_frak_small_theta2(K: float, grashofs: GrashofSet, constants: ConstantsConfig) -> float:
     """Guaranteed uniform-ball size in the small-theta2 regime."""
     lnK = math.log(math.e + K)
-    return math.sqrt(
+    return np.sqrt(
         16.0
         * (1.0 + constants.C_S**2 * lnK * (1.0 + grashofs.p_frak**2))
         * (grashofs.d_frak**2 + grashofs.f_frak**2)
@@ -285,15 +294,14 @@ def check_theta_regime(
     m0_frak: float,
     g_frak: float,
     constants: ConstantsConfig,
-    m_frak: float | None = None,
-    grashofs: GrashofSet | None = None,
+    m_frak: float,
+    grashofs: GrashofSet,
 ) -> list[ConditionReport]:
-    """Evaluate the symmetric direct-replacement regime inequalities.
-
-    Always reports the composite smallness condition on
-    min(1 - theta1, |theta1 - theta2|); with m_frak supplied adds the
-    near-balanced gap condition, and with a GrashofSet adds the small-theta2
-    and cutoff conditions.  One report per inequality.
+    """Evaluate the symmetric direct-replacement regime inequalities, one
+    report per inequality: the composite smallness condition on
+    min(1 - theta1, |theta1 - theta2|), the near-balanced gap condition on
+    the measured ball size m_frak, and the small-theta2 and cutoff
+    conditions on the Grashof numbers.
     """
     lnK = math.log(math.e + K)
     reports = []
@@ -306,33 +314,31 @@ def check_theta_regime(
     report("theta_composite", lhs, rhs,
            f"min(1-theta1, |theta1-theta2|) = {lhs:.6g} <= C2/(ln(e+K)(1+m0+g)^4) = {rhs:.6g}")
 
-    if m_frak is not None and not math.isnan(m_frak):
-        rhs = math.sqrt(2.0) / (8.0 * constants.C_S * math.sqrt(lnK) * m_frak)
-        lhs = abs(theta1 - theta2)
-        report("theta_near_balanced", lhs, rhs,
-               f"|theta1-theta2| = {lhs:.6g} <= sqrt(2)/(8*C_S*ln(e+K)^(1/2)*m) = {rhs:.6g}")
+    rhs = math.sqrt(2.0) / (8.0 * constants.C_S * math.sqrt(lnK) * m_frak)
+    lhs = abs(theta1 - theta2)
+    report("theta_near_balanced", lhs, rhs,
+           f"|theta1-theta2| = {lhs:.6g} <= sqrt(2)/(8*C_S*ln(e+K)^(1/2)*m) = {rhs:.6g}")
 
-    if grashofs is not None:
-        m_small = m_frak_small_theta2(K, grashofs, constants)
-        lhs = theta2**2 * constants.C_S**2 * lnK * m_small**4
-        # 2*(|r0|/nu)^2 + k^2 recovered from r^2 = 16*((|r0|/nu)^2 + k^2)
-        rhs = max(0.0, grashofs.r_frak**2 / 8.0 - grashofs.k_frak**2)
-        report("theta_small", lhs, rhs,
-               f"theta2^2*C_S^2*ln(e+K)*m^4 = {lhs:.6g} <= 2*(|r0|/nu)^2 + k^2 = {rhs:.6g}")
-        floor = math.exp(1.0 / (8.0 * constants.C_S**2))
-        report("cutoff_small_theta2_floor", floor, K,
-               f"exp(1/(8 C_S^2)) = {floor:.6g} <= K = {K:.6g}")
-        balance = (
-            constants.C_A * grashofs.r_frak / K
-            + 16.0 * constants.C_S**2 * lnK * (grashofs.p_frak**2 + grashofs.r_frak**2) / K**2
-        )
-        report("cutoff_small_theta2_balance", balance, 2.0,
-               f"C_A*r/K + 16*C_S^2*ln(e+K)*(p^2+r^2)/K^2 = {balance:.6g} <= 2")
-        # the cutoff of the nearly-balanced (theta1 ~ theta2) global bound
-        lhs = 1024.0 * constants.C_S**2 * lnK * (grashofs.p_frak**2 + grashofs.h_frak**2)
-        rhs = K**2
-        report("cutoff_dr_near_balanced", lhs, rhs,
-               f"1024*C_S^2*ln(e+K)*(p^2+h^2) = {lhs:.6g} <= K^2 = {rhs:.6g}")
+    m_small = m_frak_small_theta2(K, grashofs, constants)
+    lhs = theta2**2 * constants.C_S**2 * lnK * m_small**4
+    # 2*(|r0|/nu)^2 + k^2 recovered from r^2 = 16*((|r0|/nu)^2 + k^2)
+    rhs = max(0.0, grashofs.r_frak**2 / 8.0 - grashofs.k_frak**2)
+    report("theta_small", lhs, rhs,
+           f"theta2^2*C_S^2*ln(e+K)*m^4 = {lhs:.6g} <= 2*(|r0|/nu)^2 + k^2 = {rhs:.6g}")
+    floor = math.exp(1.0 / (8.0 * constants.C_S**2))
+    report("cutoff_small_theta2_floor", floor, K,
+           f"exp(1/(8 C_S^2)) = {floor:.6g} <= K = {K:.6g}")
+    balance = (
+        constants.C_A * grashofs.r_frak / K
+        + 16.0 * constants.C_S**2 * lnK * (grashofs.p_frak**2 + grashofs.r_frak**2) / K**2
+    )
+    report("cutoff_small_theta2_balance", balance, 2.0,
+           f"C_A*r/K + 16*C_S^2*ln(e+K)*(p^2+r^2)/K^2 = {balance:.6g} <= 2")
+    # the cutoff of the nearly-balanced (theta1 ~ theta2) global bound
+    lhs = 1024.0 * constants.C_S**2 * lnK * (grashofs.p_frak**2 + grashofs.h_frak**2)
+    rhs = K**2
+    report("cutoff_dr_near_balanced", lhs, rhs,
+           f"1024*C_S^2*ln(e+K)*(p^2+h^2) = {lhs:.6g} <= K^2 = {rhs:.6g}")
     return reports
 
 
@@ -344,9 +350,8 @@ def check_uniform_bound(
     series,
     bound_formula: str,
     grashofs: GrashofSet,
-    matrix=None,
-    nu: float = 1.0,
-    tail_fraction: float = 0.5,
+    matrix: IntertwiningMatrix | None,
+    nu: float,
 ) -> ConditionReport:
     """Compare a trajectory's tail sup against a closed-form uniform bound.
 
@@ -357,7 +362,7 @@ def check_uniform_bound(
     """
     if not series:
         raise EmptySeries("empty trajectory series")
-    tail_sup = max(float(v) for _, v in _tail(series, tail_fraction))
+    tail_sup = max(float(v) for _, v in _tail(series))
     if bound_formula not in _REGIME_BY_NAME:
         raise ValueError(f"unknown bound formula {bound_formula!r}")
     bound, formula = _REGIME_BY_NAME[bound_formula].bound(grashofs, matrix, nu)
@@ -386,8 +391,7 @@ def _dr_conditions(run: RunFacts) -> list[ConditionReport]:
     theta1, theta2 = state0.matrix.params
     m0 = max(state0.v1.h1, state0.v2.h1) / run.nu
     return [check_dr_condition(state0.K, run.m_frak, run.constants)] + check_theta_regime(
-        theta1, theta2, state0.K, m0, run.grashofs.g, run.constants,
-        m_frak=run.m_frak, grashofs=run.grashofs,
+        theta1, theta2, state0.K, m0, run.grashofs.g, run.constants, run.m_frak, run.grashofs
     )
 
 
@@ -451,10 +455,12 @@ class Regime:
     with_bound: Callable[[RunFacts], ConditionReport] | None = None
     sync: str | None = None
 
+    @_saturating
     def reports(self, state0, records, constants, nu) -> list[ConditionReport]:
         """The reports of a run from state0 that sampled records, in table order."""
+        nu = np.float64(nu)
         m_frak = measured_m_frak([r.h1_v1 for r in records], [r.h1_v2 for r in records], nu)
-        grashofs = grashof_set_for_state(state0, m_frak=m_frak)
+        grashofs = grashof_set_for_state(state0)
         run = RunFacts(state0, records, constants, nu, m_frak, grashofs)
         reports = self.family(run)
         if self.cutoff is not None:
@@ -512,22 +518,27 @@ def regime_for(matrix: IntertwiningMatrix) -> Regime | None:
 # decay detection and heat comparison
 
 
-def decay_detect(series, tail_fraction: float = 0.5, threshold: float = 1e-6) -> DecayVerdict:
+def decayed(initial: float, final: float, threshold: float) -> bool:
+    """The finite-horizon decay rule: a positive initial value fell to at
+    most threshold times itself."""
+    return bool(initial > 0 and final <= threshold * initial)
+
+
+def decay_detect(series, threshold: float = 1e-6) -> DecayVerdict:
     """Decide whether a nonnegative signal decays, with a fitted rate.
 
     Fits log(x) against t on the tail window by least squares.  Decayed means
-    the final value fell below threshold * initial value, or the fitted rate
-    is negative with r^2 >= 0.9 (a clean exponential).
+    the series decayed by `decayed`, or the fitted rate is negative with
+    r^2 >= 0.9 (a clean exponential).
     """
     pts = [(float(t), float(x)) for t, x in series]
     if any(x < 0 for _, x in pts):
         raise ValueError("decay detection expects a nonnegative signal")
-    tail = _tail(pts, tail_fraction)
+    tail = _tail(pts)
     if len(tail) < 10:
         raise InsufficientData(f"need at least 10 tail samples, got {len(tail)}")
     initial = pts[0][1]
     final = tail[-1][1]
-    ratio_decayed = final <= threshold * initial if initial > 0 else False
 
     ts = np.array([t for t, _ in tail])
     xs = np.array([max(x, 1e-300) for _, x in tail])
@@ -539,8 +550,8 @@ def decay_detect(series, tail_fraction: float = 0.5, threshold: float = 1e-6) ->
     ss_res = float(np.sum((ys - fitted) ** 2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-30 else 1.0
-    decayed = bool(ratio_decayed or (rate < 0.0 and r2 >= 0.9 and final < initial))
-    return DecayVerdict(decayed=decayed, rate=rate, r2=r2)
+    clean = bool(rate < 0.0 and r2 >= 0.9 and final < initial)
+    return DecayVerdict(decayed=decayed(initial, final, threshold) or clean, rate=rate, r2=r2)
 
 
 def heat_compare(p_series, h: SpectralField | None, nu: float, K: float) -> float:
@@ -781,7 +792,7 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_condition_reports(dir_path, reports: list[ConditionReport], stem: str = "conditions") -> None:
+def write_condition_reports(dir_path, reports: list[ConditionReport]) -> None:
     """Human-readable lines plus a machine-readable TSV, one record per report."""
     lines = []
     rows = ["name\tlhs\trhs\tmargin\tsatisfied\n"]
@@ -790,5 +801,5 @@ def write_condition_reports(dir_path, reports: list[ConditionReport], stem: str 
         lines.append(f"{rep.name}: {verdict}; {rep.formula}; margin = {rep.margin:.6g}\n")
         numbers = "\t".join(_cell(float(x)) for x in (rep.lhs, rep.rhs, rep.margin))
         rows.append(f"{rep.name}\t{numbers}\t{rep.satisfied}\n")
-    write_text(os.path.join(dir_path, f"{stem}.txt"), "".join(lines))
-    write_text(os.path.join(dir_path, f"{stem}.tsv"), "".join(rows))
+    write_text(os.path.join(dir_path, "conditions.txt"), "".join(lines))
+    write_text(os.path.join(dir_path, "conditions.tsv"), "".join(rows))

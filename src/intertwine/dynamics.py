@@ -56,9 +56,9 @@ class StepGuardViolation(ValueError):
 class BlowupDetected(RuntimeError):
     """Trajectory left the finite ball; expected in misconfigured regimes."""
 
-    def __init__(self, t, message=None):
+    def __init__(self, t):
         self.t = t
-        super().__init__(message or f"solution norm diverged at t={t:g}")
+        super().__init__(f"solution norm diverged at t={t:g}")
 
 
 def diverged(square_norms, members) -> list:

@@ -158,9 +158,9 @@ class DecayingDeltaForcing(Forcing):
 class ForcingPair:
     """The pair (g1, g2) driving the two copies of the system."""
 
-    def __init__(self, g1: Forcing, g2: Forcing | None = None):
+    def __init__(self, g1: Forcing, g2: Forcing):
         self.g1 = g1
-        self.g2 = g2 if g2 is not None else g1
+        self.g2 = g2
 
     @classmethod
     def synchronized(cls, g: Forcing) -> "ForcingPair":
@@ -174,14 +174,14 @@ class ForcingPair:
         """The force mismatch g1(t) - g2(t)."""
         return self.g1(t) - self.g2(t)
 
-    def sup_h_l2(self, t0: float = 0.0) -> float:
-        """sup over t >= t0 of |g1 - g2| in closed form: 0 for a synchronized
-        pair, exp(-rate t0) |delta| for a decaying-delta pair; any other pair
-        raises NoClosedForm rather than report a sampled max as a sup."""
+    def sup_h_l2(self) -> float:
+        """sup over t >= 0 of |g1 - g2| in closed form: 0 for a synchronized
+        pair, |delta| for a decaying-delta pair; any other pair raises
+        NoClosedForm rather than report a sampled max as a sup."""
         if self.g2 is self.g1:
             return 0.0
         if isinstance(self.g2, DecayingDeltaForcing) and self.g2.base is self.g1:
-            return float(np.exp(-self.g2.rate * t0)) * self.g2.delta.l2
+            return self.g2.delta.l2
         raise NoClosedForm(
             f"no closed form for sup |g1 - g2| of a ({type(self.g1).__name__}, {type(self.g2).__name__}) pair"
         )

@@ -337,12 +337,11 @@ def build_initial(cfg: ExperimentConfig, grid: sp.Grid, rng: np.random.Generator
     return v1, v1 + (cfg.difference_scale / amp) * offset
 
 
-def build_state(cfg: ExperimentConfig, scenario: str | None = None, seed: int | None = None):
+def build_state(cfg: ExperimentConfig, scenario: str | None = None):
     """Grid, rng, state wired per scenario; returns (state, rng, constants)."""
     scenario = scenario or cfg.scenario
-    seed = cfg.seed if seed is None else seed
     grid = build_grid(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     matrix = build_matrix(cfg)
     if scenario == "fdss_determining_modes":
         matrix = dyn.IntertwiningMatrix.zero()
@@ -542,7 +541,7 @@ def _write_manifest(cfg, out_dir, result) -> None:
     )
 
 
-def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None, seed=None) -> ScenarioResult:
+def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None) -> ScenarioResult:
     """Run one scenario and persist its artifacts; returns the verdict bundle.
 
     self_sync integrates the configured coupling from distinct initial states
@@ -556,13 +555,12 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None, s
     final.ckpt) are written before any verdict is formed, then conditions.*
     and fdm_table.csv, and manifest.json last, so that its presence marks a
     complete run.  A run that blows up keeps the samples it took, and has
-    no decay verdict, final ratio or condition reports.
+    no decay verdict, final ratio, condition reports or determining-modes
+    verdict.
     """
     kind = (kind or cfg.scenario).lower()
     if kind not in SCENARIOS:
         raise ConfigInvalid(f"unknown scenario {kind!r}")
-    if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
     out_dir = os.fspath(out_dir or cfg.out_dir)
     if kind == "regime_sweep":
         return _run_sweep(cfg, out_dir)
@@ -571,19 +569,14 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None, s
     result = ScenarioResult(scenario=kind, out_dir=out_dir)
     cfg = replace(cfg, scenario=kind)
 
-    ladder = None
     ladder_rows = []
+    extra_sink = None
     if kind == "fdss_determining_modes":
         ladder = [N for N in FDM_LADDER if N <= state.grid.dealias_radius]
 
-        def extra_sink(snapshot, _ladder=ladder, _rows=ladder_rows):
+        def extra_sink(snapshot):
             w = snapshot.v1 - snapshot.v2
-            _rows.append(
-                (snapshot.t, [sp.project_low(w, N).l2 for N in _ladder])
-            )
-
-    else:
-        extra_sink = None
+            ladder_rows.append((snapshot.t, [sp.project_low(w, N).l2 for N in ladder]))
 
     final_state, records, blowup = _integrate_with_records(cfg, state, extra_sink)
     if blowup is not None:
@@ -605,18 +598,19 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None, s
             result.decay_h1 = diag.decay_detect(h1_series, threshold=cfg.decay_threshold)
         except diag.InsufficientData:
             pass
-        initial = l2_series[0][1]
+        initial, final = l2_series[0][1], l2_series[-1][1]
         if initial > 0:
-            result.final_ratio = l2_series[-1][1] / initial
-        # the scenario verdict is the explicit finite-horizon ratio criterion;
-        # the fitted-rate verdicts above stay available as diagnostics
-        result.decayed = bool(initial > 0 and result.final_ratio <= cfg.decay_threshold)
+            result.final_ratio = final / initial
+        # the scenario verdict is the finite-horizon rule; the fitted-rate
+        # verdicts above stay available as diagnostics
+        result.decayed = diag.decayed(initial, final, cfg.decay_threshold)
         result.reports = _condition_reports(state, records, constants, cfg.nu)
     diag.write_condition_reports(out_dir, result.reports)
 
-    if ladder is not None and ladder_rows:
-        result.extras["fdm"] = _fdm_verdicts(cfg, ladder, ladder_rows, result)
+    if ladder_rows:
         _write_fdm_table(out_dir, ladder, ladder_rows)
+        if not result.blowup:
+            result.extras["fdm"] = _fdm_verdicts(cfg, ladder, ladder_rows, result)
 
     _write_manifest(cfg, out_dir, result)
     return result
@@ -629,11 +623,7 @@ def _fdm_verdicts(cfg, ladder, rows, result):
     agrees with the full-state verdict from that N upward; the asymptotic
     dimension itself is not computable from a finite run.
     """
-    per_n = []
-    for j, _ in enumerate(ladder):
-        initial = rows[0][1][j]
-        final = rows[-1][1][j]
-        per_n.append(bool(initial > 0 and final <= cfg.decay_threshold * initial))
+    per_n = [diag.decayed(first, last, cfg.decay_threshold) for first, last in zip(rows[0][1], rows[-1][1])]
     full = bool(result.decayed)
     threshold = None
     for j in range(len(ladder)):

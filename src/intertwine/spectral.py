@@ -277,8 +277,6 @@ def leray_project(grid: Grid, raw) -> SpectralField:
     which makes the projection exactly idempotent and the identity (bit for
     bit) on its own range.
     """
-    if isinstance(raw, SpectralField):
-        raw = raw.half
     raw = np.asarray(raw, dtype=np.complex128)
     if divergence_free(grid, raw):
         out = raw.copy()
@@ -337,12 +335,11 @@ def hm_norm(u: SpectralField, m: int) -> float:
     return float(np.sqrt(PLANCHEREL * np.sum(u.grid.hm_weight(m) * (h.real**2 + h.imag**2))))
 
 
-def to_box(grid: Grid, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def to_box(grid: Grid, V: np.ndarray) -> np.ndarray:
     """The dealias box of the stack V (..., 2, n, n//2+1), shape
-    (..., 2, 2r+1, r+1) (see `Grid.box_rows`): a fresh C-contiguous copy, or
-    written into out."""
-    # mode="clip" (the rows are in range) keeps take from buffering into out
-    return np.take(V[..., : grid.box_cols], grid.box_rows, axis=-2, out=out, mode="clip")
+    (..., 2, 2r+1, r+1) (see `Grid.box_rows`), as a fresh C-contiguous copy."""
+    # the rows are in range, so mode="clip" only skips the bounds check
+    return np.take(V[..., : grid.box_cols], grid.box_rows, axis=-2, mode="clip")
 
 
 def from_box(grid: Grid, Vb: np.ndarray) -> np.ndarray:
@@ -370,9 +367,9 @@ def to_physical(u: SpectralField, pad: int = 1) -> np.ndarray:
     return _physical(u.grid, u.half, pad)
 
 
-def linf_norm(*fields: SpectralField, pad: int = 2) -> float:
-    """Sup of the pointwise vector magnitude, sampled on a refined grid; of
-    several fields, the largest.
+def linf_norm(*fields: SpectralField) -> float:
+    """Sup of the pointwise vector magnitude, sampled on the grid refined
+    twice; of several fields, the largest.
 
     One field is transformed at a time, so the peak memory is that of one
     refined field.  sqrt is monotone, so the sqrt of the largest squared
@@ -380,7 +377,7 @@ def linf_norm(*fields: SpectralField, pad: int = 2) -> float:
     """
     largest = 0.0
     for u in fields:
-        phys = _physical(u.grid, u.half, pad)
+        phys = _physical(u.grid, u.half, 2)
         np.square(phys, out=phys)
         np.add(phys[0], phys[1], out=phys[0])
         largest = np.maximum(largest, phys[0].max())  # a NaN propagates

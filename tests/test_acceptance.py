@@ -161,23 +161,25 @@ def dr_runs():
 
 def test_criterion_1_identity_suite():
     t0 = time.perf_counter()
-    results = verify.identity_suite(sizes=(16, 32), count=50, tol=1e-10)
+    results = verify.identity_suite(sizes=(16, 32), count=50)
     elapsed = time.perf_counter() - t0
     worst = max(r.worst for r in results)
     ok = all(r.passed for r in results) and elapsed < 30.0
     _announce(1, ok, f"identities on 100 random fields, worst {worst:.2e} <= 1e-10, {elapsed:.1f}s < 30s")
     assert all(r.passed for r in results), [r.line() for r in results]
+    assert all(r.tol == 1e-10 for r in results)
     assert elapsed < 30.0
 
 
 def test_criterion_2_oracle_equivalence():
     t0 = time.perf_counter()
-    results = verify.oracle_suite(cases=20, tol_b=1e-11, tol_traj=1e-6)
+    results = verify.oracle_suite(cases=20)
     elapsed = time.perf_counter() - t0
     ok = all(r.passed for r in results) and elapsed < 120.0
     detail = "; ".join(f"{r.name.split('(')[-1].rstrip(')')}={r.worst:.1e}" for r in results)
     _announce(2, ok, f"dense-oracle agreement ({detail}), {elapsed:.0f}s < 120s")
     assert all(r.passed for r in results), [r.line() for r in results]
+    assert [r.tol for r in results] == [1e-11, 1e-6, 1e-6, 1e-6]
     assert elapsed < 120.0
 
 
@@ -253,7 +255,7 @@ def test_criterion_6_uniform_bounds(nudge_run, dr_runs):
         "dr_symmetric theta1=1/2": "dr_balanced",
     }
     for run in dr_runs["runs"]:
-        grashofs = diag.grashof_set_for_state(run["state0"], m_frak=run["m_meas"])
+        grashofs = diag.grashof_set_for_state(run["state0"])
         formula = formulas[run["label"]]
         column = "theta_pair" if formula == "dr_mutual_pair" else "pair"
         series = [(r["t"], r[column]) for r in run["series"]]

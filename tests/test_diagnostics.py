@@ -32,6 +32,9 @@ from intertwine.diagnostics import (
 )
 
 UNIT = ConstantsConfig(C_L=1.0, C_A=1.0, C_S=1.0)
+# the Grashof numbers of a run that check_theta_regime reads
+GRASHOFS = GrashofSet(g1=1.0, g2=1.0, g=math.sqrt(2), k_frak=2.0, h_frak=0.1,
+                      p_frak=0.5, r_frak=9.0, d_frak=2.0, f_frak=2.0)
 
 
 def _forced_state(grid, force, nu):
@@ -59,15 +62,11 @@ class TestGrashofNumbers:
                                 dyn.IntertwiningMatrix.nudge_mutual(1.0, 1.0), nu=0.1)
 
     def test_decaying_pair_tail_sup(self, grid16, rng):
-        # the tail sup of |h| is the closed-form exponential envelope
+        # the sup of |h| over t >= 0 is the closed-form envelope at t = 0
         base = fr.SteadyForcing(fr.kolmogorov_force(grid16, 0.3, 2))
         delta = sp.random_field(grid16, rng, energy=0.4, kmax=2.0)
         pair = fr.ForcingPair.decaying_delta(base, delta, rate=1.5)
-        for t0 in (0.0, 1.0, 3.0):
-            assert pair.sup_h_l2(t0) == pytest.approx(
-                math.exp(-1.5 * t0) * delta.l2, rel=1e-12
-            )
-        assert pair.sup_h_l2(2.0) < pair.sup_h_l2(0.0)
+        assert pair.sup_h_l2() == pytest.approx(delta.l2, rel=1e-12)
 
     def test_sup_without_closed_form_raises(self, grid16):
         # a steady force against a time-periodic one has no closed-form sup
@@ -77,7 +76,7 @@ class TestGrashofNumbers:
             fr.SteadyForcing(force), fr.TimePeriodicForcing(force, omega=1.0)
         )
         with pytest.raises(fr.NoClosedForm, match="SteadyForcing, TimePeriodicForcing"):
-            pair.sup_h_l2(0.0)
+            pair.sup_h_l2()
 
     def test_time_periodic_sup_is_the_sampled_max(self, grid16):
         # g(t) = cos(omega t) a: the sup |a| is reached at t = 0
@@ -135,24 +134,24 @@ class TestConditionChecks:
         assert check_dr_condition(48.0, 4.0, UNIT).margin == pytest.approx(0.0)
 
     def test_log_condition_numeric(self):
-        rep = check_K_log_condition(3.0, 1.0, 1.0)
-        assert rep.satisfied
+        rep = check_K_log_condition(3.0, 1.0, 1.0, "cutoff_log")
+        assert rep.satisfied and rep.name == "cutoff_log"
         assert rep.lhs == pytest.approx(math.sqrt(math.log(math.e + 3.0)))
-        assert check_K_log_condition(3.0, 0.0, 1.0).satisfied  # zero force
-        assert not check_K_log_condition(0.0, 1.0, 1.0).satisfied
+        assert check_K_log_condition(3.0, 0.0, 1.0, "cutoff_log").satisfied  # zero force
+        assert not check_K_log_condition(0.0, 1.0, 1.0, "cutoff_log").satisfied
 
     def test_theta_regime_trivial_cases(self):
-        reps = check_theta_regime(1.0, 0.0, 8.0, 1.0, 1.0, UNIT)
+        reps = check_theta_regime(1.0, 0.0, 8.0, 1.0, 1.0, UNIT, 1.0, GRASHOFS)
         composite = next(r for r in reps if r.name == "theta_composite")
         assert composite.lhs == 0.0 and composite.satisfied
-        reps = check_theta_regime(0.5, 0.5, 8.0, 1.0, 1.0, UNIT)
+        reps = check_theta_regime(0.5, 0.5, 8.0, 1.0, 1.0, UNIT, 1.0, GRASHOFS)
         composite = next(r for r in reps if r.name == "theta_composite")
         assert composite.lhs == 0.0 and composite.satisfied
 
     def test_theta_gap_example_numeric(self):
         # theta2 = 0.1, K = 32, C_S = 1, m = 5: the gap bound evaluates to
         # sqrt(2) / (8 ln(e+32)^(1/2) * 5), far below the actual gap 0.8
-        reps = check_theta_regime(0.9, 0.1, 32.0, 1.0, 1.0, UNIT, m_frak=5.0)
+        reps = check_theta_regime(0.9, 0.1, 32.0, 1.0, 1.0, UNIT, 5.0, GRASHOFS)
         gap = next(r for r in reps if r.name == "theta_near_balanced")
         assert gap.lhs == pytest.approx(0.8)
         expect = math.sqrt(2.0) / (8.0 * math.sqrt(math.log(math.e + 32.0)) * 5.0)
@@ -160,14 +159,11 @@ class TestConditionChecks:
         assert not gap.satisfied
 
     def test_theta_regime_with_grashofs(self):
-        gs = GrashofSet(g1=1.0, g2=1.0, g=math.sqrt(2), k_frak=2.0, h_frak=0.1,
-                        p_frak=0.5, r_frak=9.0, d_frak=2.0, f_frak=2.0)
-        reps = check_theta_regime(0.95, 0.05, 16.0, 1.0, math.sqrt(2), UNIT,
-                                  m_frak=3.0, grashofs=gs)
-        names = {r.name for r in reps}
-        assert {"theta_composite", "theta_near_balanced", "theta_small",
-                "cutoff_small_theta2_floor", "cutoff_small_theta2_balance",
-                "cutoff_dr_near_balanced"} <= names
+        reps = check_theta_regime(0.95, 0.05, 16.0, 1.0, math.sqrt(2), UNIT, 3.0, GRASHOFS)
+        names = [r.name for r in reps]
+        assert names == ["theta_composite", "theta_near_balanced", "theta_small",
+                         "cutoff_small_theta2_floor", "cutoff_small_theta2_balance",
+                         "cutoff_dr_near_balanced"]
 
     def test_reports_reproducible(self):
         a = check_nudge_fdss_condition(10.0, 4.0, UNIT)
@@ -219,7 +215,7 @@ class TestUniformBounds:
 
     def test_unknown_formula_raises(self):
         with pytest.raises(ValueError, match="unknown bound formula"):
-            check_uniform_bound([(0.0, 0.1)], "dr_lopsided", GrashofSet(k_frak=1.0))
+            check_uniform_bound([(0.0, 0.1)], "dr_lopsided", GrashofSet(k_frak=1.0), None, 1.0)
 
     def test_symmetric_formula_is_force_size(self):
         # the symmetric nudging bound is nu times the force size g
@@ -298,7 +294,7 @@ class TestRegimeTable:
             name, lhs = expect[regime.name]
             assert rep.name == name
             assert rep.lhs == pytest.approx(lhs)
-        reps = check_theta_regime(0.6, 0.4, 4.0, 1.0, 1.0, UNIT, m_frak=1.0, grashofs=gs)
+        reps = check_theta_regime(0.6, 0.4, 4.0, 1.0, 1.0, UNIT, 1.0, gs)
         near = next(r for r in reps if r.name == "cutoff_dr_near_balanced")
         assert near.lhs == pytest.approx(1024.0 * log * 1.0)
         assert near.rhs == 16.0
@@ -318,23 +314,29 @@ class TestDecayDetection:
         assert not verdict.decayed
         assert abs(verdict.rate) < 1e-12
 
-    def test_algebraic_decay_flagged_low_r2(self):
-        # 1/(1+t) is a poor exponential: over the full window the log fit has
-        # r^2 well under 0.9, so only the ratio route can declare decay, and
-        # it fires only once the horizon passes 1/threshold
+    def test_non_exponential_decay_flagged_low_r2(self):
+        # a plateau that ends in one drop is a poor exponential: over the tail
+        # window the log fit has r^2 well under 0.9, so only the ratio route
+        # can declare decay, and it fires only once the drop passes threshold
         ts = np.linspace(0.0, 100.0, 200)
-        verdict = decay_detect(
-            [(t, 1.0 / (1.0 + t)) for t in ts], tail_fraction=1.0, threshold=1e-6
-        )
+
+        def plateau(last):
+            return [(t, 1.0) for t in ts[:-1]] + [(ts[-1], last)]
+
+        verdict = decay_detect(plateau(0.5), threshold=1e-6)
         assert verdict.rate < 0.0
         assert verdict.r2 < 0.9
         assert not verdict.decayed
-        long_ts = np.linspace(0.0, 1e7, 200)
-        verdict_long = decay_detect(
-            [(t, 1.0 / (1.0 + t)) for t in long_ts], tail_fraction=1.0, threshold=1e-6
-        )
-        assert verdict_long.decayed  # threshold route only, at a long horizon
-        assert verdict_long.r2 < 0.9
+        verdict_deep = decay_detect(plateau(1e-7), threshold=1e-6)
+        assert verdict_deep.decayed  # threshold route only, past the threshold
+        assert verdict_deep.r2 < 0.9
+
+    def test_one_decay_rule(self):
+        # a positive initial value that fell to threshold times itself
+        assert diag.decayed(2.0, 2e-6, 1e-6)
+        assert not diag.decayed(2.0, 2.1e-6, 1e-6)
+        assert not diag.decayed(0.0, 0.0, 1e-6)
+        assert diag.decayed(1.0, 0.0, 0.0) and not diag.decayed(1.0, 1e-300, 0.0)
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
@@ -349,7 +351,7 @@ class TestDecayDetection:
         series = []
         for t in np.linspace(0.0, 30.0, 200):
             series.append((float(t), orc.heat_exact(p0, None, nu, float(t)).l2))
-        verdict = decay_detect(series, tail_fraction=0.5)
+        verdict = decay_detect(series)
         assert verdict.decayed
         assert verdict.rate == pytest.approx(-nu * 1.0, rel=0.01)
 
@@ -490,4 +492,6 @@ class TestTimeSeriesOutput:
     def test_measured_m_frak(self):
         v1 = [1.0, 2.0, 5.0, 3.0]
         v2 = [1.0, 2.0, 4.0, 2.0]
-        assert diag.measured_m_frak(v1, v2, nu=0.5, tail_fraction=0.5) == pytest.approx(8.0)
+        # the sup over the last TAIL_FRACTION = 1/2 of each series
+        assert diag.TAIL_FRACTION == 0.5
+        assert diag.measured_m_frak(v1, v2, nu=0.5) == pytest.approx(8.0)

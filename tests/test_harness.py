@@ -1,9 +1,10 @@
 """Config parsing, checkpoints, scenario runs, sweeps, and the CLI."""
 
 import csv
+import json
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -63,10 +64,7 @@ HUGE_INTEGER = "2" * 401
 
 
 def _bad_number(slot, value):
-    marks = ()
-    if (slot, value) == ("physics.nu", "1e300"):
-        marks = pytest.mark.xfail(strict=True, raises=OverflowError, reason="the diagnostics square nu after the run")
-    return pytest.param(slot, value, marks=marks, id=f"{slot}-{'401_digits' if value == HUGE_INTEGER else value}")
+    return pytest.param(slot, value, id=f"{slot}-{'401_digits' if value == HUGE_INTEGER else value}")
 
 
 BAD_NUMBERS = [
@@ -435,6 +433,24 @@ class TestScenarios:
         assert fdm["implication_consistent"]
         assert (tmp_path / "fdm_table.csv").exists()
 
+    def test_blown_up_fdss_run_has_no_determining_modes_verdict(self, tmp_path, capsys):
+        # a run that blew up has no full-state verdict, so no threshold can be
+        # read off it; its ladder samples are still written
+        text = MINIMAL.replace("n = 16", "n = 32").replace("nu = 0.5", "nu = 1e-4").replace(
+            "K = 3.0", "K = 4.0"
+        ).replace("energy = 0.3", "energy = 20.0").replace("dt = 0.02", "dt = 0.03").replace(
+            "t_end = 4.0", "t_end = 30.0"
+        ).replace("sample_every = 0.1", "sample_every = 0.3").replace("seed = 7", "seed = 1")
+        path = tmp_path / "config.ini"
+        path.write_text(text)
+        argv = ["run", "--config", str(path), "--scenario", "fdss_determining_modes", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 3
+        out = capsys.readouterr().out
+        assert "BLOWUP at t = " in out
+        assert "determining-modes" not in out
+        rows = (tmp_path / "out" / "fdm_table.csv").read_text().splitlines()
+        assert rows[0].startswith("t,l2_P1_w,") and len(rows) > 1
+
     def test_monotonicity_flagging(self):
         rows = [
             {"K": 1.0, "mu": 2.0, "decayed": False},
@@ -489,10 +505,10 @@ class TestScenarios:
     def test_sweep_survives_a_failing_point(self, tmp_path, monkeypatch, threads):
         run_scenario = hz.run_scenario
 
-        def flaky(cfg, kind=None, out_dir=None, seed=None):
+        def flaky(cfg, kind=None, out_dir=None):
             if str(out_dir).endswith("point_001"):
                 raise RuntimeError("injected failure")
-            return run_scenario(cfg, kind=kind, out_dir=out_dir, seed=seed)
+            return run_scenario(cfg, kind=kind, out_dir=out_dir)
 
         text = MINIMAL.replace("t_end = 4.0", "t_end = 1.0") + "\n[sweep]\nK = 1.0, 2.0, 3.0\n"
         cfg = hz.parse_config_text(text)
@@ -511,10 +527,10 @@ class TestScenarios:
         # a hand-joined row once split such an error into extra fields
         run_scenario = hz.run_scenario
 
-        def failing(cfg, kind=None, out_dir=None, seed=None):
+        def failing(cfg, kind=None, out_dir=None):
             if str(out_dir).endswith("point_001"):
                 raise ValueError("bad point, K = 2, mu = 2")
-            return run_scenario(cfg, kind=kind, out_dir=out_dir, seed=seed)
+            return run_scenario(cfg, kind=kind, out_dir=out_dir)
 
         monkeypatch.setattr(hz, "run_scenario", failing)
         text = MINIMAL.replace("t_end = 4.0", "t_end = 0.2") + "\n[sweep]\nK = 1.0, 2.0\n"
@@ -578,7 +594,7 @@ class TestScenarios:
     def test_seed_changes_output(self, tmp_path):
         cfg = hz.parse_config_text(MINIMAL)
         hz.run_scenario(cfg, out_dir=tmp_path / "a")
-        hz.run_scenario(cfg, out_dir=tmp_path / "b", seed=8)
+        hz.run_scenario(replace(cfg, seed=8), out_dir=tmp_path / "b")
         assert (tmp_path / "a/series.csv").read_bytes() != (tmp_path / "b/series.csv").read_bytes()
 
 
@@ -593,6 +609,45 @@ class TestCli:
         code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
         assert code == 0
         assert "decayed" in capsys.readouterr().out
+
+    def test_printed_decay_verdict_is_the_manifests(self, tmp_path, capsys):
+        # |w| falls to 5.1e-6 of its start, short of the 1e-6 rule, along a
+        # clean exponential: the fit says decayed, the rule and the manifest
+        # do not, and the printed verdict is the rule's
+        text = MINIMAL.replace("n = 16", "n = 32").replace("nu = 0.5", "nu = 0.05").replace(
+            "K = 3.0", "K = 8.0"
+        ).replace("amplitude = 0.1", "amplitude = 0.04").replace(
+            "energy = 0.3\ndifference_scale = 0.2", "energy = 0.5\nmax_wavenumber = 8\ndifference_scale = 0.5"
+        ).replace("t_end = 4.0", "t_end = 3.0").replace("sample_every = 0.1", "sample_every = 0.125").replace(
+            "seed = 7", "seed = 1"
+        )
+        cfg = self._write(tmp_path, text)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        printed = re.search(r"^\|w\| decay: decayed=(True|False) ", out, re.M).group(1)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert printed == str(manifest["decayed"]) == "False"
+        assert re.search(r"^\|w\| fit: rate=-4\.0\d* r2=1\.000$", out, re.M)
+
+    @pytest.mark.parametrize("nu", ["1e300", "1e-100", "1e-200"])
+    @pytest.mark.parametrize("coupling", ["nudge_mutual", "dr_symmetric"])
+    def test_extreme_nu_reports_its_conditions(self, tmp_path, capsys, monkeypatch, nu, coupling):
+        # the Grashof numbers square nu: each once raised OverflowError or
+        # ZeroDivisionError after the run, leaving no reports and no manifest;
+        # now they saturate, and a saturated condition reads VIOLATED
+        params = {"nudge_mutual": {"mu1": "2.0", "mu2": "2.0"}, "dr_symmetric": {"theta1": "0.8", "theta2": "0.2"}}
+        monkeypatch.setitem(SHORT, "coupling", {"class": coupling, **params[coupling]})
+        code, captured = self._run_short(tmp_path, capsys, monkeypatch, "physics.nu", nu)
+        assert code == 0, captured.err
+        out = tmp_path / "out"
+        for name in ("config.ini", "constants.json", "series.csv", "final.ckpt", "conditions.txt",
+                     "conditions.tsv", "manifest.json"):
+            assert (out / name).exists(), name
+        rows = [line.split("\t") for line in (out / "conditions.tsv").read_text().splitlines()[1:]]
+        assert rows and "[OUT]" in captured.out
+        for name, lhs, rhs, margin, satisfied in rows:
+            if not (float(lhs) <= float(rhs)):
+                assert satisfied == "False", name
 
     def test_verify_reports_time_per_suite(self, monkeypatch, capsys):
         from intertwine import verify

@@ -151,3 +151,70 @@ def test_loc_counts_and_unused_names(tmp_path):
     table = loc.sizes(str(tmp_path / "src")).splitlines()
     assert table[0].split() == ["module", "code", "wc", "-l"]
     assert table[-1].split() == ["total", "16", str(SYNTHETIC.count("\n") + 1)]
+
+
+KNOBS = '''\
+def by_keyword(a, scale=1.0):
+    return a * scale
+
+
+def by_position(a, scale=1.0, shift=0.0):
+    return a * scale + shift
+
+
+def by_splat(a, scale=1.0, *, shift=0.0):
+    return a * scale + shift
+
+
+def outer(values):
+    def inner(x, _values=values):
+        return x + len(_values)
+
+    if values:
+        return inner(1)
+    return None
+
+
+class Box:
+    def __init__(self, size, fill=0.0):
+        self.size, self.fill = size, fill
+
+    def grow(self, by=1, *, twice=False):
+        return self.size + by * (2 if twice else 1)
+
+    @staticmethod
+    def make(size, fill=0.0):
+        return Box(size, fill)
+'''
+
+
+def test_loc_knobs(tmp_path):
+    # a defaulted parameter is listed unless a call in a user module passes
+    # it by keyword, by position (after self) or through a splat; nested
+    # functions count, and calls in the tests do not
+    loc = _load(ROOT / "tools" / "loc.py", "loc_tool")
+    pkg = tmp_path / "src" / "intertwine"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(KNOBS)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "use.py").write_text(
+        "from intertwine.mod import Box, by_keyword, by_position, by_splat\n"
+        "by_keyword(1, scale=2.0)\nby_position(1, 2.0)\nby_splat(*[1, 2.0])\n"
+        "Box(3, 1.0).grow(2)\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from intertwine.mod import Box, by_position\nby_position(1, 2.0, 3.0)\nBox(1).grow(twice=True)\n"
+    )
+    assert loc.knobs(str(tmp_path / "src"), str(tmp_path)) == [
+        "mod.by_position: shift",
+        "mod.by_splat: shift",
+        "mod.outer.inner: _values",
+        "mod.Box.grow: twice",
+        "mod.Box.make: fill",
+    ]
+    # a call that passes the keyword-only shift clears it
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "demo.py").write_text("from intertwine.mod import by_splat\nby_splat(1, shift=2.0)\n")
+    assert "mod.by_splat: shift" not in loc.knobs(str(tmp_path / "src"), str(tmp_path))

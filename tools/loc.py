@@ -2,6 +2,7 @@
 
     python3 tools/loc.py [--src SRC]
     python3 tools/loc.py --unused [--src SRC]
+    python3 tools/loc.py --knobs [--src SRC]
 
 With no flag it prints, per module of SRC/intertwine (default: this
 checkout's `src`) and in total, the code lines (lines that hold a token
@@ -15,6 +16,14 @@ re-exports names and does not count as a use, and dunder methods are run
 by the language, so they are never listed.  A name that only tests reach
 shows up here; a name used through a string (getattr, a tracer that wraps
 by name) shows up too, so each listed name needs a reason to stay.
+
+--knobs lists, per package function or method (nested functions included,
+as `module.func`, `module.Class.method` or `module.func.inner`), the
+parameters that have a default and that no call in the same user modules
+passes, by keyword, by position or through a `*` or `**` splat.  Calls are
+matched by the callee's name alone, and a class name calls its `__init__`,
+so a call to a same-named function elsewhere counts too; a listed parameter
+is a value only the tests set, and needs a reason to stay.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import argparse
 import ast
 import io
+import math
 import os
 import sys
 import tokenize
@@ -130,13 +140,100 @@ def unused(src: str, root: str = ROOT) -> list:
     return listed
 
 
+def _defs(nodes):
+    """The defs and classes among nodes and inside their other statements,
+    not looking inside a def or a class."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        else:
+            yield from _defs(ast.iter_child_nodes(node))
+
+
+def _functions(body, prefix: str = "", in_class: bool = False):
+    """(qualified name, callee names, node, positional offset) of every def
+    in body, in order: nested defs and the methods of classes included.  The
+    offset counts the self or cls that a call does not pass."""
+    for node in _defs(body):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            offset = int(in_class and not static)
+            names = {node.name}
+            if in_class and node.name == "__init__":
+                names.add(prefix.rstrip(".").rsplit(".", 1)[-1])
+            yield f"{prefix}{node.name}", names, node, offset
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        else:
+            yield from _functions(node.body, f"{prefix}{node.name}.", in_class=True)
+
+
+def _defaulted(node) -> list:
+    """(name, position or None) of each parameter of node with a default;
+    the position counts from the first positional parameter, None marks a
+    keyword-only one."""
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    out = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
+    out += [(arg.arg, None) for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _calls(tree: ast.AST) -> dict:
+    """callee name -> [(positional count, keyword names)] of each call in
+    tree; a * argument counts as any number of positional ones, and a **
+    argument as the keyword None, which passes every keyword."""
+    calls = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+        if name is None:
+            continue
+        count = math.inf if any(isinstance(arg, ast.Starred) for arg in node.args) else len(node.args)
+        calls.setdefault(name, []).append((count, {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def knobs(src: str, root: str = ROOT) -> list:
+    """One line "module.qualified name: parameters" per package function
+    with defaulted parameters that no call in src, demos, tools or perfbench
+    passes."""
+    trees = {path: ast.parse(_read(path)) for path in _modules(src)}
+    users = list(trees)
+    for top in USERS:
+        users.extend(_python_files(os.path.join(root, top)))
+    calls = {}
+    for path in users:
+        for name, found in _calls(trees[path] if path in trees else ast.parse(_read(path))).items():
+            calls.setdefault(name, []).extend(found)
+    listed = []
+    for path, tree in trees.items():
+        module = os.path.basename(path)[:-3]
+        for qual, names, node, offset in _functions(tree.body):
+            made = [call for name in names for call in calls.get(name, ())]
+            unset = [
+                param for param, position in _defaulted(node)
+                if not any(param in keywords or None in keywords or (position is not None and position < offset + count)
+                           for count, keywords in made)
+            ]
+            if unset:
+                listed.append(f"{module}.{qual}: {', '.join(unset)}")
+    return listed
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="the directory that holds the package")
-    parser.add_argument("--unused", action="store_true", help="list the definitions no module references")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--unused", action="store_true", help="list the definitions no module references")
+    mode.add_argument("--knobs", action="store_true", help="list the defaulted parameters no call passes")
     args = parser.parse_args(argv)
     if args.unused:
         sys.stdout.write("".join(f"{name}\n" for name in unused(args.src)))
+    elif args.knobs:
+        sys.stdout.write("".join(f"{line}\n" for line in knobs(args.src)))
     else:
         sys.stdout.write(sizes(args.src))
     return 0
