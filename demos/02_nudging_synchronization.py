@@ -38,12 +38,12 @@ for label, matrix in [
         h1s[1].append(s.v2.h1)
 
     dyn.integrate(state, 30.0, dt=0.02, sample_every=1.0, sink=sink)
-    verdict = diag.decay_detect(series)
+    fit = diag.decay_detect(series)
     ratio = series[-1][1] / series[0][1]
     print(f"\n{label}:")
     for t, val in series[:: max(1, len(series) // 8)]:
         print(f"  t = {t:5.1f}  |w| = {val:.3e}")
-    print(f"  final/initial = {ratio:.2e}, fitted rate = {verdict.rate:.3f}")
+    print(f"  final/initial = {ratio:.2e}, fitted rate = {fit.rate:.3f}")
 
     if matrix.is_nudging:
         constants = diag.default_constants()

@@ -42,8 +42,11 @@ print("  t    " + "".join(f"|P_{N:g} w|   " for N in ladder) + "|w|")
 for t, vals in rows[:: max(1, len(rows) // 10)]:
     print(f"{t:5.1f}  " + "  ".join(f"{v:.2e}" for v in vals))
 
-for j, N in enumerate(ladder):
-    verdict = diag.decay_detect([(t, vals[j]) for t, vals in rows])
-    print(f"low modes N = {N:g}: decayed = {verdict.decayed} (rate {verdict.rate:.2f})")
-full = diag.decay_detect([(t, vals[-1]) for t, vals in rows])
-print(f"full state:      decayed = {full.decayed} (rate {full.rate:.2f})")
+# each rung's verdict is the run's decay rule, as in the fdss_determining_modes
+# scenario; the fitted rate is a diagnostic beside it
+threshold = 1e-6
+labels = [f"low modes N = {N:g}:" for N in ladder] + ["full state:     "]
+for j, label in enumerate(labels):
+    decayed = diag.decayed(rows[0][1][j], rows[-1][1][j], threshold)
+    fit = diag.decay_detect([(t, vals[j]) for t, vals in rows])
+    print(f"{label} decayed = {decayed} (rate {fit.rate:.2f})")

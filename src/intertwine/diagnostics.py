@@ -17,7 +17,7 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -40,11 +40,19 @@ CONSTANTS_DATA_VERSION = 1
 # the last half of a sampled series: the window of every tail sup and fit
 TAIL_FRACTION = 0.5
 
-# The Grashof numbers and the condition formulas of a run take nu as a float64
-# scalar under this error state: where Python floats raise, an overflow reads
-# inf and 0/0 NaN, and a comparison with NaN fails, so a saturated condition
-# reads VIOLATED.
+# The Grashof numbers and the condition formulas of a run take nu and the
+# constants as float64 scalars under this error state: where Python floats
+# raise, an overflow reads inf and 0/0 NaN, and a comparison with NaN fails,
+# so a saturated condition reads VIOLATED.
 _saturating = np.errstate(all="ignore")
+
+
+def _exp(x: float) -> float:
+    """math.exp, read as inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 class EmptySeries(ValueError):
@@ -88,6 +96,9 @@ class GrashofSet:
                 raise ValueError("combined-force number exceeds sqrt(2) * g")
 
 
+_CONSTANTS = ("C_L", "C_A", "C_S", "C2")
+
+
 @dataclass
 class ConstantsConfig:
     """Working values for the interpolation-inequality constants.
@@ -105,7 +116,7 @@ class ConstantsConfig:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("C_L", "C_A", "C_S", "C2"):
+        for name in _CONSTANTS:
             value = getattr(self, name)
             # a positive float; a bool is an int to Python, not a number here,
             # and an int beyond the float range would overflow where it is used
@@ -151,8 +162,9 @@ class ConditionReport:
 
 
 @dataclass
-class DecayVerdict:
-    decayed: bool
+class DecayFit:
+    """The log-linear fit of a signal on its tail window."""
+
     rate: float
     r2: float
 
@@ -322,10 +334,10 @@ def check_theta_regime(
     m_small = m_frak_small_theta2(K, grashofs, constants)
     lhs = theta2**2 * constants.C_S**2 * lnK * m_small**4
     # 2*(|r0|/nu)^2 + k^2 recovered from r^2 = 16*((|r0|/nu)^2 + k^2)
-    rhs = max(0.0, grashofs.r_frak**2 / 8.0 - grashofs.k_frak**2)
+    rhs = np.maximum(0.0, grashofs.r_frak**2 / 8.0 - grashofs.k_frak**2)  # NaN stays NaN
     report("theta_small", lhs, rhs,
            f"theta2^2*C_S^2*ln(e+K)*m^4 = {lhs:.6g} <= 2*(|r0|/nu)^2 + k^2 = {rhs:.6g}")
-    floor = math.exp(1.0 / (8.0 * constants.C_S**2))
+    floor = _exp(1.0 / (8.0 * constants.C_S**2))
     report("cutoff_small_theta2_floor", floor, K,
            f"exp(1/(8 C_S^2)) = {floor:.6g} <= K = {K:.6g}")
     balance = (
@@ -352,20 +364,24 @@ def check_uniform_bound(
     grashofs: GrashofSet,
     matrix: IntertwiningMatrix | None,
     nu: float,
-) -> ConditionReport:
+) -> ConditionReport | None:
     """Compare a trajectory's tail sup against a closed-form uniform bound.
 
     bound_formula names a regime of REGIMES (ValueError otherwise), and series
-    is a list of (t, value) pairs of the quantity that regime bounds.  Bounds
-    are sufficient theory, so a pass is the expected outcome; a violation
-    flags either a constants miscalibration or a bug.
+    is a list of (t, value) pairs of the quantity that regime bounds.
+    Returns None where the regime has no bound for matrix.  Bounds are
+    sufficient theory, so a pass is the expected outcome; a violation flags
+    either a constants miscalibration or a bug.
     """
     if not series:
         raise EmptySeries("empty trajectory series")
     tail_sup = max(float(v) for _, v in _tail(series))
     if bound_formula not in _REGIME_BY_NAME:
         raise ValueError(f"unknown bound formula {bound_formula!r}")
-    bound, formula = _REGIME_BY_NAME[bound_formula].bound(grashofs, matrix, nu)
+    found = _REGIME_BY_NAME[bound_formula].bound(grashofs, matrix, nu)
+    if found is None:
+        return None
+    bound, formula = found
     return ConditionReport.compare(
         f"bound_{bound_formula}", tail_sup, bound, f"tail sup = {tail_sup:.6g} <= {formula}"
     )
@@ -424,11 +440,11 @@ def _bound(text: str, value: float) -> tuple[float, str]:
     return value, f"{text} = {value:.6g}"
 
 
-def _nudge_mutual_bound(grashofs: GrashofSet, matrix, nu: float) -> tuple[float, str]:
+def _nudge_mutual_bound(grashofs: GrashofSet, matrix, nu: float) -> tuple[float, str] | None:
     mu1, mu2 = matrix.params
     lo, hi = min(mu1, mu2), max(mu1, mu2)
     if lo == 0.0:
-        return math.inf, "nu*(mu_max/mu_min)*g (unbounded: mu_min = 0)"
+        return None  # unbounded
     return _bound("nu*(mu_max/mu_min)*g", nu * (hi / lo) * grashofs.g)
 
 
@@ -440,17 +456,19 @@ def _dr_symmetric(test: Callable[[float, float], bool]):
 class Regime:
     """One row of REGIMES: selects picks its matrices (None: none), family
     gives its coupling family's conditions, cutoff(K, grashofs, constants) its
-    own, bound(grashofs, matrix, nu) the bound's value and formula text, and
+    own, bound(grashofs, matrix, nu) the bound's value and formula text
+    (None where the regime has no bound for the matrix), and
     series(records, matrix) the bounded quantity (None: not recorded).
-    with_bound follows the bound and, like it, is left out when it is infinite.
-    sync names the family's self-synchronization report (None: none).
+    with_bound follows the bound and, like it, is left out where there is
+    none; a bound that saturates to inf is reported.  sync names the
+    family's self-synchronization report (None: none).
     """
 
     name: str
     selects: Callable[[IntertwiningMatrix], bool] | None
     family: Callable[[RunFacts], list[ConditionReport]] | None
     cutoff: Callable[[float, GrashofSet, ConstantsConfig], ConditionReport] | None
-    bound: Callable[[GrashofSet, IntertwiningMatrix | None, float], tuple[float, str]]
+    bound: Callable[[GrashofSet, IntertwiningMatrix | None, float], tuple[float, str] | None]
     series: Callable[[list, IntertwiningMatrix], list] | None
     with_bound: Callable[[RunFacts], ConditionReport] | None = None
     sync: str | None = None
@@ -459,6 +477,7 @@ class Regime:
     def reports(self, state0, records, constants, nu) -> list[ConditionReport]:
         """The reports of a run from state0 that sampled records, in table order."""
         nu = np.float64(nu)
+        constants = replace(constants, **{k: np.float64(getattr(constants, k)) for k in _CONSTANTS})
         m_frak = measured_m_frak([r.h1_v1 for r in records], [r.h1_v2 for r in records], nu)
         grashofs = grashof_set_for_state(state0)
         run = RunFacts(state0, records, constants, nu, m_frak, grashofs)
@@ -467,7 +486,7 @@ class Regime:
             reports.append(self.cutoff(state0.K, grashofs, constants))
         series = self.series(records, state0.matrix)
         bound = check_uniform_bound(series, self.name, grashofs, state0.matrix, nu)
-        if math.isfinite(bound.rhs):
+        if bound is not None:
             reports.append(bound)
             if self.with_bound is not None:
                 reports.append(self.with_bound(run))
@@ -524,12 +543,11 @@ def decayed(initial: float, final: float, threshold: float) -> bool:
     return bool(initial > 0 and final <= threshold * initial)
 
 
-def decay_detect(series, threshold: float = 1e-6) -> DecayVerdict:
-    """Decide whether a nonnegative signal decays, with a fitted rate.
+def decay_detect(series) -> DecayFit:
+    """The exponential rate of a nonnegative signal, as a fit.
 
-    Fits log(x) against t on the tail window by least squares.  Decayed means
-    the series decayed by `decayed`, or the fitted rate is negative with
-    r^2 >= 0.9 (a clean exponential).
+    Fits log(x) against t on the tail window by least squares.  The fit is
+    a diagnostic; whether the signal decayed is the rule `decayed`.
     """
     pts = [(float(t), float(x)) for t, x in series]
     if any(x < 0 for _, x in pts):
@@ -537,8 +555,6 @@ def decay_detect(series, threshold: float = 1e-6) -> DecayVerdict:
     tail = _tail(pts)
     if len(tail) < 10:
         raise InsufficientData(f"need at least 10 tail samples, got {len(tail)}")
-    initial = pts[0][1]
-    final = tail[-1][1]
 
     ts = np.array([t for t, _ in tail])
     xs = np.array([max(x, 1e-300) for _, x in tail])
@@ -550,8 +566,7 @@ def decay_detect(series, threshold: float = 1e-6) -> DecayVerdict:
     ss_res = float(np.sum((ys - fitted) ** 2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-30 else 1.0
-    clean = bool(rate < 0.0 and r2 >= 0.9 and final < initial)
-    return DecayVerdict(decayed=decayed(initial, final, threshold) or clean, rate=rate, r2=r2)
+    return DecayFit(rate=rate, r2=r2)
 
 
 def heat_compare(p_series, h: SpectralField | None, nu: float, K: float) -> float:

@@ -236,23 +236,17 @@ def _shared(states, name: str):
     return first
 
 
-def _nbytes(x) -> int:
-    if isinstance(x, np.ndarray):
-        return x.nbytes
-    return sum(map(_nbytes, x)) if isinstance(x, (list, tuple)) else 0
-
-
 class Workspace:
-    """Every array of the coupled right-hand side and of its stepper, built
-    once per call and reused: the one kernel of `integrate`,
+    """Every array of the coupled right-hand side and of its stepper at step
+    dt, built once per call and reused: the one kernel of `integrate`,
     `integrate_many` and `rhs_general`.
 
     It holds the states as its members, member p's copies v1 and v2 being
     copies 2p and 2p + 1 of one (2P, 2, 2r+1, r+1) stack on the dealias box,
     and `spectral.BoxAdvection` supplies B(v, v) for all of them at once.
     The members share grid, t and nu (ValueError naming the attribute
-    otherwise) and the step dt, and each keeps its own matrix, cutoff K,
-    forces and fold flag; fold None folds each member by `folds`.
+    otherwise) and the step dt, and each keeps its own matrix, cutoff K and
+    forces, and is folded when `folds` says so at dt.
 
     The copies' forces are one `forcing.ForceStack` on the box.  Its
     distinct fields are packed once and pass the alias guard
@@ -264,10 +258,10 @@ class Workspace:
 
     A member's matrix fixes its intertwining function F: P_K B(., .) for a
     direct-replacement matrix, P_K for every other; a zero matrix, or one
-    folded into the propagator, adds no coupling term.  With dt set the
-    workspace steps: the propagator is the decay exp(-nu |k|^2 dt), and for
-    a folded member also the 2x2 exp(dt M) across its copies on low modes,
-    which moves the linear nudging coupling out of the explicit stages.
+    folded into the propagator, adds no coupling term.  The propagator is
+    the decay exp(-nu |k|^2 dt), and for a folded member also the 2x2
+    exp(dt M) across its copies on low modes, which moves the linear nudging
+    coupling out of the explicit stages.  At dt = 0 nothing is folded.
 
     Each entry's arithmetic (the force's fold, F = g - B, the row sums
     m_i1 c1 + m_i2 c2, the Heun combination, one 2x2 matrix product for a
@@ -276,13 +270,12 @@ class Workspace:
     stack, and each member is bitwise its lone run.  A step allocates
     nothing.  The transform buffers are allocated at the first right-hand
     side, after the fields are packed, so that the packing's temporaries and
-    those buffers are never live together; without dt (a one-shot right-hand
-    side) the shared kernel of `BoxAdvection.cached` serves instead.
+    those buffers are never live together.
     """
 
-    def __init__(self, states, dt=None, fold=None):
+    def __init__(self, states, dt):
         grid, t, nu = (_shared(states, name) for name in ("grid", "t", "nu"))
-        self.grid, self.nu, self.dt = grid, nu, dt
+        self.grid, self.dt = grid, dt
         self.V = self._pack([v for s in states for v in (s.v1, s.v2)])
         self.shape = self.V.shape
         self.K1, self.X, self.B = (np.empty(self.shape, dtype=np.complex128) for _ in range(3))
@@ -292,13 +285,12 @@ class Workspace:
         # masks and decays enter the ufuncs at the stack's own shape (see
         # BoxAdvection), and as complex numbers, which is what numpy casts
         # them to against a complex operand
-        if dt is not None:
-            self.decay = self._stack(np.exp(-nu * grid.k2 * dt))
-            cols, rows = self.shape[-1], self.shape[-2]
-            self.norm_weight = np.tile(np.repeat(grid.weight[:cols], 2), 2 * rows)
-            self.norms = np.empty(len(self.V))
-            self.members = [slice(c, c + 2) for c in range(0, len(self.V), 2)]
-        folding = [dt is not None and (folds(s.matrix, dt) if fold is None else fold) for s in states]
+        self.decay = self._stack(np.exp(-nu * grid.k2 * dt))
+        cols, rows = self.shape[-1], self.shape[-2]
+        self.norm_weight = np.tile(np.repeat(grid.weight[:cols], 2), 2 * rows)
+        self.norms = np.empty(len(self.V))
+        self.members = [slice(c, c + 2) for c in range(0, len(self.V), 2)]
+        folding = [folds(s.matrix, dt) for s in states]
         # (first copy, entries, bilinear) of each member with a coupling term
         self.coupling = [
             (2 * p, s.matrix.entries, s.matrix.is_direct_replacement)
@@ -329,33 +321,22 @@ class Workspace:
         spectral._require_dealiased(self.grid, V)
         return spectral.to_box(self.grid, V)
 
-    @property
-    def nbytes(self) -> int:
-        """The bytes of the arrays the workspace holds, its kernel's included
-        once it has stepped."""
-        owners = (self, self.forces, self.kernel) if self.kernel else (self, self.forces)
-        return sum(_nbytes(a) for o in owners for a in vars(o).values())
-
-    def rhs(self, V, t, out, diffuse=False) -> np.ndarray:
+    def rhs(self, V, t, out) -> np.ndarray:
         """Write the right-hand sides of the box stack V at t into out, which
         may be V; returns out.
 
-        f_i = g_i [- nu A v_i] - B(v_i, v_i) [+ m_i1 F(v1) + m_i2 F(v2)].
-        Diffusion enters only when diffuse (the stepper integrates it
-        exactly).
+        f_i = g_i - B(v_i, v_i) [+ m_i1 F(v1) + m_i2 F(v2)], without the
+        diffusion, which the propagator integrates exactly.
         """
         F = self.forces.at(t)
         if self.kernel is None:
-            make = spectral.BoxAdvection if self.dt is not None else spectral.BoxAdvection.cached
-            self.kernel = make(self.grid, len(V))
+            self.kernel = spectral.BoxAdvection(self.grid, len(V))
         B, (c, s) = self.B, self.kernel.work
         # every read of V comes before out is written
         self.kernel.advect(V, B)
         for p, _, bilinear in self.coupling:
             pair = slice(p, p + 2)
             np.multiply((B if bilinear else V)[pair], self.low[pair], out=c[pair])
-        if diffuse:
-            F = np.subtract(F, self.nu * (spectral.to_box(self.grid, self.grid.k2) * V), out=out)
         np.subtract(F, B, out=out)
         for p, m, _ in self.coupling:
             # sum each row's coupling first: commutativity of addition then
@@ -406,20 +387,20 @@ class Workspace:
     # (grid, box rows) -> fresh half spectra, which holds no reference to the workspace
     unpack = staticmethod(spectral.from_box)
 
-    def right_hand_sides(self, t) -> np.ndarray:
-        """The full right-hand sides of the packed fields at t, diffusion
-        included, as a fresh half-spectrum stack."""
-        return spectral.from_box(self.grid, self.rhs(self.V, t, self.K1, diffuse=True))
-
 
 def rhs_general(state: IntertwinedState):
     """Right-hand sides of the intertwined system.
 
     Returns (f1, f2) with f_i = g_i - nu A v_i - B(v_i, v_i)
     + m_i1 F(v1) + m_i2 F(v2).  The matrix fixes F: P_K B(., .) for a
-    direct-replacement matrix, P_K for every other.
+    direct-replacement matrix, P_K for every other.  The terms other than
+    diffusion are the stepper's `Workspace.rhs` at a zero step, which folds
+    nothing, so every coupling term is explicit; nu A v is subtracted on
+    the half spectrum.
     """
-    F = Workspace([state]).right_hand_sides(state.t)
+    run = Workspace([state], 0.0)
+    F = run.unpack(state.grid, run.rhs(run.V, state.t, run.K1))
+    F -= state.nu * state.grid.k2 * spectral.pack(state.v1, state.v2)
     return SpectralField(state.grid, F[0]), SpectralField(state.grid, F[1])
 
 

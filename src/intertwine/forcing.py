@@ -170,10 +170,6 @@ class ForcingPair:
     def decaying_delta(cls, base: Forcing, delta: SpectralField, rate: float) -> "ForcingPair":
         return cls(base, DecayingDeltaForcing(base, delta, rate))
 
-    def h(self, t: float) -> SpectralField:
-        """The force mismatch g1(t) - g2(t)."""
-        return self.g1(t) - self.g2(t)
-
     def sup_h_l2(self) -> float:
         """sup over t >= 0 of |g1 - g2| in closed form: 0 for a synchronized
         pair, |delta| for a decaying-delta pair; any other pair raises

@@ -481,8 +481,8 @@ class ScenarioResult:
     scenario: str
     out_dir: str
     decayed: bool | None = None
-    decay_l2: diag.DecayVerdict | None = None
-    decay_h1: diag.DecayVerdict | None = None
+    decay_l2: diag.DecayFit | None = None
+    decay_h1: diag.DecayFit | None = None
     final_ratio: float = math.nan
     reports: list = field(default_factory=list)
     blowup: bool = False
@@ -594,15 +594,15 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None) -
         l2_series = _collect_series(records, "l2_w")
         h1_series = _collect_series(records, "h1_w")
         try:
-            result.decay_l2 = diag.decay_detect(l2_series, threshold=cfg.decay_threshold)
-            result.decay_h1 = diag.decay_detect(h1_series, threshold=cfg.decay_threshold)
+            result.decay_l2 = diag.decay_detect(l2_series)
+            result.decay_h1 = diag.decay_detect(h1_series)
         except diag.InsufficientData:
             pass
         initial, final = l2_series[0][1], l2_series[-1][1]
         if initial > 0:
             result.final_ratio = final / initial
-        # the scenario verdict is the finite-horizon rule; the fitted-rate
-        # verdicts above stay available as diagnostics
+        # the scenario verdict is the finite-horizon rule; the fits above
+        # are diagnostics
         result.decayed = diag.decayed(initial, final, cfg.decay_threshold)
         result.reports = _condition_reports(state, records, constants, cfg.nu)
     diag.write_condition_reports(out_dir, result.reports)
@@ -625,17 +625,13 @@ def _fdm_verdicts(cfg, ladder, rows, result):
     """
     per_n = [diag.decayed(first, last, cfg.decay_threshold) for first, last in zip(rows[0][1], rows[-1][1])]
     full = bool(result.decayed)
-    threshold = None
-    for j in range(len(ladder)):
-        if all(per_n[i] == full for i in range(j, len(ladder))):
-            threshold = ladder[j]
-            break
+    threshold = next((N for j, N in enumerate(ladder) if all(d == full for d in per_n[j:])), None)
     # the implication "low modes decayed => full state decayed" must hold at
     # and above the threshold; smaller N may disagree (below the determining
-    # dimension) without contradiction
-    consistent = threshold is not None and all(
-        (not per_n[j]) or full for j, N in enumerate(ladder) if N >= threshold
-    )
+    # dimension) without contradiction.  Every rung from the threshold up
+    # equals the full verdict by construction, so the implication holds
+    # there exactly when a threshold exists
+    consistent = threshold is not None
     return {
         "ladder": list(ladder),
         "low_mode_decayed": per_n,

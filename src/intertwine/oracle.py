@@ -247,7 +247,7 @@ class _RK4:
     unpack(grid, V) is the kernel's `_Kernel.write`.
     """
 
-    def __init__(self, states, dt=None):
+    def __init__(self, states, dt):
         grid, t, nu = (_shared(states, name) for name in ("grid", "t", "nu"))
         self.kern = kern = _kernel(grid.dealias_radius)
         # the kernel's method, not the stepper's: _run keeps unpack after it frees the stepper
@@ -282,7 +282,7 @@ class _RK4:
 
 def _dense_pair_rhs(state):
     """Right-hand sides of the state's pair, dense path, as `SpectralField`s."""
-    system = _RK4([state])
+    system = _RK4([state], 0.0)
     return tuple(SpectralField(state.grid, h) for h in system.unpack(state.grid, system.rhs(system.V, state.t)))
 
 

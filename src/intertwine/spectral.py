@@ -30,8 +30,6 @@ owns.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -485,14 +483,6 @@ class BoxAdvection:
         self.fwd = np.empty((2, copies, n, n // 2 + 1), dtype=np.complex128)
         self.pairs = [slice(j, j + 2) for j in range(0, copies, 2)]
 
-    @staticmethod
-    @lru_cache(maxsize=8)
-    def cached(grid: Grid, copies: int) -> "BoxAdvection":
-        """One kernel per (grid, copies), shared by the one-shot callers of
-        the process: its buffers hold nothing between calls, and no two
-        threads may use it at once."""
-        return BoxAdvection(grid, copies)
-
     def advect(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write B(v, v) of each copy of the box stack V into out, a
         C-contiguous box stack that is not V; allocates nothing."""
@@ -580,14 +570,25 @@ def random_field(
     n, m = grid.n, grid.n // 2 + 1
     mask = grid.low_mode_mask(kmax) & grid.nonzero
     raw = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-    decay = np.zeros_like(grid.k2)
-    decay[mask] = grid.kmag[mask] ** (-slope)
-    # each stored k and its partner -k (row -ky, column -kx mod n); the decay
-    # is even in k, so both take the same factor
-    here = raw[..., :m] * decay
-    partner = np.conj(raw[:, grid.neg_rows][..., (-np.arange(m)) % n]) * decay
-    u = leray_project(grid, 0.5 * (here + partner))
-    amp = u.l2
+
+    def spectrum(unit):
+        decay = np.zeros_like(grid.k2)
+        decay[mask] = (grid.kmag[mask] / unit) ** (-slope)
+        # each stored k and its partner -k (row -ky, column -kx mod n); the
+        # decay is even in k, so both take the same factor
+        here = raw[..., :m] * decay
+        partner = np.conj(raw[:, grid.neg_rows][..., (-np.arange(m)) % n]) * decay
+        return leray_project(grid, 0.5 * (here + partner))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = spectrum(1.0)
+        amp = u.l2
+    if not np.isfinite(amp):
+        # |k|^-slope or the norm overflowed (a steeply rising spectrum); the
+        # field is rescaled to energy anyway, so measure |k| in units of the
+        # largest one
+        u = spectrum(grid.kmag[mask].max())
+        amp = u.l2
     if amp == 0.0:
         return u
     return u * (energy / amp)

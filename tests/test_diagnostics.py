@@ -304,15 +304,16 @@ class TestRegimeTable:
 class TestDecayDetection:
     def test_clean_exponential(self):
         ts = np.linspace(0.0, 10.0, 100)
-        verdict = decay_detect([(t, math.exp(-2.0 * t)) for t in ts])
-        assert verdict.decayed
-        assert verdict.rate == pytest.approx(-2.0, rel=0.01)
+        fit = decay_detect([(t, math.exp(-2.0 * t)) for t in ts])
+        assert fit.rate == pytest.approx(-2.0, rel=0.01)
+        assert fit.r2 == pytest.approx(1.0)
+        assert diag.decayed(1.0, math.exp(-20.0), 1e-6)
 
     def test_constant_series(self):
         ts = np.linspace(0.0, 10.0, 50)
-        verdict = decay_detect([(t, 3.14) for t in ts])
-        assert not verdict.decayed
-        assert abs(verdict.rate) < 1e-12
+        fit = decay_detect([(t, 3.14) for t in ts])
+        assert abs(fit.rate) < 1e-12
+        assert not diag.decayed(3.14, 3.14, 1e-6)
 
     def test_non_exponential_decay_flagged_low_r2(self):
         # a plateau that ends in one drop is a poor exponential: over the tail
@@ -323,13 +324,12 @@ class TestDecayDetection:
         def plateau(last):
             return [(t, 1.0) for t in ts[:-1]] + [(ts[-1], last)]
 
-        verdict = decay_detect(plateau(0.5), threshold=1e-6)
-        assert verdict.rate < 0.0
-        assert verdict.r2 < 0.9
-        assert not verdict.decayed
-        verdict_deep = decay_detect(plateau(1e-7), threshold=1e-6)
-        assert verdict_deep.decayed  # threshold route only, past the threshold
-        assert verdict_deep.r2 < 0.9
+        fit = decay_detect(plateau(0.5))
+        assert fit.rate < 0.0
+        assert fit.r2 < 0.9
+        assert not diag.decayed(1.0, 0.5, 1e-6)
+        assert decay_detect(plateau(1e-7)).r2 < 0.9
+        assert diag.decayed(1.0, 1e-7, 1e-6)  # the rule fires past the threshold
 
     def test_one_decay_rule(self):
         # a positive initial value that fell to threshold times itself
@@ -351,9 +351,9 @@ class TestDecayDetection:
         series = []
         for t in np.linspace(0.0, 30.0, 200):
             series.append((float(t), orc.heat_exact(p0, None, nu, float(t)).l2))
-        verdict = decay_detect(series)
-        assert verdict.decayed
-        assert verdict.rate == pytest.approx(-nu * 1.0, rel=0.01)
+        fit = decay_detect(series)
+        assert fit.r2 > 0.99
+        assert fit.rate == pytest.approx(-nu * 1.0, rel=0.01)
 
 
 class TestHeatCompare:

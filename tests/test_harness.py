@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import re
 from dataclasses import fields, replace
@@ -648,6 +649,49 @@ class TestCli:
         for name, lhs, rhs, margin, satisfied in rows:
             if not (float(lhs) <= float(rhs)):
                 assert satisfied == "False", name
+
+    def _conditions(self, tmp_path):
+        """conditions.tsv of the run in tmp_path/out, as name -> (lhs, rhs, satisfied)."""
+        rows = [line.split("\t") for line in (tmp_path / "out" / "conditions.tsv").read_text().splitlines()[1:]]
+        return {name: (float(lhs), float(rhs), satisfied) for name, lhs, rhs, _, satisfied in rows}
+
+    def test_saturated_bound_is_reported(self, tmp_path, capsys, monkeypatch):
+        # at nu = 1e-200 the Grashof number g saturates to inf, and so does
+        # the mutual bound nu*(mu_max/mu_min)*g; the bound exists (mu_min > 0),
+        # so it and the energy inequality are reported, not dropped as for mu_min = 0
+        code, captured = self._run_short(tmp_path, capsys, monkeypatch, "physics.nu", "1e-200")
+        assert code == 0, captured.err
+        reports = self._conditions(tmp_path)
+        assert list(reports) == ["nudge_fdss", "nudge_ss", "bound_nudge_mutual", "energy_inequality"]
+        assert reports["bound_nudge_mutual"][1] == math.inf
+
+    @pytest.mark.parametrize("coupling, constants, name", [
+        ({"class": "dr_symmetric", "theta1": "0.8", "theta2": "0.2"},
+         '{"C_L": 1.0, "C_A": 1.0, "C_S": 1e-150}', "cutoff_small_theta2_floor"),
+        ({"class": "nudge_mutual", "mu1": "2.0", "mu2": "2.0"},
+         '{"C_L": 1e200, "C_A": 1.0, "C_S": 1.0}', "nudge_ss"),
+    ], ids=["tiny_C_S", "huge_C_L"])
+    def test_extreme_constants_saturate(self, tmp_path, capsys, monkeypatch, coupling, constants, name):
+        # exp(1/(8 C_S^2)) and C_L^2 once raised OverflowError after the run,
+        # leaving no reports and no manifest; now they read inf, VIOLATED
+        (tmp_path / "constants.json").write_text(constants)
+        monkeypatch.setitem(SHORT, "coupling", coupling)
+        code, captured = self._run_short(
+            tmp_path, capsys, monkeypatch, "output.constants_file", str(tmp_path / "constants.json"))
+        assert code == 0, captured.err
+        assert (tmp_path / "out" / "manifest.json").exists()
+        lhs, rhs, satisfied = self._conditions(tmp_path)[name]
+        assert math.inf in (lhs, rhs) and satisfied == "False"
+
+    def test_saturated_theta_small_reads_nan(self, tmp_path, capsys, monkeypatch):
+        # at nu = 1e-100, 2*(|r0|/nu)^2 + k^2 is inf - inf: it reads NaN,
+        # not the 0 that max(0, NaN) made of it
+        monkeypatch.setitem(SHORT, "coupling", {"class": "dr_symmetric", "theta1": "0.8", "theta2": "0.2"})
+        code, captured = self._run_short(tmp_path, capsys, monkeypatch, "physics.nu", "1e-100")
+        assert code == 0, captured.err
+        lhs, rhs, satisfied = self._conditions(tmp_path)["theta_small"]
+        assert math.isnan(rhs) and satisfied == "False"
+        assert "2*(|r0|/nu)^2 + k^2 = nan" in captured.out
 
     def test_verify_reports_time_per_suite(self, monkeypatch, capsys):
         from intertwine import verify

@@ -153,6 +153,22 @@ def test_loc_counts_and_unused_names(tmp_path):
     assert table[-1].split() == ["total", "16", str(SYNTHETIC.count("\n") + 1)]
 
 
+def test_loc_unused_methods_need_an_attribute(tmp_path):
+    # a method is used only as an attribute: a local variable of its name
+    # does not use it, while a top-level name counts by any reference
+    loc = _load(ROOT / "tools" / "loc.py", "loc_tool")
+    pkg = tmp_path / "src" / "intertwine"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "mod.py").write_text(
+        "class Pair:\n    def h(self):\n        return 0\n\n    def g(self):\n        return 1\n\n\n"
+        "def h():\n    return 2\n"
+    )
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "demo.py").write_text("from intertwine.mod import Pair\nh = 3\nprint(h, Pair().g())\n")
+    assert loc.unused(str(tmp_path / "src"), str(tmp_path)) == ["mod.Pair.h"]
+
+
 KNOBS = '''\
 def by_keyword(a, scale=1.0):
     return a * scale

@@ -1,14 +1,18 @@
-"""Property tests: config text and checkpoints round-trip exactly."""
+"""Property tests: config text and checkpoints round-trip exactly, and the
+stepper agrees with the dense oracle over the valid config space."""
 
-from dataclasses import fields
+import math
+from dataclasses import fields, replace
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from intertwine import dynamics as dyn
 from intertwine import forcing as fr
 from intertwine import harness as hz
+from intertwine import oracle as orc
 from intertwine import spectral as sp
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -119,3 +123,84 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path_factory, kind, n, radius_fracti
     again = path.with_name("again.ckpt")
     hz.checkpoint_save(loaded, again, seed=loaded_seed)
     assert again.read_bytes() == path.read_bytes()
+
+
+FORCE_KINDS = ("kolmogorov", "time_periodic", "decaying_pair")
+
+
+def shell_cutoffs(radius):
+    """Every radius |k| of a lattice shell in the ball |k| <= radius, 0
+    included, and 1e-10 either side of it, that is a valid cutoff K."""
+    r = int(radius)
+    shells = {math.hypot(kx, ky) for kx in range(r + 1) for ky in range(r + 1)}
+    cutoffs = {s + d for s in shells for d in (-1e-10, 0.0, 1e-10)}
+    return sorted(K for K in cutoffs if K >= 0.0 and sp.in_ball(K, radius))
+
+
+def _members(draw, kind):
+    """Three states from valid configs on one grid (n in {8, 10, 12}, so
+    the dense box radius is at most 4) with one nu and t: the first of the
+    coupling class kind under the self_sync scenario, the others of any
+    class and scenario; among them all three force kinds."""
+    n = draw(st.sampled_from((8, 10, 12)))
+    radius = draw(st.none() | st.floats(1.0, n / 3.0))
+    limit = radius or n / 3.0
+    shift = draw(st.integers(0, 2))
+    states, shared = [], {}
+    for p in range(3):
+        cfg = draw(configs())
+        if p == 0:
+            cfg = replace(cfg, coupling_class=kind, scenario="self_sync")
+        cfg = replace(
+            cfg, n=n, dealias_radius=radius, K=draw(st.sampled_from(shell_cutoffs(limit))),
+            wavenumber=draw(st.integers(1, int(limit))), initial_modes=draw(mode_lists(limit)),
+            forcing_kind=FORCE_KINDS[(p + shift) % 3], sweep_K=(), constants_file=None, **shared,
+        )
+        shared = shared or {"nu": cfg.nu, "dt": cfg.dt, "t_end": cfg.dt}
+        try:
+            state, _, _ = hz.build_state(cfg.validate())
+        except hz.ConfigInvalid:
+            reject()  # a valid config that its scenario refuses (no modes above K, say)
+        states.append(state)
+    dt = shared["dt"]
+    t = dt * draw(st.integers(0, 10**6))
+    return [replace(state, t=t) for state in states], dt
+
+
+def term_scale(state):
+    """The size of the terms the right-hand sides sum, which sets their
+    roundoff: per copy |g_i| + nu |A v_i| + |v_i| + |v_i| |v_i|_V, the last
+    for B(v_i, v_i), which may cancel to nothing (on one shell of modes, say)
+    while its roundoff does not; the larger of the two, times 1 plus the
+    largest row sum of |M| for the coupling terms."""
+    gain = np.abs(state.matrix.entries).sum(axis=1).max()
+    sizes = [g(state.t).l2 + state.nu * sp.stokes_apply(v, 2).l2 + v.l2 * (1.0 + v.h1)
+             for g, v in ((state.forcing.g1, state.v1), (state.forcing.g2, state.v2))]
+    return (1.0 + gain) * max(sizes)
+
+
+@pytest.mark.parametrize("kind", sorted(dyn.COUPLING_CLASSES))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_stepper_matches_dense_oracle_and_lone_runs(kind, data):
+    # the stepper's right-hand side against the dense oracle's, to 1e-11
+    # relative to the terms it sums, and each ensemble member bitwise its
+    # lone run, for drawn configs whose cutoff sits on a shell of modes or
+    # 1e-10 off it
+    states, dt = _members(data.draw, kind)
+    for state in states:
+        f1, f2 = dyn.rhs_general(state)
+        e1, e2 = orc._dense_pair_rhs(state)
+        gap = max((f1 - e1).l2, (f2 - e2).l2)
+        assert gap <= 1e-11 * term_scale(state), (state.K, state.matrix, gap)
+    t_end = states[0].t + 3 * dt
+    ensemble = dyn.integrate_many(states, t_end, dt, cfl_factor=None)
+    for state, member in zip(states, ensemble):
+        try:
+            lone = dyn.integrate(state, t_end, dt, cfl_factor=None)
+        except dyn.BlowupDetected as exc:
+            assert isinstance(member, dyn.BlowupDetected) and member.t == exc.t
+            continue
+        assert lone.t == member.t
+        assert lone.v1.half.tobytes() == member.v1.half.tobytes()
+        assert lone.v2.half.tobytes() == member.v2.half.tobytes()

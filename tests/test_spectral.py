@@ -185,6 +185,14 @@ class TestNorms:
             u = random_field(grid16, rng, energy=rng.uniform(0.1, 10.0))
             assert u.l2 <= u.h1 * (1 + 1e-12)
 
+    @pytest.mark.parametrize("slope", [-300.0, -1000.0])
+    def test_random_field_with_a_steeply_rising_spectrum(self, grid16, slope):
+        # |k|^-slope overflows at slope -1000 and the norm at -300; the field
+        # once came out NaN or zero, and now has the requested energy
+        u = random_field(grid16, np.random.default_rng(0), energy=0.7, slope=slope)
+        assert np.isfinite(u.half).all()
+        assert u.l2 == pytest.approx(0.7, rel=1e-14)
+
     def test_sobolev_weights_cached_values_unchanged(self, grid16, rng):
         # hm_norm reads |k|^(2m) times the column weights from the grid,
         # built once per m; the values are those of the formula inline

@@ -9,13 +9,15 @@ checkout's `src`) and in total, the code lines (lines that hold a token
 other than a comment, and are not part of a docstring) and the `wc -l`
 lines.
 
---unused lists the package's top-level names and the methods of its
-top-level classes that no module in src, demos, tools or perfbench
-references by AST name, attribute or import.  The package's `__init__.py`
-re-exports names and does not count as a use, and dunder methods are run
-by the language, so they are never listed.  A name that only tests reach
-shows up here; a name used through a string (getattr, a tracer that wraps
-by name) shows up too, so each listed name needs a reason to stay.
+--unused lists the package's top-level names that no module in src, demos,
+tools or perfbench references by AST name, attribute or import, and the
+methods of its top-level classes that none references as an attribute
+(`obj.method`): a local variable of the same name is not a use.  The
+package's `__init__.py` re-exports names and does not count as a use, and
+dunder methods are run by the language, so they are never listed.  A name
+that only tests reach shows up here; a name used through a string (getattr,
+a tracer that wraps by name) shows up too, so each listed name needs a
+reason to stay.
 
 --knobs lists, per package function or method (nested functions included,
 as `module.func`, `module.Class.method` or `module.func.inner`), the
@@ -102,17 +104,18 @@ def definitions(tree: ast.Module) -> list:
     return [(qual, name) for qual, name in out if not (name.startswith("__") and name.endswith("__"))]
 
 
-def references(tree: ast.AST) -> set:
-    """Every name tree reads, every attribute it takes and every name it imports."""
-    refs = set()
+def references(tree: ast.AST) -> tuple:
+    """(every name tree reads, takes as an attribute or imports, every
+    attribute it takes)."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            refs.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
-    return refs
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names | attributes, attributes
 
 
 def _python_files(top: str) -> list:
@@ -130,13 +133,16 @@ def unused(src: str, root: str = ROOT) -> list:
     users = [path for path in trees if os.path.basename(path) != "__init__.py"]
     for top in USERS:
         users.extend(_python_files(os.path.join(root, top)))
-    refs = set()
+    names, attributes = set(), set()
     for path in users:
-        refs |= references(trees[path] if path in trees else ast.parse(_read(path)))
+        found_names, found_attributes = references(trees[path] if path in trees else ast.parse(_read(path)))
+        names |= found_names
+        attributes |= found_attributes
     listed = []
     for path, tree in trees.items():
         module = os.path.basename(path)[:-3]
-        listed.extend(f"{module}.{qual}" for qual, name in definitions(tree) if name not in refs)
+        listed.extend(f"{module}.{qual}" for qual, name in definitions(tree)
+                      if name not in (attributes if "." in qual else names))
     return listed
 
 
