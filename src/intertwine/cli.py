@@ -129,7 +129,7 @@ def main(argv=None) -> int:
 
     try:
         cfg = _load(args)
-    except (ParseError, ConfigInvalid, FileNotFoundError) as exc:
+    except (ParseError, ConfigInvalid, OSError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

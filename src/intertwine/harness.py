@@ -337,8 +337,9 @@ def build_initial(cfg: ExperimentConfig, grid: sp.Grid, rng: np.random.Generator
     return v1, v1 + (cfg.difference_scale / amp) * offset
 
 
-def build_state(cfg: ExperimentConfig, scenario: str | None = None):
-    """Grid, rng, state wired per scenario; returns (state, rng, constants)."""
+def build_state(cfg: ExperimentConfig, scenario: str | None = None) -> dyn.IntertwinedState:
+    """The state of cfg wired per scenario (default cfg.scenario): grid,
+    forces and initial pair drawn from one rng seeded by cfg.seed."""
     scenario = scenario or cfg.scenario
     grid = build_grid(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -364,10 +365,9 @@ def build_state(cfg: ExperimentConfig, scenario: str | None = None):
                 f"{scenario}: the observer starts equal to the truth, since {cause} "
                 f"(K = {cfg.K:g}); the error |v1 - v2| is 0 from t = 0"
             )
-    state = dyn.IntertwinedState(
+    return dyn.IntertwinedState(
         grid=grid, t=0.0, nu=cfg.nu, K=cfg.K, matrix=matrix, v1=v1, v2=v2, forcing=forcing
     )
-    return state, rng, _load_constants(cfg)
 
 
 def _load_constants(cfg: ExperimentConfig) -> ConstantsConfig:
@@ -382,6 +382,14 @@ def _load_constants(cfg: ExperimentConfig) -> ConstantsConfig:
             return ConstantsConfig.from_json(fh.read())
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigInvalid(f"constants file {cfg.constants_file!r}: {exc}") from None
+
+
+def _make_out_dir(out_dir: str) -> None:
+    """Create out_dir; a directory that cannot be created raises ConfigInvalid."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid(f"output directory {out_dir!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +564,8 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None) -
     and fdm_table.csv, and manifest.json last, so that its presence marks a
     complete run.  A run that blows up keeps the samples it took, and has
     no decay verdict, final ratio, condition reports or determining-modes
-    verdict.
+    verdict.  An output directory that cannot be created raises
+    ConfigInvalid before the first step.
     """
     kind = (kind or cfg.scenario).lower()
     if kind not in SCENARIOS:
@@ -565,7 +574,9 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None) -
     if kind == "regime_sweep":
         return _run_sweep(cfg, out_dir)
 
-    state, _rng, constants = build_state(cfg, scenario=kind)
+    state = build_state(cfg, scenario=kind)
+    constants = _load_constants(cfg)
+    _make_out_dir(out_dir)
     result = ScenarioResult(scenario=kind, out_dir=out_dir)
     cfg = replace(cfg, scenario=kind)
 
@@ -583,7 +594,6 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None) -
         result.blowup = True
         result.blowup_t = blowup.t
 
-    os.makedirs(out_dir, exist_ok=True)
     write_text(os.path.join(out_dir, "config.ini"), serialize_config(cfg))
     write_text(os.path.join(out_dir, "constants.json"), constants.to_json())
     diag.write_timeseries_csv(os.path.join(out_dir, "series.csv"), records)
@@ -704,7 +714,9 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> ScenarioResult:
     human review rather than asserted away.
     """
     _load_constants(cfg)  # a bad constants file fails the sweep, not each point
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
+    # the sweep's record of its config comes first, so a sweep that dies keeps it
+    write_text(os.path.join(out_dir, "config.ini"), serialize_config(cfg))
     jobs = []
     for index, (point, pcfg) in enumerate(_sweep_points(cfg)):
         child = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1, dtype=np.uint64)[0])
@@ -720,7 +732,6 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> ScenarioResult:
     result.extras["table"] = rows
     result.extras["monotonicity_flags"] = flags
     _write_sweep_table(out_dir, rows, flags)
-    write_text(os.path.join(out_dir, "config.ini"), serialize_config(cfg))
     return result
 
 

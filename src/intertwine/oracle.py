@@ -20,7 +20,6 @@ one ball rule `spectral.in_ball`.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -73,26 +72,19 @@ def _box_radius(keep: float) -> int:
     return math.floor(keep + BALL_ATOL)
 
 
-@functools.cache
-def _kernel(keep: float) -> "_Kernel":
-    """The kernel of the ball |k| <= keep, built once on first use."""
-    return _Kernel(keep)
-
-
 class _Kernel:
     """The array kernel of the Galerkin ball |k| <= keep on the smallest box
     that holds it, max(|kx|, |ky|) <= radius = `_box_radius`(keep).
 
-    Stacks have shape (copies, 2, S) with S = side^2, for any number of
-    copies; mode index (ky+R)*side + (kx+R).  `read` fills a stack from
-    fields and `write` turns one into half spectra.  The triad indices are
-    offset by (copy*2 + comp)*S, so one bincount over the interleaved real
-    and imaginary parts sums the convolution of every copy and component.
-    The offset tables grow to the most copies seen; memory is
-    O(triads * copies).
+    Stacks have shape (copies, 2, S) with S = side^2, mode index
+    (ky+R)*side + (kx+R).  `read` fills a stack from fields and `write`
+    turns one into half spectra.  `bilinear` takes stacks of exactly
+    `copies` copies: its triad indices are offset by (copy*2 + comp)*S, so
+    one bincount over the interleaved real and imaginary parts sums the
+    convolution of every copy and component.  Memory is O(triads * copies).
     """
 
-    def __init__(self, keep: float):
+    def __init__(self, keep: float, copies: int):
         self.radius = radius = _box_radius(keep)
         if not 1 <= radius <= MAX_RADIUS:
             raise RadiusTooLarge(
@@ -114,21 +106,14 @@ class _Kernel:
         self.inv_k2 = inv_k2.astype(np.complex128)
         # |k|^2 formed from |k|, not k2: the two differ in their last bits
         self.lap = (self.kmag**2).astype(np.complex128)
-        self.triads = _triples(radius, keep)
-        self.ntriads = self.triads[0].size
-        self._offset_tables(2)
+        ia, ib, ik, bx, by = _triples(radius, keep)
         # i b, so that i (u_a . b) = u_a,x (i b_x) + u_a,y (i b_y)
-        self.ibvec = 1j * np.stack(self.triads[3:])
-
-    def _offset_tables(self, copies: int) -> None:
-        """The triad indices offset for `copies` copies."""
-        ia, ib, ik = self.triads[:3]
-        offsets = (np.arange(2 * copies) * self.size).reshape(copies, 2, 1)
+        self.ibvec = 1j * np.stack([bx, by])
+        offsets = (np.arange(2 * copies) * S).reshape(copies, 2, 1)
         self.ia = ia + offsets
         self.ib = ib + offsets
         # real and imaginary parts interleaved: one bincount over the float view
         self.ik = ((2 * (ik + offsets))[..., None] + np.arange(2)).ravel()
-        self.capacity = copies
 
     def read(self, fields) -> np.ndarray:
         """The stack of the fields' boxes, read through `SpectralField.coeffs`."""
@@ -162,15 +147,9 @@ class _Kernel:
         No triad writes k = 0, so the mean stays zero.
         """
         copies = U.shape[0]
-        if copies > self.capacity:
-            self._offset_tables(copies)
-        p = U.reshape(-1)[self.ia[:copies]] * self.ibvec
-        contrib = (p[:, :1] + p[:, 1:]) * W.reshape(-1)[self.ib[:copies]]
-        sums = np.bincount(
-            self.ik[: copies * 4 * self.ntriads],
-            weights=contrib.view(np.float64).ravel(),
-            minlength=copies * 4 * self.size,
-        )
+        p = U.reshape(-1)[self.ia] * self.ibvec
+        contrib = (p[:, :1] + p[:, 1:]) * W.reshape(-1)[self.ib]
+        sums = np.bincount(self.ik, weights=contrib.view(np.float64).ravel(), minlength=copies * 4 * self.size)
         return self.leray(sums.view(np.complex128).reshape(copies, 2, self.size))
 
     def rhs(self, V, G, nu_lap, coupling=()):
@@ -202,7 +181,7 @@ def dense_bilinear_B(u: SpectralField, v: SpectralField, keep: float | None = No
     """
     _require_same_grid(u, v)
     grid = u.grid
-    kern = _kernel(grid.dealias_radius if keep is None else keep)
+    kern = _Kernel(grid.dealias_radius if keep is None else keep, 1)
     return SpectralField(grid, kern.write(grid, kern.bilinear(kern.read([u]), kern.read([v])))[0])
 
 
@@ -249,7 +228,7 @@ class _RK4:
 
     def __init__(self, states, dt):
         grid, t, nu = (_shared(states, name) for name in ("grid", "t", "nu"))
-        self.kern = kern = _kernel(grid.dealias_radius)
+        self.kern = kern = _Kernel(grid.dealias_radius, 2 * len(states))
         # the kernel's method, not the stepper's: _run keeps unpack after it frees the stepper
         self.unpack = kern.write
         self.dt = dt

@@ -455,7 +455,7 @@ class TestStepping:
         # the acceptance nudging config at n = 128: a diffusive limit
         # 1 / (nu k_max^2) = 0.011 used to reject dt = 0.02, although the
         # integrating factor takes diffusion exactly and the run is stable
-        state, _, _ = hz.build_state(hz.parse_config_text(NUDGE_N128))
+        state = hz.build_state(hz.parse_config_text(NUDGE_N128))
         coarse = integrate(state, 2.0, dt=0.02)
         fine = integrate(state, 2.0, dt=0.01)
         for u, ref in ((coarse.v1, fine.v1), (coarse.v2, fine.v2)):
@@ -593,7 +593,7 @@ class TestStepping:
         # workspace, so the default path is measured
         import tracemalloc
 
-        state, _, _ = hz.build_state(hz.parse_config_text(NUDGE_N128.replace("n = 128", "n = 64")))
+        state = hz.build_state(hz.parse_config_text(NUDGE_N128.replace("n = 128", "n = 64")))
         states = [state, replace(state, K=8.0)][:members]
 
         def run(t_end):

@@ -212,7 +212,7 @@ class TestConfigParsing:
 class TestCheckpoints:
     def test_bit_exact_roundtrip(self, tmp_path, rng):
         cfg = hz.parse_config_text(MINIMAL)
-        state, _, _ = hz.build_state(cfg)
+        state = hz.build_state(cfg)
         path = tmp_path / "state.ckpt"
         hz.checkpoint_save(state, path, seed=7)
         loaded, seed = hz.checkpoint_load(path)
@@ -235,7 +235,7 @@ class TestCheckpoints:
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
         cfg = hz.parse_config_text(MINIMAL)
-        state, _, _ = hz.build_state(cfg)
+        state = hz.build_state(cfg)
         path = tmp_path / "full.ckpt"
         hz.checkpoint_save(state, path, seed=1)
         blob = path.read_bytes()
@@ -280,7 +280,7 @@ class TestCheckpoints:
 
     def test_checksum_mismatch_rejected(self, tmp_path):
         cfg = hz.parse_config_text(MINIMAL)
-        state, _, _ = hz.build_state(cfg)
+        state = hz.build_state(cfg)
         path = tmp_path / "flip.ckpt"
         hz.checkpoint_save(state, path, seed=1)
         blob = bytearray(path.read_bytes())
@@ -293,7 +293,7 @@ class TestCheckpoints:
         import struct
 
         cfg = hz.parse_config_text(MINIMAL)
-        state, _, _ = hz.build_state(cfg)
+        state = hz.build_state(cfg)
         # the version-1 layout: no dealias radius, two matrix params, no checksum
         head = b"ITWN" + struct.pack(
             "<IddIdBddQ", 1, state.nu, state.t, state.grid.n, state.K, 1, 2.0, 2.0, 7
@@ -523,6 +523,21 @@ class TestScenarios:
         clean = serial.extras["table"]
         assert repr([rows[0], rows[2]]) == repr([clean[0], clean[2]])  # repr: nan == nan
         assert "RuntimeError: injected failure" in (tmp_path / "out" / "sweep_table.csv").read_text()
+
+    def test_sweep_writes_its_config_before_any_point(self, tmp_path, monkeypatch):
+        # config.ini was written last, so a sweep that died left no record of its config
+        run_point = hz._run_sweep_point
+        seen = []
+
+        def spy(job):
+            seen.append((tmp_path / "config.ini").exists())
+            return run_point(job)
+
+        monkeypatch.setattr(hz, "_run_sweep_point", spy)
+        cfg = hz.parse_config_text(MINIMAL.replace("t_end = 4.0", "t_end = 0.2") + "\n[sweep]\nK = 1.0, 2.0\n")
+        hz.run_scenario(cfg, kind="regime_sweep", out_dir=tmp_path)
+        assert seen == [True, True]
+        assert (tmp_path / "config.ini").read_text() == hz.serialize_config(cfg)
 
     def test_sweep_table_quotes_an_error_with_commas(self, tmp_path, monkeypatch):
         # a hand-joined row once split such an error into extra fields
@@ -777,6 +792,41 @@ class TestCli:
         code = cli.main(["twin", "--config", cfg, "--kind", "dr", "--out", str(tmp_path / "out")])
         assert code == 2
         assert "max_wavenumber = 3 <= K" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", MINIMAL),
+        ("sweep", MINIMAL.replace("t_end = 4.0", "t_end = 0.2") + "\n[sweep]\nK = 1.0, 2.0\n"),
+    ], ids=["run", "sweep"])
+    def test_out_dir_that_cannot_be_made_exits_2_before_any_step(self, tmp_path, capsys, monkeypatch, command,
+                                                                 text):
+        # --out under a regular file raised NotADirectoryError, for run only
+        # after integrating the whole run
+        from intertwine import dynamics as dyn
+
+        calls = []
+        monkeypatch.setattr(dyn, "integrate", lambda *args, **kwargs: calls.append(args))
+        cfg = self._write(tmp_path, text)
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "out")
+        assert cli.main([command, "--config", cfg, "--out", out]) == 2
+        assert f"output directory {out!r}" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "Is a directory"),
+        (b"\xff\xfe" + MINIMAL.encode(), "can't decode byte 0xff"),
+    ], ids=["directory", "not_utf8"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, content, message):
+        # a directory raised IsADirectoryError and a UTF-16 byte-order mark
+        # UnicodeDecodeError, each a traceback with exit 1
+        path = tmp_path / "config.ini"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
 
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("INTWINE_THREADS", "3")

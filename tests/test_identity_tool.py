@@ -169,6 +169,97 @@ def test_loc_unused_methods_need_an_attribute(tmp_path):
     assert loc.unused(str(tmp_path / "src"), str(tmp_path)) == ["mod.Pair.h"]
 
 
+TRANSITIVE = '''\
+LIMIT = 3
+
+
+class Refused(ValueError):
+    pass
+
+
+class Box:
+    def __init__(self):
+        self.size = LIMIT
+
+    def grow(self):
+        return _scale(self.size)
+
+    def shrink(self):
+        raise Refused(self.size)
+
+
+def _scale(x):
+    return 2 * x
+
+
+def checked():
+    return Box().shrink()
+
+
+def main():
+    return Box().grow()
+
+
+if __name__ == "__main__":
+    main()
+'''
+
+
+def test_loc_unused_is_transitive(tmp_path):
+    # the __main__ block reaches main, Box (whose __init__ reads LIMIT), grow
+    # and _scale; checked is reached by a test alone, and shrink and Refused
+    # only through checked, so all three are listed until a user reaches checked
+    loc = _load(ROOT / "tools" / "loc.py", "loc_tool")
+    pkg = tmp_path / "src" / "intertwine"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .mod import checked\n")
+    (pkg / "mod.py").write_text(TRANSITIVE)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text("from intertwine.mod import checked\nchecked()\n")
+    assert loc.unused(str(tmp_path / "src"), str(tmp_path)) == ["mod.Refused", "mod.Box.shrink", "mod.checked"]
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "demo.py").write_text("from intertwine.mod import checked\nchecked()\n")
+    assert loc.unused(str(tmp_path / "src"), str(tmp_path)) == []
+
+
+def test_loc_audits_of_the_package_are_pinned():
+    # every name only tests reach and every value only tests set, each with
+    # the reason it stays: a new one fails here until it is retired or kept
+    # with its reason
+    loc = _load(ROOT / "tools" / "loc.py", "loc_tool")
+    src = str(ROOT / "src")
+    assert loc.unused(src) == [
+        # regenerates data/constants_default.json; its test does so
+        "diagnostics.calibrate_constants",
+        # the refusal of residual_twisted for a matrix outside its class
+        "dynamics.WrongMatrixClass",
+        # the stepper's one-state right-hand side, which the tests hold
+        # against the dense oracle; residual_twisted is built on it
+        "dynamics.rhs_general",
+        # the paper's closed equation for the twisted combination
+        "dynamics.residual_twisted",
+        # the dense reference that rhs_general is tested against
+        "oracle._dense_pair_rhs",
+        # the lone-run form of dense_trajectories; the perfbench tracer wraps it by name
+        "oracle.dense_trajectory",
+        # physical values of a field and its L4 norm, with which
+        # calibrate_constants measures the interpolation constants
+        "spectral.to_physical",
+        "spectral.l4_norm",
+    ]
+    assert loc.knobs(src) == [
+        # the console entry point's test seam
+        "cli.main: argv",
+        # regenerate data/constants_default.json
+        "diagnostics.calibrate_constants: n, samples, seed",
+        # turn off a safety guard
+        "dynamics.integrate: cfl_factor",
+        "dynamics.integrate_many: cfl_factor",
+        # the perfbench tracer wraps dense_trajectory by name
+        "oracle.dense_trajectory: dt_ref, sample_every, sink",
+    ]
+
+
 KNOBS = '''\
 def by_keyword(a, scale=1.0):
     return a * scale

@@ -77,7 +77,7 @@ class TestDenseBilinear:
 
     def test_roundtrip_spectral_dense(self, grid16, rng):
         u = sp.random_field(grid16, rng, kmax=4.0)
-        kern = orc._kernel(4.0)
+        kern = orc._Kernel(4.0, 1)
         back = sp.SpectralField(grid16, kern.write(grid16, kern.read([u]))[0])
         assert np.array_equal(back.coeffs, u.coeffs)
 
@@ -85,13 +85,13 @@ class TestDenseBilinear:
         # on n = 8 the rows ky = -4 and ky = +4 are one stored row, so a box of
         # radius 4 would read one mode twice and write two modes to one slot
         u = sp.random_field(grid8, rng, kmax=2.0)
-        kern = orc._kernel(4.0)
+        kern = orc._Kernel(4.0, 1)
         with pytest.raises(orc.RadiusTooLarge, match="radius 4.*n = 8"):
             kern.read([u])
         with pytest.raises(orc.RadiusTooLarge, match="radius 4.*n = 8"):
             kern.write(grid8, np.zeros((1, 2, kern.size), dtype=np.complex128))
         # the largest box that fits reads every row once
-        kern = orc._kernel(3.0)
+        kern = orc._Kernel(3.0, 1)
         back = sp.SpectralField(grid8, kern.write(grid8, kern.read([u]))[0])
         assert np.array_equal(back.coeffs, u.coeffs)
 

@@ -158,7 +158,7 @@ def _members(draw, kind):
         )
         shared = shared or {"nu": cfg.nu, "dt": cfg.dt, "t_end": cfg.dt}
         try:
-            state, _, _ = hz.build_state(cfg.validate())
+            state = hz.build_state(cfg.validate())
         except hz.ConfigInvalid:
             reject()  # a valid config that its scenario refuses (no modes above K, say)
         states.append(state)
@@ -182,17 +182,26 @@ def term_scale(state):
 @pytest.mark.parametrize("kind", sorted(dyn.COUPLING_CLASSES))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_stepper_matches_dense_oracle_and_lone_runs(kind, data):
+def test_stepper_matches_dense_oracle_and_lone_runs(kind, data, tmp_path_factory):
     # the stepper's right-hand side against the dense oracle's, to 1e-11
-    # relative to the terms it sums, and each ensemble member bitwise its
-    # lone run, for drawn configs whose cutoff sits on a shell of modes or
-    # 1e-10 off it
+    # relative to the terms it sums, each member bit-exact through a
+    # checkpoint, and each ensemble member bitwise its lone run, for drawn
+    # configs whose cutoff sits on a shell of modes or 1e-10 off it
     states, dt = _members(data.draw, kind)
-    for state in states:
+    path = tmp_path_factory.mktemp("ckpt") / "state.ckpt"
+    for seed, state in enumerate(states):
         f1, f2 = dyn.rhs_general(state)
         e1, e2 = orc._dense_pair_rhs(state)
         gap = max((f1 - e1).l2, (f2 - e2).l2)
         assert gap <= 1e-11 * term_scale(state), (state.K, state.matrix, gap)
+        hz.checkpoint_save(state, path, seed=seed)
+        back, back_seed = hz.checkpoint_load(path)
+        assert back_seed == seed
+        assert (back.t, back.nu, back.K) == (state.t, state.nu, state.K)
+        assert (back.matrix.kind, back.matrix.params) == (state.matrix.kind, state.matrix.params)
+        assert (back.grid.n, back.grid.dealias_radius) == (state.grid.n, state.grid.dealias_radius)
+        assert back.v1.half.tobytes() == state.v1.half.tobytes()
+        assert back.v2.half.tobytes() == state.v2.half.tobytes()
     t_end = states[0].t + 3 * dt
     ensemble = dyn.integrate_many(states, t_end, dt, cfl_factor=None)
     for state, member in zip(states, ensemble):

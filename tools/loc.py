@@ -9,13 +9,17 @@ checkout's `src`) and in total, the code lines (lines that hold a token
 other than a comment, and are not part of a docstring) and the `wc -l`
 lines.
 
---unused lists the package's top-level names that no module in src, demos,
-tools or perfbench references by AST name, attribute or import, and the
-methods of its top-level classes that none references as an attribute
-(`obj.method`): a local variable of the same name is not a use.  The
-package's `__init__.py` re-exports names and does not count as a use, and
-dunder methods are run by the language, so they are never listed.  A name
-that only tests reach shows up here; a name used through a string (getattr,
+--unused lists the package's top-level names and the methods of its
+top-level classes that no module in demos, tools or perfbench reaches.  A
+definition is reached when a user module references it, or when a reached
+definition of the package does: a top-level name by AST name, attribute or
+import, a method only as an attribute (`obj.method`), so a local variable of
+the same name is not a use.  An import inside the package is not a use.
+The package's own roots are its top-level statements that run on import
+and define nothing (a `__main__` block) and its dunder names; dunder
+methods are run by the language with their class, so they are never
+listed.  A name that only tests reach shows up here, and so does a name
+reached only through such a name; a name used through a string (getattr,
 a tracer that wraps by name) shows up too, so each listed name needs a
 reason to stay.
 
@@ -40,8 +44,10 @@ import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = "intertwine"
-# the trees whose references count as uses, beside the package itself
+# the trees outside the package whose references count as uses
 USERS = ("demos", "tools", "perfbench")
+# the top-level statements that define or import names; the others run on import
+_DEFINES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Assign, ast.AnnAssign, ast.Import, ast.ImportFrom)
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 
@@ -88,27 +94,35 @@ def sizes(src: str) -> str:
     return "\n".join([head, *rows, f"{'total':<20}{total[0]:>8}{total[1]:>8}"]) + "\n"
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree: ast.Module) -> list:
     """The top-level names and the methods of the top-level classes of a
-    module, as (qualified name, name)."""
+    module, as (qualified name, name, nodes): the nodes are what the
+    definition runs, so their references count once it is used.  A class
+    runs its decorators, bases, class-level statements and dunder methods."""
     out = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            out.append((node.name, node.name))
-        if isinstance(node, ast.ClassDef):
-            out.extend((f"{node.name}.{item.name}", item.name) for item in node.body
-                       if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append((node.name, node.name, [node]))
+        elif isinstance(node, ast.ClassDef):
+            methods = [item for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            runs = [item for item in node.body if item not in methods or _dunder(item.name)]
+            out.append((node.name, node.name, [*node.decorator_list, *node.bases, *node.keywords, *runs]))
+            out.extend((f"{node.name}.{item.name}", item.name, [item]) for item in methods if not _dunder(item.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            out.extend((t.id, t.id) for t in targets if isinstance(t, ast.Name))
-    return [(qual, name) for qual, name in out if not (name.startswith("__") and name.endswith("__"))]
+            out.extend((t.id, t.id, [node]) for t in targets if isinstance(t, ast.Name))
+    return out
 
 
-def references(tree: ast.AST) -> tuple:
-    """(every name tree reads, takes as an attribute or imports, every
-    attribute it takes)."""
+def references(nodes) -> tuple:
+    """(every name the nodes read, take as an attribute or import, every
+    attribute they take)."""
     names, attributes = set(), set()
-    for node in ast.walk(tree):
+    for node in (n for top in nodes for n in ast.walk(top)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -127,23 +141,37 @@ def _python_files(top: str) -> list:
 
 
 def unused(src: str, root: str = ROOT) -> list:
-    """The package's definitions that no user module references, as
-    "module.qualified name"."""
-    trees = {path: ast.parse(_read(path)) for path in _modules(src)}
-    users = [path for path in trees if os.path.basename(path) != "__init__.py"]
-    for top in USERS:
-        users.extend(_python_files(os.path.join(root, top)))
-    names, attributes = set(), set()
-    for path in users:
-        found_names, found_attributes = references(trees[path] if path in trees else ast.parse(_read(path)))
-        names |= found_names
-        attributes |= found_attributes
-    listed = []
-    for path, tree in trees.items():
+    """The package's definitions that no user module reaches, as
+    "module.qualified name".
+
+    The user modules' references count, and so do those of the package's
+    top-level statements that define and import nothing (a `__main__`
+    block, say) and of its dunder definitions.  A definition they reach is
+    used, and its own references count in turn, until nothing new is
+    reached: a top-level name by any reference, a method by an attribute.
+    """
+    roots, listed = [], []
+    for path in _modules(src):
         module = os.path.basename(path)[:-3]
-        listed.extend(f"{module}.{qual}" for qual, name in definitions(tree)
-                      if name not in (attributes if "." in qual else names))
-    return listed
+        tree = ast.parse(_read(path))
+        roots.extend(node for node in tree.body if not isinstance(node, _DEFINES))
+        for qual, name, nodes in definitions(tree):
+            if _dunder(name):
+                roots.extend(nodes)
+            else:
+                listed.append((f"{module}.{qual}", "." in qual, name, nodes))
+    for top in USERS:
+        roots.extend(ast.parse(_read(path)) for path in _python_files(os.path.join(root, top)))
+    names, attributes = references(roots)
+    while True:
+        reached = [entry for entry in listed if entry[2] in (attributes if entry[1] else names)]
+        if not reached:
+            return [entry[0] for entry in listed]
+        for entry in reached:
+            listed.remove(entry)
+            found_names, found_attributes = references(entry[3])
+            names |= found_names
+            attributes |= found_attributes
 
 
 def _defs(nodes):
