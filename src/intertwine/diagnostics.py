@@ -31,6 +31,7 @@ from .dynamics import (
     NUDGE_SYMMETRIC,
     IntertwinedState,
     IntertwiningMatrix,
+    TimeSeriesRecord,
     derived_views,
 )
 from .spectral import Grid, SpectralField, hm_norm, random_field
@@ -653,37 +654,16 @@ def default_constants() -> ConstantsConfig:
 # time series records and CSV output
 
 
-@dataclass
-class TimeSeriesRecord:
-    """One sampled diagnostics row; the budget_* fields stay out of the CSV."""
-
-    t: float
-    l2_v1: float
-    h1_v1: float
-    l2_v2: float
-    h1_v2: float
-    l2_w: float
-    h1_w: float
-    l2_p: float
-    l2_q: float
-    h1_vtheta: float
-    h1_wtheta: float
-    energy_residual: float
-    force_l2_g1: float
-    force_l2_g2: float
-    force_l2_h: float
-    budget_energy: float = math.nan
-    budget_dissipation: float = math.nan
-    budget_pump: float = math.nan
-    budget_penalty: float = math.nan
-
-
 # the CSV columns: every record field except the budget terms, in field order
 CSV_COLUMNS = [f.name for f in fields(TimeSeriesRecord) if not f.name.startswith("budget_")]
 
 
 def sample_record(state: IntertwinedState) -> TimeSeriesRecord:
-    """Norms, force magnitudes and the weighted energy-budget terms at t."""
+    """Norms, force magnitudes and the weighted energy-budget terms at t.
+
+    The reference of `dynamics.Workspace.sample`, with which a run computes
+    the same record bit for bit on the stepper's box, building no state.
+    """
     views = derived_views(state)
     g1 = state.forcing.g1(state.t)
     g2 = state.forcing.g2(state.t)

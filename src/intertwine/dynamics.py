@@ -15,11 +15,13 @@ steps.  A `Workspace` holds the pair, or an ensemble of pairs that share
 grid, time, viscosity and step (`integrate_many`), as one stack on the
 dealias box (see `spectral.BoxAdvection`) with every buffer the steps need,
 so each right-hand side costs one batched pruned inverse and forward
-transform for all copies and a step allocates nothing.
+transform for all copies and a step allocates nothing.  A `Workspace` also
+samples each member's `TimeSeriesRecord` on the box (`Workspace.sample`).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -192,6 +194,31 @@ class IntertwinedState:
             raise ValueError("v1, v2 must live on the state's grid")
 
 
+@dataclass
+class TimeSeriesRecord:
+    """One sampled diagnostics row; the budget_* fields stay out of the CSV."""
+
+    t: float
+    l2_v1: float
+    h1_v1: float
+    l2_v2: float
+    h1_v2: float
+    l2_w: float
+    h1_w: float
+    l2_p: float
+    l2_q: float
+    h1_vtheta: float
+    h1_wtheta: float
+    energy_residual: float
+    force_l2_g1: float
+    force_l2_g2: float
+    force_l2_h: float
+    budget_energy: float = math.nan
+    budget_dissipation: float = math.nan
+    budget_pump: float = math.nan
+    budget_penalty: float = math.nan
+
+
 def expm_2x2(a) -> np.ndarray:
     """exp(a) of a real 2x2 matrix in closed form.
 
@@ -270,7 +297,9 @@ class Workspace:
     stack, and each member is bitwise its lone run.  A step allocates
     nothing.  The transform buffers are allocated at the first right-hand
     side, after the fields are packed, so that the packing's temporaries and
-    those buffers are never live together.
+    those buffers are never live together.  sample(p, t) computes member p's
+    record on the box, with buffers of its own allocated at the first
+    sample, so a run that samples nothing holds none of them.
     """
 
     def __init__(self, states, dt):
@@ -291,6 +320,9 @@ class Workspace:
         self.norms = np.empty(len(self.V))
         self.members = [slice(c, c + 2) for c in range(0, len(self.V), 2)]
         folding = [folds(s.matrix, dt) for s in states]
+        # each member's (matrix, K), which its records read
+        self.member_couplings = [(s.matrix, s.K) for s in states]
+        self.sampler = None
         # (first copy, entries, bilinear) of each member with a coupling term
         self.coupling = [
             (2 * p, s.matrix.entries, s.matrix.is_direct_replacement)
@@ -384,8 +416,122 @@ class Workspace:
         """The members that have `diverged` after a step."""
         return diverged(self._square_norms(), self.members)
 
+    def sample(self, p, t) -> TimeSeriesRecord:
+        """Member p's record at t, bitwise `diagnostics.sample_record` of its
+        state at t (see `_Sampler`); the sampler's buffers are allocated at
+        the first call."""
+        if self.sampler is None:
+            self.sampler = _Sampler(self)
+        copies = self.members[p]
+        matrix, K = self.member_couplings[p]
+        return self.sampler.record(self.V[copies], self.forces.at(t)[copies], matrix, K, t)
+
     # (grid, box rows) -> fresh half spectra, which holds no reference to the workspace
     unpack = staticmethod(spectral.from_box)
+
+
+# the rows of a sampler's field stack: the twisted pair (direct replacement
+# only), then the fields whose L2 norms a record holds
+_VTHETA, _WTHETA, _V1, _V2, _W, _P, _Q, _G1, _G2, _H = range(10)
+
+
+class _Sampler:
+    """The record of a member of a `Workspace`, computed on its box.
+
+    It forms, as `derived_views` and `diagnostics.sample_record` form them,
+    w = v1 - v2, p and q (w times the low- and high-mode masks, which the
+    boolean masks of project_low and project_high are cast to against a
+    complex field), h = g1 - g2 and, for a direct-replacement matrix,
+    v_theta = theta2 v1 + theta1 v2 and w_theta = sqrt(theta1 theta2) w (w
+    itself where theta1 theta2 = 0).  It stacks each weighted square
+    |k|^(2m) weight (re^2 + im^2) that a norm sums, and for a mutual-nudging
+    budget each weight (g_i.re v_i.re + g_i.im v_i.im) that a pump sums,
+    copies them into a half-spectrum stack that is zero off the box, and
+    reduces each row with one np.sum.  Each value is then summed over the
+    same elements in the same order as by `spectral.hm_norm` and
+    `spectral.inner` on the half spectra, so the record is bitwise theirs.
+    The budget terms are formed from those values as sample_record forms
+    them.  The fields are those of the box stack, so content that the alias
+    guard lets through outside the box is dropped, as for the steps.
+    """
+
+    def __init__(self, ws):
+        grid, (rows, cols) = ws.grid, ws.shape[-2:]
+        n, r = grid.n, cols - 1
+        self.fields = np.empty((10, 2, rows, cols), dtype=np.complex128)
+        self.moduli = np.empty((10, 2, rows, cols))
+        # 8 L2 norms, up to 5 V norms, or 3 V norms and 2 pumps
+        self.weighted = np.empty((13, 2, rows, cols))
+        self.spectra = np.zeros((13, 2, n, n // 2 + 1))
+        # (box rows, half-spectrum rows) of the row blocks ky = 0 .. r and -r .. -1
+        self.blocks = ((slice(0, r + 1), slice(0, r + 1)), (slice(r + 1, None), slice(n - r, n)))
+        self.l2_weight, self.h1_weight = (
+            spectral.to_box(grid, np.broadcast_to(grid.hm_weight(m), grid.k2.shape)) for m in (0, 1)
+        )
+        self.masks = {}
+        for _, K in ws.member_couplings:
+            if K not in self.masks:
+                low = spectral.to_box(grid, grid.low_mode_mask(K))
+                self.masks[K] = (low.astype(np.complex128), (~low).astype(np.complex128))
+
+    def record(self, pair, forces, matrix, K, t) -> TimeSeriesRecord:
+        """The record at t of the box pair (v1, v2) under the box forces
+        (g1, g2), with the matrix and cutoff K of their member."""
+        F, M, Q, Z = self.fields, self.moduli, self.weighted, self.spectra
+        low, high = self.masks[K]
+        np.copyto(F[_V1 : _V2 + 1], pair)
+        np.copyto(F[_G1 : _G2 + 1], forces)
+        np.subtract(F[_V1], F[_V2], out=F[_W])
+        np.multiply(F[_W], low, out=F[_P])
+        np.multiply(F[_W], high, out=F[_Q])
+        np.subtract(F[_G1], F[_G2], out=F[_H])
+        twisted = matrix.is_direct_replacement
+        if twisted:
+            theta1, theta2 = matrix.params
+            np.multiply(F[_V1], theta2, out=F[_VTHETA])
+            np.multiply(F[_V2], theta1, out=F[_WTHETA])
+            np.add(F[_VTHETA], F[_WTHETA], out=F[_VTHETA])
+            scale = theta1 * theta2
+            if scale > 0:
+                np.multiply(F[_W], np.sqrt(scale), out=F[_WTHETA])
+            else:
+                np.copyto(F[_WTHETA], F[_W])
+        parts = F.view(np.float64)
+        budget = matrix.kind == NUDGE_MUTUAL and matrix.params[0] + matrix.params[1] > 0
+        if budget:
+            # (g_i, v_i) into the twisted rows, which a nudging matrix leaves free
+            np.multiply(parts[_G1 : _G2 + 1], parts[_V1 : _V2 + 1], out=parts[:2])
+            np.add(parts[:2, ..., 0::2], parts[:2, ..., 1::2], out=M[:2])
+            np.multiply(M[:2], self.l2_weight, out=Q[11:13])
+        first = _VTHETA if twisted else _V1
+        np.multiply(parts[first:], parts[first:], out=parts[first:])
+        np.add(parts[first:, ..., 0::2], parts[first:, ..., 1::2], out=M[first:])
+        np.multiply(M[_V1:], self.l2_weight, out=Q[:8])
+        v_norms = _W + 1 - first
+        np.multiply(M[first : _W + 1], self.h1_weight, out=Q[8 : 8 + v_norms])
+        used = 13 if budget else 8 + v_norms
+        for box, half in self.blocks:
+            Z[:used, :, half, : Q.shape[-1]] = Q[:used, :, box]
+        sums = spectral.PLANCHEREL * np.sum(Z[:used], axis=(1, 2, 3))
+        l2_v1, l2_v2, l2_w, l2_p, l2_q, l2_g1, l2_g2, l2_h = np.sqrt(sums[:8]).tolist()
+        h1 = np.sqrt(sums[8 : 8 + v_norms]).tolist()
+        h1_vtheta, h1_wtheta = h1[:2] if twisted else (math.nan, math.nan)
+        h1_v1, h1_v2, h1_w = h1[-3:]
+        rec = TimeSeriesRecord(
+            t=t, l2_v1=l2_v1, h1_v1=h1_v1, l2_v2=l2_v2, h1_v2=h1_v2, l2_w=l2_w, h1_w=h1_w,
+            l2_p=l2_p, l2_q=l2_q, h1_vtheta=h1_vtheta, h1_wtheta=h1_wtheta, energy_residual=math.nan,
+            force_l2_g1=l2_g1, force_l2_g2=l2_g2, force_l2_h=l2_h,
+        )
+        if budget:
+            mu1, mu2 = matrix.params
+            total = mu1 + mu2
+            lam1, lam2 = mu2 / total, mu1 / total
+            pump1, pump2 = sums[11:13].tolist()
+            rec.budget_energy = lam1 * l2_v1**2 + lam2 * l2_v2**2
+            rec.budget_dissipation = lam1 * h1_v1**2 + lam2 * h1_v2**2
+            rec.budget_pump = lam1 * pump1 + lam2 * pump2
+            rec.budget_penalty = (mu1 * mu2 / total) * l2_p**2
+        return rec
 
 
 def rhs_general(state: IntertwinedState):
@@ -515,7 +661,7 @@ def _with_pair(state: IntertwinedState, half, t: float) -> IntertwinedState:
 
 
 def _run(states, t_end: float, dt: float, sample_every=None, sink=None, cfl_factor=1.0,
-         stepper=Workspace) -> list:
+         stepper=Workspace, records=None) -> list:
     """The one run loop of the package: the states advanced to t_end as the
     members of one stepper, step k landing at t0 + k dt.
 
@@ -525,12 +671,14 @@ def _run(states, t_end: float, dt: float, sample_every=None, sink=None, cfl_fact
     from t, blown_up() names the members that have `diverged`, and
     unpack(grid, rows) gives fresh half spectra of rows.
 
-    sink(state) gets each live member's state at t0 and at each step that
-    sample_steps samples.  A member that blows up is frozen: its rows are
-    zeroed under frozen forces, so they stay zero and leave the others as
-    they were, and the run stops once every member has.  Returns per state
-    its state at t_end or its BlowupDetected.  The stepper is freed before
-    the returned states are built, so a run peaks at its own arrays.
+    At t0 and at each step that sample_steps samples, sink(state) gets each
+    live member's state, and records[p], a list per member, gets live
+    member p's record from sample(p, t), which only a `Workspace` has.  A
+    member that blows up is frozen: its rows are zeroed under frozen
+    forces, so they stay zero and leave the others as they were, it is
+    sampled no more, and the run stops once every member has.  Returns per
+    state its state at t_end or its BlowupDetected.  The stepper is freed
+    before the returned states are built, so a run peaks at its own arrays.
     """
     t0 = states[0].t
     if t_end < t0:
@@ -547,21 +695,26 @@ def _run(states, t_end: float, dt: float, sample_every=None, sink=None, cfl_fact
             )
     run = stepper(states, dt)
     members, unpack, blowups = run.members, run.unpack, {}
-    if sink is not None:
-        for state in states:
-            sink(state)
-    for k in range(1, nsteps + 1):
-        run.step(t0 + (k - 1) * dt)
-        for p in run.blown_up():
-            run.V[members[p]] = 0.0
-            run.forces.freeze(members[p])
-            blowups[p] = BlowupDetected(t0 + k * dt)
-        if len(blowups) == len(states):
-            break
-        if sink is not None and sampled(k):
-            for p, state in enumerate(states):
-                if p not in blowups:
-                    sink(_with_pair(state, unpack(state.grid, run.V[members[p]]), t0 + k * dt))
+    sampling = sink is not None or records is not None
+    for k in range(nsteps + 1):
+        if k:
+            run.step(t0 + (k - 1) * dt)
+            for p in run.blown_up():
+                run.V[members[p]] = 0.0
+                run.forces.freeze(members[p])
+                blowups[p] = BlowupDetected(t0 + k * dt)
+            if len(blowups) == len(states):
+                break
+        if not (sampling and sampled(k)):
+            continue
+        t = t0 + k * dt
+        for p, state in enumerate(states):
+            if p in blowups:
+                continue
+            if sink is not None:
+                sink(_with_pair(state, unpack(state.grid, run.V[members[p]]), t) if k else state)
+            if records is not None:
+                records[p].append(run.sample(p, t))
     V = run.V
     del run
     t = t0 + nsteps * dt
@@ -575,15 +728,18 @@ def integrate(
     sample_every: float | None = None,
     sink=None,
     cfl_factor: float | None = 1.0,
+    records: list | None = None,
 ) -> IntertwinedState:
     """Advance the state to t_end, sampling diagnostics along the way.
 
     t_end - state.t must be a whole number of steps (ValueError otherwise);
     step k lands at t = state.t + k dt.  sink(state) is invoked at t = start
     and at each step that sample_steps samples; each state it gets holds its
-    own arrays.  Aborts with BlowupDetected when any norm exceeds
-    BLOWUP_LIMIT or turns non-finite (diverging trajectories are an expected
-    outcome for some symmetric direct-replacement parameters).
+    own arrays.  At the same times the list records gets the state's
+    `TimeSeriesRecord` (`Workspace.sample`), which builds no state.  Aborts
+    with BlowupDetected when any norm exceeds BLOWUP_LIMIT or turns
+    non-finite (diverging trajectories are an expected outcome for some
+    symmetric direct-replacement parameters).
     cfl_factor=None disables the step-size guard.  Raises AliasingViolation
     when the pair or a force field carries energy outside the dealias radius.
 
@@ -591,7 +747,8 @@ def integrate(
     the run `integrate_many` makes.  A nudging coupling with max gain * dt >
     FOLD_GAIN_DT is folded into the propagator.
     """
-    (out,) = _run((state,), t_end, dt, sample_every, sink, cfl_factor)
+    (out,) = _run((state,), t_end, dt, sample_every, sink, cfl_factor,
+                  records=None if records is None else [records])
     if isinstance(out, BlowupDetected):
         raise out
     return out

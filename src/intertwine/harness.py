@@ -27,7 +27,8 @@ from . import dynamics as dyn
 from . import forcing as fr
 from . import spectral as sp
 from .atomic import IoError, write_bytes, write_text
-from .diagnostics import ConditionReport, ConstantsConfig, TimeSeriesRecord
+from .diagnostics import ConditionReport, ConstantsConfig
+from .dynamics import TimeSeriesRecord
 
 SCENARIOS = (
     "self_sync",
@@ -508,23 +509,21 @@ def _condition_reports(state0, records, constants, nu) -> list[ConditionReport]:
     return regime.reports(state0, records, constants, nu) if regime else []
 
 
-def _integrate_with_records(cfg, state, extra_sink=None):
-    """Integrate the state per cfg, sampling a record per sample.
+def _integrate_with_records(cfg, state, sink=None):
+    """Integrate the state per cfg, sampling a record per sample on the
+    stepper (`dynamics.Workspace.sample`); sink, when given, gets the
+    sampled states too.
 
     Returns (final state, records, blow-up): the final state is None and
     the blow-up its BlowupDetected when the run blew up, and the records
     then hold the samples taken before it.
     """
     records: list[TimeSeriesRecord] = []
-
-    def sink(snapshot):
-        records.append(diag.sample_record(snapshot))
-        if extra_sink is not None:
-            extra_sink(snapshot)
-
     final, blowup = None, None
     try:
-        final = dyn.integrate(state, cfg.t_end, dt=cfg.dt, sample_every=cfg.sample_every, sink=sink)
+        final = dyn.integrate(
+            state, cfg.t_end, dt=cfg.dt, sample_every=cfg.sample_every, sink=sink, records=records
+        )
     except dyn.BlowupDetected as exc:
         blowup = exc
     diag.fill_energy_residuals(records, cfg.nu)
@@ -581,15 +580,15 @@ def run_scenario(cfg: ExperimentConfig, kind: str | None = None, out_dir=None) -
     cfg = replace(cfg, scenario=kind)
 
     ladder_rows = []
-    extra_sink = None
+    ladder_sink = None
     if kind == "fdss_determining_modes":
         ladder = [N for N in FDM_LADDER if N <= state.grid.dealias_radius]
 
-        def extra_sink(snapshot):
+        def ladder_sink(snapshot):
             w = snapshot.v1 - snapshot.v2
             ladder_rows.append((snapshot.t, [sp.project_low(w, N).l2 for N in ladder]))
 
-    final_state, records, blowup = _integrate_with_records(cfg, state, extra_sink)
+    final_state, records, blowup = _integrate_with_records(cfg, state, ladder_sink)
     if blowup is not None:
         result.blowup = True
         result.blowup_t = blowup.t

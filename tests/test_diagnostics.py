@@ -278,6 +278,23 @@ class TestRegimeTable:
         # the heat block has no coupling matrix to select it
         assert diag.REGIMES[-1].selects is None
 
+    @pytest.mark.parametrize("theta1", [1.0, 0.0])
+    def test_theta_pair_series_drops_w_at_degenerate_theta(self, grid16, rng, theta1):
+        # at theta1 theta2 = 0 the rescaled error vanishes, while the
+        # h1_wtheta column holds the unscaled w; the bounded series is
+        # |v_theta|_V alone there, and takes both terms elsewhere
+        state = dyn.IntertwinedState(
+            grid=grid16, t=0.0, nu=0.2, K=2.0, matrix=dyn.IntertwiningMatrix.dr_mutual(theta1, 1.0 - theta1),
+            v1=sp.random_field(grid16, rng, energy=0.4), v2=sp.random_field(grid16, rng, energy=0.4),
+            forcing=fr.ForcingPair.synchronized(fr.SteadyForcing(sp.zero_field(grid16))),
+        )
+        rec = diag.sample_record(state)
+        assert rec.h1_wtheta == rec.h1_w > 0.0
+        assert diag._theta_pair_series([rec], state.matrix) == [(0.0, math.sqrt(rec.h1_vtheta**2))]
+        balanced = dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75)
+        (_, value), = diag._theta_pair_series([rec], balanced)
+        assert value == math.sqrt(rec.h1_vtheta**2 + rec.h1_wtheta**2) > rec.h1_vtheta
+
     def test_cutoff_values(self):
         # K = 4, force 1, unit constants: the log forms read off directly
         gs = GrashofSet(k_frak=1.0, g_theta=1.0, p_frak=0.6, h_frak=0.8)

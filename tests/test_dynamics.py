@@ -1,13 +1,15 @@
 """Coupled-pair right-hand sides, change-of-variable views, time stepping."""
 
+import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from intertwine import diagnostics as diag
 from intertwine import dynamics as dyn
 from intertwine import forcing as fr
 from intertwine import harness as hz
@@ -747,6 +749,83 @@ class TestEnsemble:
         assert ws.kernel is None
         ws.step(0.0)
         assert isinstance(ws.kernel, sp.BoxAdvection)
+
+
+# parameters for each coupling class's constructor, by its argument names
+CLASS_PARAMS = {
+    ("mu1", "mu2"): (2.0, 1.0),
+    ("theta1", "theta2"): (0.25, 0.75),
+    ("m11", "m12", "m21", "m22"): (0.3, -0.2, 0.1, 0.4),
+    (): (),
+}
+
+
+def sampled_states(grid, rng):
+    """A state per matrix and force: a matrix of every class in
+    COUPLING_CLASSES, mutual direct replacement at (1, 0) and (0, 1), and
+    mutual nudging folded at dt = 0.02, each under a steady, a time-periodic
+    and a decaying-pair force."""
+    matrices = [spec.build(*CLASS_PARAMS[spec.params]) for spec in dyn.COUPLING_CLASSES.values()]
+    matrices += [IntertwiningMatrix.dr_mutual(1.0, 0.0), IntertwiningMatrix.dr_mutual(0.0, 1.0),
+                 IntertwiningMatrix.nudge_mutual(60.0, 60.0)]
+    steady = fr.SteadyForcing(fr.kolmogorov_force(grid, 0.3, 2))
+    delta = sp.random_field(grid, rng, energy=0.2, kmax=2.0)
+    pairs = [
+        fr.ForcingPair.synchronized(steady),
+        fr.ForcingPair.synchronized(fr.TimePeriodicForcing(steady.field, 1.3)),
+        fr.ForcingPair.decaying_delta(steady, delta, 1.5),
+    ]
+    return [
+        IntertwinedState(grid=grid, t=0.0, nu=0.2, K=2.0, matrix=matrix, forcing=pair,
+                         v1=sp.random_field(grid, rng, energy=0.6), v2=sp.random_field(grid, rng, energy=0.6))
+        for matrix in matrices for pair in pairs
+    ]
+
+
+def assert_same_record(a, b):
+    """Every field bitwise equal, a NaN equal to a NaN."""
+    for f in fields(dyn.TimeSeriesRecord):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (math.isnan(x) and math.isnan(y)) or np.float64(x).tobytes() == np.float64(y).tobytes(), \
+            (f.name, x, y)
+
+
+class TestSampling:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_sample_is_bitwise_sample_record(self, rng, n):
+        # member p = 1 of a two-member workspace, at t0 and after each of
+        # three steps, against the reference on the state at the same time
+        grid, dt = sp.Grid(n), 0.02
+        states = sampled_states(grid, rng)
+        assert dyn.folds(states[-1].matrix, dt) and states[-1].matrix.kind == dyn.NUDGE_MUTUAL
+        for partner, state in zip(states[-1:] + states[:-1], states):
+            ws = dyn.Workspace([partner, state], dt)
+            for k in range(4):
+                if k:
+                    ws.step((k - 1) * dt)
+                t = k * dt
+                half = ws.unpack(grid, ws.V[ws.members[1]])
+                now = replace(state, t=t, v1=sp.SpectralField(grid, half[0]), v2=sp.SpectralField(grid, half[1]))
+                assert_same_record(ws.sample(1, t), diag.sample_record(now))
+
+    def test_records_per_member_survive_a_blowup(self, grid16, rng):
+        # the survivor's records are its lone run's, which are the reference
+        # on the states its sink gets; the frozen member's stop at its blow-up
+        calm = ensemble(grid16, rng, nu=0.1)[1]
+        u = sp.field_from_modes(grid16, [(1, 0, (0.0, 1.0))])
+        wild = replace(calm, matrix=IntertwiningMatrix.general(60.0, 0.0, 0.0, 60.0), v1=u, v2=u.copy())
+        records = [[], []]
+        finals = dyn._run([wild, calm], 1.0, 0.01, sample_every=0.05, cfl_factor=None, records=records)
+        assert isinstance(finals[0], BlowupDetected) and finals[0].t < 1.0
+        lone, reference = [], []
+        integrate(calm, 1.0, dt=0.01, sample_every=0.05, cfl_factor=None, records=lone,
+                  sink=lambda s: reference.append(diag.sample_record(s)))
+        assert len(records[1]) == len(lone) == len(reference) == 21
+        for a, b, c in zip(records[1], lone, reference):
+            assert_same_record(a, b)
+            assert_same_record(b, c)
+        blowup = finals[0].t
+        assert records[0] and [r.t for r in records[0]] == [r.t for r in lone if r.t < blowup]
 
 
 class TestNumpyOnly:

@@ -26,7 +26,7 @@ def test_toy_set_is_deterministic_and_compare_finds_a_changed_cell(tmp_path):
     sums = (a / "SHA256SUMS").read_text()
     assert sums == (b / "SHA256SUMS").read_text()
     listed = {line.split("  ", 1)[1] for line in sums.splitlines()}
-    for rel in ("nudge/series.csv", "nudge/final.ckpt", "sweep_n32/sweep_table.csv",
+    for rel in ("nudge/series.csv", "nudge/final.ckpt", "dr_mutual_1/series.csv", "sweep_n32/sweep_table.csv",
                 "fdss_amplitude_1/fdm_table.csv", "verify_fast.txt", "verify_worst.tsv", "dense_oracle.tsv"):
         assert rel in listed
     # each member of each path once; the dense and stepped members agree to
@@ -231,6 +231,9 @@ def test_loc_audits_of_the_package_are_pinned():
     assert loc.unused(src) == [
         # regenerates data/constants_default.json; its test does so
         "diagnostics.calibrate_constants",
+        # the reference that dynamics.Workspace.sample is held to bitwise;
+        # the perfbench tracer wraps it by name
+        "diagnostics.sample_record",
         # the refusal of residual_twisted for a matrix outside its class
         "dynamics.WrongMatrixClass",
         # the stepper's one-state right-hand side, which the tests hold

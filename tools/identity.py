@@ -143,6 +143,8 @@ def run_set(toy: bool) -> list:
         ("nudge", None, base),
         ("control", None, coupled("class = none")),
         ("dr_mutual_0.25", None, coupled("class = dr_mutual\ntheta1 = 0.25\ntheta2 = 0.75")),
+        # theta1 theta2 = 0: the h1_wtheta column holds the unscaled w
+        ("dr_mutual_1", None, coupled("class = dr_mutual\ntheta1 = 1.0\ntheta2 = 0.0")),
         ("dr_symmetric_1", None, coupled("class = dr_symmetric\ntheta1 = 1.0\ntheta2 = 0.0")),
         ("dr_symmetric_0.6", None, coupled("class = dr_symmetric\ntheta1 = 0.6\ntheta2 = 0.4")),
         ("nudge_symmetric_2_1", None, coupled("class = nudge_symmetric\nmu1 = 2.0\nmu2 = 1.0")),
