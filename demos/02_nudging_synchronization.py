@@ -29,15 +29,9 @@ for label, matrix in [
     state = dyn.IntertwinedState(
         grid=grid, t=0.0, nu=nu, K=K, matrix=matrix, v1=v1, v2=v2, forcing=pair
     )
-    series = []
-    h1s = ([], [])
-
-    def sink(s):
-        series.append((s.t, (s.v1 - s.v2).l2))
-        h1s[0].append(s.v1.h1)
-        h1s[1].append(s.v2.h1)
-
-    dyn.integrate(state, 30.0, dt=0.02, sample_every=1.0, sink=sink)
+    records = []
+    dyn.integrate(state, 30.0, dt=0.02, sample_every=1.0, records=records)
+    series = [(rec.t, rec.l2_w) for rec in records]
     fit = diag.decay_detect(series)
     ratio = series[-1][1] / series[0][1]
     print(f"\n{label}:")
@@ -45,9 +39,9 @@ for label, matrix in [
         print(f"  t = {t:5.1f}  |w| = {val:.3e}")
     print(f"  final/initial = {ratio:.2e}, fitted rate = {fit.rate:.3f}")
 
-    if matrix.is_nudging:
-        constants = diag.default_constants()
-        m_meas = diag.measured_m_frak(h1s[0], h1s[1], nu)
-        print(f"  measured solution size m = {m_meas:.1f}")
-        print(" ", diag.check_nudge_fdss_condition(K, m_meas, constants).formula)
-        print(" ", diag.check_nudge_ss_condition(K, mu, mu, m_meas, nu, constants).formula)
+    regime = diag.regime_for(matrix)
+    if regime is not None:
+        run = diag.run_facts(state, records, diag.default_constants(), nu)
+        print(f"  measured solution size m = {run.m_frak:.1f}")
+        for row in regime.rows:
+            print(" ", row.report(run).formula)

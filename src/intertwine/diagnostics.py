@@ -1,10 +1,14 @@
-"""Dimensionless run diagnostics: Grashof-type numbers, sufficient-condition
-checks, uniform-in-time bound checks, decay detection, and CSV time series.
+"""Dimensionless run diagnostics: Grashof-type numbers, the sufficient
+conditions and uniform-in-time bounds of each regime, decay detection, and
+CSV time series.
 
-All sufficient conditions implemented here guarantee synchronization or
-uniform bounds; they are one-directional, so a violated condition annotates a
-run as "out of the guaranteed regime" rather than aborting it.  sup over time
-is approximated by the sampled max on the tail window TAIL_FRACTION.
+The conditions are data: each is one `Condition` row, whose two sides read
+the `RunFacts` of a run, and each regime of the table `REGIMES` lists its
+rows and its bound.  All sufficient conditions implemented here guarantee
+synchronization or uniform bounds; they are one-directional, so a violated
+condition annotates a run as "out of the guaranteed regime" rather than
+aborting it.  sup over time is approximated by the sampled max on the tail
+window TAIL_FRACTION.
 """
 
 from __future__ import annotations
@@ -151,15 +155,13 @@ class ConditionReport:
     formula: str
 
     @classmethod
-    def compare(cls, name: str, lhs: float, rhs: float, formula: str) -> "ConditionReport":
-        return cls(
-            name=name,
-            satisfied=bool(lhs <= rhs),
-            lhs=float(lhs),
-            rhs=float(rhs),
-            margin=float(rhs - lhs),
-            formula=formula,
-        )
+    def compare(cls, name: str, lhs, rhs, formula: str) -> "ConditionReport":
+        """lhs <= rhs; for tuples, every lhs[i] <= rhs[i], reported by the
+        pair of least margin (the first on a tie)."""
+        pairs = list(zip(lhs, rhs)) if isinstance(lhs, tuple) else [(lhs, rhs)]
+        low, high = min(pairs, key=lambda pair: pair[1] - pair[0])
+        satisfied = all(low_ <= high_ for low_, high_ in pairs)
+        return cls(name, satisfied, float(low), float(high), float(high - low), formula)
 
 
 @dataclass
@@ -225,147 +227,121 @@ def _tail(series):
 
 
 # ---------------------------------------------------------------------------
-# sufficient-condition checks
+# the condition rows and the regime table
+
+# what the rows of a run read, built once per run by run_facts: m_frak is
+# the measured ball size, m0 the initial one, params the matrix's
+RunFacts = namedtuple("RunFacts", "records constants nu K params m_frak m0 lnK grashofs")
 
 
-def check_nudge_fdss_condition(K: float, m_frak: float, constants: ConstantsConfig) -> ConditionReport:
-    """Low-mode-driven self-synchronization condition for nudging: K >= 2 C_L m."""
-    lhs = 2.0 * constants.C_L * m_frak
-    return ConditionReport.compare(
-        "nudge_fdss", lhs, K, f"2*C_L*m = {lhs:.6g} <= K = {K:.6g}"
-    )
+def run_facts(state0, records, constants, nu) -> RunFacts:
+    """The facts of a run from state0 that sampled records, with nu and the
+    constants as float64 scalars (see _saturating)."""
+    nu = np.float64(nu)
+    constants = replace(constants, **{k: np.float64(getattr(constants, k)) for k in _CONSTANTS})
+    m_frak = measured_m_frak([r.h1_v1 for r in records], [r.h1_v2 for r in records], nu)
+    grashofs = grashof_set_for_state(state0)
+    m0 = max(state0.v1.h1, state0.v2.h1) / nu
+    return RunFacts(records, constants, nu, state0.K, state0.matrix.params, m_frak, m0,
+                    math.log(math.e + state0.K), grashofs)
 
 
-def check_nudge_ss_condition(
-    K: float, mu1: float, mu2: float, m_frak: float, nu: float, constants: ConstantsConfig
-) -> ConditionReport:
-    """Full self-synchronization condition: K >= 2 C_L m and mu1+mu2 >= C_L^2 m^2 nu."""
-    k_req = 2.0 * constants.C_L * m_frak
-    mu_req = constants.C_L**2 * m_frak**2 * nu
-    mu_sum = mu1 + mu2
-    margins = [(K - k_req, k_req, K), (mu_sum - mu_req, mu_req, mu_sum)]
-    margin, lhs, rhs = min(margins, key=lambda entry: entry[0])
-    return ConditionReport(
-        name="nudge_ss",
-        satisfied=bool(K >= k_req and mu_sum >= mu_req),
-        lhs=float(lhs),
-        rhs=float(rhs),
-        margin=float(margin),
-        formula=(
-            f"K = {K:.6g} >= 2*C_L*m = {k_req:.6g} and "
-            f"mu1+mu2 = {mu_sum:.6g} >= C_L^2*m^2*nu = {mu_req:.6g}"
-        ),
-    )
+@dataclass(frozen=True)
+class Condition:
+    """One sufficient condition: it holds iff lhs(run) <= rhs(run), where run
+    is a RunFacts.  A row whose sides are tuples holds iff every pair does.
+    text is the report's formula, a format string over lhs and rhs (or a
+    function of run that returns one)."""
 
+    name: str
+    lhs: Callable[[RunFacts], float | tuple]
+    rhs: Callable[[RunFacts], float | tuple]
+    text: str | Callable[[RunFacts], str]
 
-def check_dr_condition(K: float, m_frak: float, constants: ConstantsConfig) -> ConditionReport:
-    """Direct-replacement self-synchronization condition: K >= 12 C_L m."""
-    lhs = 12.0 * constants.C_L * m_frak
-    return ConditionReport.compare(
-        "dr_ss", lhs, K, f"12*C_L*m = {lhs:.6g} <= K = {K:.6g}"
-    )
-
-
-def check_K_log_condition(
-    K: float,
-    g_frak: float,
-    C0: float,
-    name: str,
-    k_power: float = 1.0,
-    log_power: float = 0.5,
-    g_power: float = 1.0,
-) -> ConditionReport:
-    """Generic cutoff condition K^a >= C0 * ln(e+K)^b * g^c.
-
-    The callers pick (a, b, c) to match the regime: the default is the
-    logarithmically-corrected linear form K >= C0 * ln(e+K)^(1/2) * g.
-    """
-    lhs = C0 * math.log(math.e + K) ** log_power * g_frak**g_power
-    rhs = K**k_power
-    return ConditionReport.compare(
-        name,
-        lhs,
-        rhs,
-        f"{C0:.6g}*ln(e+K)^{log_power:g}*g^{g_power:g} = {lhs:.6g} <= K^{k_power:g} = {rhs:.6g}",
-    )
+    def report(self, run: RunFacts) -> ConditionReport:
+        lhs, rhs = self.lhs(run), self.rhs(run)
+        text = self.text(run) if callable(self.text) else self.text
+        return ConditionReport.compare(self.name, lhs, rhs, text.format(lhs=lhs, rhs=rhs))
 
 
 def m_frak_small_theta2(K: float, grashofs: GrashofSet, constants: ConstantsConfig) -> float:
     """Guaranteed uniform-ball size in the small-theta2 regime."""
     lnK = math.log(math.e + K)
-    return np.sqrt(
-        16.0
-        * (1.0 + constants.C_S**2 * lnK * (1.0 + grashofs.p_frak**2))
-        * (grashofs.d_frak**2 + grashofs.f_frak**2)
+    return np.sqrt(16.0 * (1.0 + constants.C_S**2 * lnK * (1.0 + grashofs.p_frak**2))
+                   * (grashofs.d_frak**2 + grashofs.f_frak**2))
+
+
+def _log_cutoff(name: str, coeff, g: str, squared: bool = False) -> Condition:
+    """The cutoff K^a >= C0 ln(e+K)^b g^c on the Grashof number named g, with
+    C0 = coeff(constants): (a, b, c) = (1, 1/2, 1), or (2, 1, 2) squared."""
+    a, b, c = (2.0, 1.0, 2.0) if squared else (1.0, 0.5, 1.0)
+    return Condition(
+        name,
+        lambda r: coeff(r.constants) * r.lnK**b * getattr(r.grashofs, g) ** c,
+        lambda r: r.K**a,
+        lambda r: f"{coeff(r.constants):.6g}*ln(e+K)^{b:g}*g^{c:g} = {{lhs:.6g}} <= K^{a:g} = {{rhs:.6g}}",
     )
 
 
-def check_theta_regime(
-    theta1: float,
-    theta2: float,
-    K: float,
-    m0_frak: float,
-    g_frak: float,
-    constants: ConstantsConfig,
-    m_frak: float,
-    grashofs: GrashofSet,
-) -> list[ConditionReport]:
-    """Evaluate the symmetric direct-replacement regime inequalities, one
-    report per inequality: the composite smallness condition on
-    min(1 - theta1, |theta1 - theta2|), the near-balanced gap condition on
-    the measured ball size m_frak, and the small-theta2 and cutoff
-    conditions on the Grashof numbers.
-    """
-    lnK = math.log(math.e + K)
-    reports = []
+# the nudging self-synchronization conditions; nudge_ss holds iff both of
+# K >= 2 C_L m and mu1 + mu2 >= C_L^2 m^2 nu do
+_NUDGE_ROWS = (
+    Condition("nudge_fdss", lambda r: 2.0 * r.constants.C_L * r.m_frak, lambda r: r.K,
+              "2*C_L*m = {lhs:.6g} <= K = {rhs:.6g}"),
+    Condition("nudge_ss",
+              lambda r: (2.0 * r.constants.C_L * r.m_frak, r.constants.C_L**2 * r.m_frak**2 * r.nu),
+              lambda r: (r.K, r.params[0] + r.params[1]),
+              "K = {rhs[0]:.6g} >= 2*C_L*m = {lhs[0]:.6g} and "
+              "mu1+mu2 = {rhs[1]:.6g} >= C_L^2*m^2*nu = {lhs[1]:.6g}"),
+)
 
-    def report(name, lhs, rhs, text):
-        reports.append(ConditionReport.compare(name, lhs, rhs, text))
+# the direct-replacement self-synchronization condition, of both classes
+_DR_SS = Condition("dr_ss", lambda r: 12.0 * r.constants.C_L * r.m_frak, lambda r: r.K,
+                   "12*C_L*m = {lhs:.6g} <= K = {rhs:.6g}")
 
-    lhs = min(1.0 - theta1, abs(theta1 - theta2))
-    rhs = constants.C2 / (lnK * (1.0 + m0_frak + g_frak) ** 4)
-    report("theta_composite", lhs, rhs,
-           f"min(1-theta1, |theta1-theta2|) = {lhs:.6g} <= C2/(ln(e+K)(1+m0+g)^4) = {rhs:.6g}")
-
-    rhs = math.sqrt(2.0) / (8.0 * constants.C_S * math.sqrt(lnK) * m_frak)
-    lhs = abs(theta1 - theta2)
-    report("theta_near_balanced", lhs, rhs,
-           f"|theta1-theta2| = {lhs:.6g} <= sqrt(2)/(8*C_S*ln(e+K)^(1/2)*m) = {rhs:.6g}")
-
-    m_small = m_frak_small_theta2(K, grashofs, constants)
-    lhs = theta2**2 * constants.C_S**2 * lnK * m_small**4
-    # 2*(|r0|/nu)^2 + k^2 recovered from r^2 = 16*((|r0|/nu)^2 + k^2)
-    rhs = np.maximum(0.0, grashofs.r_frak**2 / 8.0 - grashofs.k_frak**2)  # NaN stays NaN
-    report("theta_small", lhs, rhs,
-           f"theta2^2*C_S^2*ln(e+K)*m^4 = {lhs:.6g} <= 2*(|r0|/nu)^2 + k^2 = {rhs:.6g}")
-    floor = _exp(1.0 / (8.0 * constants.C_S**2))
-    report("cutoff_small_theta2_floor", floor, K,
-           f"exp(1/(8 C_S^2)) = {floor:.6g} <= K = {K:.6g}")
-    balance = (
-        constants.C_A * grashofs.r_frak / K
-        + 16.0 * constants.C_S**2 * lnK * (grashofs.p_frak**2 + grashofs.r_frak**2) / K**2
-    )
-    report("cutoff_small_theta2_balance", balance, 2.0,
-           f"C_A*r/K + 16*C_S^2*ln(e+K)*(p^2+r^2)/K^2 = {balance:.6g} <= 2")
+# the symmetric direct-replacement regime inequalities: the composite
+# smallness condition on min(1 - theta1, |theta1 - theta2|), the
+# near-balanced gap condition on the measured ball size, and the
+# small-theta2 and cutoff conditions on the Grashof numbers
+_THETA_ROWS = (
+    Condition("theta_composite", lambda r: min(1.0 - r.params[0], abs(r.params[0] - r.params[1])),
+              lambda r: r.constants.C2 / (r.lnK * (1.0 + r.m0 + r.grashofs.g) ** 4),
+              "min(1-theta1, |theta1-theta2|) = {lhs:.6g} <= C2/(ln(e+K)(1+m0+g)^4) = {rhs:.6g}"),
+    Condition("theta_near_balanced", lambda r: abs(r.params[0] - r.params[1]),
+              lambda r: math.sqrt(2.0) / (8.0 * r.constants.C_S * math.sqrt(r.lnK) * r.m_frak),
+              "|theta1-theta2| = {lhs:.6g} <= sqrt(2)/(8*C_S*ln(e+K)^(1/2)*m) = {rhs:.6g}"),
+    Condition("theta_small",
+              lambda r: (r.params[1]**2 * r.constants.C_S**2 * r.lnK
+                         * m_frak_small_theta2(r.K, r.grashofs, r.constants)**4),
+              # 2*(|r0|/nu)^2 + k^2 recovered from r^2 = 16*((|r0|/nu)^2 + k^2)
+              lambda r: np.maximum(0.0, r.grashofs.r_frak**2 / 8.0 - r.grashofs.k_frak**2),  # NaN stays NaN
+              "theta2^2*C_S^2*ln(e+K)*m^4 = {lhs:.6g} <= 2*(|r0|/nu)^2 + k^2 = {rhs:.6g}"),
+    Condition("cutoff_small_theta2_floor", lambda r: _exp(1.0 / (8.0 * r.constants.C_S**2)), lambda r: r.K,
+              "exp(1/(8 C_S^2)) = {lhs:.6g} <= K = {rhs:.6g}"),
+    Condition("cutoff_small_theta2_balance",
+              lambda r: (r.constants.C_A * r.grashofs.r_frak / r.K
+                         + 16.0 * r.constants.C_S**2 * r.lnK * (r.grashofs.p_frak**2 + r.grashofs.r_frak**2) / r.K**2),
+              lambda r: 2.0,
+              "C_A*r/K + 16*C_S^2*ln(e+K)*(p^2+r^2)/K^2 = {lhs:.6g} <= 2"),
     # the cutoff of the nearly-balanced (theta1 ~ theta2) global bound
-    lhs = 1024.0 * constants.C_S**2 * lnK * (grashofs.p_frak**2 + grashofs.h_frak**2)
-    rhs = K**2
-    report("cutoff_dr_near_balanced", lhs, rhs,
-           f"1024*C_S^2*ln(e+K)*(p^2+h^2) = {lhs:.6g} <= K^2 = {rhs:.6g}")
-    return reports
+    Condition("cutoff_dr_near_balanced",
+              lambda r: 1024.0 * r.constants.C_S**2 * r.lnK * (r.grashofs.p_frak**2 + r.grashofs.h_frak**2),
+              lambda r: r.K**2,
+              "1024*C_S^2*ln(e+K)*(p^2+h^2) = {lhs:.6g} <= K^2 = {rhs:.6g}"),
+)
+
+_ENERGY_INEQUALITY = Condition(
+    "energy_inequality", lambda r: energy_inequality_slack(r.records, r.nu, *r.params), lambda r: 1e-6,
+    "integrated weighted energy inequality slack = {lhs:.3e} <= 1e-6",
+)
 
 
 # ---------------------------------------------------------------------------
 # uniform-in-time bound checks
 
 
-def check_uniform_bound(
-    series,
-    bound_formula: str,
-    grashofs: GrashofSet,
-    matrix: IntertwiningMatrix | None,
-    nu: float,
-) -> ConditionReport | None:
+def check_uniform_bound(series, bound_formula: str, grashofs: GrashofSet, matrix: IntertwiningMatrix | None,
+                        nu: float) -> ConditionReport | None:
     """Compare a trajectory's tail sup against a closed-form uniform bound.
 
     bound_formula names a regime of REGIMES (ValueError otherwise), and series
@@ -379,44 +355,13 @@ def check_uniform_bound(
     tail_sup = max(float(v) for _, v in _tail(series))
     if bound_formula not in _REGIME_BY_NAME:
         raise ValueError(f"unknown bound formula {bound_formula!r}")
-    found = _REGIME_BY_NAME[bound_formula].bound(grashofs, matrix, nu)
-    if found is None:
+    text, value = _REGIME_BY_NAME[bound_formula].bound
+    bound = value(grashofs, matrix, nu)
+    if bound is None:
         return None
-    bound, formula = found
     return ConditionReport.compare(
-        f"bound_{bound_formula}", tail_sup, bound, f"tail sup = {tail_sup:.6g} <= {formula}"
+        f"bound_{bound_formula}", tail_sup, bound, f"tail sup = {tail_sup:.6g} <= {text} = {bound:.6g}"
     )
-
-
-# ---------------------------------------------------------------------------
-# the regime table: per regime, its selector, conditions, cutoff and bound
-
-# what the conditions of a run read; m_frak is the measured ball size
-RunFacts = namedtuple("RunFacts", "state0 records constants nu m_frak grashofs")
-
-
-def _nudge_conditions(run: RunFacts) -> list[ConditionReport]:
-    mu1, mu2 = run.state0.matrix.params
-    return [
-        check_nudge_fdss_condition(run.state0.K, run.m_frak, run.constants),
-        check_nudge_ss_condition(run.state0.K, mu1, mu2, run.m_frak, run.nu, run.constants),
-    ]
-
-
-def _dr_conditions(run: RunFacts) -> list[ConditionReport]:
-    state0 = run.state0
-    theta1, theta2 = state0.matrix.params
-    m0 = max(state0.v1.h1, state0.v2.h1) / run.nu
-    return [check_dr_condition(state0.K, run.m_frak, run.constants)] + check_theta_regime(
-        theta1, theta2, state0.K, m0, run.grashofs.g, run.constants, run.m_frak, run.grashofs
-    )
-
-
-def _energy_inequality(run: RunFacts) -> ConditionReport:
-    mu1, mu2 = run.state0.matrix.params
-    slack = energy_inequality_slack(run.records, run.nu, mu1, mu2)
-    text = f"integrated weighted energy inequality slack = {slack:.3e} <= 1e-6"
-    return ConditionReport.compare("energy_inequality", slack, 1e-6, text)
 
 
 def _pair_h1_series(records, matrix):
@@ -437,94 +382,68 @@ def _theta_pair_series(records, matrix):
     ]
 
 
-def _bound(text: str, value: float) -> tuple[float, str]:
-    return value, f"{text} = {value:.6g}"
-
-
-def _nudge_mutual_bound(grashofs: GrashofSet, matrix, nu: float) -> tuple[float, str] | None:
-    mu1, mu2 = matrix.params
-    lo, hi = min(mu1, mu2), max(mu1, mu2)
-    if lo == 0.0:
-        return None  # unbounded
-    return _bound("nu*(mu_max/mu_min)*g", nu * (hi / lo) * grashofs.g)
-
-
 def _dr_symmetric(test: Callable[[float, float], bool]):
     return lambda m: m.kind == DR_SYMMETRIC and test(*m.params)
 
 
 @dataclass(frozen=True)
 class Regime:
-    """One row of REGIMES: selects picks its matrices (None: none), family
-    gives its coupling family's conditions, cutoff(K, grashofs, constants) its
-    own, bound(grashofs, matrix, nu) the bound's value and formula text
-    (None where the regime has no bound for the matrix), and
-    series(records, matrix) the bounded quantity (None: not recorded).
-    with_bound follows the bound and, like it, is left out where there is
-    none; a bound that saturates to inf is reported.  sync names the
-    family's self-synchronization report (None: none).
+    """One row of REGIMES: selects picks its matrices (None: none), rows are
+    its conditions, bound is (text, value(grashofs, matrix, nu)), where a
+    value of None means no bound for the matrix, and series(records,
+    matrix) is the bounded quantity (None: not recorded).  after_bound
+    follows the bound and, like it, is left out where there is none; a
+    bound that saturates to inf is reported.  sync names the regime's
+    self-synchronization row (None: none).
     """
 
     name: str
     selects: Callable[[IntertwiningMatrix], bool] | None
-    family: Callable[[RunFacts], list[ConditionReport]] | None
-    cutoff: Callable[[float, GrashofSet, ConstantsConfig], ConditionReport] | None
-    bound: Callable[[GrashofSet, IntertwiningMatrix | None, float], tuple[float, str] | None]
+    rows: tuple[Condition, ...]
+    bound: tuple[str, Callable[[GrashofSet, IntertwiningMatrix | None, float], float | None]]
     series: Callable[[list, IntertwiningMatrix], list] | None
-    with_bound: Callable[[RunFacts], ConditionReport] | None = None
+    after_bound: tuple[Condition, ...] = ()
     sync: str | None = None
 
     @_saturating
     def reports(self, state0, records, constants, nu) -> list[ConditionReport]:
         """The reports of a run from state0 that sampled records, in table order."""
-        nu = np.float64(nu)
-        constants = replace(constants, **{k: np.float64(getattr(constants, k)) for k in _CONSTANTS})
-        m_frak = measured_m_frak([r.h1_v1 for r in records], [r.h1_v2 for r in records], nu)
-        grashofs = grashof_set_for_state(state0)
-        run = RunFacts(state0, records, constants, nu, m_frak, grashofs)
-        reports = self.family(run)
-        if self.cutoff is not None:
-            reports.append(self.cutoff(state0.K, grashofs, constants))
-        series = self.series(records, state0.matrix)
-        bound = check_uniform_bound(series, self.name, grashofs, state0.matrix, nu)
+        run = run_facts(state0, records, constants, nu)
+        reports = [row.report(run) for row in self.rows]
+        bound = check_uniform_bound(self.series(records, state0.matrix), self.name, run.grashofs,
+                                    state0.matrix, run.nu)
         if bound is not None:
-            reports.append(bound)
-            if self.with_bound is not None:
-                reports.append(self.with_bound(run))
+            reports += [bound] + [row.report(run) for row in self.after_bound]
         return reports
 
 
-# the cutoff form K^2 >= C0 * ln(e+K) * k^2
-_SQUARED = dict(k_power=2.0, log_power=1.0, g_power=2.0)
-
-# ordered: a matrix belongs to the first regime that selects it.  The
-# direct-replacement family conditions include the near-balanced cutoff.
+# ordered: a matrix belongs to the first regime that selects it
 REGIMES = (
-    Regime("nudge_symmetric", lambda m: m.kind == NUDGE_SYMMETRIC, _nudge_conditions, None,
-           lambda gs, m, nu: _bound("nu*g", nu * gs.g), _pair_h1_series, sync="nudge_ss"),
-    Regime("nudge_mutual", lambda m: m.kind == NUDGE_MUTUAL, _nudge_conditions, None,
-           _nudge_mutual_bound, _pair_h1_series, _energy_inequality, sync="nudge_ss"),
-    Regime("dr_mutual_pair", lambda m: m.kind == DR_MUTUAL, _dr_conditions,
-           lambda K, gs, c: check_K_log_condition(
-               K, gs.g_theta, 64.0 * math.sqrt(6.0) * max(c.C_S, math.sqrt(c.C_A)),
-               "cutoff_dr_mutual"),
-           lambda gs, m, nu: _bound("sqrt(96)*nu*g_theta", math.sqrt(96.0) * nu * gs.g_theta),
-           _theta_pair_series, sync="dr_ss"),
-    Regime("dr_decoupled", _dr_symmetric(lambda t1, t2: abs(t1 - 1.0) < 1e-12), _dr_conditions,
-           lambda K, gs, c: check_K_log_condition(
-               K, gs.k_frak, 32.0 * c.C_S**2, "cutoff_dr_decoupled", **_SQUARED),
-           lambda gs, m, nu: _bound("4*k*nu", 4.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
-    Regime("dr_balanced", _dr_symmetric(lambda t1, t2: abs(t1 - t2) < 1e-12), _dr_conditions,
-           None, lambda gs, m, nu: _bound("4*k*nu", 4.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
-    Regime("dr_small_theta2", _dr_symmetric(lambda t1, t2: t2 <= abs(t1 - t2)), _dr_conditions,
-           lambda K, gs, c: check_K_log_condition(
-               K, gs.k_frak, 20.0 * max(c.C_A, c.C_S) ** 2, "cutoff_dr_small_theta2", **_SQUARED),
-           lambda gs, m, nu: _bound("6*k*nu", 6.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
-    Regime("dr_near_balanced", _dr_symmetric(lambda t1, t2: True), _dr_conditions,
-           None, lambda gs, m, nu: _bound("8*nu*k", 8.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
+    Regime("nudge_symmetric", lambda m: m.kind == NUDGE_SYMMETRIC, _NUDGE_ROWS,
+           ("nu*g", lambda gs, m, nu: nu * gs.g), _pair_h1_series, sync="nudge_ss"),
+    # unbounded (None) where a gain is 0
+    Regime("nudge_mutual", lambda m: m.kind == NUDGE_MUTUAL, _NUDGE_ROWS,
+           ("nu*(mu_max/mu_min)*g",
+            lambda gs, m, nu: None if min(m.params) == 0.0 else nu * (max(m.params) / min(m.params)) * gs.g),
+           _pair_h1_series, (_ENERGY_INEQUALITY,), sync="nudge_ss"),
+    Regime("dr_mutual_pair", lambda m: m.kind == DR_MUTUAL,
+           (_DR_SS, *_THETA_ROWS, _log_cutoff(
+               "cutoff_dr_mutual", lambda c: 64.0 * math.sqrt(6.0) * max(c.C_S, math.sqrt(c.C_A)), "g_theta")),
+           ("sqrt(96)*nu*g_theta", lambda gs, m, nu: math.sqrt(96.0) * nu * gs.g_theta), _theta_pair_series,
+           sync="dr_ss"),
+    Regime("dr_decoupled", _dr_symmetric(lambda t1, t2: abs(t1 - 1.0) < 1e-12),
+           (_DR_SS, *_THETA_ROWS, _log_cutoff("cutoff_dr_decoupled", lambda c: 32.0 * c.C_S**2, "k_frak", True)),
+           ("4*k*nu", lambda gs, m, nu: 4.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
+    Regime("dr_balanced", _dr_symmetric(lambda t1, t2: abs(t1 - t2) < 1e-12), (_DR_SS, *_THETA_ROWS),
+           ("4*k*nu", lambda gs, m, nu: 4.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
+    Regime("dr_small_theta2", _dr_symmetric(lambda t1, t2: t2 <= abs(t1 - t2)),
+           (_DR_SS, *_THETA_ROWS, _log_cutoff(
+               "cutoff_dr_small_theta2", lambda c: 20.0 * max(c.C_A, c.C_S) ** 2, "k_frak", True)),
+           ("6*k*nu", lambda gs, m, nu: 6.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
+    Regime("dr_near_balanced", _dr_symmetric(lambda t1, t2: True), (_DR_SS, *_THETA_ROWS),
+           ("8*nu*k", lambda gs, m, nu: 8.0 * gs.k_frak * nu), _pair_h1_series, sync="dr_ss"),
     # the driven low-mode heat block, compared with |p|_V, which is not recorded
-    Regime("heat_low_mode", None, None, None,
-           lambda gs, m, nu: _bound("sqrt(2)*nu*h", math.sqrt(2.0) * nu * gs.h_frak), None),
+    Regime("heat_low_mode", None, (), ("sqrt(2)*nu*h", lambda gs, m, nu: math.sqrt(2.0) * nu * gs.h_frak), None),
 )
 _REGIME_BY_NAME = {regime.name: regime for regime in REGIMES}
 

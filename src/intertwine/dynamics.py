@@ -648,7 +648,10 @@ def sample_steps(span: float, dt: float, sample_every: float | None = None):
     """A run's step count and sampling rule, as (nsteps, sampled).
 
     nsteps is step_count(span, dt); sampled(k) holds at the last step and at
-    every sample_every (the whole span when None), rounded to whole steps.
+    every sample_every (the whole span when None), rounded to the nearest
+    whole number of steps, a half to the even one (Python's round):
+    sample_every = 0.25 at dt = 0.02 is 12.5 steps, so it samples every 12
+    steps, t = 0, 0.24, 0.48, ...
     """
     nsteps = step_count(span, dt)
     stride = max(1, int(round((sample_every or span) / dt)))

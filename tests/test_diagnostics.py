@@ -1,6 +1,7 @@
 """Dimensionless numbers, condition checks, decay detection, CSV output."""
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -19,11 +20,6 @@ from intertwine.diagnostics import (
     GrashofSet,
     InsufficientData,
     calibrate_constants,
-    check_dr_condition,
-    check_K_log_condition,
-    check_nudge_fdss_condition,
-    check_nudge_ss_condition,
-    check_theta_regime,
     check_uniform_bound,
     decay_detect,
     default_constants,
@@ -32,9 +28,16 @@ from intertwine.diagnostics import (
 )
 
 UNIT = ConstantsConfig(C_L=1.0, C_A=1.0, C_S=1.0)
-# the Grashof numbers of a run that check_theta_regime reads
+# the Grashof numbers of a run that the direct-replacement rows read
 GRASHOFS = GrashofSet(g1=1.0, g2=1.0, g=math.sqrt(2), k_frak=2.0, h_frak=0.1,
                       p_frak=0.5, r_frak=9.0, d_frak=2.0, f_frak=2.0)
+# every condition row of the regime table, by name
+ROWS = {row.name: row for regime in diag.REGIMES for row in (*regime.rows, *regime.after_bound)}
+
+
+def facts(K, m_frak=1.0, params=(0.5, 0.5), m0=1.0, grashofs=GRASHOFS, nu=1.0, constants=UNIT, records=()):
+    """The RunFacts that the rows read, with ln(e+K) from K."""
+    return diag.RunFacts(records, constants, nu, K, params, m_frak, m0, math.log(math.e + K), grashofs)
 
 
 def _forced_state(grid, force, nu):
@@ -116,58 +119,72 @@ class TestGrashofNumbers:
 
 class TestConditionChecks:
     def test_fdss_example_values(self):
-        rep = check_nudge_fdss_condition(10.0, 4.0, UNIT)
+        rep = ROWS["nudge_fdss"].report(facts(10.0, m_frak=4.0))
         assert rep.satisfied and rep.lhs == 8.0 and rep.rhs == 10.0
         assert rep.margin == pytest.approx(2.0)
 
     def test_fdss_violated(self):
-        rep = check_nudge_fdss_condition(5.0, 4.0, UNIT)
+        rep = ROWS["nudge_fdss"].report(facts(5.0, m_frak=4.0))
         assert not rep.satisfied
 
     def test_ss_boundary_case(self):
-        rep = check_nudge_ss_condition(10.0, 8.0, 8.0, 4.0, 1.0, UNIT)
+        rep = ROWS["nudge_ss"].report(facts(10.0, m_frak=4.0, params=(8.0, 8.0), nu=1.0))
         assert rep.satisfied and rep.margin == pytest.approx(0.0)
 
+    def test_ss_nan_side_is_violated(self):
+        # each inequality must hold: a NaN second side fails the row, though
+        # the first side, of least margin by the ordering, holds
+        rep = ROWS["nudge_ss"].report(facts(10.0, m_frak=4.0, params=(8.0, 8.0), nu=math.nan))
+        assert not rep.satisfied and rep.lhs == 8.0 and rep.rhs == 10.0
+
     def test_dr_substitutions(self):
-        assert check_dr_condition(50.0, 4.0, UNIT).satisfied
-        assert not check_dr_condition(47.0, 4.0, UNIT).satisfied
-        assert check_dr_condition(48.0, 4.0, UNIT).margin == pytest.approx(0.0)
+        def dr_ss(K):
+            return ROWS["dr_ss"].report(facts(K, m_frak=4.0))
+
+        assert dr_ss(50.0).satisfied
+        assert not dr_ss(47.0).satisfied
+        assert dr_ss(48.0).margin == pytest.approx(0.0)
 
     def test_log_condition_numeric(self):
-        rep = check_K_log_condition(3.0, 1.0, 1.0, "cutoff_log")
-        assert rep.satisfied and rep.name == "cutoff_log"
+        # the linear log form K >= C0 ln(e+K)^(1/2) g_theta, with unit
+        # constants C0 = 64 sqrt(6); a force of 1/C0 leaves ln(e+K)^(1/2)
+        c0 = 64.0 * math.sqrt(6.0)
+
+        def cutoff(K, g_theta):
+            return ROWS["cutoff_dr_mutual"].report(facts(K, grashofs=GrashofSet(g_theta=g_theta)))
+
+        rep = cutoff(3.0, 1.0 / c0)
+        assert rep.satisfied and rep.name == "cutoff_dr_mutual"
         assert rep.lhs == pytest.approx(math.sqrt(math.log(math.e + 3.0)))
-        assert check_K_log_condition(3.0, 0.0, 1.0, "cutoff_log").satisfied  # zero force
-        assert not check_K_log_condition(0.0, 1.0, 1.0, "cutoff_log").satisfied
+        assert cutoff(3.0, 0.0).satisfied  # zero force
+        assert not cutoff(0.0, 1.0 / c0).satisfied
 
     def test_theta_regime_trivial_cases(self):
-        reps = check_theta_regime(1.0, 0.0, 8.0, 1.0, 1.0, UNIT, 1.0, GRASHOFS)
-        composite = next(r for r in reps if r.name == "theta_composite")
+        composite = ROWS["theta_composite"].report(facts(8.0, params=(1.0, 0.0)))
         assert composite.lhs == 0.0 and composite.satisfied
-        reps = check_theta_regime(0.5, 0.5, 8.0, 1.0, 1.0, UNIT, 1.0, GRASHOFS)
-        composite = next(r for r in reps if r.name == "theta_composite")
+        composite = ROWS["theta_composite"].report(facts(8.0, params=(0.5, 0.5)))
         assert composite.lhs == 0.0 and composite.satisfied
 
     def test_theta_gap_example_numeric(self):
         # theta2 = 0.1, K = 32, C_S = 1, m = 5: the gap bound evaluates to
         # sqrt(2) / (8 ln(e+32)^(1/2) * 5), far below the actual gap 0.8
-        reps = check_theta_regime(0.9, 0.1, 32.0, 1.0, 1.0, UNIT, 5.0, GRASHOFS)
-        gap = next(r for r in reps if r.name == "theta_near_balanced")
+        gap = ROWS["theta_near_balanced"].report(facts(32.0, m_frak=5.0, params=(0.9, 0.1)))
         assert gap.lhs == pytest.approx(0.8)
         expect = math.sqrt(2.0) / (8.0 * math.sqrt(math.log(math.e + 32.0)) * 5.0)
         assert gap.rhs == pytest.approx(expect)
         assert not gap.satisfied
 
     def test_theta_regime_with_grashofs(self):
-        reps = check_theta_regime(0.95, 0.05, 16.0, 1.0, math.sqrt(2), UNIT, 3.0, GRASHOFS)
-        names = [r.name for r in reps]
-        assert names == ["theta_composite", "theta_near_balanced", "theta_small",
+        regime = diag.regime_for(dyn.IntertwiningMatrix.dr_symmetric(0.95, 0.05))
+        run = facts(16.0, m_frak=3.0, params=(0.95, 0.05))
+        names = [row.report(run).name for row in regime.rows]
+        assert names == ["dr_ss", "theta_composite", "theta_near_balanced", "theta_small",
                          "cutoff_small_theta2_floor", "cutoff_small_theta2_balance",
-                         "cutoff_dr_near_balanced"]
+                         "cutoff_dr_near_balanced", "cutoff_dr_small_theta2"]
 
     def test_reports_reproducible(self):
-        a = check_nudge_fdss_condition(10.0, 4.0, UNIT)
-        b = check_nudge_fdss_condition(10.0, 4.0, UNIT)
+        a = ROWS["nudge_fdss"].report(facts(10.0, m_frak=4.0))
+        b = ROWS["nudge_fdss"].report(facts(10.0, m_frak=4.0))
         assert a == b
 
 
@@ -296,26 +313,73 @@ class TestRegimeTable:
         assert value == math.sqrt(rec.h1_vtheta**2 + rec.h1_wtheta**2) > rec.h1_vtheta
 
     def test_cutoff_values(self):
-        # K = 4, force 1, unit constants: the log forms read off directly
-        gs = GrashofSet(k_frak=1.0, g_theta=1.0, p_frak=0.6, h_frak=0.8)
-        log = math.log(math.e + 4.0)
-        expect = {
-            "dr_mutual_pair": ("cutoff_dr_mutual", 64.0 * math.sqrt(6.0) * math.sqrt(log)),
-            "dr_decoupled": ("cutoff_dr_decoupled", 32.0 * log),
-            "dr_small_theta2": ("cutoff_dr_small_theta2", 20.0 * log),
+        # every condition row and every bound against its closed form, on
+        # one run at K = 4, under unit constants and under distinct ones
+        K, L = 4.0, math.log(math.e + 4.0)
+        t1, t2 = 0.9, 0.5  # the matrix params, read as gains or as thetas
+        m, m0, nu = 3.0, 2.0, 0.5
+        gs = GrashofSet(g1=3.0, g2=4.0, g=5.0, g_theta=1.5, k_frak=2.0, h_frak=0.8, p_frak=0.6,
+                        r_frak=9.0, d_frak=2.5, f_frak=1.7)
+        g, gt, k, h, p, r, d, f = (gs.g, gs.g_theta, gs.k_frak, gs.h_frak, gs.p_frak, gs.r_frak,
+                                   gs.d_frak, gs.f_frak)
+        # two budget samples a unit of time apart, |g1| = 1 and |g2| = 2
+        blank = dict.fromkeys((fd.name for fd in dataclasses.fields(dyn.TimeSeriesRecord)), math.nan)
+        records = [dyn.TimeSeriesRecord(**{**blank, "t": t, "force_l2_g1": 1.0, "force_l2_g2": 2.0,
+                                           "budget_energy": e, "budget_dissipation": dd})
+                   for t, e, dd in ((0.0, 1.0, 1.0), (1.0, 0.5, 3.0))]
+        lam1, lam2 = t2 / (t1 + t2), t1 / (t1 + t2)
+        pumped = lam1 * 1.0 + lam2 * 4.0
+        gained, spent = 0.5 + nu * 2.0, 1.0 + pumped / nu
+        slack = (gained - spent) / max(abs(gained), abs(spent))
+        for c in (UNIT, ConstantsConfig(C_L=1.5, C_A=3.0, C_S=1.2, C2=0.7)):
+            run = diag.RunFacts(records, c, nu, K, (t1, t2), m, m0, L, gs)
+            ball = math.sqrt(16.0 * (1.0 + c.C_S**2 * L * (1.0 + p**2)) * (d**2 + f**2))
+            c0_mutual = 64.0 * math.sqrt(6.0) * max(c.C_S, math.sqrt(c.C_A))
+            expect = {
+                "nudge_fdss": (2.0 * c.C_L * m, K),
+                "nudge_ss": ((2.0 * c.C_L * m, c.C_L**2 * m**2 * nu), (K, t1 + t2)),
+                "dr_ss": (12.0 * c.C_L * m, K),
+                "theta_composite": (0.1, c.C2 / (L * (1.0 + m0 + g) ** 4)),
+                "theta_near_balanced": (0.4, math.sqrt(2.0) / (8.0 * c.C_S * math.sqrt(L) * m)),
+                "theta_small": (t2**2 * c.C_S**2 * L * ball**4, r**2 / 8.0 - k**2),
+                "cutoff_small_theta2_floor": (math.exp(1.0 / (8.0 * c.C_S**2)), K),
+                "cutoff_small_theta2_balance": (c.C_A * r / K + 16.0 * c.C_S**2 * L * (p**2 + r**2) / K**2, 2.0),
+                "cutoff_dr_near_balanced": (1024.0 * c.C_S**2 * L * (p**2 + h**2), K**2),
+                "cutoff_dr_mutual": (c0_mutual * math.sqrt(L) * gt, K),
+                "cutoff_dr_decoupled": (32.0 * c.C_S**2 * L * k**2, K**2),
+                "cutoff_dr_small_theta2": (20.0 * max(c.C_A, c.C_S) ** 2 * L * k**2, K**2),
+                "energy_inequality": (slack, 1e-6),
+            }
+            assert sorted(ROWS) == sorted(expect)
+            for name, (lhs, rhs) in expect.items():
+                assert ROWS[name].lhs(run) == pytest.approx(lhs, rel=1e-13), name
+                assert ROWS[name].rhs(run) == pytest.approx(rhs, rel=1e-13), name
+            # the cutoffs print their coefficient, of which only the value is seen
+            texts = {
+                "cutoff_dr_mutual": f"{c0_mutual:.6g}*ln(e+K)^0.5*g^1 = ",
+                "cutoff_dr_decoupled": f"{32.0 * c.C_S**2:.6g}*ln(e+K)^1*g^2 = ",
+                "cutoff_dr_small_theta2": f"{20.0 * max(c.C_A, c.C_S) ** 2:.6g}*ln(e+K)^1*g^2 = ",
+                "cutoff_dr_near_balanced": "1024*C_S^2*ln(e+K)*(p^2+h^2) = ",
+            }
+            for name, head in texts.items():
+                assert ROWS[name].report(run).formula.startswith(head), name
+        bounds = {
+            "nudge_symmetric": nu * g,
+            "nudge_mutual": nu * (t1 / t2) * g,
+            "dr_mutual_pair": math.sqrt(96.0) * nu * gt,
+            "dr_decoupled": 4.0 * k * nu,
+            "dr_balanced": 4.0 * k * nu,
+            "dr_small_theta2": 6.0 * k * nu,
+            "dr_near_balanced": 8.0 * nu * k,
+            "heat_low_mode": math.sqrt(2.0) * nu * h,
         }
-        with_cutoff = [regime for regime in diag.REGIMES if regime.cutoff is not None]
-        assert [regime.name for regime in with_cutoff] == list(expect)
-        for regime in with_cutoff:
-            rep = regime.cutoff(4.0, gs, UNIT)
-            name, lhs = expect[regime.name]
-            assert rep.name == name
-            assert rep.lhs == pytest.approx(lhs)
-        reps = check_theta_regime(0.6, 0.4, 4.0, 1.0, 1.0, UNIT, 1.0, gs)
-        near = next(r for r in reps if r.name == "cutoff_dr_near_balanced")
-        assert near.lhs == pytest.approx(1024.0 * log * 1.0)
-        assert near.rhs == 16.0
-        assert near.formula.startswith("1024*C_S^2*ln(e+K)*(p^2+h^2) = ")
+        assert [regime.name for regime in diag.REGIMES] == list(bounds)
+        matrix = dyn.IntertwiningMatrix.nudge_mutual(t1, t2)
+        for regime in diag.REGIMES:
+            _, value = regime.bound
+            assert value(gs, matrix, nu) == pytest.approx(bounds[regime.name], rel=1e-13), regime.name
+        # mu_min = 0: the mutual regime has no bound
+        assert diag.REGIMES[1].bound[1](gs, dyn.IntertwiningMatrix.nudge_mutual(2.0, 0.0), nu) is None
 
 
 class TestDecayDetection:

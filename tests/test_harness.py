@@ -569,7 +569,8 @@ class TestScenarios:
             v2=sp.random_field(grid16, rng, energy=0.1), forcing=pair,
         )
         records = [diag.sample_record(state)]
-        reports = [diag.check_nudge_fdss_condition(4.0, 1.0, diag.default_constants())]
+        run = diag.run_facts(state, records, diag.default_constants(), state.nu)._replace(K=4.0, m_frak=1.0)
+        reports = [diag.REGIMES[0].rows[0].report(run)]  # nudge_fdss at K = 4, m = 1
         diag.write_timeseries_csv(tmp_path / "series.csv", records)
         diag.write_condition_reports(tmp_path, reports)
         assert (tmp_path / "series.csv").exists()
@@ -587,7 +588,8 @@ class TestScenarios:
             v2=sp.random_field(grid16, rng, energy=0.1), forcing=pair,
         )
         records = [diag.sample_record(state)]
-        reports = [diag.check_nudge_fdss_condition(4.0, 1.0, diag.default_constants())]
+        run = diag.run_facts(state, records, diag.default_constants(), state.nu)._replace(K=4.0, m_frak=1.0)
+        reports = [diag.REGIMES[0].rows[0].report(run)]  # nudge_fdss at K = 4, m = 1
         diag.write_timeseries_csv(tmp_path / "series.csv", records)
         diag.write_condition_reports(tmp_path, reports)
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}

@@ -29,6 +29,9 @@ def test_toy_set_is_deterministic_and_compare_finds_a_changed_cell(tmp_path):
     for rel in ("nudge/series.csv", "nudge/final.ckpt", "dr_mutual_1/series.csv", "sweep_n32/sweep_table.csv",
                 "fdss_amplitude_1/fdm_table.csv", "verify_fast.txt", "verify_worst.tsv", "dense_oracle.tsv"):
         assert rel in listed
+    # mu2 = 0: the mutual regime has no bound, so no energy inequality either
+    tsv = (a / "nudge_mutual_2_0" / "conditions.tsv").read_text().splitlines()[1:]
+    assert [line.split("\t")[0] for line in tsv] == ["nudge_fdss", "nudge_ss"]
     # each member of each path once; the dense and stepped members agree to
     # the Heun step's error, and their bits differ
     head, *rows = (a / "dense_oracle.tsv").read_text().splitlines()

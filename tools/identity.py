@@ -148,6 +148,8 @@ def run_set(toy: bool) -> list:
         ("dr_symmetric_1", None, coupled("class = dr_symmetric\ntheta1 = 1.0\ntheta2 = 0.0")),
         ("dr_symmetric_0.6", None, coupled("class = dr_symmetric\ntheta1 = 0.6\ntheta2 = 0.4")),
         ("nudge_symmetric_2_1", None, coupled("class = nudge_symmetric\nmu1 = 2.0\nmu2 = 1.0")),
+        # mu2 = 0: the mutual regime has no bound, so no energy inequality either
+        ("nudge_mutual_2_0", None, coupled("class = nudge_mutual\nmu1 = 2.0\nmu2 = 0.0")),
         ("reconstruction_nudge", "reconstruction_nudge", recon),
         ("reconstruction_dr", "reconstruction_dr", recon),
         ("time_periodic", None, base.replace("kind = kolmogorov", "kind = time_periodic\nomega = 0.5")),
