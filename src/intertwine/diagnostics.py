@@ -295,7 +295,8 @@ _NUDGE_ROWS = (
               "mu1+mu2 = {rhs[1]:.6g} >= C_L^2*m^2*nu = {lhs[1]:.6g}"),
 )
 
-# the direct-replacement self-synchronization condition, of both classes
+# the direct-replacement self-synchronization condition, of both classes;
+# the theta rows below are the symmetric class's alone
 _DR_SS = Condition("dr_ss", lambda r: 12.0 * r.constants.C_L * r.m_frak, lambda r: r.K,
                    "12*C_L*m = {lhs:.6g} <= K = {rhs:.6g}")
 
@@ -427,7 +428,7 @@ REGIMES = (
             lambda gs, m, nu: None if min(m.params) == 0.0 else nu * (max(m.params) / min(m.params)) * gs.g),
            _pair_h1_series, (_ENERGY_INEQUALITY,), sync="nudge_ss"),
     Regime("dr_mutual_pair", lambda m: m.kind == DR_MUTUAL,
-           (_DR_SS, *_THETA_ROWS, _log_cutoff(
+           (_DR_SS, _log_cutoff(
                "cutoff_dr_mutual", lambda c: 64.0 * math.sqrt(6.0) * max(c.C_S, math.sqrt(c.C_A)), "g_theta")),
            ("sqrt(96)*nu*g_theta", lambda gs, m, nu: math.sqrt(96.0) * nu * gs.g_theta), _theta_pair_series,
            sync="dr_ss"),

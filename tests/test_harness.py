@@ -348,7 +348,7 @@ class TestScenarios:
         names = {rep.name for rep in res.reports}
         assert "bound_nudge_symmetric" in names
 
-    DR_FAMILY = [
+    DR_SYMMETRIC_ROWS = [
         "dr_ss",
         "theta_composite",
         "theta_near_balanced",
@@ -366,13 +366,13 @@ class TestScenarios:
             # mu_min = 0: the mutual bound is infinite, so neither it nor the
             # energy inequality is reported
             ("nudge_mutual 2 0", ["nudge_fdss", "nudge_ss"]),
-            ("dr_mutual 0.25 0.75", DR_FAMILY + ["cutoff_dr_mutual", "bound_dr_mutual_pair"]),
-            ("dr_mutual 0 1", DR_FAMILY + ["cutoff_dr_mutual", "bound_dr_mutual_pair"]),
-            ("dr_symmetric 1 0", DR_FAMILY + ["cutoff_dr_decoupled", "bound_dr_decoupled"]),
-            ("dr_symmetric 0.5 0.5", DR_FAMILY + ["bound_dr_balanced"]),
-            ("dr_symmetric 0.8 0.2", DR_FAMILY + ["cutoff_dr_small_theta2", "bound_dr_small_theta2"]),
+            ("dr_mutual 0.25 0.75", ["dr_ss", "cutoff_dr_mutual", "bound_dr_mutual_pair"]),
+            ("dr_mutual 0 1", ["dr_ss", "cutoff_dr_mutual", "bound_dr_mutual_pair"]),
+            ("dr_symmetric 1 0", DR_SYMMETRIC_ROWS + ["cutoff_dr_decoupled", "bound_dr_decoupled"]),
+            ("dr_symmetric 0.5 0.5", DR_SYMMETRIC_ROWS + ["bound_dr_balanced"]),
+            ("dr_symmetric 0.8 0.2", DR_SYMMETRIC_ROWS + ["cutoff_dr_small_theta2", "bound_dr_small_theta2"]),
             # the near-balanced cutoff is a family condition, reported once
-            ("dr_symmetric 0.6 0.4", DR_FAMILY + ["bound_dr_near_balanced"]),
+            ("dr_symmetric 0.6 0.4", DR_SYMMETRIC_ROWS + ["bound_dr_near_balanced"]),
         ],
     )
     def test_report_names_once_per_run(self, tmp_path, coupling, expect):
