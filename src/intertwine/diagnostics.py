@@ -267,8 +267,11 @@ class Condition:
 def m_frak_small_theta2(K: float, grashofs: GrashofSet, constants: ConstantsConfig) -> float:
     """Guaranteed uniform-ball size in the small-theta2 regime."""
     lnK = math.log(math.e + K)
-    return np.sqrt(16.0 * (1.0 + constants.C_S**2 * lnK * (1.0 + grashofs.p_frak**2))
-                   * (grashofs.d_frak**2 + grashofs.f_frak**2))
+    return np.sqrt(
+        16.0
+        * (1.0 + constants.C_S**2 * lnK * (1.0 + grashofs.p_frak**2))
+        * (grashofs.d_frak**2 + grashofs.f_frak**2)
+    )
 
 
 def _log_cutoff(name: str, coeff, g: str, squared: bool = False) -> Condition:
@@ -321,7 +324,8 @@ _THETA_ROWS = (
               "exp(1/(8 C_S^2)) = {lhs:.6g} <= K = {rhs:.6g}"),
     Condition("cutoff_small_theta2_balance",
               lambda r: (r.constants.C_A * r.grashofs.r_frak / r.K
-                         + 16.0 * r.constants.C_S**2 * r.lnK * (r.grashofs.p_frak**2 + r.grashofs.r_frak**2) / r.K**2),
+                         + 16.0 * r.constants.C_S**2 * r.lnK
+                         * (r.grashofs.p_frak**2 + r.grashofs.r_frak**2) / r.K**2),
               lambda r: 2.0,
               "C_A*r/K + 16*C_S^2*ln(e+K)*(p^2+r^2)/K^2 = {lhs:.6g} <= 2"),
     # the cutoff of the nearly-balanced (theta1 ~ theta2) global bound
@@ -341,8 +345,13 @@ _ENERGY_INEQUALITY = Condition(
 # uniform-in-time bound checks
 
 
-def check_uniform_bound(series, bound_formula: str, grashofs: GrashofSet, matrix: IntertwiningMatrix | None,
-                        nu: float) -> ConditionReport | None:
+def check_uniform_bound(
+    series,
+    bound_formula: str,
+    grashofs: GrashofSet,
+    matrix: IntertwiningMatrix | None,
+    nu: float,
+) -> ConditionReport | None:
     """Compare a trajectory's tail sup against a closed-form uniform bound.
 
     bound_formula names a regime of REGIMES (ValueError otherwise), and series
