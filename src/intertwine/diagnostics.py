@@ -38,7 +38,7 @@ from .dynamics import (
     TimeSeriesRecord,
     derived_views,
 )
-from .spectral import Grid, SpectralField, hm_norm, random_field
+from .spectral import SpectralField, hm_norm
 
 CONSTANTS_DATA_VERSION = 1
 
@@ -109,7 +109,7 @@ class ConstantsConfig:
     """Working values for the interpolation-inequality constants.
 
     C_L (Ladyzhenskaya), C_A (Agmon) and C_S (borderline Sobolev) are measured
-    empirically by calibrate_constants; C2 is an otherwise-unnamed analysis
+    empirically by tools/calibrate.py; C2 is an otherwise-unnamed analysis
     constant and defaults to 1 (a user input; the check built on it is a
     sensitivity scan, not a sharp threshold).
     """
@@ -520,61 +520,9 @@ def heat_compare(p_series, h: SpectralField | None, nu: float, K: float) -> floa
     return worst
 
 
-# ---------------------------------------------------------------------------
-# constants calibration
-
-
-def calibrate_constants(n: int = 32, samples: int = 200, seed: int = 0) -> ConstantsConfig:
-    """Measure working interpolation constants on random-field batches.
-
-    Maximizes each inequality ratio over seeded random fields plus the
-    extremizing candidates (single shear modes, the cellular flow, low-mode
-    concentrations) and returns the observed maxima times a 1.1 safety
-    factor.  Deterministic for a fixed seed.
-    """
-    grid = Grid(n)
-    rng = np.random.default_rng(seed)
-    ratio_L = 0.0
-    ratio_A = 0.0
-    ratio_S = 0.0
-
-    candidates = [
-        spectral.taylor_green(grid, 1.0),
-        spectral.field_from_modes(grid, [(0, 1, (0.5 / 1j, 0.0))]),
-        spectral.field_from_modes(grid, [(0, 2, (0.5 / 1j, 0.0)), (1, 0, (0.0, 0.25))]),
-    ]
-    slopes = (0.5, 1.0, 2.0, 3.0)
-    kmaxes = (2.0, 4.0, 8.0, grid.dealias_radius)
-    for i in range(samples):
-        slope = slopes[i % len(slopes)]
-        kmax = kmaxes[(i // len(slopes)) % len(kmaxes)]
-        candidates.append(random_field(grid, rng, energy=1.0, slope=slope, kmax=kmax))
-
-    for u in candidates:
-        l2 = u.l2
-        h1 = u.h1
-        if l2 == 0.0 or h1 == 0.0:
-            continue
-        linf = spectral.linf_norm(u)
-        l4 = spectral.l4_norm(u)
-        h2 = hm_norm(u, 2)
-        ratio_L = max(ratio_L, l4**2 / (h1 * l2))
-        ratio_A = max(ratio_A, linf**2 / (h2 * l2))
-        # support radius of this candidate, floor 2 to keep ln positive
-        kmag = u.grid.kmag[np.abs(u.half).max(axis=0) > 1e-13 * np.abs(u.half).max()]
-        nmax = max(2.0, float(kmag.max()) if kmag.size else 2.0)
-        ratio_S = max(ratio_S, linf / (math.sqrt(math.log(nmax)) * h1))
-
-    return ConstantsConfig(
-        C_L=1.1 * ratio_L,
-        C_A=1.1 * ratio_A,
-        C_S=1.1 * ratio_S,
-        meta={"n": n, "samples": samples, "seed": seed, "safety": 1.1},
-    )
-
-
 def default_constants() -> ConstantsConfig:
-    """The shipped calibration (n=32, seed 0), loaded from the data file."""
+    """The shipped calibration (n=32, seed 0), loaded from the data file that
+    tools/calibrate.py regenerates."""
     text = resources.files("intertwine.data").joinpath("constants_default.json").read_text()
     return ConstantsConfig.from_json(text)
 

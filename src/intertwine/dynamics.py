@@ -457,14 +457,14 @@ class _Sampler:
 
     def __init__(self, ws):
         grid, (rows, cols) = ws.grid, ws.shape[-2:]
-        n, r = grid.n, cols - 1
+        n = grid.n
         self.fields = np.empty((10, 2, rows, cols), dtype=np.complex128)
         self.moduli = np.empty((10, 2, rows, cols))
         # 8 L2 norms, up to 5 V norms, or 3 V norms and 2 pumps
         self.weighted = np.empty((13, 2, rows, cols))
         self.spectra = np.zeros((13, 2, n, n // 2 + 1))
-        # (box rows, half-spectrum rows) of the row blocks ky = 0 .. r and -r .. -1
-        self.blocks = ((slice(0, r + 1), slice(0, r + 1)), (slice(r + 1, None), slice(n - r, n)))
+        # (box rows, half-spectrum rows) of the row blocks
+        self.blocks = grid.box_blocks
         self.l2_weight, self.h1_weight = (
             spectral.to_box(grid, np.broadcast_to(grid.hm_weight(m), grid.k2.shape)) for m in (0, 1)
         )

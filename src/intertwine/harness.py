@@ -18,6 +18,7 @@ import sys
 import traceback
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
@@ -703,14 +704,44 @@ def _run_sweep_point(args):
     return row
 
 
+def _run_pooled(jobs, workers: int) -> list:
+    """The rows of the sweep points, in point order, from a pool of workers.
+
+    A worker that dies (a crash, os._exit) breaks the pool and every point
+    it left unfinished.  Each of those runs again alone in a fresh
+    one-worker pool; a point that breaks that pool too is an error row, as
+    a point that raises is.
+    """
+    rows = [None] * len(jobs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_sweep_point, job) for job in jobs]
+        for i, future in enumerate(futures):
+            try:
+                rows[i] = future.result()
+            except BrokenProcessPool:
+                pass
+    for i, job in enumerate(jobs):
+        if rows[i] is not None:
+            continue
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            try:
+                rows[i] = pool.submit(_run_sweep_point, job).result()
+            except BrokenProcessPool as exc:
+                _, point, index, _ = job
+                print(f"sweep point {index} broke its worker: {exc}", file=sys.stderr)
+                rows[i] = {**point, "index": index, "error": f"{type(exc).__name__}: {exc}"}
+    return rows
+
+
 def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> ScenarioResult:
     """Grid sweep over K and mu or theta; each point fully isolated.
 
     Per-point RNG streams derive from (master seed, point index).  Blowups
-    and failures (any exception, recorded as the point's error) are recorded
-    per point, never fatal to the sweep.  The verdict table is
-    checked for non-monotone decay-versus-K patterns, which are flagged for
-    human review rather than asserted away.
+    and failures (any exception, or with threads > 1 a worker that dies,
+    recorded as the point's error) are recorded per point, never fatal to
+    the sweep.  The verdict table is checked for non-monotone
+    decay-versus-K patterns, which are flagged for human review rather than
+    asserted away.
     """
     _load_constants(cfg)  # a bad constants file fails the sweep, not each point
     _make_out_dir(out_dir)
@@ -721,8 +752,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: str) -> ScenarioResult:
         child = int(np.random.SeedSequence([cfg.seed, index]).generate_state(1, dtype=np.uint64)[0])
         jobs.append((replace(pcfg, seed=child % (2**63)), point, index, out_dir))
     if cfg.threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
-            rows = list(pool.map(_run_sweep_point, jobs))
+        rows = _run_pooled(jobs, min(cfg.threads, len(jobs)))
     else:
         rows = [_run_sweep_point(job) for job in jobs]
 

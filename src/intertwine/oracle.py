@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .dynamics import BlowupDetected, _run, _shared, diverged
+from .dynamics import _run, _shared, diverged
 from .forcing import ForceStack
 from .spectral import BALL_ATOL, Grid, SpectralField, _require_same_grid, in_ball
 
@@ -265,35 +265,20 @@ def _dense_pair_rhs(state):
     return tuple(SpectralField(state.grid, h) for h in system.unpack(state.grid, system.rhs(system.V, state.t)))
 
 
-def dense_trajectory(state, t_end: float, dt_ref: float = 1e-4, sample_every: float | None = None,
-                     sink=None):
-    """Classical RK4 reference trajectory of the state's pair on the dense
-    box: what `dynamics.integrate` returns for the state, without its
-    step-size guard.
+def dense_trajectories(states, t_end: float, dt_ref: float = 1e-4) -> list:
+    """Classical RK4 reference trajectories of the states' pairs on one
+    dense stack: what `dynamics.integrate_many` returns for the states,
+    without its step-size guard.
 
-    The pair evolves under the state's matrix, which also fixes the
+    Each pair evolves under its state's matrix, which also fixes the
     intertwining function (the zero matrix is the plain Navier-Stokes
-    system), its forces, nu and K.  t_end - state.t must be whole steps of
-    dt_ref.  sink(state) gets the state at state.t and at the steps that
-    `dynamics.sample_steps` samples.  Returns the state at t_end; raises
-    BlowupDetected when the pair `diverged`.
+    system), its forces, nu and K.  The states share grid, t and nu (see
+    `_RK4`), and t_end - t must be whole steps of dt_ref.  Returns per state
+    its state at t_end, bitwise that of its lone run, or the BlowupDetected
+    of a member that `diverged`: that member is frozen, as the stepper
+    freezes one, and the others go on.
 
     Convergence: halving dt_ref changes the endpoint at fourth order
     (Richardson ratio near 16), which the test suite verifies.
-    """
-    (out,) = _run((state,), t_end, dt_ref, sample_every, sink, cfl_factor=None, stepper=_RK4)
-    if isinstance(out, BlowupDetected):
-        raise out
-    return out
-
-
-def dense_trajectories(states, t_end: float, dt_ref: float = 1e-4) -> list:
-    """`dense_trajectory` for several states on one stack, as
-    `dynamics.integrate_many` runs them.
-
-    The states share grid, t and nu (see `_RK4`).  Returns per state its
-    state at t_end, bitwise that of its lone run, or the BlowupDetected of a
-    member that `diverged`: that member is frozen, as the stepper freezes
-    one, and the others go on.
     """
     return _run(list(states), t_end, dt_ref, cfl_factor=None, stepper=_RK4)

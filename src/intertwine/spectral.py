@@ -125,6 +125,8 @@ class Grid:
         r = int(self.kx[self.dealias_mask].max())
         self.box_rows = np.r_[0 : r + 1, n - r : n]
         self.box_cols = r + 1
+        # (box rows, grid rows) of the two row blocks ky = 0 .. r and -r .. -1
+        self.box_blocks = ((slice(0, r + 1), slice(0, r + 1)), (slice(r + 1, None), slice(n - r, n)))
         self._hm_weights = {}
 
     def __eq__(self, other):
@@ -360,11 +362,6 @@ def _physical(grid: Grid, V: np.ndarray, pad: int) -> np.ndarray:
     return np.fft.irfft2(big, s=(npad, npad), norm="forward")
 
 
-def to_physical(u: SpectralField, pad: int = 1) -> np.ndarray:
-    """Evaluate u on the physical grid; pad > 1 refines by zero padding."""
-    return _physical(u.grid, u.half, pad)
-
-
 def linf_norm(*fields: SpectralField) -> float:
     """Sup of the pointwise vector magnitude, sampled on the grid refined
     twice; of several fields, the largest.
@@ -380,15 +377,6 @@ def linf_norm(*fields: SpectralField) -> float:
         np.add(phys[0], phys[1], out=phys[0])
         largest = np.maximum(largest, phys[0].max())  # a NaN propagates
     return float(np.sqrt(largest))
-
-
-def l4_norm(u: SpectralField) -> float:
-    """The L4 norm of |u|; the twice-refined quadrature is exact for
-    dealias-supported fields (integrand bandwidth 4n/3 < 2n)."""
-    g = u.grid
-    phys = to_physical(u, pad=2)
-    cell = (TWO_PI / (2 * g.n)) ** 2
-    return float((np.sum((phys[0] ** 2 + phys[1] ** 2) ** 2) * cell) ** 0.25)
 
 
 def alias_energy(grid: Grid, V: np.ndarray) -> np.ndarray:
@@ -461,17 +449,14 @@ class BoxAdvection:
 
     def __init__(self, grid: Grid, copies: int):
         n, cols, rows = grid.n, grid.box_cols, grid.box_rows
-        r = cols - 1
         self.grid = grid
         self.shape = (copies, 2, len(rows), cols)
         self.work = np.empty((2,) + self.shape, dtype=np.complex128)
-        # (box rows, grid rows) of the two row blocks ky = 0 .. r and -r .. -1
-        self.blocks = ((slice(0, r + 1), slice(0, r + 1)), (slice(r + 1, None), slice(n - r, n)))
         # the constants, once per copy, copied block by block from the grid's
         # arrays with no temporary
         self.ikx, self.iky = (np.empty((copies, len(rows), cols), dtype=np.complex128) for _ in range(2))
         self.rot = np.empty((2, 2, copies, len(rows), 2 * cols))
-        for box, grid_rows in self.blocks:
+        for box, grid_rows in grid.box_blocks:
             self.ikx[:, box] = grid.ikx[grid_rows, :cols]
             self.iky[:, box] = grid.iky[grid_rows, :cols]
             self.rot[:, :, :, box] = grid.masked_leray_rot[:, :, None, grid_rows, : 2 * cols]
@@ -492,7 +477,7 @@ class BoxAdvection:
         for c in self.pairs:
             np.multiply(self.ikx[c], V[c, 1], out=curl[c, 0])
             np.multiply(self.iky[c], V[c, 0], out=curl[c, 1])
-        for box, rows in self.blocks:
+        for box, rows in self.grid.box_blocks:
             spec[:2, :, rows] = V[:, :, box].swapaxes(0, 1)
             for c in self.pairs:
                 np.subtract(curl[c, 0, box], curl[c, 1, box], out=spec[2, c, rows])  # omega
@@ -505,7 +490,7 @@ class BoxAdvection:
         # padding columns it leaves zero
         kept = mid[:2, :, :, :cols]
         np.fft.fft(self.fwd[..., :cols], axis=-2, norm="forward", out=kept)
-        for box, rows in self.blocks:
+        for box, rows in self.grid.box_blocks:
             raw[:, :, box] = kept[:, :, rows].swapaxes(0, 1)
         rot, raw, prod, res = self.rot, raw.view(np.float64), curl.view(np.float64), out.view(np.float64)
         for c in self.pairs:

@@ -2,7 +2,8 @@
 
 perfbench/tracing.py counts the steps of `dynamics.integrate` by binding
 its `state`, `t_end` and `dt` arguments; a change to that signature would
-silently zero the benchmark's steps/s.
+silently zero the benchmark's steps/s.  It also wraps layers by name, and
+skips a name the package no longer defines.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ import numpy as np
 
 from intertwine import dynamics as dyn
 from intertwine import forcing as fr
+from intertwine import oracle as orc
 from intertwine import spectral as sp
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracing.py")
@@ -44,3 +46,25 @@ def test_integrate_timer_counts_steps(grid16, monkeypatch):
     assert tracer.counters["dynamics.integrate.steps"] == 10
     assert tracer.calls["dynamics.integrate"] == 1
     assert dyn.integrate.__name__ == "integrate" and not hasattr(dyn.integrate, "__wrapped__")
+
+
+def test_layers_skip_the_removed_dense_trajectory(grid8, monkeypatch):
+    # the tracer still names oracle.dense_trajectory; the oracle's runs go
+    # through dense_trajectories, so that layer reads 0 calls
+    tracing = load_tracing(monkeypatch)
+    state = dyn.IntertwinedState(
+        grid=grid8, t=0.0, nu=0.3, K=2.0, matrix=dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5),
+        v1=sp.random_field(grid8, np.random.default_rng(0), energy=0.6),
+        v2=sp.random_field(grid8, np.random.default_rng(1), energy=0.6),
+        forcing=fr.ForcingPair.synchronized(fr.SteadyForcing(fr.kolmogorov_force(grid8, 0.2, 2))),
+    )
+    tracer = tracing.Tracer()
+    tracing.install_layers(tracer)
+    try:
+        (out,) = orc.dense_trajectories([state], 0.1, dt_ref=1e-2)
+    finally:
+        tracer.remove()
+    assert out.t == 0.1
+    assert tracer.calls["oracle.dense_trajectory"] == 0
+    assert not hasattr(dyn.integrate, "__wrapped__")
+    assert not hasattr(orc.dense_trajectories, "__wrapped__")

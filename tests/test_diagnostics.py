@@ -19,7 +19,6 @@ from intertwine.diagnostics import (
     EmptySeries,
     GrashofSet,
     InsufficientData,
-    calibrate_constants,
     check_uniform_bound,
     decay_detect,
     default_constants,
@@ -460,9 +459,9 @@ class TestHeatCompare:
 
 
 class TestCalibration:
-    def test_deterministic_given_seed(self):
-        a = calibrate_constants(n=16, samples=20, seed=5)
-        b = calibrate_constants(n=16, samples=20, seed=5)
+    def test_deterministic_given_seed(self, calibrate):
+        a = calibrate.calibrate_constants(n=16, samples=20, seed=5)
+        b = calibrate.calibrate_constants(n=16, samples=20, seed=5)
         assert (a.C_L, a.C_A, a.C_S) == (b.C_L, b.C_A, b.C_S)
 
     def test_poincare_ratio_attained_at_unit_shell(self, grid16, rng):
@@ -474,14 +473,14 @@ class TestCalibration:
         assert unit.l2 / unit.h1 == pytest.approx(1.0, rel=1e-13)
         assert best <= 1.0 + 1e-12
 
-    def test_taylor_green_ladyzhenskaya_witness(self, grid16):
+    def test_taylor_green_ladyzhenskaya_witness(self, grid16, calibrate):
         # closed-form integrals: |u|_L4^2 = pi sqrt(5)/2, |u| = pi sqrt(2),
         # |u|_V = 2 pi, so the ratio is sqrt(5) / (4 sqrt(2) pi)
         tg = sp.taylor_green(grid16, 1.0)
-        ratio = sp.l4_norm(tg) ** 2 / (tg.h1 * tg.l2)
+        ratio = calibrate.l4_norm(tg) ** 2 / (tg.h1 * tg.l2)
         expect = math.sqrt(5.0) / (4.0 * math.sqrt(2.0) * math.pi)
         assert ratio == pytest.approx(expect, rel=1e-12)
-        assert calibrate_constants(n=16, samples=10, seed=0).C_L >= ratio
+        assert calibrate.calibrate_constants(n=16, samples=10, seed=0).C_L >= ratio
 
     def test_sobolev_scan_monotone_bounded(self, rng):
         # the |P_N u|_inf / (ln N)^(1/2) |P_N u|_V ratio stays bounded in N
@@ -496,14 +495,34 @@ class TestCalibration:
         assert all(np.isfinite(r) for r in ratios)
         assert max(ratios) <= 2.0 * min(ratios) + 0.1
 
-    def test_shipped_constants_match_regeneration(self):
+    def test_shipped_constants_match_regeneration(self, calibrate, capsys):
+        # tools/calibrate.py --check regenerates the shipped file's constants
+        # and holds each to 1e-12 relative
+        assert calibrate.main(["--check"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert all(line.endswith(" ok") for line in printed)
+        gaps = dict(line.removesuffix(" ok").split(": relative gap ") for line in printed)
+        assert list(gaps) == ["C_L", "C_A", "C_S"]
+        assert all(float(gap) <= 1e-12 for gap in gaps.values())
+
+    def test_check_names_a_drifted_constant(self, calibrate, capsys, monkeypatch):
         shipped = default_constants()
-        fresh = calibrate_constants(
-            n=shipped.meta["n"], samples=shipped.meta["samples"], seed=shipped.meta["seed"]
-        )
-        assert shipped.C_L == pytest.approx(fresh.C_L, rel=1e-12)
-        assert shipped.C_A == pytest.approx(fresh.C_A, rel=1e-12)
-        assert shipped.C_S == pytest.approx(fresh.C_S, rel=1e-12)
+        moved = dataclasses.replace(shipped, C_A=shipped.C_A * (1.0 + 1e-9))
+        monkeypatch.setattr(calibrate, "default_constants", lambda: moved)
+        assert calibrate.main(["--check"]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].endswith(" ok") and printed[2].endswith(" ok")
+        name, gap = printed[1].split(" DRIFT")[0].split(": relative gap ")
+        assert name == "C_A" and float(gap) == pytest.approx(1e-9, rel=1e-3)
+
+    def test_out_writes_a_loadable_constants_file(self, calibrate, tmp_path):
+        path = tmp_path / "constants.json"
+        assert calibrate.main(["--out", str(path)]) == 0
+        written = ConstantsConfig.from_json(path.read_text())
+        shipped = default_constants()
+        assert written.meta == shipped.meta and written.C2 == shipped.C2
+        for name in ("C_L", "C_A", "C_S"):
+            assert getattr(written, name) == pytest.approx(getattr(shipped, name), rel=1e-12)
 
     def test_positive_constants_enforced(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Config parsing, checkpoints, scenario runs, sweeps, and the CLI."""
 
 import csv
+import functools
 import json
 import math
+import multiprocessing
 import os
 import re
 from dataclasses import fields, replace
@@ -523,6 +525,31 @@ class TestScenarios:
         clean = serial.extras["table"]
         assert repr([rows[0], rows[2]]) == repr([clean[0], clean[2]])  # repr: nan == nan
         assert "RuntimeError: injected failure" in (tmp_path / "out" / "sweep_table.csv").read_text()
+
+    def test_sweep_survives_a_dead_worker(self, tmp_path, monkeypatch):
+        # a worker that exits breaks its whole pool, yet only its own point
+        # may be lost, and the table is still written
+        run_scenario = hz.run_scenario
+
+        def dying(cfg, kind=None, out_dir=None):
+            if str(out_dir).endswith("point_001"):
+                os._exit(9)
+            return run_scenario(cfg, kind=kind, out_dir=out_dir)
+
+        text = MINIMAL.replace("t_end = 4.0", "t_end = 1.0") + "\n[sweep]\nK = 1.0, 2.0, 3.0\n"
+        cfg = hz.parse_config_text(text)
+        clean = hz.run_scenario(cfg, kind="regime_sweep", out_dir=tmp_path / "clean").extras["table"]
+        # forked workers inherit the patched run_scenario
+        fork = multiprocessing.get_context("fork")
+        monkeypatch.setattr(hz, "ProcessPoolExecutor", functools.partial(hz.ProcessPoolExecutor, mp_context=fork))
+        monkeypatch.setattr(hz, "run_scenario", dying)
+        res = run_scenario(replace(cfg, threads=2), kind="regime_sweep", out_dir=tmp_path / "out")
+        rows = res.extras["table"]
+        error = rows[1].pop("error")
+        assert error.startswith("BrokenProcessPool: ")
+        assert rows[1] == {"K": 2.0, "mu": 2.0, "index": 1}
+        assert repr([rows[0], rows[2]]) == repr([clean[0], clean[2]])  # repr: nan == nan
+        assert "BrokenProcessPool: " in (tmp_path / "out" / "sweep_table.csv").read_text()
 
     def test_sweep_writes_its_config_before_any_point(self, tmp_path, monkeypatch):
         # config.ini was written last, so a sweep that died left no record of its config

@@ -232,8 +232,6 @@ def test_loc_audits_of_the_package_are_pinned():
     loc = _load(ROOT / "tools" / "loc.py", "loc_tool")
     src = str(ROOT / "src")
     assert loc.unused(src) == [
-        # regenerates data/constants_default.json; its test does so
-        "diagnostics.calibrate_constants",
         # the reference that dynamics.Workspace.sample is held to bitwise;
         # the perfbench tracer wraps it by name
         "diagnostics.sample_record",
@@ -246,23 +244,13 @@ def test_loc_audits_of_the_package_are_pinned():
         "dynamics.residual_twisted",
         # the dense reference that rhs_general is tested against
         "oracle._dense_pair_rhs",
-        # the lone-run form of dense_trajectories; the perfbench tracer wraps it by name
-        "oracle.dense_trajectory",
-        # physical values of a field and its L4 norm, with which
-        # calibrate_constants measures the interpolation constants
-        "spectral.to_physical",
-        "spectral.l4_norm",
     ]
     assert loc.knobs(src) == [
         # the console entry point's test seam
         "cli.main: argv",
-        # regenerate data/constants_default.json
-        "diagnostics.calibrate_constants: n, samples, seed",
         # turn off a safety guard
         "dynamics.integrate: cfl_factor",
         "dynamics.integrate_many: cfl_factor",
-        # the perfbench tracer wraps dense_trajectory by name
-        "oracle.dense_trajectory: dt_ref, sample_every, sink",
     ]
 
 

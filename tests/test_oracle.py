@@ -133,7 +133,7 @@ def _kolmogorov(grid, amplitude=0.2):
 class TestDenseTrajectory:
     def test_pure_diffusion_exact(self, grid8):
         u = sp.field_from_modes(grid8, [(1, 1, (0.3 / 1j, -0.3 / 1j))])
-        final = orc.dense_trajectory(_state(grid8, u, u.copy(), nu=0.4), t_end=1.0, dt_ref=1e-3)
+        final = orc.dense_trajectories([_state(grid8, u, u.copy(), nu=0.4)], t_end=1.0, dt_ref=1e-3)[0]
         # linear problem: RK4 reproduces exp(-nu |k|^2 t) to high order
         expect = u.half * np.exp(-0.4 * 2.0 * 1.0)
         assert final.t == 1.0
@@ -144,7 +144,7 @@ class TestDenseTrajectory:
         state = _state(grid8, u0, u0.copy(), _kolmogorov(grid8))
         finals = []
         for dt in (0.02, 0.01, 0.005):
-            finals.append(orc.dense_trajectory(state, t_end=0.5, dt_ref=dt).v1)
+            finals.append(orc.dense_trajectories([state], t_end=0.5, dt_ref=dt)[0].v1)
         gap_coarse = (finals[0] - finals[1]).l2
         gap_fine = (finals[1] - finals[2]).l2
         order = np.log2(gap_coarse / gap_fine)
@@ -154,15 +154,15 @@ class TestDenseTrajectory:
         u0 = sp.random_field(grid8, rng, energy=0.6, kmax=grid8.dealias_radius)
         matrix = dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75)
         state = _state(grid8, u0, u0.copy(), _kolmogorov(grid8), matrix)
-        final = orc.dense_trajectory(state, t_end=1.0, dt_ref=1e-3)
+        final = orc.dense_trajectories([state], t_end=1.0, dt_ref=1e-3)[0]
         assert (final.v1 - final.v2).l2 <= 1e-12 * final.v1.l2
 
     def test_blowup_guard(self, grid8):
         u = sp.field_from_modes(grid8, [(1, 0, (0.0, 1.0))]) * 1e7
         # strong linear amplification through a general coupling matrix
         matrix = dyn.IntertwiningMatrix.general(50.0, 0.0, 0.0, 50.0)
-        with pytest.raises(orc.BlowupDetected):
-            orc.dense_trajectory(_state(grid8, u, u.copy(), matrix=matrix, nu=0.1), t_end=5.0, dt_ref=1e-2)
+        out = orc.dense_trajectories([_state(grid8, u, u.copy(), matrix=matrix, nu=0.1)], t_end=5.0, dt_ref=1e-2)[0]
+        assert isinstance(out, dyn.BlowupDetected)
 
 
     def test_blowup_guard_watches_second_copy(self, grid8):
@@ -170,10 +170,10 @@ class TestDenseTrajectory:
         # the first decays, so a guard on the first copy alone never fires
         u = sp.field_from_modes(grid8, [(1, 0, (0.0, 1.0))])
         matrix = dyn.IntertwiningMatrix.general(0.0, 0.0, 0.0, 50.0)
-        with pytest.raises(orc.BlowupDetected) as caught:
-            orc.dense_trajectory(_state(grid8, u, u.copy(), matrix=matrix, nu=0.1), t_end=5.0, dt_ref=1e-2)
+        out = orc.dense_trajectories([_state(grid8, u, u.copy(), matrix=matrix, nu=0.1)], t_end=5.0, dt_ref=1e-2)[0]
+        assert isinstance(out, dyn.BlowupDetected)
         # |v2| grows like exp(49.9 t) from about 4.4, so it crosses 1e8 near t = 0.34
-        assert caught.value.t < 0.5
+        assert out.t < 0.5
 
     def test_box_and_ball_from_the_grid(self, grid8, grid16, rng):
         # the box is the stepper's dealias box, capped at MAX_RADIUS
@@ -183,7 +183,7 @@ class TestDenseTrajectory:
         assert kern.keep == grid8.dealias_radius
         u = sp.random_field(grid16, rng, energy=0.6)
         with pytest.raises(orc.RadiusTooLarge, match="radius 5"):
-            orc.dense_trajectory(_state(grid16, u, u.copy()), t_end=1e-2, dt_ref=1e-2)
+            orc.dense_trajectories([_state(grid16, u, u.copy())], t_end=1e-2, dt_ref=1e-2)
 
     def test_states_must_share_grid_t_and_nu(self, grid8, rng):
         u = sp.random_field(grid8, rng, energy=0.6)
@@ -282,7 +282,7 @@ class TestDenseKernel:
         dt = 1e-2
         state = setup(matrix)
         expect = _boundary_rk4_step(state, dt)
-        final = orc.dense_trajectory(state, t_end=dt, dt_ref=dt)
+        final = orc.dense_trajectories([state], t_end=dt, dt_ref=dt)[0]
         for got, want in zip((final.v1, final.v2), expect):
             assert (got - want).l2 <= 1e-14 * want.l2
 
@@ -300,7 +300,7 @@ class TestDenseKernel:
         dt = 1e-2
         state = setup(dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5))
         times = []
-        orc.dense_trajectory(state, t_end=30 * dt, dt_ref=dt, sample_every=3 * dt, sink=lambda s: times.append(s.t))
+        dyn._run([state], 30 * dt, dt, 3 * dt, lambda s: times.append(s.t), cfl_factor=None, stepper=orc._RK4)
         assert times == [k * dt for k in range(0, 31, 3)]
 
     def test_final_time_is_sampled(self, setup):
@@ -308,14 +308,14 @@ class TestDenseKernel:
         # and the last sample still lands at t_end = 1, as in dynamics.integrate
         state = setup(dyn.IntertwiningMatrix.nudge_mutual(1.0, 0.5))
         samples = []
-        final = orc.dense_trajectory(state, t_end=1.0, dt_ref=4e-3, sample_every=0.25, sink=samples.append)
+        (final,) = dyn._run([state], 1.0, 4e-3, 0.25, samples.append, cfl_factor=None, stepper=orc._RK4)
         assert [s.t for s in samples] == [k * 4e-3 for k in (0, 62, 124, 186, 248, 250)]
         assert samples[-1].t == final.t == 1.0
         assert samples[-1].v1.half.tobytes() == final.v1.half.tobytes()
 
     def test_partial_final_step_rejected(self, setup):
         with pytest.raises(ValueError, match="whole number of steps"):
-            orc.dense_trajectory(setup(dyn.IntertwiningMatrix.zero()), t_end=0.055, dt_ref=1e-2)
+            orc.dense_trajectories([setup(dyn.IntertwiningMatrix.zero())], t_end=0.055, dt_ref=1e-2)
 
     def test_members_bitwise_equal_to_lone_runs(self, setup, grid8):
         # the three systems and a fourth with its own decaying-pair force and
@@ -328,7 +328,7 @@ class TestDenseKernel:
         runs = orc.dense_trajectories(states, 0.2, dt_ref=1e-2)
         assert len(runs) == len(states)
         for state, final in zip(states, runs):
-            lone = orc.dense_trajectory(state, 0.2, dt_ref=1e-2)
+            lone = orc.dense_trajectories([state], 0.2, dt_ref=1e-2)[0]
             assert final.t == lone.t == 0.2
             assert final.matrix is state.matrix and final.K == state.K
             for got, want in ((final.v1, lone.v1), (final.v2, lone.v2)):
@@ -341,9 +341,9 @@ class TestDenseKernel:
         wild = replace(setup(dyn.IntertwiningMatrix.general(0.0, 0.0, 0.0, 50.0)), v1=u, v2=u.copy())
         calm = [setup(m) for _, m in self.SYSTEMS]
         runs = orc.dense_trajectories([calm[0], wild, *calm[1:]], 0.5, dt_ref=1e-2)
-        assert isinstance(runs[1], orc.BlowupDetected) and runs[1].t < 0.5
+        assert isinstance(runs[1], dyn.BlowupDetected) and runs[1].t < 0.5
         for state, final in zip(calm, runs[:1] + runs[2:]):
-            lone = orc.dense_trajectory(state, 0.5, dt_ref=1e-2)
+            lone = orc.dense_trajectories([state], 0.5, dt_ref=1e-2)[0]
             for got, want in ((final.v1, lone.v1), (final.v2, lone.v2)):
                 assert got.half.tobytes() == want.half.tobytes()
 
@@ -359,7 +359,7 @@ class TestDenseKernel:
         with pytest.raises(AssertionError, match="called a transform"):
             np.fft.rfft2(np.zeros((4, 4)))
         for state in states:
-            orc.dense_trajectory(state, t_end=0.05, dt_ref=1e-2)
+            orc.dense_trajectories([state], t_end=0.05, dt_ref=1e-2)
         orc.dense_bilinear_B(states[0].v1, states[0].v2)
 
 
