@@ -264,13 +264,11 @@ class Condition:
         return ConditionReport.compare(self.name, lhs, rhs, text.format(lhs=lhs, rhs=rhs))
 
 
-def m_frak_small_theta2(K: float, grashofs: GrashofSet, constants: ConstantsConfig) -> float:
+def m_frak_small_theta2(run: RunFacts) -> float:
     """Guaranteed uniform-ball size in the small-theta2 regime."""
-    lnK = math.log(math.e + K)
+    gs = run.grashofs
     return np.sqrt(
-        16.0
-        * (1.0 + constants.C_S**2 * lnK * (1.0 + grashofs.p_frak**2))
-        * (grashofs.d_frak**2 + grashofs.f_frak**2)
+        16.0 * (1.0 + run.constants.C_S**2 * run.lnK * (1.0 + gs.p_frak**2)) * (gs.d_frak**2 + gs.f_frak**2)
     )
 
 
@@ -316,7 +314,7 @@ _THETA_ROWS = (
               "|theta1-theta2| = {lhs:.6g} <= sqrt(2)/(8*C_S*ln(e+K)^(1/2)*m) = {rhs:.6g}"),
     Condition("theta_small",
               lambda r: (r.params[1]**2 * r.constants.C_S**2 * r.lnK
-                         * m_frak_small_theta2(r.K, r.grashofs, r.constants)**4),
+                         * m_frak_small_theta2(r)**4),
               # 2*(|r0|/nu)^2 + k^2 recovered from r^2 = 16*((|r0|/nu)^2 + k^2)
               lambda r: np.maximum(0.0, r.grashofs.r_frak**2 / 8.0 - r.grashofs.k_frak**2),  # NaN stays NaN
               "theta2^2*C_S^2*ln(e+K)*m^4 = {lhs:.6g} <= 2*(|r0|/nu)^2 + k^2 = {rhs:.6g}"),
@@ -342,36 +340,7 @@ _ENERGY_INEQUALITY = Condition(
 
 
 # ---------------------------------------------------------------------------
-# uniform-in-time bound checks
-
-
-def check_uniform_bound(
-    series,
-    bound_formula: str,
-    grashofs: GrashofSet,
-    matrix: IntertwiningMatrix | None,
-    nu: float,
-) -> ConditionReport | None:
-    """Compare a trajectory's tail sup against a closed-form uniform bound.
-
-    bound_formula names a regime of REGIMES (ValueError otherwise), and series
-    is a list of (t, value) pairs of the quantity that regime bounds.
-    Returns None where the regime has no bound for matrix.  Bounds are
-    sufficient theory, so a pass is the expected outcome; a violation flags
-    either a constants miscalibration or a bug.
-    """
-    if not series:
-        raise EmptySeries("empty trajectory series")
-    tail_sup = max(float(v) for _, v in _tail(series))
-    if bound_formula not in _REGIME_BY_NAME:
-        raise ValueError(f"unknown bound formula {bound_formula!r}")
-    text, value = _REGIME_BY_NAME[bound_formula].bound
-    bound = value(grashofs, matrix, nu)
-    if bound is None:
-        return None
-    return ConditionReport.compare(
-        f"bound_{bound_formula}", tail_sup, bound, f"tail sup = {tail_sup:.6g} <= {text} = {bound:.6g}"
-    )
+# the bounded series and the regimes
 
 
 def _pair_h1_series(records, matrix):
@@ -420,11 +389,30 @@ class Regime:
         """The reports of a run from state0 that sampled records, in table order."""
         run = run_facts(state0, records, constants, nu)
         reports = [row.report(run) for row in self.rows]
-        bound = check_uniform_bound(self.series(records, state0.matrix), self.name, run.grashofs,
-                                    state0.matrix, run.nu)
+        bound = self.bound_report(self.series(records, state0.matrix), run.grashofs, state0.matrix, run.nu)
         if bound is not None:
             reports += [bound] + [row.report(run) for row in self.after_bound]
         return reports
+
+    def bound_report(self, series, grashofs: GrashofSet, matrix: IntertwiningMatrix | None,
+                     nu: float) -> ConditionReport | None:
+        """Compare the tail sup of series, a list of (t, value) pairs of the
+        quantity this regime bounds, against its closed-form uniform bound.
+
+        Returns None where the regime has no bound for matrix.  Bounds are
+        sufficient theory, so a pass is the expected outcome; a violation
+        flags either a constants miscalibration or a bug.
+        """
+        if not series:
+            raise EmptySeries("empty trajectory series")
+        tail_sup = max(float(v) for _, v in _tail(series))
+        text, value = self.bound
+        bound = value(grashofs, matrix, nu)
+        if bound is None:
+            return None
+        return ConditionReport.compare(
+            f"bound_{self.name}", tail_sup, bound, f"tail sup = {tail_sup:.6g} <= {text} = {bound:.6g}"
+        )
 
 
 # ordered: a matrix belongs to the first regime that selects it
@@ -455,7 +443,6 @@ REGIMES = (
     # the driven low-mode heat block, compared with |p|_V, which is not recorded
     Regime("heat_low_mode", None, (), ("sqrt(2)*nu*h", lambda gs, m, nu: math.sqrt(2.0) * nu * gs.h_frak), None),
 )
-_REGIME_BY_NAME = {regime.name: regime for regime in REGIMES}
 
 
 def regime_for(matrix: IntertwiningMatrix) -> Regime | None:

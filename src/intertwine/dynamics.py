@@ -142,28 +142,23 @@ class IntertwiningMatrix:
 class CouplingClass:
     """One row of the coupling-class registry.
 
-    code is the class byte of a checkpoint; build is the IntertwiningMatrix
-    constructor; params are its argument names, which are also the config's
-    [coupling] keys for the class.
+    build is the IntertwiningMatrix constructor; params are its argument
+    names, which are also the config's [coupling] keys for the class.
     """
 
-    code: int
     build: Callable[..., IntertwiningMatrix]
     params: tuple[str, ...]
 
 
 COUPLING_CLASSES = {
-    NUDGE_SYMMETRIC: CouplingClass(0, IntertwiningMatrix.nudge_symmetric, ("mu1", "mu2")),
-    NUDGE_MUTUAL: CouplingClass(1, IntertwiningMatrix.nudge_mutual, ("mu1", "mu2")),
-    DR_SYMMETRIC: CouplingClass(2, IntertwiningMatrix.dr_symmetric, ("theta1", "theta2")),
-    DR_MUTUAL: CouplingClass(3, IntertwiningMatrix.dr_mutual, ("theta1", "theta2")),
-    GENERAL: CouplingClass(4, IntertwiningMatrix.general, ("m11", "m12", "m21", "m22")),
-    # the config alias for uncoupled copies builds a zero general matrix,
-    # so it shares the general code
-    NONE: CouplingClass(4, IntertwiningMatrix.zero, ()),
+    NUDGE_SYMMETRIC: CouplingClass(IntertwiningMatrix.nudge_symmetric, ("mu1", "mu2")),
+    NUDGE_MUTUAL: CouplingClass(IntertwiningMatrix.nudge_mutual, ("mu1", "mu2")),
+    DR_SYMMETRIC: CouplingClass(IntertwiningMatrix.dr_symmetric, ("theta1", "theta2")),
+    DR_MUTUAL: CouplingClass(IntertwiningMatrix.dr_mutual, ("theta1", "theta2")),
+    GENERAL: CouplingClass(IntertwiningMatrix.general, ("m11", "m12", "m21", "m22")),
+    # the config alias for uncoupled copies builds a zero general matrix
+    NONE: CouplingClass(IntertwiningMatrix.zero, ()),
 }
-# reversed, so that a shared code maps to the first row that has it
-COUPLING_BY_CODE = {spec.code: spec for spec in reversed(COUPLING_CLASSES.values())}
 
 
 @dataclass(frozen=True)
@@ -682,6 +677,8 @@ def _run(states, t_end: float, dt: float, sample_every=None, sink=None, cfl_fact
     sampled no more, and the run stops once every member has.  Returns per
     state its state at t_end or its BlowupDetected.  The stepper is freed
     before the returned states are built, so a run peaks at its own arrays.
+    A run of no steps (t_end = t0) returns the states as they are: it
+    samples nothing, and neither the step guard nor the alias guard runs.
     """
     t0 = states[0].t
     if t_end < t0:
@@ -745,6 +742,8 @@ def integrate(
     symmetric direct-replacement parameters).
     cfl_factor=None disables the step-size guard.  Raises AliasingViolation
     when the pair or a force field carries energy outside the dealias radius.
+    At t_end = state.t there is no step: the state is returned as it is,
+    sink and records get nothing, and neither guard runs.
 
     The pair is advanced in place on one `Workspace`, as the one member of
     the run `integrate_many` makes.  A nudging coupling with max gain * dt >

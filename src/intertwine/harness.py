@@ -402,6 +402,9 @@ _CKPT_VERSION = 2
 # after the magic: v1 header (two matrix params, radius n/3 implied) and v2
 _CKPT_HEADS = {1: struct.Struct("<IddIdBddQ"), 2: struct.Struct("<IddIddBddddQ")}
 _CKPT_CRC = struct.Struct("<I")
+# the matrix class of each class byte; a `none` config builds a zero general
+# matrix, so it saves as GENERAL
+_CKPT_CLASSES = (dyn.NUDGE_SYMMETRIC, dyn.NUDGE_MUTUAL, dyn.DR_SYMMETRIC, dyn.DR_MUTUAL, dyn.GENERAL)
 
 
 def _field_bytes(u: sp.SpectralField) -> bytes:
@@ -424,14 +427,15 @@ def checkpoint_save(state: dyn.IntertwinedState, path, seed: int = 0) -> None:
     Layout (version 2): magic "ITWN", u32 version, f64 nu, f64 t, u32 n,
     f64 dealias radius, f64 K, u8 matrix class code, four f64 matrix params
     (zero-padded), u64 seed, the v1 and v2 coefficient blocks, and a u32
-    CRC32 of everything before it.  The forcing is not serialized; it is
-    rebuilt from the config on load.
+    CRC32 of everything before it.  The class codes are nudge_symmetric 0,
+    nudge_mutual 1, dr_symmetric 2, dr_mutual 3 and general 4 (`none` too).
+    The forcing is not serialized; it is rebuilt from the config on load.
     """
     m = state.matrix
     params = (m.params + (0.0,) * 4)[:4]
     header = _CKPT_MAGIC + _CKPT_HEADS[_CKPT_VERSION].pack(
         _CKPT_VERSION, state.nu, state.t, state.grid.n, state.grid.dealias_radius, state.K,
-        dyn.COUPLING_CLASSES[m.kind].code, *params, seed,
+        _CKPT_CLASSES.index(m.kind), *params, seed,
     )
     payload = header + _field_bytes(state.v1) + _field_bytes(state.v2)
     write_bytes(path, payload + _CKPT_CRC.pack(zlib.crc32(payload)))
@@ -464,9 +468,9 @@ def checkpoint_load(path) -> tuple[dyn.IntertwinedState, int]:
         raise IoError(f"{path}: truncated coefficient blocks")
     if crc_size and _CKPT_CRC.unpack_from(blob, end)[0] != zlib.crc32(blob[:end]):
         raise IoError(f"{path}: checksum mismatch")
-    spec = dyn.COUPLING_BY_CODE.get(code)
-    if spec is None:
+    if code >= len(_CKPT_CLASSES):
         raise IoError(f"{path}: unknown matrix class code {code}")
+    spec = dyn.COUPLING_CLASSES[_CKPT_CLASSES[code]]
     matrix = spec.build(*params[: len(spec.params)])
     grid = sp.Grid(n, radius)
     v1 = _field_from_bytes(grid, blob[offset : offset + block])

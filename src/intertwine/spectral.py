@@ -349,12 +349,10 @@ def from_box(grid: Grid, Vb: np.ndarray) -> np.ndarray:
     return V
 
 
-def _physical(grid: Grid, V: np.ndarray, pad: int) -> np.ndarray:
+def _physical(grid: Grid, V: np.ndarray) -> np.ndarray:
     """The fields of the stack V (..., 2, n, n//2+1) on the physical grid,
-    refined pad times by zero padding: shape (..., 2, pad n, pad n)."""
-    if pad == 1:
-        return np.fft.irfft2(V, s=(grid.n, grid.n), norm="forward")
-    npad = pad * grid.n
+    refined twice by zero padding: shape (..., 2, 2n, 2n)."""
+    npad = 2 * grid.n
     big = np.zeros(V.shape[:-2] + (npad, npad // 2 + 1), dtype=np.complex128)
     # guard the unpaired Nyquist lines; valid fields never populate them
     rows = np.flatnonzero(np.abs(grid.ky[:, 0]) < grid.n // 2)
@@ -372,7 +370,7 @@ def linf_norm(*fields: SpectralField) -> float:
     """
     largest = 0.0
     for u in fields:
-        phys = _physical(u.grid, u.half, 2)
+        phys = _physical(u.grid, u.half)
         np.square(phys, out=phys)
         np.add(phys[0], phys[1], out=phys[0])
         largest = np.maximum(largest, phys[0].max())  # a NaN propagates

@@ -265,7 +265,8 @@ def test_criterion_6_uniform_bounds(nudge_run, dr_runs):
         formula = formulas[run["label"]]
         column = "theta_pair" if formula == "dr_mutual_pair" else "pair"
         series = [(r["t"], r[column]) for r in run["series"]]
-        rep = diag.check_uniform_bound(series, formula, grashofs, run["matrix"], nu)
+        regime = next(r for r in diag.REGIMES if r.name == formula)
+        rep = regime.bound_report(series, grashofs, run["matrix"], nu)
         margins.append((run["label"], rep.margin))
         if not rep.satisfied:
             violations.append((run["label"], rep))

@@ -19,7 +19,6 @@ from intertwine.diagnostics import (
     EmptySeries,
     GrashofSet,
     InsufficientData,
-    check_uniform_bound,
     decay_detect,
     default_constants,
     grashof_set_for_state,
@@ -32,6 +31,8 @@ GRASHOFS = GrashofSet(g1=1.0, g2=1.0, g=math.sqrt(2), k_frak=2.0, h_frak=0.1,
                       p_frak=0.5, r_frak=9.0, d_frak=2.0, f_frak=2.0)
 # every condition row of the regime table, by name
 ROWS = {row.name: row for regime in diag.REGIMES for row in (*regime.rows, *regime.after_bound)}
+# the regimes of the table, by name
+REGIMES = {regime.name: regime for regime in diag.REGIMES}
 
 
 def facts(K, m_frak=1.0, params=(0.5, 0.5), m0=1.0, grashofs=GRASHOFS, nu=1.0, constants=UNIT, records=()):
@@ -60,8 +61,8 @@ class TestGrashofNumbers:
         with pytest.raises(EmptySeries):
             diag.measured_m_frak([], [], nu=1.0)
         with pytest.raises(EmptySeries):
-            check_uniform_bound([], "nudge_mutual", GrashofSet(g1=1.0, g2=1.0, g=2**0.5),
-                                dyn.IntertwiningMatrix.nudge_mutual(1.0, 1.0), nu=0.1)
+            REGIMES["nudge_mutual"].bound_report([], GrashofSet(g1=1.0, g2=1.0, g=2**0.5),
+                                                 dyn.IntertwiningMatrix.nudge_mutual(1.0, 1.0), nu=0.1)
 
     def test_decaying_pair_tail_sup(self, grid16, rng):
         # the sup of |h| over t >= 0 is the closed-form envelope at t = 0
@@ -205,14 +206,14 @@ class TestUniformBounds:
         gs = GrashofSet(g1=0.0, g2=0.0, g=0.0)
         series = [(t, 0.0) for t in np.linspace(0, 10, 20)]
         m = dyn.IntertwiningMatrix.nudge_mutual(1.0, 1.0)
-        rep = check_uniform_bound(series, "nudge_mutual", gs, m, nu=0.1)
+        rep = REGIMES["nudge_mutual"].bound_report(series, gs, m, nu=0.1)
         assert rep.satisfied
 
     def test_mutual_ratio_formula(self):
         gs = GrashofSet(g1=3.0, g2=4.0, g=5.0)
         m = dyn.IntertwiningMatrix.nudge_mutual(2.0, 0.5)
         series = [(0.0, 1.0), (1.0, 0.9)]
-        rep = check_uniform_bound(series, "nudge_mutual", gs, m, nu=0.1)
+        rep = REGIMES["nudge_mutual"].bound_report(series, gs, m, nu=0.1)
         assert rep.rhs == pytest.approx(0.1 * 4.0 * 5.0)
 
     def test_dr_bound_values(self):
@@ -226,18 +227,14 @@ class TestUniformBounds:
             "dr_mutual_pair": math.sqrt(96.0) * 0.5 * 1.5,
         }
         for formula, expect in vals.items():
-            rep = check_uniform_bound(series, formula, gs, None, nu=0.5)
+            rep = REGIMES[formula].bound_report(series, gs, None, nu=0.5)
             assert rep.rhs == pytest.approx(expect), formula
-
-    def test_unknown_formula_raises(self):
-        with pytest.raises(ValueError, match="unknown bound formula"):
-            check_uniform_bound([(0.0, 0.1)], "dr_lopsided", GrashofSet(k_frak=1.0), None, 1.0)
 
     def test_symmetric_formula_is_force_size(self):
         # the symmetric nudging bound is nu times the force size g
         series = [(0.0, 0.1), (1.0, 0.1)]
         gs = GrashofSet(g1=3.0, g2=4.0, g=5.0)
-        rep = check_uniform_bound(series, "nudge_symmetric", gs, None, nu=0.2)
+        rep = REGIMES["nudge_symmetric"].bound_report(series, gs, None, nu=0.2)
         assert rep.rhs == pytest.approx(1.0)
         assert rep.satisfied
 
@@ -250,7 +247,7 @@ class TestUniformBounds:
         series = []
         for t in np.linspace(0.0, 40.0, 200):
             series.append((float(t), orc.heat_exact(p0, h, nu, float(t)).h1))
-        rep = check_uniform_bound(series, "heat_low_mode", gs, None, nu=nu)
+        rep = REGIMES["heat_low_mode"].bound_report(series, gs, None, nu=nu)
         assert rep.satisfied
 
 

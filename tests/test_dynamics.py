@@ -741,6 +741,10 @@ class TestEnsemble:
     def test_no_steps_returns_the_states(self, grid16, rng):
         states = ensemble(grid16, rng)
         assert dyn.integrate_many(states, 0.0, dt=0.02) == states
+        # nor does such a run sample: the sink and the records get nothing at t0
+        sunk, records = [], [[] for _ in states]
+        assert dyn._run(states, 0.0, 0.02, sink=sunk.append, records=records) == states
+        assert sunk == [] and records == [[] for _ in states]
 
     def test_kernel_built_at_first_rhs(self, grid16, rng):
         # after the fields are packed, so that the packing's temporaries and

@@ -291,6 +291,46 @@ class TestCheckpoints:
         with pytest.raises(hz.IoError, match="checksum"):
             hz.checkpoint_load(path)
 
+    def test_class_bytes_are_pinned(self, tmp_path):
+        import struct
+        import zlib
+
+        from intertwine import dynamics as dyn
+
+        # the class byte follows the magic and the version-2 header up to K
+        at = 4 + struct.calcsize("<IddIdd")
+        state = hz.build_state(hz.parse_config_text(MINIMAL))
+        matrices = {
+            "nudge_symmetric": dyn.IntertwiningMatrix.nudge_symmetric(2.0, 1.0),
+            "nudge_mutual": dyn.IntertwiningMatrix.nudge_mutual(1.0, 2.0),
+            "dr_symmetric": dyn.IntertwiningMatrix.dr_symmetric(0.75, 0.25),
+            "dr_mutual": dyn.IntertwiningMatrix.dr_mutual(0.25, 0.75),
+            "general": dyn.IntertwiningMatrix.general(0.3, -0.2, 0.1, 0.4),
+        }
+        expect = {"nudge_symmetric": 0, "nudge_mutual": 1, "dr_symmetric": 2, "dr_mutual": 3, "general": 4}
+        for kind, matrix in matrices.items():
+            path = tmp_path / f"{kind}.ckpt"
+            hz.checkpoint_save(replace(state, matrix=matrix), path)
+            assert path.read_bytes()[at] == expect[kind], kind
+            loaded, _ = hz.checkpoint_load(path)
+            assert (loaded.matrix.kind, loaded.matrix.params) == (kind, matrix.params)
+
+        # uncoupled copies save as a zero general matrix
+        text = MINIMAL.replace("class = nudge_mutual\nmu1 = 2.0\nmu2 = 2.0", "class = none")
+        path = tmp_path / "none.ckpt"
+        hz.checkpoint_save(hz.build_state(hz.parse_config_text(text)), path)
+        blob = path.read_bytes()
+        assert blob[at] == 4
+        loaded, _ = hz.checkpoint_load(path)
+        assert loaded.matrix.kind == "general" and loaded.matrix.params == (0.0, 0.0, 0.0, 0.0)
+        assert not np.any(loaded.matrix.entries)
+
+        for code in (5, 255):
+            payload = blob[:at] + bytes([code]) + blob[at + 1 : -4]
+            path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload)))
+            with pytest.raises(hz.IoError, match=f"unknown matrix class code {code}"):
+                hz.checkpoint_load(path)
+
     def test_reads_version_1(self, tmp_path):
         import struct
 

@@ -39,7 +39,7 @@ def l4_norm(u: spectral.SpectralField) -> float:
     """The L4 norm of |u|; the twice-refined quadrature is exact for
     dealias-supported fields (integrand bandwidth 4n/3 < 2n)."""
     g = u.grid
-    phys = spectral._physical(g, u.half, 2)
+    phys = spectral._physical(g, u.half)
     cell = (spectral.TWO_PI / (2 * g.n)) ** 2
     return float((np.sum((phys[0] ** 2 + phys[1] ** 2) ** 2) * cell) ** 0.25)
 
